@@ -12,8 +12,6 @@ import numpy as np
 
 from .seeds import derive_rng
 
-CSV_FLOAT = "%.12g"
-
 
 @dataclass(frozen=True)
 class PathLossModel:
@@ -103,14 +101,6 @@ class NetworkTopology:
         diff = self.ap_positions[:, None, :] - self.ue_positions[None, :, :]
         return np.linalg.norm(diff, axis=2)
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("node,index,x_m,y_m\n")
-            for i, (x, y) in enumerate(self.ap_positions):
-                fh.write(f"ap,{i},{CSV_FLOAT % x},{CSV_FLOAT % y}\n")
-            for i, (x, y) in enumerate(self.ue_positions):
-                fh.write(f"ue,{i},{CSV_FLOAT % x},{CSV_FLOAT % y}\n")
-
 
 @dataclass(frozen=True, eq=False)
 class LargeScaleFading:
@@ -131,12 +121,6 @@ class LargeScaleFading:
     @property
     def k(self):
         return self.beta.shape[1]
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(f"ue_{j}" for j in range(self.k)) + "\n")
-            for row in self.beta:
-                fh.write(",".join(CSV_FLOAT % v for v in row) + "\n")
 
 
 def generate_topology(m, k, area_side, seed):

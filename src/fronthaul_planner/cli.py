@@ -21,7 +21,7 @@ from .config import (SystemConfig, draw_fading, effective_config_lines,
                      symmetric_beta)
 from .energy import aggregate_params
 from .experiments import (ExperimentSpec, run_ee_surface, run_ee_vs_sumrate,
-                          run_rate_cdf)
+                          run_rate_cdf, stamp, write_table)
 from .fronthaul import FronthaulPlan, UplinkSignalParams, per_ap_distortions
 from .optimizer import alternating_optimize, grid_cells, grid_search, parse_range
 from .rate import mc_validate_terms, sinr_closed_form
@@ -60,6 +60,13 @@ def _range(text):
     return lo, hi, step
 
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _symmetric_setup(cfg, seed):
     beta = symmetric_beta(cfg, seed)
     agg = aggregate_params(beta, signal_params(cfg), power_cost_params(cfg),
@@ -87,18 +94,14 @@ def cmd_grid(args):
     cfg = _load(args)
     _echo_config(cfg, args.seed)
     beta, agg = _symmetric_setup(cfg, args.seed)
-    lo, hi, step = args.n
-    opt = grid_search(agg, cfg.m, (lo, hi, step), cfg.k, cfg.b_s_hz, cfg.c_fso)
+    cells = grid_cells(agg, cfg.m, parse_range(*args.n), cfg.k, cfg.b_s_hz,
+                       cfg.c_fso)
+    opt = grid_search(cells)
     path = _outpath(args, "grid.csv")
-    ns = parse_range(lo, hi, step)
-    nn, mm, ee, sr = grid_cells(agg, cfg.m, ns, cfg.k, cfg.b_s_hz, cfg.c_fso)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# scenario=grid seed={args.seed} config_sha={cfg.sha()}\n")
-        fh.write(f"# beta_scalar={_F % beta} policy={cfg.beta_policy}\n")
-        fh.write("n,m_of,ee_bits_per_joule,sum_rate_bps_hz\n")
-        for n_v, m_v, ee_v, sr_v in zip(nn.ravel(), mm.ravel(),
-                                        ee.ravel(), sr.ravel()):
-            fh.write(f"{_F % n_v},{int(m_v)},{_F % ee_v},{_F % sr_v}\n")
+    write_table(path, [stamp("grid", args.seed, cfg),
+                       f"beta_scalar={_F % beta} policy={cfg.beta_policy}"],
+                ("n", "m_of", "ee_bits_per_joule", "sum_rate_bps_hz"),
+                [c.ravel() for c in cells])
     print(f"grid written to {path}")
     print(f"symmetric gain beta = {_F % beta} ({cfg.beta_policy})")
     print(f"n_star = {_F % opt.n_star}")
@@ -107,11 +110,11 @@ def cmd_grid(args):
     return 0
 
 
-def _run_scenario(args, scenario, filename, runner, drops=None):
+def _run_scenario(args, scenario, filename, runner, drops=1):
     cfg = _load(args)
     _echo_config(cfg, args.seed)
     path = _outpath(args, filename)
-    spec = ExperimentSpec(scenario, cfg, drops or 1, args.seed, path)
+    spec = ExperimentSpec(scenario, cfg, drops, args.seed, path)
     runner(spec)
     print(f"{scenario} written to {path}")
     return 0
@@ -202,7 +205,7 @@ def build_parser():
 
     p = sub.add_parser("cdf", help="rate CDFs over random drops")
     common(p)
-    p.add_argument("--drops", type=int, default=200)
+    p.add_argument("--drops", type=_positive_int, default=200)
     p.set_defaults(func=cmd_cdf)
 
     p = sub.add_parser("tradeoff", help="EE versus sum-rate curves")
@@ -211,9 +214,9 @@ def build_parser():
 
     p = sub.add_parser("validate", help="Monte-Carlo check of the closed-form SINR")
     common(p)
-    p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--m", type=int, default=20)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--trials", type=_positive_int, default=100000)
+    p.add_argument("--m", type=_positive_int, default=20)
+    p.add_argument("--k", type=_positive_int, default=4)
     p.set_defaults(func=cmd_validate)
     return parser
 

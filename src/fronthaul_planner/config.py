@@ -92,35 +92,41 @@ class SystemConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
-# File key -> (config field, converter). Keys carry the units people write
-# (GHz, MHz, mWatt); fields carry the units the code computes with.
+# File key -> (config field, type, num, den): field = type(value) * num / den.
+# Keys carry the units people write (GHz, MHz, mWatt), fields the units the
+# code computes with. Integer scales round both directions exactly once.
 _KEYS = {
-    "f_ghz": ("f_mhz", lambda v: float(v) * 1000.0),
-    "bandwidth_mhz": ("b_s_hz", lambda v: float(v) * 1e6),
-    "h_ap_m": ("h_ap_m", float),
-    "h_ue_m": ("h_ue_m", float),
-    "d0_m": ("d0_m", float),
-    "d1_m": ("d1_m", float),
-    "sigma_sh_db": ("sigma_sh_db", float),
-    "theta": ("theta", float),
-    "rho_u_mw": ("rho_u_w", lambda v: float(v) / 1000.0),
-    "eta": ("eta", float),
-    "c_fso": ("c_fso", float),
-    "p_circuit_w": ("p_circuit_w", float),
-    "p_fronthaul_const_w": ("p0_w", float),
-    "p_fh_fso_w_per_gbps": ("p_fh_fso_w_per_gbps", float),
-    "p_fh_of_w_per_gbps": ("p_fh_of_w_per_gbps", float),
-    "mu_fso": ("mu_fso", float),
-    "mu_of": ("mu_of", float),
-    "boltzmann": ("k_boltzmann", float),
-    "noise_temp_k": ("t0_kelvin", float),
-    "noise_figure_db": ("nf_db", float),
-    "m": ("m", int),
-    "k": ("k", int),
-    "area_m": ("area_m", float),
-    "beta_policy": ("beta_policy", str),
-    "beta_scalar": ("beta_scalar", float),
+    "f_ghz": ("f_mhz", float, 1000, 1),
+    "bandwidth_mhz": ("b_s_hz", float, 10 ** 6, 1),
+    "h_ap_m": ("h_ap_m", float, 1, 1),
+    "h_ue_m": ("h_ue_m", float, 1, 1),
+    "d0_m": ("d0_m", float, 1, 1),
+    "d1_m": ("d1_m", float, 1, 1),
+    "sigma_sh_db": ("sigma_sh_db", float, 1, 1),
+    "theta": ("theta", float, 1, 1),
+    "rho_u_mw": ("rho_u_w", float, 1, 1000),
+    "eta": ("eta", float, 1, 1),
+    "c_fso": ("c_fso", float, 1, 1),
+    "p_circuit_w": ("p_circuit_w", float, 1, 1),
+    "p_fronthaul_const_w": ("p0_w", float, 1, 1),
+    "p_fh_fso_w_per_gbps": ("p_fh_fso_w_per_gbps", float, 1, 1),
+    "p_fh_of_w_per_gbps": ("p_fh_of_w_per_gbps", float, 1, 1),
+    "mu_fso": ("mu_fso", float, 1, 1),
+    "mu_of": ("mu_of", float, 1, 1),
+    "boltzmann": ("k_boltzmann", float, 1, 1),
+    "noise_temp_k": ("t0_kelvin", float, 1, 1),
+    "noise_figure_db": ("nf_db", float, 1, 1),
+    "m": ("m", int, 1, 1),
+    "k": ("k", int, 1, 1),
+    "area_m": ("area_m", float, 1, 1),
+    "beta_policy": ("beta_policy", str, 1, 1),
+    "beta_scalar": ("beta_scalar", float, 1, 1),
 }
+
+
+def _scaled(value, num, den):
+    # unscaled values keep their type (int and str fields)
+    return value if num == den else value * num / den
 
 
 def load_config(path):
@@ -143,9 +149,9 @@ def load_config(path):
             key, value = key.strip(), value.strip()
             if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
-            field, conv = _KEYS[key]
+            field, typ, num, den = _KEYS[key]
             try:
-                overrides[field] = conv(value)
+                overrides[field] = _scaled(typ(value), num, den)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: bad value for key '{key}': {value!r}") from None
@@ -154,7 +160,7 @@ def load_config(path):
     except ValueError as exc:
         # map field names back to file keys in the message
         msg = str(exc)
-        for key, (field, _) in _KEYS.items():
+        for key, (field, *_) in _KEYS.items():
             msg = msg.replace(f"'{field}'", f"'{key}'")
         raise ValueError(msg) from None
 
@@ -163,15 +169,8 @@ def effective_config_lines(config):
     """File-key view of a config, one 'key = value' line per key."""
     lines = []
     for key in sorted(_KEYS):
-        field, conv = _KEYS[key]
-        v = getattr(config, field)
-        if key == "f_ghz":
-            v = v / 1000.0
-        elif key == "bandwidth_mhz":
-            v = v / 1e6
-        elif key == "rho_u_mw":
-            v = v * 1000.0
-        lines.append(f"{key} = {v}")
+        field, _, num, den = _KEYS[key]
+        lines.append(f"{key} = {_scaled(getattr(config, field), den, num)}")
     return lines
 
 

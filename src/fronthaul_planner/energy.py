@@ -121,12 +121,12 @@ def aggregate_params(beta_scalar, sig, pc, m, k, c_fso):
     return AggregateParams(l1, l2, alpha_fso, alpha_of, gamma_ep, gamma_fso, gamma_of)
 
 
-def ee_symmetric(n, m_of, agg, m, k, b_s, c_fso):
-    """Symmetric-network energy efficiency at fiber coefficient n and count m_of.
+def symmetric_terms(n, m_of, agg, m, c_fso):
+    """SINR and power-plus-cost of the symmetric network at (n, m_of).
 
-    Vectorized over n and m_of (broadcasting). m_of = 0 makes the value
-    independent of n; n = 0 with m_of > 0 is rejected (a zero-capacity
-    fiber has unbounded distortion).
+    Vectorized over n and m_of (broadcasting); returns (sinr, power). m_of = 0
+    makes both independent of n; n = 0 with m_of > 0 is rejected (a
+    zero-capacity fiber has unbounded distortion).
     """
     n_arr = np.asarray(n, dtype=float)
     m_arr = np.asarray(m_of, dtype=float)
@@ -146,5 +146,11 @@ def ee_symmetric(n, m_of, agg, m, k, b_s, c_fso):
             m_b > 0, m_b * agg.alpha_of / (2.0 ** (n_safe * c_fso) - 1.0), 0.0)
     sinr = agg.l1 / (agg.l2 + (m - m_b) * agg.alpha_fso + fiber_gain)
     power = agg.gamma_ep + (m - m_b) * agg.gamma_fso + n_b * m_b * agg.gamma_of
+    return sinr, power
+
+
+def ee_symmetric(n, m_of, agg, m, k, b_s, c_fso):
+    """Symmetric-network energy efficiency at (n, m_of), as symmetric_terms."""
+    sinr, power = symmetric_terms(n, m_of, agg, m, c_fso)
     out = k * b_s * np.log2(1.0 + sinr) / power
     return out if out.ndim else float(out)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import (SystemConfig, draw_fading, power_cost_params,
                      signal_params, symmetric_beta)
-from .energy import aggregate_params, ee_symmetric
+from .energy import aggregate_params, symmetric_terms
 from .fronthaul import FronthaulPlan, per_ap_distortions
 from .optimizer import grid_cells, grid_search, parse_range
 from .rate import achievable_rates
@@ -34,6 +34,10 @@ SWEEP_RHO_ETA_W = (0.001, 0.1, 100)
 FIBER_COUNT_STUDY_NS = (1.0, 2.0, 3.0, 4.0, 7.0, 8.0)
 
 _F = "%.9g"
+
+# Rows formatted per block by write_table; formatting a whole table at once
+# would hold the text of every row in memory.
+BLOCK_ROWS = 1024
 
 
 def compared_splits_for(m):
@@ -92,18 +96,32 @@ class EmpiricalCdf:
         return bool(np.all(self.values >= other.values))
 
 
-def _open_out(path):
+def stamp(scenario, seed, config):
+    """First provenance line of an output table: scenario tag, seed, config hash."""
+    return f"scenario={scenario} seed={seed} config_sha={config.sha()}"
+
+
+def _beta_line(beta, cfg):
+    return f"beta_scalar={_F % beta} policy={cfg.beta_policy}"
+
+
+def write_table(path, provenance, names, columns):
+    """Write a CSV table: '# ' provenance lines, a header row, then the columns.
+
+    columns are equal-length numpy arrays; integers print as integers,
+    strings as they are and floats as %.9g.
+    """
+    row = ",".join(_F if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     try:
-        return open(path, "w", newline="")
+        fh = open(path, "w", newline="")
     except OSError as exc:
         raise OSError(f"cannot write experiment output '{path}': {exc}") from exc
-
-
-def _header(fh, spec, extra=()):
-    fh.write(f"# scenario={spec.scenario} seed={spec.seed} "
-             f"config_sha={spec.config.sha()}\n")
-    for line in extra:
-        fh.write(f"# {line}\n")
+    with fh:
+        fh.writelines(f"# {line}\n" for line in provenance)
+        fh.write(",".join(names) + "\n")
+        for start in range(0, len(columns[0]), BLOCK_ROWS):
+            block = zip(*(c[start:start + BLOCK_ROWS].tolist() for c in columns))
+            fh.write("".join(row % cells for cells in block))
 
 
 def run_ee_surface(spec):
@@ -117,28 +135,25 @@ def run_ee_surface(spec):
     sig = signal_params(cfg)
     ns = parse_range(1.0, 10.0, 0.1)
     optima = {}
-    rows = []
+    parts = []
     for mu_of, mu_fso in SURFACE_COST_SETS:
         pc = power_cost_params(cfg, mu_of=mu_of, mu_fso=mu_fso)
         agg = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
-        nn, mm, ee, sr = grid_cells(agg, cfg.m, ns, cfg.k, cfg.b_s_hz, cfg.c_fso)
-        optima[(mu_of, mu_fso)] = grid_search(agg, cfg.m, (1.0, 10.0, 0.1),
-                                              cfg.k, cfg.b_s_hz, cfg.c_fso)
-        for n_v, m_v, ee_v, sr_v in zip(nn.ravel(), mm.ravel(),
-                                        ee.ravel(), sr.ravel()):
-            rows.append((mu_of, mu_fso, n_v, m_v, ee_v, sr_v))
+        cells = grid_cells(agg, cfg.m, ns, cfg.k, cfg.b_s_hz, cfg.c_fso)
+        optima[(mu_of, mu_fso)] = grid_search(cells)
+        size = cells[0].size
+        parts.append((np.full(size, mu_of), np.full(size, mu_fso),
+                      *(c.ravel() for c in cells)))
 
-    with _open_out(spec.output_path) as fh:
-        extra = [f"beta_scalar={_F % beta} policy={cfg.beta_policy}"]
-        for (mu_of, mu_fso), opt in optima.items():
-            extra.append(f"argmax mu_of={_F % mu_of} mu_fso={_F % mu_fso} "
-                         f"n_star={_F % opt.n_star} m_of_star={opt.m_of_star} "
-                         f"ee_star={_F % opt.ee_star}")
-        _header(fh, spec, extra)
-        fh.write("mu_of,mu_fso,n,m_of,ee_bits_per_joule,sum_rate_bps_hz\n")
-        for r in rows:
-            fh.write(f"{_F % r[0]},{_F % r[1]},{_F % r[2]},{int(r[3])},"
-                     f"{_F % r[4]},{_F % r[5]}\n")
+    lines = [stamp(spec.scenario, spec.seed, cfg), _beta_line(beta, cfg)]
+    for (mu_of, mu_fso), opt in optima.items():
+        lines.append(f"argmax mu_of={_F % mu_of} mu_fso={_F % mu_fso} "
+                     f"n_star={_F % opt.n_star} m_of_star={opt.m_of_star} "
+                     f"ee_star={_F % opt.ee_star}")
+    write_table(spec.output_path, lines,
+                ("mu_of", "mu_fso", "n", "m_of", "ee_bits_per_joule",
+                 "sum_rate_bps_hz"),
+                [np.concatenate(c) for c in zip(*parts)])
     return optima
 
 
@@ -152,23 +167,17 @@ def run_ee_vs_mof(spec):
     beta = symmetric_beta(cfg, spec.seed)
     agg = aggregate_params(beta, signal_params(cfg), power_cost_params(cfg),
                            cfg.m, cfg.k, cfg.c_fso)
-    curves = {}
-    for n in FIBER_COUNT_STUDY_NS:
-        _, mm, ee, _ = grid_cells(agg, cfg.m, np.array([n]), cfg.k,
-                                  cfg.b_s_hz, cfg.c_fso)
-        curves[n] = (mm.ravel().astype(int), ee.ravel())
+    nn, mm, ee, _ = grid_cells(agg, cfg.m, np.array(FIBER_COUNT_STUDY_NS),
+                               cfg.k, cfg.b_s_hz, cfg.c_fso)
+    curves = {n: (mm[i], ee[i]) for i, n in enumerate(FIBER_COUNT_STUDY_NS)}
 
-    with _open_out(spec.output_path) as fh:
-        extra = [f"beta_scalar={_F % beta} policy={cfg.beta_policy}"]
-        for n, (mofs, ee) in curves.items():
-            best = int(np.argmax(ee))
-            extra.append(f"argmax n={_F % n} m_of_star={mofs[best]} "
-                         f"ee_star={_F % ee[best]}")
-        _header(fh, spec, extra)
-        fh.write("n,m_of,ee_bits_per_joule\n")
-        for n, (mofs, ee) in curves.items():
-            for m_v, ee_v in zip(mofs, ee):
-                fh.write(f"{_F % n},{m_v},{_F % ee_v}\n")
+    lines = [stamp(spec.scenario, spec.seed, cfg), _beta_line(beta, cfg)]
+    for n, (mofs, ee_n) in curves.items():
+        best = int(np.argmax(ee_n))
+        lines.append(f"argmax n={_F % n} m_of_star={mofs[best]} "
+                     f"ee_star={_F % ee_n[best]}")
+    write_table(spec.output_path, lines, ("n", "m_of", "ee_bits_per_joule"),
+                (nn.ravel(), mm.ravel(), ee.ravel()))
     return curves
 
 
@@ -203,13 +212,21 @@ def run_rate_cdf(spec):
                   EmpiricalCdf.from_samples(users[c]))
               for c in splits}
 
-    with _open_out(spec.output_path) as fh:
-        _header(fh, spec, [f"drops={spec.drops} common random drops across splits"])
-        fh.write("n,m_of,kind,value,cum_prob\n")
-        for (n, m_of), (cdf_s, cdf_u) in result.items():
-            for kind, cdf in (("sum_rate", cdf_s), ("per_user_rate", cdf_u)):
-                for v, p in zip(cdf.values, cdf.probs):
-                    fh.write(f"{_F % n},{m_of},{kind},{_F % v},{_F % p}\n")
+    keys, cdfs = [], []
+    for (n, m_of), (cdf_s, cdf_u) in result.items():
+        keys += [(n, m_of, "sum_rate"), (n, m_of, "per_user_rate")]
+        cdfs += [cdf_s, cdf_u]
+    sizes = [cdf.values.size for cdf in cdfs]
+    ns, mofs, kinds = zip(*keys)
+    # an object column repeats references to two strings, not copies
+    write_table(spec.output_path,
+                [stamp(spec.scenario, spec.seed, cfg),
+                 f"drops={spec.drops} common random drops across splits"],
+                ("n", "m_of", "kind", "value", "cum_prob"),
+                (np.repeat(ns, sizes), np.repeat(mofs, sizes),
+                 np.repeat(np.array(kinds, dtype=object), sizes),
+                 np.concatenate([cdf.values for cdf in cdfs]),
+                 np.concatenate([cdf.probs for cdf in cdfs])))
     return result
 
 
@@ -234,20 +251,18 @@ def run_ee_vs_sumrate(spec):
         for p in sweep:
             sig = signal_params(cfg, eta=p / cfg.rho_u_w)
             agg = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
-            ee = ee_symmetric(max(1.0, n), m_of, agg, cfg.m, cfg.k,
-                              cfg.b_s_hz, cfg.c_fso)
-            power = (agg.gamma_ep + (cfg.m - m_of) * agg.gamma_fso
-                     + max(1.0, n) * m_of * agg.gamma_of)
-            pts.append((p, ee * power / cfg.b_s_hz, ee))
+            sinr, power = symmetric_terms(max(1.0, n), m_of, agg, cfg.m,
+                                          cfg.c_fso)
+            rate = np.log2(1.0 + sinr)
+            pts.append((p, cfg.k * rate, cfg.k * cfg.b_s_hz * rate / power))
         curves[(n, m_of)] = np.array(pts)
 
-    with _open_out(spec.output_path) as fh:
-        _header(fh, spec, [
-            f"sweep rho_u*eta over [{_F % lo}, {_F % hi}] W, {count} points",
-            f"beta_scalar={_F % beta} policy={cfg.beta_policy}",
-        ])
-        fh.write("n,m_of,rho_eta_w,sum_rate_bps_hz,ee_bits_per_joule\n")
-        for (n, m_of), pts in curves.items():
-            for p, sr, ee in pts:
-                fh.write(f"{_F % n},{m_of},{_F % p},{_F % sr},{_F % ee}\n")
+    ns, mofs = zip(*curves)
+    write_table(spec.output_path,
+                [stamp(spec.scenario, spec.seed, cfg),
+                 f"sweep rho_u*eta over [{_F % lo}, {_F % hi}] W, {count} points",
+                 _beta_line(beta, cfg)],
+                ("n", "m_of", "rho_eta_w", "sum_rate_bps_hz", "ee_bits_per_joule"),
+                (np.repeat(ns, count), np.repeat(mofs, count),
+                 *np.concatenate(list(curves.values())).T))
     return curves

@@ -151,13 +151,3 @@ def per_ap_distortions(beta, sig, plan, test_channel="forward"):
     power = received_signal_power(beta, sig)
     return quantization_noise_var(power, plan.capacities(), test_channel)
 
-
-def distortions_to_csv(path, plan, distortions):
-    """Debug dump: per-AP link type, capacity and distortion."""
-    d = np.atleast_1d(np.asarray(distortions, dtype=float))
-    caps = plan.capacities()
-    with open(path, "w", newline="") as fh:
-        fh.write("ap,link,capacity_bps_hz,distortion_w\n")
-        for i in range(plan.m):
-            fh.write("%d,%s,%.12g,%.12g\n"
-                     % (i, plan.link_types[i], caps[i], d[i]))

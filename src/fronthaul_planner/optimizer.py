@@ -9,10 +9,7 @@ the symmetric objective itself on an N_STEP grid over [N_MIN, N_MAX],
 with no log-linearization. The paper's closed form for n, the
 stationarity condition of a log-linearized objective written as a
 quadratic in chi = 2^(-n c_fso), is reproduced as capacity_coeff_quadratic;
-it is reported against the planner's step, not used by it. A typeset
-single-expression variant of the same root circulates with inconsistent
-operator placement; it is implemented verbatim as n_from_typeset_formula
-for cross-checking only.
+it is reported against the planner's step, not used by it.
 
 The fiber-count step compares the stationary point of the fiber-count
 objective with both endpoints.
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ee_symmetric
+from .energy import ee_symmetric, symmetric_terms
 
 LN2 = math.log(2.0)
 
@@ -36,7 +33,7 @@ N_MIN, N_MAX, N_STEP = 1.0, 10.0, 0.01
 class CapacityCoeffIntermediates:
     """Intermediates of the capacity-coefficient closed form.
 
-    lambda1..lambda4 feed the quadratic u1 chi^2 + u2 chi + u3 = 0 in
+    lambda1, lambda2 and lambda4 feed the quadratic u1 chi^2 + u2 chi + u3 = 0 in
     chi = 2^(-n c_fso). chi is the selected root (nan when none is valid),
     n_star the resulting coefficient clamped to [1, inf), fallback_used
     marks configurations where no real root landed in (0, 1] and a fine
@@ -45,7 +42,6 @@ class CapacityCoeffIntermediates:
 
     lambda1: float
     lambda2: float
-    lambda3: float
     lambda4: float
     u1: float
     u2: float
@@ -104,7 +100,6 @@ def capacity_coeff_quadratic(m_of, agg, m, c_fso):
     if m_of < 1:
         raise ValueError("capacity coefficient is immaterial without fiber links")
     lam2 = agg.l2 + (m - m_of) * agg.alpha_fso
-    lam3 = lam2 / (agg.alpha_of * m_of * LN2)
     lam4 = agg.gamma_ep + (m - m_of) * agg.gamma_fso
     lam1 = 2.443 + math.log2(lam2 / agg.l1) + lam4 * c_fso / (agg.gamma_of * m_of)
     scale = agg.gamma_of * agg.alpha_of * m_of
@@ -130,7 +125,7 @@ def capacity_coeff_quadratic(m_of, agg, m, c_fso):
         n_star = _best_n(m_of, agg, m, c_fso)
         chi = float("nan")
         fallback = True
-    return CapacityCoeffIntermediates(lam1, lam2, lam3, lam4, u1, u2, u3,
+    return CapacityCoeffIntermediates(lam1, lam2, lam4, u1, u2, u3,
                                       chi, float(n_star), fallback)
 
 
@@ -143,26 +138,6 @@ def optimal_n_closed_form(m_of, agg, m, c_fso):
     if m_of == 0:
         return float("nan")
     return _best_n(m_of, agg, m, c_fso)
-
-
-def n_from_typeset_formula(m_of, agg, m, c_fso):
-    """Verbatim single-expression variant of the capacity-coefficient root.
-
-    Kept only to quantify its disagreement with the quadratic route; returns
-    nan whenever the expression is undefined or produces chi outside (0, 1].
-    """
-    if m_of < 1:
-        return float("nan")
-    inter = capacity_coeff_quadratic(m_of, agg, m, c_fso)
-    lam1, lam2, lam3 = inter.lambda1, inter.lambda2, inter.lambda3
-    disc = lam1 ** 2 - 4.0 * (1.0 - lam3) * math.log2(lam2 / agg.l1)
-    if disc < 0 or lam3 == 0 or lam3 == 1.0:
-        return float("nan")
-    chi = (-agg.gamma_of * agg.alpha_of * m_of * lam1
-           + math.sqrt(disc) / (2.885 * (1.0 - 1.0 / lam3)))
-    if not 0.0 < chi <= 1.0:
-        return float("nan")
-    return max(1.0, -math.log2(chi) / c_fso)
 
 
 def fiber_count_intermediates(n, agg, m, c_fso):
@@ -219,20 +194,18 @@ def grid_cells(agg, m, n_range, k, b_s, c_fso):
     ns = np.asarray(n_range, dtype=float)
     mofs = np.arange(0, m + 1)
     nn, mm = np.meshgrid(ns, mofs, indexing="ij")
-    ee = ee_symmetric(nn, mm, agg, m, k, b_s, c_fso)
-    power = agg.gamma_ep + (m - mm) * agg.gamma_fso + nn * mm * agg.gamma_of
-    sum_rate = ee * power / b_s
-    return nn, mm, ee, sum_rate
+    sinr, power = symmetric_terms(nn, mm, agg, m, c_fso)
+    rate = np.log2(1.0 + sinr)
+    return nn, mm, k * b_s * rate / power, k * rate
 
 
-def grid_search(agg, m, n_range, k, b_s, c_fso):
-    """Brute-force oracle for the joint (n, m_of) optimum.
+def grid_search(cells):
+    """Brute-force oracle for the joint (n, m_of) optimum over grid_cells output.
 
-    n_range is (lo, hi, step). Ties resolve to the smallest n, then the
-    smallest m_of, independent of evaluation order.
+    Ties resolve to the smallest n, then the smallest m_of, independent of
+    evaluation order.
     """
-    ns = parse_range(*n_range)
-    nn, mm, ee, _ = grid_cells(agg, m, ns, k, b_s, c_fso)
+    nn, mm, ee, _ = cells
     order = np.lexsort((mm.ravel(), nn.ravel(), -ee.ravel()))
     idx = order[0]
     return PlanOptimum(float(nn.ravel()[idx]), int(mm.ravel()[idx]),

@@ -44,16 +44,6 @@ class SinrBreakdown:
     def rate(self):
         return rate_from_sinr(self.sinr)
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("term,value\n")
-            fh.write("ds_sq,%.12g\n" % self.ds_sq)
-            fh.write("bu_var,%.12g\n" % self.bu_var)
-            for j, v in enumerate(self.interference_var):
-                fh.write("interference_var[%d],%.12g\n" % (j, v))
-            fh.write("noise_var,%.12g\n" % self.noise_var)
-            fh.write("sinr,%.12g\n" % self.sinr)
-
 
 @dataclass(frozen=True, eq=False)
 class RateResult:

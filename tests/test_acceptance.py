@@ -28,7 +28,7 @@ from fronthaul_planner.optimizer import (capacity_coeff_quadratic,
                                          fiber_count_intermediates,
                                          grid_cells, grid_search,
                                          optimal_m_of_closed_form,
-                                         optimal_n_closed_form)
+                                         optimal_n_closed_form, parse_range)
 from fronthaul_planner.rate import (achievable_rates, mc_validate_terms,
                                     sinr_closed_form)
 
@@ -75,7 +75,8 @@ def test_a1_grid_optimum_location():
     """
     start = time.monotonic()
     agg = default_agg()
-    opt = grid_search(agg, CFG.m, (1.0, 10.0, 0.1), CFG.k, CFG.b_s_hz, CFG.c_fso)
+    opt = grid_search(grid_cells(agg, CFG.m, parse_range(1.0, 10.0, 0.1),
+                                 CFG.k, CFG.b_s_hz, CFG.c_fso))
     elapsed = time.monotonic() - start
 
     ee_row = ee_symmetric(2.0, np.arange(CFG.m + 1), agg, CFG.m, CFG.k,

@@ -143,22 +143,6 @@ def test_small_scale_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_csv_round_trip(tmp_path):
-    topo = generate_topology(6, 2, 800.0, seed=21)
-    fading = large_scale_fading(topo, PathLossModel(), ShadowingModel(), seed=21)
-    tpath = tmp_path / "topo.csv"
-    fpath = tmp_path / "beta.csv"
-    topo.to_csv(tpath)
-    fading.to_csv(fpath)
-    lines = tpath.read_text().splitlines()
-    assert lines[0] == "node,index,x_m,y_m"
-    assert len(lines) == 1 + 6 + 2
-    rows = fpath.read_text().splitlines()
-    assert len(rows) == 1 + 6
-    parsed = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    assert np.allclose(parsed, fading.beta, rtol=1e-10)
-
-
 def test_validation_of_models():
     with pytest.raises(ValueError):
         PathLossModel(d0=50.0, d1=10.0)

@@ -1,6 +1,8 @@
 """Tests for config parsing, defaults and the command-line surface."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fronthaul_planner.cli import main
 from fronthaul_planner.config import (SystemConfig, effective_config_lines,
@@ -153,3 +155,64 @@ def test_cli_outdir_env(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert rc == 0
     assert (outdir / "ee_vs_sumrate.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cdf", "--drops", "0"],
+    ["cdf", "--drops", "-3"],
+    ["validate", "--trials", "0"],
+    ["validate", "--m", "0"],
+    ["validate", "--k", "0"],
+    ["validate", "--k", "four"],
+])
+def test_cli_nonpositive_count_is_usage_error(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+# The unit conversions the config keys promise, written out independently of
+# the unit table: file key -> (field, load, echo).
+UNIT_KEYS = {
+    "f_ghz": ("f_mhz", lambda v: float(v) * 1000.0, lambda x: x / 1000.0),
+    "bandwidth_mhz": ("b_s_hz", lambda v: float(v) * 1e6, lambda x: x / 1e6),
+    "rho_u_mw": ("rho_u_w", lambda v: float(v) / 1000.0, lambda x: x * 1000.0),
+}
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def load_text(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cfg") / "c.cfg"
+    path.write_text(text)
+    return load_config(str(path))
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(UNIT_KEYS)), st.floats(1e-9, 1e9))
+def test_unit_keys_convert_bit_for_bit(tmp_path_factory, key, value):
+    field, load, echo = UNIT_KEYS[key]
+    cfg = load_text(tmp_path_factory, f"{key} = {value}\n")
+    assert getattr(cfg, field) == load(str(value))
+    assert f"{key} = {echo(getattr(cfg, field))}" in effective_config_lines(cfg)
+
+
+@SETTINGS
+@given(st.fixed_dictionaries({
+    "f_ghz": st.floats(1e-3, 1e3),
+    "bandwidth_mhz": st.floats(1e-3, 1e4),
+    "rho_u_mw": st.floats(1e-3, 1e5),
+    "eta": st.floats(0.0, 1.0),
+    "m": st.integers(1, 500),
+    "beta_policy": st.sampled_from(["fixed", "geometric_mean"]),
+    "beta_scalar": st.floats(1e-20, 1e-6),
+}))
+def test_effective_config_lines_reload_to_the_same_config(tmp_path_factory,
+                                                          values):
+    text = "".join(f"{key} = {v}\n" for key, v in values.items())
+    cfg = load_text(tmp_path_factory, text)
+    echoed = load_text(tmp_path_factory,
+                       "\n".join(effective_config_lines(cfg)) + "\n")
+    assert echoed == cfg
+    assert echoed.sha() == cfg.sha()

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from fronthaul_planner.config import SystemConfig, with_overrides
-from fronthaul_planner.experiments import (COMPARED_SPLITS, EmpiricalCdf,
-                                           ExperimentSpec, FIBER_COUNT_STUDY_NS,
+from fronthaul_planner.experiments import (BLOCK_ROWS, COMPARED_SPLITS,
+                                           EmpiricalCdf, ExperimentSpec,
+                                           FIBER_COUNT_STUDY_NS,
                                            SURFACE_COST_SETS, compared_splits_for,
                                            run_ee_surface, run_ee_vs_mof,
-                                           run_ee_vs_sumrate, run_rate_cdf)
+                                           run_ee_vs_sumrate, run_rate_cdf,
+                                           write_table)
 
 SMALL = with_overrides(SystemConfig(), m=30, k=5)
 
@@ -179,3 +181,20 @@ def test_ee_vs_mof_curves(tmp_path):
     run_ee_vs_mof(ExperimentSpec("ee_vs_mof", SystemConfig(), seed=0,
                                  output_path=str(again)))
     assert out.read_bytes() == again.read_bytes()
+
+
+def test_write_table_matches_row_loop_across_blocks(tmp_path):
+    rows = 2 * BLOCK_ROWS + 17
+    rng = np.random.default_rng(5)
+    ints = rng.integers(-10 ** 6, 10 ** 6, rows)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+    floats[:4] = (0.0, 2.0, 1e-300, 123456789.0)
+    kinds = np.where(ints % 2 == 0, "even", "odd")
+    path = tmp_path / "t.csv"
+    write_table(path, ["scenario=x seed=1", "more"], ("i", "f", "kind", "obj"),
+                (ints, floats, kinds, kinds.astype(object)))
+
+    expected = "# scenario=x seed=1\n# more\ni,f,kind,obj\n"
+    for i, f, kind in zip(ints.tolist(), floats.tolist(), kinds.tolist()):
+        expected += f"{i},{'%.9g' % f},{kind},{kind}\n"
+    assert path.read_bytes() == expected.encode()

@@ -5,7 +5,6 @@ import pytest
 
 from fronthaul_planner.fronthaul import (FIBER, FSO, FronthaulPlan,
                                          UplinkSignalParams,
-                                         distortions_to_csv,
                                          per_ap_distortions,
                                          quantization_noise_var,
                                          received_signal_power)
@@ -170,16 +169,3 @@ def test_distortions_monotone_in_inputs():
     plan_wrong = FronthaulPlan.fso_first(m + 1, 2, 2.0, 2.0)
     with pytest.raises(ValueError):
         per_ap_distortions(beta, sig, plan_wrong)
-
-
-def test_distortions_csv_export(tmp_path):
-    sig = symmetric_sig()
-    beta = np.full((4, 3), 1e-12)
-    plan = FronthaulPlan.fso_first(4, 1, 2.0, 2.0)
-    d = per_ap_distortions(beta, sig, plan)
-    path = tmp_path / "d.csv"
-    distortions_to_csv(path, plan, d)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "ap,link,capacity_bps_hz,distortion_w"
-    assert len(lines) == 5
-    assert lines[-1].startswith("3,OF,4,")

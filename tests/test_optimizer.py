@@ -12,7 +12,6 @@ from fronthaul_planner.optimizer import (alternating_optimize,
                                          capacity_coeff_quadratic,
                                          fiber_count_intermediates,
                                          grid_cells, grid_search,
-                                         n_from_typeset_formula,
                                          optimal_m_of_closed_form,
                                          optimal_n_closed_form, parse_range)
 
@@ -24,6 +23,10 @@ def default_agg(beta=1.1e-12, mu_of=0.03, mu_fso=0.003):
     sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, M, K)
     pc = PowerCostParams(mu_of=mu_of, mu_fso=mu_fso)
     return aggregate_params(beta, sig, pc, M, K, C)
+
+
+def grid_optimum(agg, lo, hi, step):
+    return grid_search(grid_cells(agg, M, parse_range(lo, hi, step), K, BS, C))
 
 
 def neighborhood_agg(rng):
@@ -79,26 +82,6 @@ def test_optimal_n_reasonable_at_full_fiber():
     true_n = fine_grid_argmax_n(100, agg, M, K, BS, C)
     assert n >= 1.0
     assert abs(n - true_n) < 0.25
-
-
-def test_quadratic_beats_typeset_variant():
-    rng = np.random.default_rng(42)
-    from fronthaul_planner.energy import ee_symmetric
-
-    checked = 0
-    for _ in range(60):
-        agg, m, k, c, b_s = neighborhood_agg(rng)
-        m_of = int(rng.integers(1, m + 1))
-        n_quad = capacity_coeff_quadratic(m_of, agg, m, c).n_star
-        n_typeset = n_from_typeset_formula(m_of, agg, m, c)
-        if math.isnan(n_typeset):
-            continue
-        checked += 1
-        ee_q = ee_symmetric(n_quad, m_of, agg, m, k, b_s, c)
-        ee_t = ee_symmetric(n_typeset, m_of, agg, m, k, b_s, c)
-        assert ee_q >= ee_t * (1.0 - 1e-12)
-    # the typeset variant is rarely even well defined
-    assert checked < 60
 
 
 def test_fiber_count_degenerate_equal_capacity():
@@ -167,7 +150,7 @@ def test_parse_range():
 
 def test_grid_single_point():
     agg = default_agg()
-    opt = grid_search(agg, M, (2.0, 2.0, 1.0), K, BS, C)
+    opt = grid_optimum(agg, 2.0, 2.0, 1.0)
     # a single n with all m_of still picks the best fiber count
     assert opt.n_star == 2.0
     assert 0 <= opt.m_of_star <= M
@@ -177,15 +160,15 @@ def test_grid_tie_break_prefers_smallest():
     # an expensive-fiber setup puts the optimum on the n-independent
     # all-FSO plateau; ties must resolve to the smallest n
     agg = default_agg(mu_of=0.05)
-    opt = grid_search(agg, M, (1.0, 10.0, 0.1), K, BS, C)
+    opt = grid_optimum(agg, 1.0, 10.0, 0.1)
     assert opt.m_of_star == 0
     assert opt.n_star == 1.0
 
 
 def test_grid_refinement_consistency():
     agg = default_agg()
-    coarse = grid_search(agg, M, (1.0, 10.0, 0.5), K, BS, C)
-    fine = grid_search(agg, M, (1.0, 10.0, 0.05), K, BS, C)
+    coarse = grid_optimum(agg, 1.0, 10.0, 0.5)
+    fine = grid_optimum(agg, 1.0, 10.0, 0.05)
     # the fine optimum can improve on the coarse one by at most the EE
     # variation across one coarse cell around the fine optimum
     from fronthaul_planner.energy import ee_symmetric
@@ -199,14 +182,14 @@ def test_grid_refinement_consistency():
 
 def test_grid_deterministic():
     agg = default_agg()
-    a = grid_search(agg, M, (1.0, 10.0, 0.1), K, BS, C)
-    b = grid_search(agg, M, (1.0, 10.0, 0.1), K, BS, C)
+    a = grid_optimum(agg, 1.0, 10.0, 0.1)
+    b = grid_optimum(agg, 1.0, 10.0, 0.1)
     assert (a.n_star, a.m_of_star, a.ee_star) == (b.n_star, b.m_of_star, b.ee_star)
 
 
 def test_alternating_reaches_grid_neighborhood():
     agg = default_agg()
-    grid = grid_search(agg, M, (1.0, 10.0, 0.1), K, BS, C)
+    grid = grid_optimum(agg, 1.0, 10.0, 0.1)
     alt = alternating_optimize(agg, M, init_n=5.0, init_m_of=10,
                                max_iters=100, tol=1e-6, k=K, b_s=BS, c_fso=C)
     assert abs(alt.n_star - grid.n_star) <= 1.0
@@ -235,8 +218,8 @@ def test_argmax_invariant_to_power_scaling():
     scaled = AggregateParams(agg.l1, agg.l2, agg.alpha_fso, agg.alpha_of,
                              5.0 * agg.gamma_ep, 5.0 * agg.gamma_fso,
                              5.0 * agg.gamma_of)
-    a = grid_search(agg, M, (1.0, 10.0, 0.1), K, BS, C)
-    b = grid_search(scaled, M, (1.0, 10.0, 0.1), K, BS, C)
+    a = grid_optimum(agg, 1.0, 10.0, 0.1)
+    b = grid_optimum(scaled, 1.0, 10.0, 0.1)
     assert (a.n_star, a.m_of_star) == (b.n_star, b.m_of_star)
     assert b.ee_star == pytest.approx(a.ee_star / 5.0, rel=1e-12)
     for n in (2.0, 5.0):

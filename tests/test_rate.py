@@ -165,14 +165,3 @@ def test_monte_carlo_per_trial_distortion_mode():
     assert emp.ds_sq == pytest.approx(closed.ds_sq, rel=0.05)
     assert emp.noise_var == pytest.approx(closed.noise_var, rel=0.2)
     assert emp.noise_var >= closed.noise_var * 0.9
-
-
-def test_breakdown_csv_export(tmp_path):
-    sig = UplinkSignalParams(0.1, np.array([0.5, 0.5]), np.full(3, 1e-13))
-    bd = sinr_closed_form(np.full((3, 2), 1e-12), sig, np.zeros(3), 0)
-    path = tmp_path / "bd.csv"
-    bd.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "term,value"
-    assert any(l.startswith("sinr,") for l in lines)
-    assert len(lines) == 1 + 2 + 2 + 2
