@@ -67,7 +67,11 @@ class ShadowingModel:
 
 @dataclass(frozen=True, eq=False)
 class NetworkTopology:
-    """AP and user positions (meters) inside the square [0, area_side]^2."""
+    """AP and user positions (meters) inside the square [0, area_side]^2.
+
+    Positions are (M, 2) and (K, 2) arrays for one drop, or carry the same
+    leading batch axes for a stack of drops.
+    """
 
     ap_positions: np.ndarray
     ue_positions: np.ndarray
@@ -80,31 +84,34 @@ class NetworkTopology:
         object.__setattr__(self, "ue_positions", ue)
         if self.area_side <= 0:
             raise ValueError("area_side must be positive")
-        if ap.shape[0] < 1 or ue.shape[0] < 1:
+        if ap.shape[-2] < 1 or ue.shape[-2] < 1:
             raise ValueError("need at least one AP and one UE")
-        if ap.shape[1] != 2 or ue.shape[1] != 2:
+        if ap.shape[-1] != 2 or ue.shape[-1] != 2:
             raise ValueError("positions must be planar (x, y) points")
+        if ap.shape[:-2] != ue.shape[:-2]:
+            raise ValueError("AP and UE positions must cover the same drops")
         for name, pos in (("ap", ap), ("ue", ue)):
             if np.any(pos < 0) or np.any(pos > self.area_side):
                 raise ValueError(f"{name} positions fall outside the area")
 
     @property
     def m(self):
-        return self.ap_positions.shape[0]
+        return self.ap_positions.shape[-2]
 
     @property
     def k(self):
-        return self.ue_positions.shape[0]
+        return self.ue_positions.shape[-2]
 
     def distances(self):
-        """M x K matrix of AP-to-UE distances in meters."""
-        diff = self.ap_positions[:, None, :] - self.ue_positions[None, :, :]
-        return np.linalg.norm(diff, axis=2)
+        """M x K matrix of AP-to-UE distances in meters (per drop)."""
+        diff = (self.ap_positions[..., :, None, :]
+                - self.ue_positions[..., None, :, :])
+        return np.linalg.norm(diff, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class LargeScaleFading:
-    """M x K matrix of linear-scale link gains."""
+    """M x K matrix of linear-scale link gains (per drop, after batch axes)."""
 
     beta: np.ndarray
 
@@ -116,22 +123,39 @@ class LargeScaleFading:
 
     @property
     def m(self):
-        return self.beta.shape[0]
+        return self.beta.shape[-2]
 
     @property
     def k(self):
-        return self.beta.shape[1]
+        return self.beta.shape[-1]
+
+
+def _per_drop(seed, stream, draw):
+    """draw(rng) on the stream of one seed, or stacked over a list of seeds.
+
+    draw returns a tuple of arrays; for a list of seeds (a block of drops)
+    each array gains a leading drop axis.
+    """
+    if not isinstance(seed, (list, tuple)):
+        return draw(derive_rng(seed, stream))
+    draws = [draw(derive_rng(s, stream)) for s in seed]
+    return tuple(np.stack(arrays) for arrays in zip(*draws))
 
 
 def generate_topology(m, k, area_side, seed):
-    """Drop m APs and k UEs i.i.d. uniform over the square [0, area_side]^2."""
+    """Drop m APs and k UEs i.i.d. uniform over the square [0, area_side]^2.
+
+    Each drop draws the AP positions, then the UE positions, from the
+    topology stream of its seed. seed may be a list of seeds; the drops are
+    then stacked on a leading axis, drop j drawn from seed[j].
+    """
     if m < 1 or k < 1:
         raise ValueError("m and k must be at least 1")
     if area_side <= 0:
         raise ValueError("area_side must be positive")
-    rng = derive_rng(seed, "topology")
-    ap = rng.uniform(0.0, area_side, size=(int(m), 2))
-    ue = rng.uniform(0.0, area_side, size=(int(k), 2))
+    ap, ue = _per_drop(seed, "topology", lambda rng: (
+        rng.uniform(0.0, area_side, size=(int(m), 2)),
+        rng.uniform(0.0, area_side, size=(int(k), 2))))
     return NetworkTopology(ap, ue, float(area_side))
 
 
@@ -158,12 +182,16 @@ def large_scale_fading(topology, pl, sh, seed):
 
     The shadowing exponent for link (m, k) is sigma_sh * z_mk where
     z_mk = sqrt(theta) a_m + sqrt(1 - theta) b_k with independent standard
-    normal a_m (per AP) and b_k (per UE). Deterministic given seed.
+    normal a_m (per AP) and b_k (per UE), drawn in that order from the
+    shadowing stream of the seed. Deterministic given seed. For a stacked
+    topology, seed is a list with one seed per drop.
     """
-    rng = derive_rng(seed, "shadowing")
-    a = rng.standard_normal(topology.m)
-    b = rng.standard_normal(topology.k)
-    z = np.sqrt(sh.theta) * a[:, None] + np.sqrt(1.0 - sh.theta) * b[None, :]
+    a, b = _per_drop(seed, "shadowing", lambda rng: (
+        rng.standard_normal(topology.m), rng.standard_normal(topology.k)))
+    if a.shape[:-1] != topology.ap_positions.shape[:-2]:
+        raise ValueError("need one seed per drop of the topology")
+    z = (np.sqrt(sh.theta) * a[..., :, None]
+         + np.sqrt(1.0 - sh.theta) * b[..., None, :])
     pl_db = path_loss_db(topology.distances(), pl)
     beta = 10.0 ** (pl_db / 10.0) * 10.0 ** (sh.sigma_sh_db * z / 10.0)
     return LargeScaleFading(beta)

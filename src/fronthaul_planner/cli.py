@@ -57,6 +57,9 @@ def _range(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected lo:hi:step, got {text!r}") from None
+    if not (lo <= hi and step > 0):
+        raise argparse.ArgumentTypeError(
+            f"range must satisfy lo <= hi and step > 0, got {text!r}")
     return lo, hi, step
 
 

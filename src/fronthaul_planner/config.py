@@ -198,7 +198,11 @@ def power_cost_params(config, mu_of=None, mu_fso=None):
 
 
 def draw_fading(config, seed):
-    """One random drop of positions and link gains under this config."""
+    """Random drop of positions and link gains under this config.
+
+    seed may be a list of seeds: the drops are then stacked on a leading
+    axis, drop j the same as draw_fading(config, seed[j]).
+    """
     topo = generate_topology(config.m, config.k, config.area_m, seed)
     fading = large_scale_fading(topo, path_loss_model(config),
                                 shadowing_model(config), seed)

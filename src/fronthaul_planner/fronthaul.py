@@ -112,11 +112,12 @@ class UplinkSignalParams:
 def received_signal_power(beta, sig):
     """Average received power E{|y_m|^2} at each AP, in Watt.
 
-    beta is the M x K gain matrix; users, fading and noise are independent,
-    so the power is rho_u * sum_k eta_k beta_mk + delta_sq_m.
+    beta is the M x K gain matrix, or a stack of them with leading batch
+    axes (the result then has shape (..., M)); users, fading and noise are
+    independent, so the power is rho_u * sum_k eta_k beta_mk + delta_sq_m.
     """
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    if beta.shape != (sig.m, sig.k):
+    if beta.shape[-2:] != (sig.m, sig.k):
         raise ValueError(f"beta shape {beta.shape} does not match (M, K) = ({sig.m}, {sig.k})")
     return sig.rho_u * beta @ sig.eta + sig.delta_sq
 
@@ -144,9 +145,12 @@ def quantization_noise_var(signal_power, capacity, test_channel="forward"):
 
 
 def per_ap_distortions(beta, sig, plan, test_channel="forward"):
-    """Quantization noise variance D_m at every AP under the given plan."""
+    """Quantization noise variance D_m at every AP under the given plan.
+
+    beta may carry leading batch axes (..., M, K); the result is (..., M).
+    """
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    if plan.m != beta.shape[0]:
+    if plan.m != beta.shape[-2]:
         raise ValueError("plan does not cover all APs")
     power = received_signal_power(beta, sig)
     return quantization_noise_var(power, plan.capacities(), test_channel)

@@ -15,6 +15,11 @@ import numpy as np
 
 from .seeds import derive_rng
 
+# Memory budget of one Monte-Carlo chunk when no chunk size is given. A
+# chunk's draws and temporaries peak at about 80 bytes per link (AP-user
+# pair) and trial, so the default chunk is this many bytes over 80 M K.
+MC_CHUNK_BYTES = 2 ** 23
+
 
 @dataclass(frozen=True, eq=False)
 class SinrBreakdown:
@@ -47,7 +52,11 @@ class SinrBreakdown:
 
 @dataclass(frozen=True, eq=False)
 class RateResult:
-    """Per-user achievable rates in bits/s/Hz."""
+    """Per-user achievable rates in bits/s/Hz.
+
+    per_user_rate has one entry per user on its last axis; leading axes, if
+    any, index a stack of drops or splits.
+    """
 
     per_user_rate: np.ndarray
 
@@ -59,7 +68,9 @@ class RateResult:
 
     @property
     def sum_rate(self):
-        return float(np.sum(self.per_user_rate))
+        """Sum over users: a float, or an array over the leading axes."""
+        total = np.sum(self.per_user_rate, axis=-1)
+        return total if total.ndim else float(total)
 
 
 def rate_from_sinr(gamma):
@@ -99,12 +110,17 @@ def sinr_closed_form(beta, sig, distortions, k):
 
 
 def per_user_sinrs(beta, sig, distortions):
-    """Vector of closed-form SINRs for all K users."""
+    """Vector of closed-form SINRs for all K users.
+
+    beta may carry leading batch axes (..., M, K), and distortions (..., M)
+    broadcast against them (a leading split axis, say); the result is
+    (..., K), each slice equal to the call on that slice alone.
+    """
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
     D = np.atleast_1d(np.asarray(distortions, dtype=float))
-    num = sig.rho_u * sig.eta * np.sum(beta, axis=0) ** 2
+    num = sig.rho_u * sig.eta * np.sum(beta, axis=-2) ** 2
     per_ap = sig.rho_u * (beta @ sig.eta) + sig.delta_sq + D
-    den = per_ap @ beta
+    den = (per_ap[..., None, :] @ beta)[..., 0, :]
     return num / den
 
 
@@ -114,14 +130,15 @@ def achievable_rates(beta, sig, distortions):
 
 
 def mc_validate_terms(beta, sig, distortions, k, trials, seed,
-                      chunk=20000, per_trial_distortion=False):
+                      chunk=None, per_trial_distortion=False):
     """Empirical SINR terms for user k from simulated combining.
 
     Simulates the combined signal with fresh fast fading, receiver noise
     and Gaussian quantization noise each trial and estimates every term of
     the closed-form decomposition. Deterministic given seed; fading, noise
     and quantization use separate derived streams so results do not depend
-    on the chunk size.
+    on the chunk size (trials simulated at once) beyond summation rounding.
+    By default a chunk takes about MC_CHUNK_BYTES, whatever M and K are.
 
     With per_trial_distortion the quantization variance tracks the
     per-realization received power instead of its statistical mean (not the
@@ -134,6 +151,10 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed,
     m, n_users = beta.shape
     if not 0 <= k < n_users:
         raise ValueError(f"user index {k} out of range for K = {n_users}")
+    if chunk is None:
+        chunk = max(1, MC_CHUNK_BYTES // (80 * m * n_users))
+    if chunk < 1:
+        raise ValueError("chunk must be at least 1")
     rng_h = derive_rng(seed, "mc_channel")
     rng_w = derive_rng(seed, "mc_noise")
     rng_q = derive_rng(seed, "mc_quant")

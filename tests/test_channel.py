@@ -128,6 +128,23 @@ def test_fading_deterministic():
     assert np.array_equal(b1, b2)
 
 
+def test_drop_stack_equals_single_drops():
+    pl, sh = PathLossModel(), ShadowingModel()
+    seeds = [3, 4, 5]
+    topo = generate_topology(6, 2, 800.0, seeds)
+    beta = large_scale_fading(topo, pl, sh, seeds).beta
+    assert beta.shape == (3, 6, 2) and (topo.m, topo.k) == (6, 2)
+    for j, s in enumerate(seeds):
+        one = generate_topology(6, 2, 800.0, s)
+        assert np.array_equal(topo.ap_positions[j], one.ap_positions)
+        assert np.array_equal(topo.ue_positions[j], one.ue_positions)
+        assert np.array_equal(beta[j], large_scale_fading(one, pl, sh, s).beta)
+    with pytest.raises(ValueError):
+        large_scale_fading(topo, pl, sh, 3)
+    with pytest.raises(ValueError):
+        large_scale_fading(topo, pl, sh, seeds[:2])
+
+
 def test_small_scale_moments():
     h = draw_small_scale(1000, 1000, seed=11).ravel()
     power = np.abs(h) ** 2

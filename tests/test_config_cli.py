@@ -117,10 +117,14 @@ def test_cli_grid_deterministic(tmp_path, capsys):
     assert "n_star" in stdouts[0]
 
 
-def test_cli_bad_range_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["grid", "--n", "nonsense"])
-    assert exc.value.code == 2
+def test_cli_bad_range_is_usage_error(tmp_path, capsys):
+    # malformed text, lo > hi, a zero and a negative step
+    for text in ("nonsense", "5:1:0.1", "1:2:0", "1:2:-0.1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", "--n", text, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert text in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_unknown_command_is_usage_error():

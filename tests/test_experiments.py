@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
-from fronthaul_planner.config import SystemConfig, with_overrides
-from fronthaul_planner.experiments import (BLOCK_ROWS, COMPARED_SPLITS,
+from fronthaul_planner.config import (SystemConfig, draw_fading,
+                                      signal_params, with_overrides)
+from fronthaul_planner.experiments import (BLOCK_GAINS, BLOCK_ROWS,
+                                           COMPARED_SPLITS,
                                            EmpiricalCdf, ExperimentSpec,
                                            FIBER_COUNT_STUDY_NS,
                                            SURFACE_COST_SETS, compared_splits_for,
                                            run_ee_surface, run_ee_vs_mof,
                                            run_ee_vs_sumrate, run_rate_cdf,
                                            write_table)
+from fronthaul_planner.fronthaul import FronthaulPlan, per_ap_distortions
+from fronthaul_planner.rate import achievable_rates
+from fronthaul_planner.seeds import derive_rng
 
 SMALL = with_overrides(SystemConfig(), m=30, k=5)
 
@@ -108,6 +113,34 @@ def test_rate_cdf_runs_and_is_deterministic(tmp_path):
                                         output_path=str(tmp_path / "c.csv")))
     best = splits[0]
     assert not np.array_equal(other[best][0].values, res[best][0].values)
+
+
+# M K beyond the block budget: every block holds a single drop
+WIDE = with_overrides(SystemConfig(), m=200, k=100)
+
+
+@pytest.mark.parametrize("cfg, drops", [
+    (SMALL, 2 * (BLOCK_GAINS // (SMALL.m * SMALL.k)) + 7),
+    (WIDE, 3),
+])
+def test_rate_cdf_blocks_equal_per_drop_evaluation(cfg, drops, tmp_path):
+    assert (cfg.m * cfg.k > BLOCK_GAINS) == (cfg is WIDE)
+    res = run_rate_cdf(ExperimentSpec("rate_cdf", cfg, drops=drops, seed=9,
+                                      output_path=str(tmp_path / "cdf.csv")))
+    sig = signal_params(cfg)
+    gains = [draw_fading(cfg, derive_rng(9, "drop", i))[1].beta
+             for i in range(drops)]
+    for n, m_of in compared_splits_for(cfg.m):
+        plan = FronthaulPlan.fso_first(cfg.m, m_of, cfg.c_fso, max(1.0, n))
+        sums, users = [], []
+        for beta in gains:
+            rates = achievable_rates(beta, sig,
+                                     per_ap_distortions(beta, sig, plan))
+            sums.append(rates.sum_rate)
+            users.extend(rates.per_user_rate.tolist())
+        sum_cdf, user_cdf = res[(n, m_of)]
+        assert np.array_equal(sum_cdf.values, np.sort(sums))
+        assert np.array_equal(user_cdf.values, np.sort(users))
 
 
 def test_rate_cdf_csv_schema(tmp_path):

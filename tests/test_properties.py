@@ -1,9 +1,9 @@
-"""Property tests for the claims the planner's optima rest on.
+"""Property tests for the claims the planner's optima and studies rest on.
 
-Configurations are drawn from the neighbourhood family of the acceptance
-check A6: every power, cost and signal parameter within +-30% of the
-reference set, 50-150 APs, 5-20 users, FSO capacity 1-4 bits/s/Hz and a
-symmetric gain between 3e-13 and 3e-12.
+Configurations for the optima are drawn from the neighbourhood family of
+the acceptance check A6: every power, cost and signal parameter within
++-30% of the reference set, 50-150 APs, 5-20 users, FSO capacity 1-4
+bits/s/Hz and a symmetric gain between 3e-13 and 3e-12.
 """
 
 import numpy as np
@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       ee_symmetric)
-from fronthaul_planner.fronthaul import UplinkSignalParams
+from fronthaul_planner.fronthaul import (UplinkSignalParams,
+                                         received_signal_power)
 from fronthaul_planner.optimizer import optimal_n_closed_form
+from fronthaul_planner.rate import per_user_sinrs
 
 NOISE_W = 6.36241029449455e-13
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -57,3 +59,25 @@ def test_n_step_beats_the_fine_grid(setup, data):
     assert 1.0 <= n <= 10.0
     grid = ee_symmetric(1.0 + 0.01 * np.arange(901), m_of, agg, m, k, b_s, c)
     assert ee_symmetric(n, m_of, agg, m, k, b_s, c) >= grid.max() * (1.0 - 1e-12)
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 40),
+       st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_closed_forms_on_a_stack_equal_each_slice(s, b, m, k, seed):
+    # the rate CDF evaluates an (S, B, M) distortion stack against a
+    # (B, M, K) gain stack in one call; each slice must be bit for bit the
+    # 2-D call on that slice alone
+    rng = np.random.default_rng(seed)
+    beta = 10.0 ** rng.uniform(-16, -9, size=(b, m, k))
+    sig = UplinkSignalParams(rng.uniform(0.01, 1.0), rng.uniform(0.0, 1.0, k),
+                             10.0 ** rng.uniform(-14, -12, m))
+    dist = 10.0 ** rng.uniform(-15, -11, size=(s, b, m))
+    power = received_signal_power(beta, sig)
+    sinrs = per_user_sinrs(beta, sig, dist)
+    assert power.shape == (b, m) and sinrs.shape == (s, b, k)
+    for j in range(b):
+        assert np.array_equal(power[j], received_signal_power(beta[j], sig))
+        for i in range(s):
+            assert np.array_equal(sinrs[i, j],
+                                  per_user_sinrs(beta[j], sig, dist[i, j]))

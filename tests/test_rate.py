@@ -1,5 +1,7 @@
 """Tests for the closed-form SINR decomposition and its Monte-Carlo check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,29 @@ def test_monte_carlo_deterministic_and_chunk_invariant():
     assert a.ds_sq == b.ds_sq and a.bu_var == b.bu_var
     assert np.array_equal(a.interference_var, b.interference_var)
     assert a.noise_var == b.noise_var
+
+
+def test_monte_carlo_memory_is_bounded():
+    # the default chunk follows a memory budget; a fixed 20k-trial chunk
+    # peaked near 1 GB at this size
+    rng = np.random.default_rng(3)
+    m, k = 100, 10
+    beta = 10.0 ** rng.uniform(-13, -11, size=(m, k))
+    sig = UplinkSignalParams(0.1, np.full(k, 0.5), np.full(m, 6.36e-13))
+    tracemalloc.start()
+    try:
+        mc_validate_terms(beta, sig, np.full(m, 1e-13), 0, 20_000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_monte_carlo_rejects_empty_chunk():
+    beta = np.full((3, 2), 1e-12)
+    sig = UplinkSignalParams(0.1, np.full(2, 0.5), np.full(3, 1e-13))
+    with pytest.raises(ValueError):
+        mc_validate_terms(beta, sig, np.zeros(3), 0, 10, seed=1, chunk=0)
 
 
 def test_monte_carlo_per_trial_distortion_mode():
