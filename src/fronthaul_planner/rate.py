@@ -16,9 +16,17 @@ import numpy as np
 from .seeds import derive_rng
 
 # Memory budget of one Monte-Carlo chunk when no chunk size is given. A
-# chunk's draws and temporaries peak at about 80 bytes per link (AP-user
-# pair) and trial, so the default chunk is this many bytes over 80 M K.
+# chunk peaks at up to MC_LINK_BYTES per link (AP-user pair) and trial: 21-36
+# measured with tracemalloc at M=20, K=4 and M=100, K=10 in both distortion
+# modes, mostly the 16 bytes of the fading draws. The default chunk is
+# MC_CHUNK_BYTES over MC_LINK_BYTES M K trials.
 MC_CHUNK_BYTES = 2 ** 23
+MC_LINK_BYTES = 36
+
+# Trials per summation block. Blocks start at multiples of MC_BLOCK in the
+# trial index, whatever the chunk size, so every block sum and their sum in
+# trial order are the same bits for any chunking.
+MC_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +137,63 @@ def achievable_rates(beta, sig, distortions):
     return RateResult(rate_from_sinr(per_user_sinrs(beta, sig, distortions)))
 
 
+def _pairs(scale):
+    """Repeat scale over the two real components of each complex entry.
+
+    A full (..., 2) factor keeps the in-place products on contiguous inner
+    loops; a broadcast length-1 axis would run them two elements at a time.
+    """
+    return np.repeat(scale[..., None], 2, axis=-1)
+
+
+def _mc_trial_terms(rngs, t, beta, sig, D, k, per_trial_distortion):
+    """The terms of t fresh trials, one column per trial.
+
+    Rows: a = amp_k sum_m |g_mk|^2, a^2, |amp_j cross_j|^2 for each user j,
+    and |v|^2. Each (..., 2) block of standard normals is viewed as complex
+    and scaled in place, so beside its draws a chunk holds only a few
+    arrays of M or K entries per trial, all freed on return.
+    """
+    rng_h, rng_w, rng_q = rngs
+    m, n_users = beta.shape
+    parts = rng_h.standard_normal((t, m, n_users, 2))
+    parts *= _pairs(np.sqrt(beta / 2.0))
+    g = parts.view(np.complex128)[..., 0]
+    wq = rng_w.standard_normal((t, m, 2))
+    wq *= _pairs(np.sqrt(sig.delta_sq / 2.0))
+    q = rng_q.standard_normal((t, m, 2))
+    if per_trial_distortion:
+        inst = sig.rho_u * (np.abs(g) ** 2 @ sig.eta) + sig.delta_sq
+        d_var = inst * D / (sig.rho_u * (beta @ sig.eta) + sig.delta_sq)
+    else:
+        d_var = D
+    q *= _pairs(np.sqrt(d_var / 2.0))
+    wq += q
+
+    gk_conj = np.conj(g[:, :, k])[:, None, :]
+    cross = (gk_conj @ g)[:, 0, :]
+    v = (gk_conj @ wq.view(np.complex128))[:, 0, 0]
+    terms = np.empty((n_users + 3, t))
+    # cross_k = sum_m |g_mk|^2
+    terms[0] = np.sqrt(sig.rho_u * sig.eta[k]) * cross[:, k].real
+    terms[1] = terms[0] ** 2
+    terms[2:-1] = (sig.rho_u * sig.eta * (cross.real ** 2 + cross.imag ** 2)).T
+    terms[-1] = v.real ** 2 + v.imag ** 2
+    return terms
+
+
 def mc_validate_terms(beta, sig, distortions, k, trials, seed,
                       chunk=None, per_trial_distortion=False):
     """Empirical SINR terms for user k from simulated combining.
 
     Simulates the combined signal with fresh fast fading, receiver noise
     and Gaussian quantization noise each trial and estimates every term of
-    the closed-form decomposition. Deterministic given seed; fading, noise
-    and quantization use separate derived streams so results do not depend
-    on the chunk size (trials simulated at once) beyond summation rounding.
-    By default a chunk takes about MC_CHUNK_BYTES, whatever M and K are.
+    the closed-form decomposition. Deterministic given seed, and exactly
+    independent of the chunk size (trials simulated at once): fading, noise
+    and quantization use separate derived streams, and the per-trial terms
+    are summed in blocks of MC_BLOCK trials aligned on the trial index, the
+    block sums added in trial order. By default a chunk takes about
+    MC_CHUNK_BYTES, whatever M and K are.
 
     With per_trial_distortion the quantization variance tracks the
     per-realization received power instead of its statistical mean (not the
@@ -152,54 +207,32 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed,
     if not 0 <= k < n_users:
         raise ValueError(f"user index {k} out of range for K = {n_users}")
     if chunk is None:
-        chunk = max(1, MC_CHUNK_BYTES // (80 * m * n_users))
+        chunk = max(1, MC_CHUNK_BYTES // (MC_LINK_BYTES * m * n_users))
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
-    rng_h = derive_rng(seed, "mc_channel")
-    rng_w = derive_rng(seed, "mc_noise")
-    rng_q = derive_rng(seed, "mc_quant")
+    rngs = (derive_rng(seed, "mc_channel"), derive_rng(seed, "mc_noise"),
+            derive_rng(seed, "mc_quant"))
 
-    sqrt_beta = np.sqrt(beta)
-    amp = np.sqrt(sig.rho_u * sig.eta)
-
-    n_a = 0
-    sum_a = 0.0
-    sum_a2 = 0.0
-    sum_i2 = np.zeros(n_users)
-    sum_v2 = 0.0
-
+    totals = np.zeros(n_users + 3)
+    pending = np.empty((n_users + 3, 0))  # trials of the open block
     done = 0
     while done < trials:
         t = min(chunk, trials - done)
-        parts = rng_h.standard_normal((t, m, n_users, 2))
-        g = sqrt_beta * (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
-        wparts = rng_w.standard_normal((t, m, 2))
-        w = np.sqrt(sig.delta_sq) * (wparts[..., 0] + 1j * wparts[..., 1]) / np.sqrt(2.0)
-        qparts = rng_q.standard_normal((t, m, 2))
-        if per_trial_distortion:
-            inst = sig.rho_u * (np.abs(g) ** 2 @ sig.eta) + sig.delta_sq
-            d_var = inst * D / (sig.rho_u * (beta @ sig.eta) + sig.delta_sq)
-        else:
-            d_var = D
-        q = np.sqrt(d_var) * (qparts[..., 0] + 1j * qparts[..., 1]) / np.sqrt(2.0)
-
-        g_k = g[:, :, k]
-        a = amp[k] * np.sum(np.abs(g_k) ** 2, axis=1)
-        cross = np.einsum("tmj,tm->tj", g, np.conj(g_k))
-        i_sq = np.abs(amp[None, :] * cross) ** 2
-        v = np.sum((w + q) * np.conj(g_k), axis=1)
-
-        n_a += t
-        sum_a += float(np.sum(a))
-        sum_a2 += float(np.sum(a ** 2))
-        sum_i2 += np.sum(i_sq, axis=0)
-        sum_v2 += float(np.sum(np.abs(v) ** 2))
+        terms = np.concatenate(
+            [pending, _mc_trial_terms(rngs, t, beta, sig, D, k,
+                                      per_trial_distortion)], axis=1)
+        full = terms.shape[1] - terms.shape[1] % MC_BLOCK
+        blocks = terms[:, :full].reshape(len(terms), -1, MC_BLOCK)
+        for block_sum in blocks.sum(axis=2).T:
+            totals += block_sum
+        pending = terms[:, full:]
         done += t
+    totals += pending.sum(axis=1)
 
-    mean_a = sum_a / n_a
-    ds_sq = mean_a ** 2
-    bu_var = max(0.0, sum_a2 / n_a - ds_sq)
-    interference = sum_i2 / n_a
+    means = totals / trials
+    ds_sq = float(means[0]) ** 2
+    bu_var = max(0.0, float(means[1]) - ds_sq)
+    interference = means[2:-1]
     interference[k] = 0.0
-    noise_var = sum_v2 / n_a
+    noise_var = float(means[-1])
     return SinrBreakdown(ds_sq, bu_var, interference, noise_var)

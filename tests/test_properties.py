@@ -15,7 +15,7 @@ from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
 from fronthaul_planner.fronthaul import (UplinkSignalParams,
                                          received_signal_power)
 from fronthaul_planner.optimizer import optimal_n_closed_form
-from fronthaul_planner.rate import per_user_sinrs
+from fronthaul_planner.rate import MC_BLOCK, mc_validate_terms, per_user_sinrs
 
 NOISE_W = 6.36241029449455e-13
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -81,3 +81,24 @@ def test_closed_forms_on_a_stack_equal_each_slice(s, b, m, k, seed):
         for i in range(s):
             assert np.array_equal(sinrs[i, j],
                                   per_user_sinrs(beta[j], sig, dist[i, j]))
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.data())
+def test_monte_carlo_terms_do_not_depend_on_the_chunk(m, n_users, seed,
+                                                      per_trial, data):
+    # every chunking of the same trials must give the same bits: the
+    # estimates sum fixed blocks of the trial index, in trial order
+    trials = data.draw(st.integers(1, 4 * MC_BLOCK))
+    k = data.draw(st.integers(0, n_users - 1))
+    chunks = data.draw(st.lists(st.integers(1, trials), min_size=2, max_size=2))
+    rng = np.random.default_rng(seed)
+    beta = 10.0 ** rng.uniform(-13, -11, size=(m, n_users))
+    sig = UplinkSignalParams(0.1, rng.uniform(0.1, 1.0, n_users),
+                             10.0 ** rng.uniform(-13, -12, m))
+    dist = 10.0 ** rng.uniform(-14, -12, m)
+    a, b = (mc_validate_terms(beta, sig, dist, k, trials, seed, chunk=c,
+                              per_trial_distortion=per_trial) for c in chunks)
+    assert (a.ds_sq, a.bu_var, a.noise_var) == (b.ds_sq, b.bu_var, b.noise_var)
+    assert np.array_equal(a.interference_var, b.interference_var)

@@ -9,6 +9,7 @@ from fronthaul_planner.fronthaul import UplinkSignalParams
 from fronthaul_planner.rate import (RateResult, achievable_rates,
                                     mc_validate_terms, per_user_sinrs,
                                     rate_from_sinr, sinr_closed_form)
+from fronthaul_planner.seeds import derive_rng
 
 
 def test_rate_from_sinr_values():
@@ -190,3 +191,55 @@ def test_monte_carlo_per_trial_distortion_mode():
     assert emp.ds_sq == pytest.approx(closed.ds_sq, rel=0.05)
     assert emp.noise_var == pytest.approx(closed.noise_var, rel=0.2)
     assert emp.noise_var >= closed.noise_var * 0.9
+
+
+def _plain_mc_terms(beta, sig, D, k, trials, seed, per_trial_distortion):
+    """The Monte-Carlo estimate written out plainly, all trials in one chunk.
+
+    Complex fading, noise and quantization from the same three streams,
+    built component by component; the reference the kernel is checked
+    against.
+    """
+    m, n_users = beta.shape
+    parts = derive_rng(seed, "mc_channel").standard_normal((trials, m, n_users, 2))
+    g = np.sqrt(beta) * (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
+    wparts = derive_rng(seed, "mc_noise").standard_normal((trials, m, 2))
+    w = np.sqrt(sig.delta_sq) * (wparts[..., 0] + 1j * wparts[..., 1]) / np.sqrt(2.0)
+    qparts = derive_rng(seed, "mc_quant").standard_normal((trials, m, 2))
+    if per_trial_distortion:
+        inst = sig.rho_u * (np.abs(g) ** 2 @ sig.eta) + sig.delta_sq
+        d_var = inst * D / (sig.rho_u * (beta @ sig.eta) + sig.delta_sq)
+    else:
+        d_var = D
+    q = np.sqrt(d_var) * (qparts[..., 0] + 1j * qparts[..., 1]) / np.sqrt(2.0)
+
+    amp = np.sqrt(sig.rho_u * sig.eta)
+    g_k = g[:, :, k]
+    a = amp[k] * np.sum(np.abs(g_k) ** 2, axis=1)
+    cross = np.einsum("tmj,tm->tj", g, np.conj(g_k))
+    v = np.sum((w + q) * np.conj(g_k), axis=1)
+    ds_sq = np.mean(a) ** 2
+    interference = np.mean(np.abs(amp * cross) ** 2, axis=0)
+    interference[k] = 0.0
+    return (ds_sq, np.mean(a ** 2) - ds_sq, interference,
+            np.mean(np.abs(v) ** 2))
+
+
+@pytest.mark.parametrize("m, n_users, k", [(4, 2, 0), (10, 3, 2), (20, 4, 1)])
+@pytest.mark.parametrize("per_trial", [False, True])
+def test_monte_carlo_kernel_matches_the_plain_formula(m, n_users, k, per_trial):
+    # same streams, same draws: only rounding may differ, where a changed
+    # draw would move every term by about 1/sqrt(trials)
+    rng = np.random.default_rng(10 * m + k)
+    beta = 10.0 ** rng.uniform(-13, -11, size=(m, n_users))
+    sig = UplinkSignalParams(0.1, rng.uniform(0.3, 1.0, n_users),
+                             np.full(m, 6.36e-13))
+    dist = rng.uniform(5e-14, 5e-13, m)
+    emp = mc_validate_terms(beta, sig, dist, k, trials=3000, seed=m, chunk=700,
+                            per_trial_distortion=per_trial)
+    ds_sq, bu_var, interference, noise_var = _plain_mc_terms(
+        beta, sig, dist, k, 3000, m, per_trial)
+    assert emp.ds_sq == pytest.approx(ds_sq, rel=1e-12, abs=0)
+    assert emp.bu_var == pytest.approx(bu_var, rel=1e-12, abs=0)
+    np.testing.assert_allclose(emp.interference_var, interference, rtol=1e-12, atol=0)
+    assert emp.noise_var == pytest.approx(noise_var, rel=1e-12, abs=0)
