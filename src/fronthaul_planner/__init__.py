@@ -8,8 +8,8 @@ simulation.
 """
 
 from .channel import (LargeScaleFading, NetworkTopology, PathLossModel,
-                      ShadowingModel, draw_small_scale, generate_topology,
-                      large_scale_fading, path_loss_db)
+                      ShadowingModel, generate_topology, large_scale_fading,
+                      path_loss_db)
 from .config import SystemConfig, load_config, symmetric_beta
 from .energy import (AggregateParams, PowerCostParams, aggregate_params,
                      ee_symmetric, energy_efficiency, fronthaul_cost,
@@ -30,12 +30,11 @@ __all__ = [
     "LargeScaleFading", "NetworkTopology", "PathLossModel", "PlanOptimum",
     "PowerCostParams", "RateResult", "ShadowingModel", "SinrBreakdown",
     "SystemConfig", "UplinkSignalParams", "achievable_rates",
-    "aggregate_params", "alternating_optimize", "draw_small_scale",
-    "ee_symmetric", "energy_efficiency", "fronthaul_cost",
-    "generate_topology", "grid_search", "large_scale_fading", "load_config",
-    "mc_validate_terms", "network_power", "optimal_m_of_closed_form",
-    "optimal_n_closed_form", "path_loss_db", "per_ap_distortions",
-    "quantization_noise_var", "rate_from_sinr", "received_signal_power",
-    "run_ee_surface", "run_ee_vs_mof", "run_ee_vs_sumrate", "run_rate_cdf",
-    "sinr_closed_form", "symmetric_beta",
+    "aggregate_params", "alternating_optimize", "ee_symmetric",
+    "energy_efficiency", "fronthaul_cost", "generate_topology", "grid_search",
+    "large_scale_fading", "load_config", "mc_validate_terms", "network_power",
+    "optimal_m_of_closed_form", "optimal_n_closed_form", "path_loss_db",
+    "per_ap_distortions", "quantization_noise_var", "rate_from_sinr",
+    "received_signal_power", "run_ee_surface", "run_ee_vs_mof",
+    "run_ee_vs_sumrate", "run_rate_cdf", "sinr_closed_form", "symmetric_beta",
 ]

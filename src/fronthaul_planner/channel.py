@@ -195,12 +195,3 @@ def large_scale_fading(topology, pl, sh, seed):
     pl_db = path_loss_db(topology.distances(), pl)
     beta = 10.0 ** (pl_db / 10.0) * 10.0 ** (sh.sigma_sh_db * z / 10.0)
     return LargeScaleFading(beta)
-
-
-def draw_small_scale(m, k, seed):
-    """M x K i.i.d. circularly-symmetric complex Gaussian draws, unit variance."""
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be at least 1")
-    rng = derive_rng(seed, "small_scale")
-    parts = rng.standard_normal((int(m), int(k), 2))
-    return (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)

@@ -20,8 +20,8 @@ from .config import (SystemConfig, draw_fading, effective_config_lines,
                      load_config, power_cost_params, signal_params,
                      symmetric_beta)
 from .energy import aggregate_params
-from .experiments import (ExperimentSpec, run_ee_surface, run_ee_vs_sumrate,
-                          run_rate_cdf, stamp, write_table)
+from .experiments import (ExperimentSpec, beta_line, run_ee_surface,
+                          run_ee_vs_sumrate, run_rate_cdf, stamp, write_table)
 from .fronthaul import FronthaulPlan, UplinkSignalParams, per_ap_distortions
 from .optimizer import alternating_optimize, grid_cells, grid_search, parse_range
 from .rate import mc_validate_terms, sinr_closed_form
@@ -101,8 +101,7 @@ def cmd_grid(args):
                        cfg.c_fso)
     opt = grid_search(cells)
     path = _outpath(args, "grid.csv")
-    write_table(path, [stamp("grid", args.seed, cfg),
-                       f"beta_scalar={_F % beta} policy={cfg.beta_policy}"],
+    write_table(path, [stamp("grid", args.seed, cfg), beta_line(beta, cfg)],
                 ("n", "m_of", "ee_bits_per_joule", "sum_rate_bps_hz"),
                 [c.ravel() for c in cells])
     print(f"grid written to {path}")

@@ -8,7 +8,7 @@ noise temperature, bandwidth, noise figure) and never entered directly.
 
 import hashlib
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -174,15 +174,6 @@ def effective_config_lines(config):
     return lines
 
 
-def path_loss_model(config):
-    return PathLossModel(config.f_mhz, config.h_ap_m, config.h_ue_m,
-                         config.d0_m, config.d1_m)
-
-
-def shadowing_model(config):
-    return ShadowingModel(config.sigma_sh_db, config.theta)
-
-
 def signal_params(config, eta=None):
     eta_val = config.eta if eta is None else eta
     return UplinkSignalParams.symmetric(config.rho_u_w, eta_val,
@@ -204,9 +195,10 @@ def draw_fading(config, seed):
     axis, drop j the same as draw_fading(config, seed[j]).
     """
     topo = generate_topology(config.m, config.k, config.area_m, seed)
-    fading = large_scale_fading(topo, path_loss_model(config),
-                                shadowing_model(config), seed)
-    return topo, fading
+    pl = PathLossModel(config.f_mhz, config.h_ap_m, config.h_ue_m,
+                       config.d0_m, config.d1_m)
+    sh = ShadowingModel(config.sigma_sh_db, config.theta)
+    return topo, large_scale_fading(topo, pl, sh, seed)
 
 
 def symmetric_beta(config, seed):
@@ -219,7 +211,3 @@ def symmetric_beta(config, seed):
         return config.beta_scalar
     _, fading = draw_fading(config, seed)
     return float(np.exp(np.mean(np.log(fading.beta))))
-
-
-def with_overrides(config, **kwargs):
-    return replace(config, **kwargs)

@@ -109,7 +109,8 @@ def stamp(scenario, seed, config):
     return f"scenario={scenario} seed={seed} config_sha={config.sha()}"
 
 
-def _beta_line(beta, cfg):
+def beta_line(beta, cfg):
+    """Second provenance line of a symmetric study: gain and beta policy."""
     return f"beta_scalar={_F % beta} policy={cfg.beta_policy}"
 
 
@@ -153,7 +154,7 @@ def run_ee_surface(spec):
         parts.append((np.full(size, mu_of), np.full(size, mu_fso),
                       *(c.ravel() for c in cells)))
 
-    lines = [stamp(spec.scenario, spec.seed, cfg), _beta_line(beta, cfg)]
+    lines = [stamp(spec.scenario, spec.seed, cfg), beta_line(beta, cfg)]
     for (mu_of, mu_fso), opt in optima.items():
         lines.append(f"argmax mu_of={_F % mu_of} mu_fso={_F % mu_fso} "
                      f"n_star={_F % opt.n_star} m_of_star={opt.m_of_star} "
@@ -179,7 +180,7 @@ def run_ee_vs_mof(spec):
                                cfg.k, cfg.b_s_hz, cfg.c_fso)
     curves = {n: (mm[i], ee[i]) for i, n in enumerate(FIBER_COUNT_STUDY_NS)}
 
-    lines = [stamp(spec.scenario, spec.seed, cfg), _beta_line(beta, cfg)]
+    lines = [stamp(spec.scenario, spec.seed, cfg), beta_line(beta, cfg)]
     for n, (mofs, ee_n) in curves.items():
         best = int(np.argmax(ee_n))
         lines.append(f"argmax n={_F % n} m_of_star={mofs[best]} "
@@ -275,7 +276,7 @@ def run_ee_vs_sumrate(spec):
     write_table(spec.output_path,
                 [stamp(spec.scenario, spec.seed, cfg),
                  f"sweep rho_u*eta over [{_F % lo}, {_F % hi}] W, {count} points",
-                 _beta_line(beta, cfg)],
+                 beta_line(beta, cfg)],
                 ("n", "m_of", "rho_eta_w", "sum_rate_bps_hz", "ee_bits_per_joule"),
                 (np.repeat(ns, count), np.repeat(mofs, count),
                  *np.concatenate(list(curves.values())).T))

@@ -10,28 +10,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FSO = "FSO"
-FIBER = "OF"
-
 
 @dataclass(frozen=True, eq=False)
 class FronthaulPlan:
     """Per-AP link assignment with capacities in bits/s/Hz.
 
-    link_types holds one tag per AP ('FSO' or 'OF'). Fiber links run at
-    n_coeff times the FSO capacity; deployed plans require n_coeff >= 1.
+    is_fiber is a 1-D boolean mask, True where the AP has a fiber link and
+    False where it has an FSO link. Fiber links run at n_coeff times the
+    FSO capacity; deployed plans require n_coeff >= 1.
     """
 
-    link_types: np.ndarray
+    is_fiber: np.ndarray
     c_fso: float
     n_coeff: float = 1.0
 
     def __post_init__(self):
-        types = np.asarray(self.link_types, dtype=object)
-        object.__setattr__(self, "link_types", types)
-        bad = set(types.tolist()) - {FSO, FIBER}
-        if bad:
-            raise ValueError(f"unknown link type(s): {sorted(bad)}")
+        mask = np.asarray(self.is_fiber)
+        if mask.dtype != bool or mask.ndim != 1:
+            raise ValueError("is_fiber must be a 1-D boolean mask")
+        object.__setattr__(self, "is_fiber", mask)
         if self.c_fso <= 0:
             raise ValueError("c_fso must be positive")
         if self.m_of > 0 and self.n_coeff < 1.0:
@@ -42,28 +39,15 @@ class FronthaulPlan:
         """Plan with the first m - m_of APs on FSO and the rest on fiber."""
         if not 0 <= m_of <= m:
             raise ValueError("m_of must lie in [0, m]")
-        types = np.array([FSO] * (m - m_of) + [FIBER] * m_of, dtype=object)
-        return cls(types, float(c_fso), float(n_coeff))
-
-    @classmethod
-    def all_fso(cls, m, c_fso):
-        return cls.fso_first(m, 0, c_fso)
+        return cls(np.arange(m) >= m - m_of, float(c_fso), float(n_coeff))
 
     @property
     def m(self):
-        return self.link_types.shape[0]
-
-    @property
-    def is_fiber(self):
-        return self.link_types == FIBER
+        return self.is_fiber.shape[0]
 
     @property
     def m_of(self):
-        return int(np.count_nonzero(self.link_types == FIBER))
-
-    @property
-    def m_fso(self):
-        return self.m - self.m_of
+        return int(np.count_nonzero(self.is_fiber))
 
     def capacities(self):
         """Per-AP link capacity in bits/s/Hz."""
@@ -122,12 +106,11 @@ def received_signal_power(beta, sig):
     return sig.rho_u * beta @ sig.eta + sig.delta_sq
 
 
-def quantization_noise_var(signal_power, capacity, test_channel="forward"):
+def quantization_noise_var(signal_power, capacity):
     """Distortion of compressing a signal of the given power to fit a link.
 
-    The forward test channel (quantizer noise added to the source) gives
-    D = power / (2^C - 1); the reverse channel gives D = power / 2^C and is
-    exposed only for sensitivity studies.
+    The forward Gaussian test channel (quantizer noise added to the source)
+    gives D = power / (2^C - 1).
     """
     power = np.asarray(signal_power, dtype=float)
     cap = np.asarray(capacity, dtype=float)
@@ -135,16 +118,11 @@ def quantization_noise_var(signal_power, capacity, test_channel="forward"):
         raise ValueError("signal_power must be nonnegative")
     if np.any(cap <= 0):
         raise ValueError("capacity must be positive")
-    if test_channel == "forward":
-        out = power / (2.0 ** cap - 1.0)
-    elif test_channel == "reverse":
-        out = power / 2.0 ** cap
-    else:
-        raise ValueError("test_channel must be 'forward' or 'reverse'")
+    out = power / (2.0 ** cap - 1.0)
     return out if out.ndim else float(out)
 
 
-def per_ap_distortions(beta, sig, plan, test_channel="forward"):
+def per_ap_distortions(beta, sig, plan):
     """Quantization noise variance D_m at every AP under the given plan.
 
     beta may carry leading batch axes (..., M, K); the result is (..., M).
@@ -153,5 +131,4 @@ def per_ap_distortions(beta, sig, plan, test_channel="forward"):
     if plan.m != beta.shape[-2]:
         raise ValueError("plan does not cover all APs")
     power = received_signal_power(beta, sig)
-    return quantization_noise_var(power, plan.capacities(), test_channel)
-
+    return quantization_noise_var(power, plan.capacities())

@@ -16,9 +16,9 @@ import numpy as np
 from .seeds import derive_rng
 
 # Memory budget of one Monte-Carlo chunk when no chunk size is given. A
-# chunk peaks at up to MC_LINK_BYTES per link (AP-user pair) and trial: 21-36
-# measured with tracemalloc at M=20, K=4 and M=100, K=10 in both distortion
-# modes, mostly the 16 bytes of the fading draws. The default chunk is
+# chunk peaks at up to MC_LINK_BYTES per link (AP-user pair) and trial: 21-32
+# measured with tracemalloc at M=20, K=4 and M=100, K=10, mostly the 16 bytes
+# of the fading draws; 36 leaves a margin. The default chunk is
 # MC_CHUNK_BYTES over MC_LINK_BYTES M K trials.
 MC_CHUNK_BYTES = 2 ** 23
 MC_LINK_BYTES = 36
@@ -146,7 +146,7 @@ def _pairs(scale):
     return np.repeat(scale[..., None], 2, axis=-1)
 
 
-def _mc_trial_terms(rngs, t, beta, sig, D, k, per_trial_distortion):
+def _mc_trial_terms(rngs, t, beta, sig, D, k):
     """The terms of t fresh trials, one column per trial.
 
     Rows: a = amp_k sum_m |g_mk|^2, a^2, |amp_j cross_j|^2 for each user j,
@@ -162,12 +162,7 @@ def _mc_trial_terms(rngs, t, beta, sig, D, k, per_trial_distortion):
     wq = rng_w.standard_normal((t, m, 2))
     wq *= _pairs(np.sqrt(sig.delta_sq / 2.0))
     q = rng_q.standard_normal((t, m, 2))
-    if per_trial_distortion:
-        inst = sig.rho_u * (np.abs(g) ** 2 @ sig.eta) + sig.delta_sq
-        d_var = inst * D / (sig.rho_u * (beta @ sig.eta) + sig.delta_sq)
-    else:
-        d_var = D
-    q *= _pairs(np.sqrt(d_var / 2.0))
+    q *= _pairs(np.sqrt(D / 2.0))
     wq += q
 
     gk_conj = np.conj(g[:, :, k])[:, None, :]
@@ -182,22 +177,20 @@ def _mc_trial_terms(rngs, t, beta, sig, D, k, per_trial_distortion):
     return terms
 
 
-def mc_validate_terms(beta, sig, distortions, k, trials, seed,
-                      chunk=None, per_trial_distortion=False):
+def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     """Empirical SINR terms for user k from simulated combining.
 
     Simulates the combined signal with fresh fast fading, receiver noise
     and Gaussian quantization noise each trial and estimates every term of
-    the closed-form decomposition. Deterministic given seed, and exactly
-    independent of the chunk size (trials simulated at once): fading, noise
-    and quantization use separate derived streams, and the per-trial terms
-    are summed in blocks of MC_BLOCK trials aligned on the trial index, the
-    block sums added in trial order. By default a chunk takes about
-    MC_CHUNK_BYTES, whatever M and K are.
-
-    With per_trial_distortion the quantization variance tracks the
-    per-realization received power instead of its statistical mean (not the
-    default model; kept for sensitivity checks).
+    the closed-form decomposition. The quantization noise at AP m has
+    variance distortions[m] in every trial: the distortion sized from the
+    statistical mean of the received power, as in the closed form.
+    Deterministic given seed, and exactly independent of the chunk size
+    (trials simulated at once): fading, noise and quantization use separate
+    derived streams, and the per-trial terms are summed in blocks of
+    MC_BLOCK trials aligned on the trial index, the block sums added in
+    trial order. By default a chunk takes about MC_CHUNK_BYTES, whatever M
+    and K are.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -219,8 +212,7 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed,
     while done < trials:
         t = min(chunk, trials - done)
         terms = np.concatenate(
-            [pending, _mc_trial_terms(rngs, t, beta, sig, D, k,
-                                      per_trial_distortion)], axis=1)
+            [pending, _mc_trial_terms(rngs, t, beta, sig, D, k)], axis=1)
         full = terms.shape[1] - terms.shape[1] % MC_BLOCK
         blocks = terms[:, :full].reshape(len(terms), -1, MC_BLOCK)
         for block_sum in blocks.sum(axis=2).T:

@@ -13,7 +13,6 @@ import numpy as np
 STREAMS = {
     "topology": 1,
     "shadowing": 2,
-    "small_scale": 3,
     "mc_channel": 4,
     "mc_noise": 5,
     "mc_quant": 6,

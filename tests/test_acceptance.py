@@ -15,7 +15,7 @@ from fronthaul_planner.channel import (PathLossModel, ShadowingModel,
                                        generate_topology, large_scale_fading)
 from fronthaul_planner.cli import main
 from fronthaul_planner.config import (SystemConfig, power_cost_params,
-                                      signal_params, with_overrides)
+                                      signal_params)
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       ee_symmetric, energy_efficiency,
                                       fronthaul_cost, network_power)

@@ -5,8 +5,8 @@ import pytest
 
 from fronthaul_planner.channel import (LargeScaleFading, NetworkTopology,
                                        PathLossModel, ShadowingModel,
-                                       draw_small_scale, generate_topology,
-                                       large_scale_fading, path_loss_db)
+                                       generate_topology, large_scale_fading,
+                                       path_loss_db)
 
 # Frozen oracle: independent evaluation of the fixed-loss constant at
 # f = 1900 MHz, h_ap = 15 m, h_ue = 1.65 m.
@@ -143,21 +143,6 @@ def test_drop_stack_equals_single_drops():
         large_scale_fading(topo, pl, sh, 3)
     with pytest.raises(ValueError):
         large_scale_fading(topo, pl, sh, seeds[:2])
-
-
-def test_small_scale_moments():
-    h = draw_small_scale(1000, 1000, seed=11).ravel()
-    power = np.abs(h) ** 2
-    assert np.mean(power) == pytest.approx(1.0, rel=0.01)
-    assert abs(np.mean(h)) < 3.0 / np.sqrt(h.size)
-    # fourth moment of a unit-variance circular Gaussian is 2
-    assert np.mean(power ** 2) == pytest.approx(2.0, rel=0.02)
-
-
-def test_small_scale_deterministic():
-    a = draw_small_scale(8, 3, seed=4)
-    b = draw_small_scale(8, 3, seed=4)
-    assert np.array_equal(a, b)
 
 
 def test_validation_of_models():

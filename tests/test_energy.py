@@ -25,7 +25,7 @@ def test_network_power_reference_value():
     # hand evaluation, all-FSO at M = 100, K = 10, C = 2, B_s = 20 MHz:
     # 0.5 + 20 + 100 * (2 * 2e7 / 1e9) * 0.3 + 82.5 = 104.2 W
     sig, pc, _ = default_setup()
-    plan = FronthaulPlan.all_fso(100, 2.0)
+    plan = FronthaulPlan.fso_first(100, 0, 2.0)
     assert network_power(sig, pc, plan) == pytest.approx(104.2, rel=1e-12)
 
 
@@ -34,7 +34,7 @@ def test_network_power_ue_isolation():
     sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, m, k)
     pc = PowerCostParams(p_circuit=0.0, p0=0.0, p_fh_fso=0.0, p_fh_of=0.0,
                          mu_fso=0.0, mu_of=0.0)
-    plan = FronthaulPlan.all_fso(m, 2.0)
+    plan = FronthaulPlan.fso_first(m, 0, 2.0)
     assert network_power(sig, pc, plan) == pytest.approx(k * 0.1 * 0.5, rel=1e-12)
 
 
@@ -47,8 +47,8 @@ def test_network_power_increases_with_n():
 
 def test_fronthaul_cost_values():
     pc = PowerCostParams()
-    assert fronthaul_cost(FronthaulPlan.all_fso(100, 2.0), pc) == pytest.approx(0.6)
-    empty = FronthaulPlan(np.array([], dtype=object), 2.0)
+    assert fronthaul_cost(FronthaulPlan.fso_first(100, 0, 2.0), pc) == pytest.approx(0.6)
+    empty = FronthaulPlan(np.zeros(0, dtype=bool), 2.0)
     assert fronthaul_cost(empty, pc) == 0.0
 
 

@@ -1,10 +1,11 @@
 """Tests for the scenario runners and their CSV outputs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fronthaul_planner.config import (SystemConfig, draw_fading,
-                                      signal_params, with_overrides)
+from fronthaul_planner.config import SystemConfig, draw_fading, signal_params
 from fronthaul_planner.experiments import (BLOCK_GAINS, BLOCK_ROWS,
                                            COMPARED_SPLITS,
                                            EmpiricalCdf, ExperimentSpec,
@@ -17,7 +18,7 @@ from fronthaul_planner.fronthaul import FronthaulPlan, per_ap_distortions
 from fronthaul_planner.rate import achievable_rates
 from fronthaul_planner.seeds import derive_rng
 
-SMALL = with_overrides(SystemConfig(), m=30, k=5)
+SMALL = replace(SystemConfig(), m=30, k=5)
 
 
 def read_csv(path):
@@ -116,7 +117,7 @@ def test_rate_cdf_runs_and_is_deterministic(tmp_path):
 
 
 # M K beyond the block budget: every block holds a single drop
-WIDE = with_overrides(SystemConfig(), m=200, k=100)
+WIDE = replace(SystemConfig(), m=200, k=100)
 
 
 @pytest.mark.parametrize("cfg, drops", [
@@ -184,7 +185,7 @@ def test_tradeoff_deterministic(tmp_path):
 
 
 def test_geometric_mean_beta_policy(tmp_path):
-    cfg = with_overrides(SMALL, beta_policy="geometric_mean")
+    cfg = replace(SMALL, beta_policy="geometric_mean")
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     for out in (out_a, out_b):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from fronthaul_planner.fronthaul import (FIBER, FSO, FronthaulPlan,
-                                         UplinkSignalParams,
+from fronthaul_planner.fronthaul import (FronthaulPlan, UplinkSignalParams,
                                          per_ap_distortions,
                                          quantization_noise_var,
                                          received_signal_power)
@@ -16,16 +15,19 @@ def symmetric_sig(rho=0.1, eta=0.5, noise=0.01, m=4, k=3):
 
 def test_plan_counts_and_capacities():
     plan = FronthaulPlan.fso_first(5, 2, c_fso=2.0, n_coeff=3.0)
-    assert plan.m == 5 and plan.m_of == 2 and plan.m_fso == 3
-    assert plan.m_of + plan.m_fso == plan.m
-    assert list(plan.link_types[:3]) == [FSO] * 3
-    assert list(plan.link_types[3:]) == [FIBER] * 2
+    assert plan.m == 5 and plan.m_of == 2
+    assert plan.is_fiber.tolist() == [False] * 3 + [True] * 2
     assert np.array_equal(plan.capacities(), [2.0, 2.0, 2.0, 6.0, 6.0])
 
 
 def test_plan_validation():
+    # the mask must be 1-D bool: tag strings, 0/1 ints and 2-D masks raise
     with pytest.raises(ValueError):
-        FronthaulPlan(np.array(["FSO", "laser"], dtype=object), 2.0)
+        FronthaulPlan(np.array(["FSO", "OF"], dtype=object), 2.0)
+    with pytest.raises(ValueError):
+        FronthaulPlan(np.array([0, 1]), 2.0)
+    with pytest.raises(ValueError):
+        FronthaulPlan(np.zeros((2, 2), dtype=bool), 2.0)
     with pytest.raises(ValueError):
         FronthaulPlan.fso_first(4, 2, c_fso=2.0, n_coeff=0.5)
     with pytest.raises(ValueError):
@@ -106,15 +108,6 @@ def test_rate_distortion_identity():
         assert abs(np.log2(1.0 + s / d) - c) < 1e-12 * max(1.0, c)
 
 
-def test_reverse_test_channel_mode():
-    assert quantization_noise_var(1.0, 1.0, test_channel="reverse") == pytest.approx(0.5)
-    # reverse channel always quantizes finer for the same capacity
-    assert (quantization_noise_var(2.0, 3.0, test_channel="reverse")
-            < quantization_noise_var(2.0, 3.0))
-    with pytest.raises(ValueError):
-        quantization_noise_var(1.0, 1.0, test_channel="sideways")
-
-
 def test_distortions_ideal_fiber_limit():
     sig = symmetric_sig()
     beta = np.full((4, 3), 1e-12)
@@ -127,7 +120,7 @@ def test_distortions_equal_capacity_split_invariant():
     sig = symmetric_sig()
     beta = np.full((4, 3), 1e-12)
     d_mixed = per_ap_distortions(beta, sig, FronthaulPlan.fso_first(4, 2, 2.0, 1.0))
-    d_fso = per_ap_distortions(beta, sig, FronthaulPlan.all_fso(4, 2.0))
+    d_fso = per_ap_distortions(beta, sig, FronthaulPlan.fso_first(4, 0, 2.0))
     assert np.allclose(d_mixed, d_fso, rtol=1e-14)
 
 

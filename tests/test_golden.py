@@ -1,9 +1,12 @@
-"""Golden bytes: each study's CSV at seeds 0-2 under the default config.
+"""Golden bytes: each study's CSV at seeds 0-2 under the default config, and
+the stdout of the commands that write no CSV.
 
 The digests were recorded before the objective kernel, the table writer and
 the unit table were each given one home; that change kept every byte. A
 change that alters a CSV on purpose (the path-loss units fix changes the
-rate_cdf digests) records the new digests and says why.
+rate_cdf digests) records the new digests and says why. The stdout digests
+were recorded before the unused channel, distortion and link-tag options
+were deleted; they pin the Monte-Carlo kernel and the optimizer summary.
 """
 
 import hashlib
@@ -51,3 +54,20 @@ def test_csv_bytes_unchanged(name, seed, tmp_path, capsys):
                                       "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[(name, seed)]
+
+
+# argv -> (exit code, stdout sha256). The validate run fails its 2% gate at
+# 5000 trials; the pinned report includes the FAIL line and exit code 1.
+STDOUT_DIGESTS = {
+    ("validate", "--m", "8", "--k", "3", "--trials", "5000", "--seed", "5"):
+        (1, "88267d41d06df2207d39ec51c26e60e7b0f500885746a577e0796c436261a1e2"),
+    ("optimize", "--seed", "0"):
+        (0, "252033712cd954d4a1b56874ae4f50bdf6e87bbe527e28a25eed0ce2b1a2f701"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_DIGESTS), ids=lambda argv: argv[0])
+def test_stdout_bytes_unchanged(argv, tmp_path, capsys):
+    code = main(list(argv) + ["--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_DIGESTS[argv]

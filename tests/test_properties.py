@@ -85,9 +85,8 @@ def test_closed_forms_on_a_stack_equal_each_slice(s, b, m, k, seed):
 
 @SETTINGS
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
-       st.booleans(), st.data())
-def test_monte_carlo_terms_do_not_depend_on_the_chunk(m, n_users, seed,
-                                                      per_trial, data):
+       st.data())
+def test_monte_carlo_terms_do_not_depend_on_the_chunk(m, n_users, seed, data):
     # every chunking of the same trials must give the same bits: the
     # estimates sum fixed blocks of the trial index, in trial order
     trials = data.draw(st.integers(1, 4 * MC_BLOCK))
@@ -98,7 +97,7 @@ def test_monte_carlo_terms_do_not_depend_on_the_chunk(m, n_users, seed,
     sig = UplinkSignalParams(0.1, rng.uniform(0.1, 1.0, n_users),
                              10.0 ** rng.uniform(-13, -12, m))
     dist = 10.0 ** rng.uniform(-14, -12, m)
-    a, b = (mc_validate_terms(beta, sig, dist, k, trials, seed, chunk=c,
-                              per_trial_distortion=per_trial) for c in chunks)
+    a, b = (mc_validate_terms(beta, sig, dist, k, trials, seed, chunk=c)
+            for c in chunks)
     assert (a.ds_sq, a.bu_var, a.noise_var) == (b.ds_sq, b.bu_var, b.noise_var)
     assert np.array_equal(a.interference_var, b.interference_var)

@@ -177,23 +177,7 @@ def test_monte_carlo_rejects_empty_chunk():
         mc_validate_terms(beta, sig, np.zeros(3), 0, 10, seed=1, chunk=0)
 
 
-def test_monte_carlo_per_trial_distortion_mode():
-    rng = np.random.default_rng(9)
-    m, k = 6, 2
-    beta = 10.0 ** rng.uniform(-13, -12, size=(m, k))
-    sig = UplinkSignalParams(0.1, np.full(k, 0.5), np.full(m, 3e-13))
-    dist = np.full(m, 2e-13)
-    emp = mc_validate_terms(beta, sig, dist, 0, trials=20_000, seed=5,
-                            per_trial_distortion=True)
-    closed = sinr_closed_form(beta, sig, dist, 0)
-    # signal terms are untouched by the distortion mode; the channel-weighted
-    # noise term inflates slightly because distortion now tracks channel luck
-    assert emp.ds_sq == pytest.approx(closed.ds_sq, rel=0.05)
-    assert emp.noise_var == pytest.approx(closed.noise_var, rel=0.2)
-    assert emp.noise_var >= closed.noise_var * 0.9
-
-
-def _plain_mc_terms(beta, sig, D, k, trials, seed, per_trial_distortion):
+def _plain_mc_terms(beta, sig, D, k, trials, seed):
     """The Monte-Carlo estimate written out plainly, all trials in one chunk.
 
     Complex fading, noise and quantization from the same three streams,
@@ -206,12 +190,7 @@ def _plain_mc_terms(beta, sig, D, k, trials, seed, per_trial_distortion):
     wparts = derive_rng(seed, "mc_noise").standard_normal((trials, m, 2))
     w = np.sqrt(sig.delta_sq) * (wparts[..., 0] + 1j * wparts[..., 1]) / np.sqrt(2.0)
     qparts = derive_rng(seed, "mc_quant").standard_normal((trials, m, 2))
-    if per_trial_distortion:
-        inst = sig.rho_u * (np.abs(g) ** 2 @ sig.eta) + sig.delta_sq
-        d_var = inst * D / (sig.rho_u * (beta @ sig.eta) + sig.delta_sq)
-    else:
-        d_var = D
-    q = np.sqrt(d_var) * (qparts[..., 0] + 1j * qparts[..., 1]) / np.sqrt(2.0)
+    q = np.sqrt(D) * (qparts[..., 0] + 1j * qparts[..., 1]) / np.sqrt(2.0)
 
     amp = np.sqrt(sig.rho_u * sig.eta)
     g_k = g[:, :, k]
@@ -226,8 +205,7 @@ def _plain_mc_terms(beta, sig, D, k, trials, seed, per_trial_distortion):
 
 
 @pytest.mark.parametrize("m, n_users, k", [(4, 2, 0), (10, 3, 2), (20, 4, 1)])
-@pytest.mark.parametrize("per_trial", [False, True])
-def test_monte_carlo_kernel_matches_the_plain_formula(m, n_users, k, per_trial):
+def test_monte_carlo_kernel_matches_the_plain_formula(m, n_users, k):
     # same streams, same draws: only rounding may differ, where a changed
     # draw would move every term by about 1/sqrt(trials)
     rng = np.random.default_rng(10 * m + k)
@@ -235,10 +213,9 @@ def test_monte_carlo_kernel_matches_the_plain_formula(m, n_users, k, per_trial):
     sig = UplinkSignalParams(0.1, rng.uniform(0.3, 1.0, n_users),
                              np.full(m, 6.36e-13))
     dist = rng.uniform(5e-14, 5e-13, m)
-    emp = mc_validate_terms(beta, sig, dist, k, trials=3000, seed=m, chunk=700,
-                            per_trial_distortion=per_trial)
+    emp = mc_validate_terms(beta, sig, dist, k, trials=3000, seed=m, chunk=700)
     ds_sq, bu_var, interference, noise_var = _plain_mc_terms(
-        beta, sig, dist, k, 3000, m, per_trial)
+        beta, sig, dist, k, 3000, m)
     assert emp.ds_sq == pytest.approx(ds_sq, rel=1e-12, abs=0)
     assert emp.bu_var == pytest.approx(bu_var, rel=1e-12, abs=0)
     np.testing.assert_allclose(emp.interference_var, interference, rtol=1e-12, atol=0)
