@@ -103,10 +103,13 @@ class NetworkTopology:
         return self.ue_positions.shape[-2]
 
     def distances(self):
-        """M x K matrix of AP-to-UE distances in meters (per drop)."""
-        diff = (self.ap_positions[..., :, None, :]
-                - self.ue_positions[..., None, :, :])
-        return np.linalg.norm(diff, axis=-1)
+        """M x K AP-to-UE distances in meters (per drop), sqrt(dx^2 + dy^2)."""
+        ap, ue = self.ap_positions, self.ue_positions
+        d = ap[..., :, None, 0] - ue[..., None, :, 0]
+        dy = ap[..., :, None, 1] - ue[..., None, :, 1]
+        d *= d
+        d += np.square(dy, out=dy)
+        return np.sqrt(d, out=d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,18 +165,21 @@ def generate_topology(m, k, area_side, seed):
 def path_loss_db(d, model):
     """Three-slope loss in dB (negative) at distance d meters.
 
-    Vectorized over d. d = d1 belongs to the middle slope and d = d0 to the
-    flat bottom branch.
+    Vectorized over d, one log10 per entry. The loss is continuous and falls
+    with d, so each branch is the smallest of the three where it applies.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be positive")
     L = model.fixed_loss_db
-    mid_const = 15.0 * np.log10(model.d1)
-    far = -L - 35.0 * np.log10(d)
-    mid = -L - mid_const - 20.0 * np.log10(d)
-    flat = -L - mid_const - 20.0 * np.log10(model.d0)
-    out = np.where(d > model.d1, far, np.where(d > model.d0, mid, flat))
+    mid_const = L + 15.0 * np.log10(model.d1)
+    flat = -mid_const - 20.0 * np.log10(model.d0)
+    lg = np.log10(d, out=np.empty_like(d))  # an array even for scalar d
+    far = lg * -35.0
+    far -= L
+    lg *= -20.0
+    lg -= mid_const
+    out = np.minimum(np.minimum(lg, far, out=lg), flat, out=lg)
     return out if out.ndim else float(out)
 
 
@@ -190,8 +196,9 @@ def large_scale_fading(topology, pl, sh, seed):
         rng.standard_normal(topology.m), rng.standard_normal(topology.k)))
     if a.shape[:-1] != topology.ap_positions.shape[:-2]:
         raise ValueError("need one seed per drop of the topology")
-    z = (np.sqrt(sh.theta) * a[..., :, None]
-         + np.sqrt(1.0 - sh.theta) * b[..., None, :])
-    pl_db = path_loss_db(topology.distances(), pl)
-    beta = 10.0 ** (pl_db / 10.0) * 10.0 ** (sh.sigma_sh_db * z / 10.0)
-    return LargeScaleFading(beta)
+    # One power of 10 per gain: shadowing is added to the loss in dB.
+    x = path_loss_db(topology.distances(), pl)
+    x += (sh.sigma_sh_db * np.sqrt(sh.theta) * a[..., :, None]
+          + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * b[..., None, :])
+    x /= 10.0
+    return LargeScaleFading(np.power(10.0, x, out=x))

@@ -15,13 +15,15 @@ import numpy as np
 
 from .seeds import derive_rng
 
-# Memory budget of one Monte-Carlo chunk when no chunk size is given. A
-# chunk peaks at up to MC_LINK_BYTES per link (AP-user pair) and trial: 21-32
-# measured with tracemalloc at M=20, K=4 and M=100, K=10, mostly the 16 bytes
-# of the fading draws; 36 leaves a margin. The default chunk is
-# MC_CHUNK_BYTES over MC_LINK_BYTES M K trials.
+# Memory budget of one Monte-Carlo chunk when no chunk size is given. Per
+# trial a chunk peaks at 16 bytes a link (the fading draws), 48 an AP (noise
+# and quantization draws, combiner column) and 56 a term row (cross terms,
+# term rows and their carried copy): fitted with tracemalloc, the default
+# chunk then peaks at 0.64-1.003 of the budget over M in 1-100, K in 1-20.
 MC_CHUNK_BYTES = 2 ** 23
-MC_LINK_BYTES = 36
+MC_LINK_BYTES = 16
+MC_AP_BYTES = 48
+MC_ROW_BYTES = 56
 
 # Trials per summation block. Blocks start at multiples of MC_BLOCK in the
 # trial index, whatever the chunk size, so every block sum and their sum in
@@ -200,7 +202,8 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     if not 0 <= k < n_users:
         raise ValueError(f"user index {k} out of range for K = {n_users}")
     if chunk is None:
-        chunk = max(1, MC_CHUNK_BYTES // (MC_LINK_BYTES * m * n_users))
+        chunk = max(1, MC_CHUNK_BYTES // (MC_LINK_BYTES * m * n_users + MC_AP_BYTES * m
+                                          + MC_ROW_BYTES * (n_users + 3)))
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
     rngs = (derive_rng(seed, "mc_channel"), derive_rng(seed, "mc_noise"),

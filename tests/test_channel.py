@@ -58,6 +58,16 @@ def test_path_loss_far_branch_direct_evaluation():
     assert path_loss_db(100.0, pl) == pytest.approx(-L_REFERENCE_DB - 70.0, rel=1e-12)
 
 
+def test_path_loss_middle_branch_and_scalar_result():
+    pl = PathLossModel()
+    # between d0 and d1 the loss is -L - 15 log10(d1) - 20 log10(d)
+    expected = -L_REFERENCE_DB - 15.0 * np.log10(50.0) - 20.0 * np.log10(20.0)
+    value = path_loss_db(20.0, pl)
+    assert type(value) is float
+    assert value == pytest.approx(expected, rel=1e-12)
+    assert path_loss_db(np.array([20.0]), pl).shape == (1,)
+
+
 def test_path_loss_flat_region():
     pl = PathLossModel()
     ref = path_loss_db(pl.d0, pl)

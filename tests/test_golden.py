@@ -2,11 +2,13 @@
 the stdout of the commands that write no CSV.
 
 The digests were recorded before the objective kernel, the table writer and
-the unit table were each given one home; that change kept every byte. A
-change that alters a CSV on purpose (the path-loss units fix changes the
-rate_cdf digests) records the new digests and says why. The stdout digests
-were recorded before the unused channel, distortion and link-tag options
-were deleted; they pin the Monte-Carlo kernel and the optimizer summary.
+the unit table were each given one home; that change kept every byte, and
+so did the one-log10, one-power drop-gain kernel. A change that alters
+output on purpose (the path-loss units fix will change the rate_cdf
+digests and the validate stdout, which reads a drop's gains) records the
+new digests and says why. The stdout digests were recorded before the
+unused channel, distortion and link-tag options were deleted; they pin the
+Monte-Carlo kernel and the optimizer summary.
 """
 
 import hashlib

@@ -10,12 +10,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fronthaul_planner.channel import (PathLossModel, ShadowingModel,
+                                      generate_topology, large_scale_fading)
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       ee_symmetric)
 from fronthaul_planner.fronthaul import (UplinkSignalParams,
                                          received_signal_power)
 from fronthaul_planner.optimizer import optimal_n_closed_form
 from fronthaul_planner.rate import MC_BLOCK, mc_validate_terms, per_user_sinrs
+from fronthaul_planner.seeds import derive_rng
 
 NOISE_W = 6.36241029449455e-13
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -101,3 +104,41 @@ def test_monte_carlo_terms_do_not_depend_on_the_chunk(m, n_users, seed, data):
             for c in chunks)
     assert (a.ds_sq, a.bu_var, a.noise_var) == (b.ds_sq, b.bu_var, b.noise_var)
     assert np.array_equal(a.interference_var, b.interference_var)
+
+
+def _plain_gains(topo, pl, sh, seeds):
+    """The drop gains composed term by term: norm, nested where, two powers."""
+    diff = topo.ap_positions[..., :, None, :] - topo.ue_positions[..., None, :, :]
+    d = np.linalg.norm(diff, axis=-1)
+    L = pl.fixed_loss_db
+    mid_const = 15.0 * np.log10(pl.d1)
+    far = -L - 35.0 * np.log10(d)
+    mid = -L - mid_const - 20.0 * np.log10(d)
+    flat = -L - mid_const - 20.0 * np.log10(pl.d0)
+    pl_db = np.where(d > pl.d1, far, np.where(d > pl.d0, mid, flat))
+    draws = [derive_rng(s, "shadowing") for s in seeds]
+    a = np.stack([rng.standard_normal(topo.m) for rng in draws])
+    b = np.stack([rng.standard_normal(topo.k) for rng in draws])
+    z = np.sqrt(sh.theta) * a[:, :, None] + np.sqrt(1.0 - sh.theta) * b[:, None, :]
+    return 10.0 ** (pl_db / 10.0) * 10.0 ** (sh.sigma_sh_db * z / 10.0)
+
+
+@SETTINGS
+@given(st.integers(1, 30), st.integers(1, 12),
+       st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=4),
+       st.floats(1.0, 5000.0), st.floats(0.5, 100.0), st.floats(1.01, 50.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 16.0))
+def test_gain_kernel_matches_the_plain_formula(m, k, seeds, area, d0, ratio,
+                                               theta, sigma):
+    # the one-log10, one-power kernel against the plain composition on the
+    # same drops and draws; distances against np.hypot
+    topo = generate_topology(m, k, area, seeds)
+    pl = PathLossModel(d0=d0, d1=d0 * ratio)
+    sh = ShadowingModel(sigma, theta)
+    d = topo.distances()
+    dx, dy = np.moveaxis(topo.ap_positions[:, :, None, :]
+                         - topo.ue_positions[:, None, :, :], -1, 0)
+    assert np.all(np.abs(d - np.hypot(dx, dy)) <= np.spacing(np.hypot(dx, dy)))
+    beta = large_scale_fading(topo, pl, sh, seeds).beta
+    np.testing.assert_allclose(beta, _plain_gains(topo, pl, sh, seeds),
+                               rtol=1e-13, atol=0.0)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from fronthaul_planner.fronthaul import UplinkSignalParams
-from fronthaul_planner.rate import (RateResult, achievable_rates,
-                                    mc_validate_terms, per_user_sinrs,
-                                    rate_from_sinr, sinr_closed_form)
+from fronthaul_planner.rate import (MC_CHUNK_BYTES, RateResult,
+                                    achievable_rates, mc_validate_terms,
+                                    per_user_sinrs, rate_from_sinr,
+                                    sinr_closed_form)
 from fronthaul_planner.seeds import derive_rng
 
 
@@ -168,6 +169,24 @@ def test_monte_carlo_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (4, 2), (20, 4), (100, 10)])
+def test_monte_carlo_chunk_holds_its_budget(m, k):
+    # at few APs and users the per-AP noise arrays and the term rows
+    # outweigh the fading draws; the default chunk must count them too
+    rng = np.random.default_rng(4)
+    beta = 10.0 ** rng.uniform(-13, -11, size=(m, k))
+    sig = UplinkSignalParams(0.1, np.full(k, 0.5), np.full(m, 6.36e-13))
+    # the draws alone of all trials at once would take twice the budget
+    trials = 2 * MC_CHUNK_BYTES // (16 * m * k + 48 * m)
+    tracemalloc.start()
+    try:
+        mc_validate_terms(beta, sig, np.full(m, 1e-13), 0, trials, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * MC_CHUNK_BYTES
 
 
 def test_monte_carlo_rejects_empty_chunk():
