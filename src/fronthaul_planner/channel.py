@@ -82,8 +82,8 @@ class NetworkTopology:
         ue = np.atleast_2d(np.asarray(self.ue_positions, dtype=float))
         object.__setattr__(self, "ap_positions", ap)
         object.__setattr__(self, "ue_positions", ue)
-        if self.area_side <= 0:
-            raise ValueError("area_side must be positive")
+        if not 0 < self.area_side < np.inf:
+            raise ValueError("area_side must be positive and finite")
         if ap.shape[-2] < 1 or ue.shape[-2] < 1:
             raise ValueError("need at least one AP and one UE")
         if ap.shape[-1] != 2 or ue.shape[-1] != 2:
@@ -91,7 +91,7 @@ class NetworkTopology:
         if ap.shape[:-2] != ue.shape[:-2]:
             raise ValueError("AP and UE positions must cover the same drops")
         for name, pos in (("ap", ap), ("ue", ue)):
-            if np.any(pos < 0) or np.any(pos > self.area_side):
+            if not np.all((pos >= 0) & (pos <= self.area_side)):
                 raise ValueError(f"{name} positions fall outside the area")
 
     @property
@@ -154,8 +154,8 @@ def generate_topology(m, k, area_side, seed):
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be at least 1")
-    if area_side <= 0:
-        raise ValueError("area_side must be positive")
+    if not 0 < area_side < np.inf:
+        raise ValueError("area_side must be positive and finite")
     ap, ue = _per_drop(seed, "topology", lambda rng: (
         rng.uniform(0.0, area_side, size=(int(m), 2)),
         rng.uniform(0.0, area_side, size=(int(k), 2))))

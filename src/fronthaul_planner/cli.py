@@ -13,21 +13,20 @@ variable, falling back to the working directory.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .config import (SystemConfig, draw_fading, effective_config_lines,
-                     load_config, power_cost_params, signal_params,
-                     symmetric_beta)
-from .energy import aggregate_params
-from .experiments import (ExperimentSpec, beta_line, run_ee_surface,
-                          run_ee_vs_sumrate, run_rate_cdf, stamp, write_table)
-from .fronthaul import FronthaulPlan, UplinkSignalParams, per_ap_distortions
+                     load_config, signal_params)
+from .experiments import (_F, ExperimentSpec, beta_line, run_ee_surface,
+                          run_ee_vs_sumrate, run_rate_cdf, stamp,
+                          symmetric_setup, write_table)
+from .fronthaul import FronthaulPlan, per_ap_distortions
 from .optimizer import alternating_optimize, grid_cells, grid_search, parse_range
 from .rate import mc_validate_terms, sinr_closed_form
 
 OUTDIR_ENV = "FRONTHAUL_PLANNER_OUTDIR"
-_F = "%.9g"
 
 
 def _load(args):
@@ -70,33 +69,30 @@ def _positive_int(text):
     return int(text)
 
 
-def _symmetric_setup(cfg, seed):
-    beta = symmetric_beta(cfg, seed)
-    agg = aggregate_params(beta, signal_params(cfg), power_cost_params(cfg),
-                           cfg.m, cfg.k, cfg.c_fso)
-    return beta, agg
+def _print_optimum(opt):
+    print(f"n_star = {_F % opt.n_star}")
+    print(f"m_of_star = {opt.m_of_star}")
+    print(f"ee_star = {_F % opt.ee_star} bits/J")
 
 
 def cmd_optimize(args):
     cfg = _load(args)
     _echo_config(cfg, args.seed)
-    beta, agg = _symmetric_setup(cfg, args.seed)
+    beta, agg = symmetric_setup(cfg, args.seed)
     print(f"symmetric gain beta = {_F % beta} ({cfg.beta_policy})")
     opt = alternating_optimize(agg, cfg.m, init_n=2.0, init_m_of=cfg.m // 2,
                                max_iters=100, tol=1e-6,
                                k=cfg.k, b_s=cfg.b_s_hz, c_fso=cfg.c_fso)
     status = "converged" if opt.converged else "stopped at best seen"
     print(f"method = {opt.method} ({status})")
-    print(f"n_star = {_F % opt.n_star}")
-    print(f"m_of_star = {opt.m_of_star}")
-    print(f"ee_star = {_F % opt.ee_star} bits/J")
+    _print_optimum(opt)
     return 0
 
 
 def cmd_grid(args):
     cfg = _load(args)
     _echo_config(cfg, args.seed)
-    beta, agg = _symmetric_setup(cfg, args.seed)
+    beta, agg = symmetric_setup(cfg, args.seed)
     cells = grid_cells(agg, cfg.m, parse_range(*args.n), cfg.k, cfg.b_s_hz,
                        cfg.c_fso)
     opt = grid_search(cells)
@@ -106,9 +102,7 @@ def cmd_grid(args):
                 [c.ravel() for c in cells])
     print(f"grid written to {path}")
     print(f"symmetric gain beta = {_F % beta} ({cfg.beta_policy})")
-    print(f"n_star = {_F % opt.n_star}")
-    print(f"m_of_star = {opt.m_of_star}")
-    print(f"ee_star = {_F % opt.ee_star} bits/J")
+    _print_optimum(opt)
     return 0
 
 
@@ -145,8 +139,7 @@ def cmd_validate(args):
     beta = fading.beta[:m, :k]
     if beta.shape != (m, k):
         raise ValueError("validation size exceeds the configured network")
-    sig = UplinkSignalParams.symmetric(cfg.rho_u_w, cfg.eta,
-                                       cfg.noise_power_w, m, k)
+    sig = signal_params(replace(cfg, m=m, k=k))
     plan = FronthaulPlan.fso_first(m, m // 2, cfg.c_fso, 2.0)
     dist = per_ap_distortions(beta, sig, plan)
     user = int(rng.integers(0, k))

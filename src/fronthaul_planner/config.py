@@ -51,18 +51,19 @@ class SystemConfig:
     beta_scalar: float = 1.1e-12
 
     def __post_init__(self):
+        # Every float field has a range below, and none admits NaN or inf.
         positive = ("f_mhz", "b_s_hz", "h_ap_m", "h_ue_m", "d0_m", "d1_m",
                     "rho_u_w", "c_fso", "k_boltzmann", "t0_kelvin", "area_m",
                     "beta_scalar")
         for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"config value '{name}' must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"config value '{name}' must be positive and finite")
         nonnegative = ("sigma_sh_db", "nf_db", "p_circuit_w", "p0_w",
                        "p_fh_fso_w_per_gbps", "p_fh_of_w_per_gbps",
                        "mu_fso", "mu_of")
         for name in nonnegative:
-            if getattr(self, name) < 0:
-                raise ValueError(f"config value '{name}' must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"config value '{name}' must be nonnegative and finite")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("config value 'eta' must lie in [0, 1]")
         if not 0.0 <= self.theta <= 1.0:
@@ -132,8 +133,8 @@ def _scaled(value, num, den):
 def load_config(path):
     """Parse a flat key = value config file; omitted keys take defaults.
 
-    Unknown keys, unparsable values and out-of-range values raise
-    ValueError naming the offending key.
+    Unknown keys, unparsable values and out-of-range values (non-finite
+    ones included) raise ValueError naming the offending key.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"config file not found: {path}")
@@ -174,18 +175,15 @@ def effective_config_lines(config):
     return lines
 
 
-def signal_params(config, eta=None):
-    eta_val = config.eta if eta is None else eta
-    return UplinkSignalParams.symmetric(config.rho_u_w, eta_val,
+def signal_params(config):
+    return UplinkSignalParams.symmetric(config.rho_u_w, config.eta,
                                         config.noise_power_w, config.m, config.k)
 
 
-def power_cost_params(config, mu_of=None, mu_fso=None):
+def power_cost_params(config):
     return PowerCostParams(config.p_circuit_w, config.p0_w,
                            config.p_fh_fso_w_per_gbps, config.p_fh_of_w_per_gbps,
-                           config.mu_fso if mu_fso is None else mu_fso,
-                           config.mu_of if mu_of is None else mu_of,
-                           config.b_s_hz)
+                           config.mu_fso, config.mu_of, config.b_s_hz)
 
 
 def draw_fading(config, seed):

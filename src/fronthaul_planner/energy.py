@@ -121,10 +121,10 @@ def aggregate_params(beta_scalar, sig, pc, m, k, c_fso):
     return AggregateParams(l1, l2, alpha_fso, alpha_of, gamma_ep, gamma_fso, gamma_of)
 
 
-def symmetric_terms(n, m_of, agg, m, c_fso):
-    """SINR and power-plus-cost of the symmetric network at (n, m_of).
+def symmetric_terms(n, m_of, agg, m, k, b_s, c_fso):
+    """Energy efficiency (bits/J) and sum rate (bits/s/Hz) at (n, m_of).
 
-    Vectorized over n and m_of (broadcasting); returns (sinr, power). m_of = 0
+    Vectorized over n and m_of (broadcasting); returns (ee, sum_rate). m_of = 0
     makes both independent of n; n = 0 with m_of > 0 is rejected (a
     zero-capacity fiber has unbounded distortion).
     """
@@ -146,11 +146,12 @@ def symmetric_terms(n, m_of, agg, m, c_fso):
             m_b > 0, m_b * agg.alpha_of / (2.0 ** (n_safe * c_fso) - 1.0), 0.0)
     sinr = agg.l1 / (agg.l2 + (m - m_b) * agg.alpha_fso + fiber_gain)
     power = agg.gamma_ep + (m - m_b) * agg.gamma_fso + n_b * m_b * agg.gamma_of
-    return sinr, power
+    del n_safe, fiber_gain  # grid-sized temporaries, freed before the rate arrays
+    rate = np.log2(1.0 + sinr)
+    return k * b_s * rate / power, k * rate
 
 
 def ee_symmetric(n, m_of, agg, m, k, b_s, c_fso):
     """Symmetric-network energy efficiency at (n, m_of), as symmetric_terms."""
-    sinr, power = symmetric_terms(n, m_of, agg, m, c_fso)
-    out = k * b_s * np.log2(1.0 + sinr) / power
+    out = symmetric_terms(n, m_of, agg, m, k, b_s, c_fso)[0]
     return out if out.ndim else float(out)

@@ -5,7 +5,7 @@ byte-identical CSV files. Output files start with a provenance comment
 carrying the scenario tag, the seed and a hash of the effective config.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,6 +133,14 @@ def write_table(path, provenance, names, columns):
             fh.write("".join(row % cells for cells in block))
 
 
+def symmetric_setup(cfg, seed):
+    """Gain scalar and aggregate objective parameters of a symmetric study."""
+    beta = symmetric_beta(cfg, seed)
+    agg = aggregate_params(beta, signal_params(cfg), power_cost_params(cfg),
+                           cfg.m, cfg.k, cfg.c_fso)
+    return beta, agg
+
+
 def run_ee_surface(spec):
     """Objective surface over (n, m_of) for each fiber/FSO cost set.
 
@@ -146,7 +154,7 @@ def run_ee_surface(spec):
     optima = {}
     parts = []
     for mu_of, mu_fso in SURFACE_COST_SETS:
-        pc = power_cost_params(cfg, mu_of=mu_of, mu_fso=mu_fso)
+        pc = power_cost_params(replace(cfg, mu_of=mu_of, mu_fso=mu_fso))
         agg = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
         cells = grid_cells(agg, cfg.m, ns, cfg.k, cfg.b_s_hz, cfg.c_fso)
         optima[(mu_of, mu_fso)] = grid_search(cells)
@@ -173,9 +181,7 @@ def run_ee_vs_mof(spec):
     with the per-curve argmax recorded in the header.
     """
     cfg = spec.config
-    beta = symmetric_beta(cfg, spec.seed)
-    agg = aggregate_params(beta, signal_params(cfg), power_cost_params(cfg),
-                           cfg.m, cfg.k, cfg.c_fso)
+    beta, agg = symmetric_setup(cfg, spec.seed)
     nn, mm, ee, _ = grid_cells(agg, cfg.m, np.array(FIBER_COUNT_STUDY_NS),
                                cfg.k, cfg.b_s_hz, cfg.c_fso)
     curves = {n: (mm[i], ee[i]) for i, n in enumerate(FIBER_COUNT_STUDY_NS)}
@@ -206,8 +212,7 @@ def run_rate_cdf(spec):
     sig = signal_params(cfg)
     splits = compared_splits_for(cfg.m)
     # split x 1 x M capacities, broadcast over the drops of a block
-    caps = np.stack([FronthaulPlan.fso_first(cfg.m, m_of, cfg.c_fso,
-                                             max(1.0, n)).capacities()
+    caps = np.stack([FronthaulPlan.fso_first(cfg.m, m_of, cfg.c_fso, n).capacities()
                      for n, m_of in splits])[:, None, :]
     per_block = max(1, BLOCK_GAINS // (cfg.m * cfg.k))
     sums, users = [], []
@@ -249,7 +254,7 @@ def run_ee_vs_sumrate(spec):
     """Energy efficiency against sum rate, traced by sweeping transmit power.
 
     The swept control is the rho_u * eta product over SWEEP_RHO_ETA_W,
-    evaluated on the symmetric model for each compared split.
+    evaluated on the symmetric model for all compared splits at once.
 
     Returns {(n, m_of): array of (rho_eta_w, sum_rate, ee) rows}.
     """
@@ -260,24 +265,22 @@ def run_ee_vs_sumrate(spec):
     # eta = product / rho_u must stay within [0, 1]
     hi = min(hi, cfg.rho_u_w)
     sweep = np.linspace(lo, hi, count)
-    curves = {}
-    for n, m_of in compared_splits_for(cfg.m):
-        pts = []
-        for p in sweep:
-            sig = signal_params(cfg, eta=p / cfg.rho_u_w)
-            agg = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
-            sinr, power = symmetric_terms(max(1.0, n), m_of, agg, cfg.m,
-                                          cfg.c_fso)
-            rate = np.log2(1.0 + sinr)
-            pts.append((p, cfg.k * rate, cfg.k * cfg.b_s_hz * rate / power))
-        curves[(n, m_of)] = np.array(pts)
+    splits = compared_splits_for(cfg.m)
+    ns, mofs = (np.array(c) for c in zip(*splits))
+    ee, sum_rate = np.empty((2, len(splits), count))
+    for j, p in enumerate(sweep):
+        sig = signal_params(replace(cfg, eta=p / cfg.rho_u_w))
+        agg = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
+        ee[:, j], sum_rate[:, j] = symmetric_terms(ns, mofs, agg, cfg.m, cfg.k,
+                                                   cfg.b_s_hz, cfg.c_fso)
+    curves = {c: np.column_stack((sweep, sum_rate[i], ee[i]))
+              for i, c in enumerate(splits)}
 
-    ns, mofs = zip(*curves)
     write_table(spec.output_path,
                 [stamp(spec.scenario, spec.seed, cfg),
                  f"sweep rho_u*eta over [{_F % lo}, {_F % hi}] W, {count} points",
                  beta_line(beta, cfg)],
                 ("n", "m_of", "rho_eta_w", "sum_rate_bps_hz", "ee_bits_per_joule"),
                 (np.repeat(ns, count), np.repeat(mofs, count),
-                 *np.concatenate(list(curves.values())).T))
+                 np.tile(sweep, len(splits)), sum_rate.ravel(), ee.ravel()))
     return curves

@@ -194,9 +194,7 @@ def grid_cells(agg, m, n_range, k, b_s, c_fso):
     ns = np.asarray(n_range, dtype=float)
     mofs = np.arange(0, m + 1)
     nn, mm = np.meshgrid(ns, mofs, indexing="ij")
-    sinr, power = symmetric_terms(nn, mm, agg, m, c_fso)
-    rate = np.log2(1.0 + sinr)
-    return nn, mm, k * b_s * rate / power, k * rate
+    return (nn, mm) + symmetric_terms(nn, mm, agg, m, k, b_s, c_fso)
 
 
 def grid_search(cells):

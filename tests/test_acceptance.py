@@ -7,9 +7,9 @@ asserting, so failures carry their evidence.
 
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from fronthaul_planner.channel import (PathLossModel, ShadowingModel,
                                        generate_topology, large_scale_fading)
@@ -43,7 +43,7 @@ def report(name, ok, detail):
 
 def default_agg(beta=None, mu_of=0.03, mu_fso=0.003):
     sig = signal_params(CFG)
-    pc = power_cost_params(CFG, mu_of=mu_of, mu_fso=mu_fso)
+    pc = power_cost_params(replace(CFG, mu_of=mu_of, mu_fso=mu_fso))
     b = CFG.beta_scalar if beta is None else beta
     return aggregate_params(b, sig, pc, CFG.m, CFG.k, CFG.c_fso)
 

@@ -45,6 +45,17 @@ def test_topology_validation():
         NetworkTopology(np.array([[2000.0, 0.0]]), np.array([[1.0, 1.0]]), 1000.0)
     with pytest.raises(ValueError):
         NetworkTopology(np.empty((0, 2)), np.array([[1.0, 1.0]]), 1000.0)
+    # NaN positions and a non-finite area fail the range checks
+    nan = float("nan")
+    for ap, ue, side in (([[nan, 1.0]], [[2.0, 2.0]], 10.0),
+                         ([[1.0, 1.0]], [[2.0, nan]], 10.0),
+                         ([[1.0, 1.0]], [[2.0, 2.0]], nan),
+                         ([[1.0, 1.0]], [[2.0, 2.0]], np.inf)):
+        with pytest.raises(ValueError):
+            NetworkTopology(ap, ue, side)
+    for side in (nan, np.inf):
+        with pytest.raises(ValueError, match="area_side"):
+            generate_topology(2, 2, side, seed=0)
 
 
 def test_fixed_loss_constant_matches_reference():

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fronthaul_planner.cli import main
-from fronthaul_planner.config import (SystemConfig, effective_config_lines,
-                                      load_config, symmetric_beta)
+from fronthaul_planner.config import (_KEYS, SystemConfig,
+                                      effective_config_lines, load_config,
+                                      symmetric_beta)
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -65,6 +66,16 @@ def test_config_error_messages(tmp_path):
         load_config(str(path))
     with pytest.raises(FileNotFoundError):
         load_config(str(tmp_path / "missing.cfg"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(k for k, (_, typ, *_) in _KEYS.items()
+                                       if typ is float))
+def test_config_rejects_non_finite_values(key, value, tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ValueError, match=f"config value '{key}' must"):
+        load_config(str(path))
 
 
 def test_config_sha_stable_and_sensitive():
@@ -137,6 +148,16 @@ def test_cli_missing_config_is_runtime_error(capsys):
     rc = main(["optimize", "--config", "/nonexistent/path.cfg"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_non_finite_config_is_runtime_error(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("c_fso = nan\n")
+    rc = main(["optimize", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: config value 'c_fso'")
+    assert "ee_star" not in captured.out
 
 
 def test_cli_validate_small_run(tmp_path, capsys):

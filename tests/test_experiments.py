@@ -5,16 +5,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fronthaul_planner.config import SystemConfig, draw_fading, signal_params
+from fronthaul_planner.config import (SystemConfig, draw_fading,
+                                      power_cost_params, signal_params,
+                                      symmetric_beta)
+from fronthaul_planner.energy import aggregate_params, symmetric_terms
 from fronthaul_planner.experiments import (BLOCK_GAINS, BLOCK_ROWS,
                                            COMPARED_SPLITS,
                                            EmpiricalCdf, ExperimentSpec,
                                            FIBER_COUNT_STUDY_NS,
-                                           SURFACE_COST_SETS, compared_splits_for,
+                                           SURFACE_COST_SETS, SWEEP_RHO_ETA_W,
+                                           compared_splits_for,
                                            run_ee_surface, run_ee_vs_mof,
                                            run_ee_vs_sumrate, run_rate_cdf,
                                            write_table)
-from fronthaul_planner.fronthaul import FronthaulPlan, per_ap_distortions
+from fronthaul_planner.fronthaul import (FronthaulPlan, UplinkSignalParams,
+                                         per_ap_distortions)
 from fronthaul_planner.rate import achievable_rates
 from fronthaul_planner.seeds import derive_rng
 
@@ -182,6 +187,48 @@ def test_tradeoff_deterministic(tmp_path):
         run_ee_vs_sumrate(ExperimentSpec("ee_vs_sumrate", SMALL, seed=7,
                                          output_path=str(path)))
     assert a.read_bytes() == b.read_bytes()
+
+
+def plain_tradeoff(cfg, seed):
+    """The trade-off as a loop: per split and sweep point, one scalar call."""
+    beta = symmetric_beta(cfg, seed)
+    pc = power_cost_params(cfg)
+    lo, hi, count = SWEEP_RHO_ETA_W
+    sweep = np.linspace(lo, min(hi, cfg.rho_u_w), count)
+    curves = {}
+    for n, m_of in compared_splits_for(cfg.m):
+        pts = []
+        for p in sweep:
+            sig = UplinkSignalParams.symmetric(cfg.rho_u_w, p / cfg.rho_u_w,
+                                               cfg.noise_power_w, cfg.m, cfg.k)
+            agg = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
+            ee, sum_rate = symmetric_terms(n, m_of, agg, cfg.m, cfg.k,
+                                           cfg.b_s_hz, cfg.c_fso)
+            pts.append((p, sum_rate, ee))
+        curves[(n, m_of)] = np.array(pts)
+    return curves
+
+
+@pytest.mark.parametrize("cfg", [
+    SystemConfig(),
+    replace(SystemConfig(), beta_policy="geometric_mean"),
+    replace(SystemConfig(), m=37, k=5, rho_u_w=0.05),
+    replace(SystemConfig(), m=7, k=3, c_fso=0.5),
+], ids=["default", "geometric_mean", "m37_k5_rho50mw", "m7_k3_c0.5"])
+def test_tradeoff_stack_equals_per_split_loop(cfg, tmp_path):
+    for seed in range(4):
+        out = tmp_path / f"tradeoff{seed}.csv"
+        curves = run_ee_vs_sumrate(ExperimentSpec("ee_vs_sumrate", cfg,
+                                                  seed=seed,
+                                                  output_path=str(out)))
+        expected = plain_tradeoff(cfg, seed)
+        assert list(curves) == list(expected)
+        rows = []
+        for (n, m_of), pts in expected.items():
+            assert np.array_equal(curves[(n, m_of)], pts)
+            rows += [["%.9g" % n, str(m_of)] + ["%.9g" % v for v in pt]
+                     for pt in pts.tolist()]
+        assert read_csv(out)[2] == rows
 
 
 def test_geometric_mean_beta_policy(tmp_path):

@@ -1,0 +1,42 @@
+"""Every name a module imports is used: a stale import fails the suite."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted([*ROOT.glob("src/fronthaul_planner/*.py"),
+                  *ROOT.glob("tests/*.py")])
+
+
+def unused_imports(source):
+    """Names bound by import statements and never read; __all__ counts as use."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_imports_are_found():
+    source = "import os\nimport numpy as np\nfrom a import b, c\n__all__ = ['c']\nnp.x\n"
+    assert unused_imports(source) == [(1, "os"), (3, "b")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fronthaul_planner.channel import (PathLossModel, ShadowingModel,
                                       generate_topology, large_scale_fading)
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
-                                      ee_symmetric)
+                                      ee_symmetric, symmetric_terms)
 from fronthaul_planner.fronthaul import (UplinkSignalParams,
                                          received_signal_power)
 from fronthaul_planner.optimizer import optimal_n_closed_form
@@ -62,6 +62,21 @@ def test_n_step_beats_the_fine_grid(setup, data):
     assert 1.0 <= n <= 10.0
     grid = ee_symmetric(1.0 + 0.01 * np.arange(901), m_of, agg, m, k, b_s, c)
     assert ee_symmetric(n, m_of, agg, m, k, b_s, c) >= grid.max() * (1.0 - 1e-12)
+
+
+@SETTINGS
+@given(neighbourhood(), st.data())
+def test_symmetric_terms_on_a_stack_equal_each_pair(setup, data):
+    # the trade-off evaluates all compared splits in one vector call; each
+    # element must be bit for bit the scalar call on its pair alone
+    agg, m, k, c, b_s = setup
+    pairs = data.draw(st.lists(
+        st.tuples(st.floats(1.0, 10.0), st.one_of(st.just(0), st.integers(0, m))),
+        min_size=1, max_size=8))
+    ns, mofs = (np.array(v) for v in zip(*pairs))
+    ee, sum_rate = symmetric_terms(ns, mofs, agg, m, k, b_s, c)
+    for i, (n, m_of) in enumerate(pairs):
+        assert (ee[i], sum_rate[i]) == symmetric_terms(n, m_of, agg, m, k, b_s, c)
 
 
 @SETTINGS
