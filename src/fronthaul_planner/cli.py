@@ -80,9 +80,8 @@ def cmd_optimize(args):
     _echo_config(cfg, args.seed)
     beta, agg = symmetric_setup(cfg, args.seed)
     print(f"symmetric gain beta = {_F % beta} ({cfg.beta_policy})")
-    opt = alternating_optimize(agg, cfg.m, init_n=2.0, init_m_of=cfg.m // 2,
-                               max_iters=100, tol=1e-6,
-                               k=cfg.k, b_s=cfg.b_s_hz, c_fso=cfg.c_fso)
+    opt = alternating_optimize(agg, init_n=2.0, init_m_of=cfg.m // 2,
+                               max_iters=100, tol=1e-6)
     status = "converged" if opt.converged else "stopped at best seen"
     print(f"method = {opt.method} ({status})")
     _print_optimum(opt)
@@ -93,8 +92,7 @@ def cmd_grid(args):
     cfg = _load(args)
     _echo_config(cfg, args.seed)
     beta, agg = symmetric_setup(cfg, args.seed)
-    cells = grid_cells(agg, cfg.m, parse_range(*args.n), cfg.k, cfg.b_s_hz,
-                       cfg.c_fso)
+    cells = grid_cells(agg, parse_range(*args.n))
     opt = grid_search(cells)
     path = _outpath(args, "grid.csv")
     write_table(path, [stamp("grid", args.seed, cfg), beta_line(beta, cfg)],
@@ -106,28 +104,26 @@ def cmd_grid(args):
     return 0
 
 
-def _run_scenario(args, scenario, filename, runner, drops=1):
+def _run_scenario(args, scenario, runner, drops=1):
     cfg = _load(args)
     _echo_config(cfg, args.seed)
-    path = _outpath(args, filename)
-    spec = ExperimentSpec(scenario, cfg, drops, args.seed, path)
+    path = _outpath(args, f"{scenario}.csv")
+    spec = ExperimentSpec(cfg, drops, args.seed, path)
     runner(spec)
     print(f"{scenario} written to {path}")
     return 0
 
 
 def cmd_surface(args):
-    return _run_scenario(args, "ee_surface", "ee_surface.csv", run_ee_surface)
+    return _run_scenario(args, "ee_surface", run_ee_surface)
 
 
 def cmd_cdf(args):
-    return _run_scenario(args, "rate_cdf", "rate_cdf.csv", run_rate_cdf,
-                         drops=args.drops)
+    return _run_scenario(args, "rate_cdf", run_rate_cdf, drops=args.drops)
 
 
 def cmd_tradeoff(args):
-    return _run_scenario(args, "ee_vs_sumrate", "ee_vs_sumrate.csv",
-                         run_ee_vs_sumrate)
+    return _run_scenario(args, "ee_vs_sumrate", run_ee_vs_sumrate)
 
 
 def cmd_validate(args):

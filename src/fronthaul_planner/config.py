@@ -68,6 +68,11 @@ class SystemConfig:
             raise ValueError("config value 'eta' must lie in [0, 1]")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("config value 'theta' must lie in [0, 1]")
+        if self.mu_fso > self.mu_of:
+            raise ValueError("config value 'mu_fso' must not exceed 'mu_of'")
+        if self.p_fh_fso_w_per_gbps < self.p_fh_of_w_per_gbps:
+            raise ValueError("config value 'p_fh_fso_w_per_gbps' must be at "
+                             "least 'p_fh_of_w_per_gbps'")
         if self.d0_m >= self.d1_m:
             raise ValueError("config requires d0_m < d1_m")
         if self.m < 1 or self.k < 1:

@@ -47,13 +47,14 @@ class PowerCostParams:
 
 @dataclass(frozen=True)
 class AggregateParams:
-    """Scalars of the symmetric-network objective.
+    """Scalars of the symmetric-network objective and the network they model.
 
     l1 is the coherent-gain numerator scale and l2 the interference plus
     receiver-noise floor of the SINR. alpha_fso is the quantization penalty
     of one FSO link; a fiber at coefficient n contributes
     alpha_of / (2^(n c_fso) - 1). gamma_ep collects the link-independent
-    power, gamma_fso / gamma_of the per-link power-plus-cost rates.
+    power, gamma_fso / gamma_of the per-link power-plus-cost rates. m APs
+    serve k users over bandwidth b_s (Hz) with FSO capacity c_fso.
     """
 
     l1: float
@@ -63,6 +64,10 @@ class AggregateParams:
     gamma_ep: float
     gamma_fso: float
     gamma_of: float
+    m: int
+    k: int
+    b_s: float
+    c_fso: float
 
 
 def network_power(sig, pc, plan):
@@ -100,8 +105,11 @@ def aggregate_params(beta_scalar, sig, pc, m, k, c_fso):
     """Aggregate scalars for a symmetric network with gain beta_scalar.
 
     Requires equal power control and equal noise across the network; the
-    per-user and per-AP structure then collapses to seven scalars.
+    per-user and per-AP structure then collapses to seven scalars. m and k
+    must be the AP and user counts of sig; b_s is taken from pc.
     """
+    if (m, k) != (sig.m, sig.k):
+        raise ValueError("m and k must be the AP and user counts of sig")
     if beta_scalar <= 0:
         raise ValueError("beta_scalar must be positive")
     if c_fso <= 0:
@@ -118,10 +126,11 @@ def aggregate_params(beta_scalar, sig, pc, m, k, c_fso):
     gamma_ep = k * sig.rho_u * eta + m * (pc.p_circuit + pc.p0)
     gamma_fso = c_fso * (pc.b_s * pc.p_fh_fso * GBPS_PER_BPS + pc.mu_fso)
     gamma_of = c_fso * (pc.b_s * pc.p_fh_of * GBPS_PER_BPS + pc.mu_of)
-    return AggregateParams(l1, l2, alpha_fso, alpha_of, gamma_ep, gamma_fso, gamma_of)
+    return AggregateParams(l1, l2, alpha_fso, alpha_of, gamma_ep, gamma_fso,
+                           gamma_of, m, k, pc.b_s, c_fso)
 
 
-def symmetric_terms(n, m_of, agg, m, k, b_s, c_fso):
+def symmetric_terms(n, m_of, agg):
     """Energy efficiency (bits/J) and sum rate (bits/s/Hz) at (n, m_of).
 
     Vectorized over n and m_of (broadcasting); returns (ee, sum_rate). m_of = 0
@@ -132,7 +141,7 @@ def symmetric_terms(n, m_of, agg, m, k, b_s, c_fso):
     m_arr = np.asarray(m_of, dtype=float)
     if np.any(n_arr < 0):
         raise ValueError("n must be nonnegative")
-    if np.any((m_arr < 0) | (m_arr > m)):
+    if np.any((m_arr < 0) | (m_arr > agg.m)):
         raise ValueError("m_of must lie in [0, m]")
     if np.any((n_arr == 0) & (m_arr > 0)):
         raise ValueError("n = 0 with fiber links deployed is out of model")
@@ -143,15 +152,20 @@ def symmetric_terms(n, m_of, agg, m, k, b_s, c_fso):
     n_safe = np.where(m_b > 0, n_b, 1.0)
     with np.errstate(over="ignore"):
         fiber_gain = np.where(
-            m_b > 0, m_b * agg.alpha_of / (2.0 ** (n_safe * c_fso) - 1.0), 0.0)
-    sinr = agg.l1 / (agg.l2 + (m - m_b) * agg.alpha_fso + fiber_gain)
-    power = agg.gamma_ep + (m - m_b) * agg.gamma_fso + n_b * m_b * agg.gamma_of
+            m_b > 0, m_b * agg.alpha_of / (2.0 ** (n_safe * agg.c_fso) - 1.0), 0.0)
+    sinr = agg.l1 / (agg.l2 + (agg.m - m_b) * agg.alpha_fso + fiber_gain)
+    power = agg.gamma_ep + (agg.m - m_b) * agg.gamma_fso + n_b * m_b * agg.gamma_of
     del n_safe, fiber_gain  # grid-sized temporaries, freed before the rate arrays
     rate = np.log2(1.0 + sinr)
-    return k * b_s * rate / power, k * rate
+    return agg.k * agg.b_s * rate / power, agg.k * rate
 
 
 def ee_symmetric(n, m_of, agg, m, k, b_s, c_fso):
-    """Symmetric-network energy efficiency at (n, m_of), as symmetric_terms."""
-    out = symmetric_terms(n, m_of, agg, m, k, b_s, c_fso)[0]
+    """Symmetric-network energy efficiency at (n, m_of), as symmetric_terms.
+
+    m, k, b_s and c_fso restate the aggregate's network and must equal it.
+    """
+    if (m, k, b_s, c_fso) != (agg.m, agg.k, agg.b_s, agg.c_fso):
+        raise ValueError("(m, k, b_s, c_fso) does not match the aggregate's network")
+    out = symmetric_terms(n, m_of, agg)[0]
     return out if out.ndim else float(out)

@@ -18,8 +18,6 @@ from .optimizer import grid_cells, grid_search, parse_range
 from .rate import achievable_rates
 from .seeds import derive_rng
 
-SCENARIOS = ("ee_surface", "ee_vs_mof", "rate_cdf", "ee_vs_sumrate")
-
 # Fiber/FSO cost scenarios compared by the surface study: cheap fiber,
 # baseline, premium fiber.
 SURFACE_COST_SETS = ((0.01, 0.001), (0.03, 0.003), (0.05, 0.003))
@@ -55,17 +53,14 @@ def compared_splits_for(m):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One scenario run: which study, under which config, where to write."""
+    """One study run: under which config, with which seed, where to write."""
 
-    scenario: str
     config: SystemConfig
     drops: int = 200
     seed: int = 0
     output_path: str = "out.csv"
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario '{self.scenario}'")
         if self.drops < 1:
             raise ValueError("drops must be at least 1")
 
@@ -156,13 +151,13 @@ def run_ee_surface(spec):
     for mu_of, mu_fso in SURFACE_COST_SETS:
         pc = power_cost_params(replace(cfg, mu_of=mu_of, mu_fso=mu_fso))
         agg = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
-        cells = grid_cells(agg, cfg.m, ns, cfg.k, cfg.b_s_hz, cfg.c_fso)
+        cells = grid_cells(agg, ns)
         optima[(mu_of, mu_fso)] = grid_search(cells)
         size = cells[0].size
         parts.append((np.full(size, mu_of), np.full(size, mu_fso),
                       *(c.ravel() for c in cells)))
 
-    lines = [stamp(spec.scenario, spec.seed, cfg), beta_line(beta, cfg)]
+    lines = [stamp("ee_surface", spec.seed, cfg), beta_line(beta, cfg)]
     for (mu_of, mu_fso), opt in optima.items():
         lines.append(f"argmax mu_of={_F % mu_of} mu_fso={_F % mu_fso} "
                      f"n_star={_F % opt.n_star} m_of_star={opt.m_of_star} "
@@ -182,11 +177,10 @@ def run_ee_vs_mof(spec):
     """
     cfg = spec.config
     beta, agg = symmetric_setup(cfg, spec.seed)
-    nn, mm, ee, _ = grid_cells(agg, cfg.m, np.array(FIBER_COUNT_STUDY_NS),
-                               cfg.k, cfg.b_s_hz, cfg.c_fso)
+    nn, mm, ee, _ = grid_cells(agg, np.array(FIBER_COUNT_STUDY_NS))
     curves = {n: (mm[i], ee[i]) for i, n in enumerate(FIBER_COUNT_STUDY_NS)}
 
-    lines = [stamp(spec.scenario, spec.seed, cfg), beta_line(beta, cfg)]
+    lines = [stamp("ee_vs_mof", spec.seed, cfg), beta_line(beta, cfg)]
     for n, (mofs, ee_n) in curves.items():
         best = int(np.argmax(ee_n))
         lines.append(f"argmax n={_F % n} m_of_star={mofs[best]} "
@@ -240,7 +234,7 @@ def run_rate_cdf(spec):
     ns, mofs, kinds = zip(*keys)
     # an object column repeats references to two strings, not copies
     write_table(spec.output_path,
-                [stamp(spec.scenario, spec.seed, cfg),
+                [stamp("rate_cdf", spec.seed, cfg),
                  f"drops={spec.drops} common random drops across splits"],
                 ("n", "m_of", "kind", "value", "cum_prob"),
                 (np.repeat(ns, sizes), np.repeat(mofs, sizes),
@@ -262,6 +256,9 @@ def run_ee_vs_sumrate(spec):
     beta = symmetric_beta(cfg, spec.seed)
     pc = power_cost_params(cfg)
     lo, hi, count = SWEEP_RHO_ETA_W
+    if cfg.rho_u_w < lo:
+        raise ValueError("config value 'rho_u_mw' must be at least "
+                         f"{_F % (lo * 1e3)} mW for the power sweep")
     # eta = product / rho_u must stay within [0, 1]
     hi = min(hi, cfg.rho_u_w)
     sweep = np.linspace(lo, hi, count)
@@ -271,13 +268,12 @@ def run_ee_vs_sumrate(spec):
     for j, p in enumerate(sweep):
         sig = signal_params(replace(cfg, eta=p / cfg.rho_u_w))
         agg = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
-        ee[:, j], sum_rate[:, j] = symmetric_terms(ns, mofs, agg, cfg.m, cfg.k,
-                                                   cfg.b_s_hz, cfg.c_fso)
+        ee[:, j], sum_rate[:, j] = symmetric_terms(ns, mofs, agg)
     curves = {c: np.column_stack((sweep, sum_rate[i], ee[i]))
               for i, c in enumerate(splits)}
 
     write_table(spec.output_path,
-                [stamp(spec.scenario, spec.seed, cfg),
+                [stamp("ee_vs_sumrate", spec.seed, cfg),
                  f"sweep rho_u*eta over [{_F % lo}, {_F % hi}] W, {count} points",
                  beta_line(beta, cfg)],
                 ("n", "m_of", "rho_eta_w", "sum_rate_bps_hz", "ee_bits_per_joule"),

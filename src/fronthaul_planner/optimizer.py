@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ee_symmetric, symmetric_terms
+from .energy import symmetric_terms
 
 LN2 = math.log(2.0)
 
@@ -69,7 +69,7 @@ class FiberCountIntermediates:
 
 @dataclass(frozen=True)
 class PlanOptimum:
-    """Optimization outcome; method is one of closed-form, grid, alternating."""
+    """Optimization outcome; method is "grid" or "alternating"."""
 
     n_star: float
     m_of_star: int
@@ -78,18 +78,7 @@ class PlanOptimum:
     converged: bool = True
 
 
-def _ee(n, m_of, agg, m, c_fso):
-    # comparisons only need relative EE, so k = 1 and b_s = 1
-    return ee_symmetric(n, m_of, agg, m, 1, 1.0, c_fso)
-
-
-def _best_n(m_of, agg, m, c_fso):
-    # first maximizer of the objective on the N_STEP grid over [N_MIN, N_MAX]
-    ns = np.arange(N_MIN, N_MAX + N_STEP / 2, N_STEP)
-    return float(ns[np.argmax(_ee(ns, m_of, agg, m, c_fso))])
-
-
-def capacity_coeff_quadratic(m_of, agg, m, c_fso):
+def capacity_coeff_quadratic(m_of, agg):
     """Solve the capacity-coefficient stationarity quadratic for fixed m_of.
 
     Among real roots in (0, 1] the one with the higher objective wins and
@@ -99,9 +88,9 @@ def capacity_coeff_quadratic(m_of, agg, m, c_fso):
     """
     if m_of < 1:
         raise ValueError("capacity coefficient is immaterial without fiber links")
-    lam2 = agg.l2 + (m - m_of) * agg.alpha_fso
-    lam4 = agg.gamma_ep + (m - m_of) * agg.gamma_fso
-    lam1 = 2.443 + math.log2(lam2 / agg.l1) + lam4 * c_fso / (agg.gamma_of * m_of)
+    lam2 = agg.l2 + (agg.m - m_of) * agg.alpha_fso
+    lam4 = agg.gamma_ep + (agg.m - m_of) * agg.gamma_fso
+    lam1 = 2.443 + math.log2(lam2 / agg.l1) + lam4 * agg.c_fso / (agg.gamma_of * m_of)
     scale = agg.gamma_of * agg.alpha_of * m_of
     u1 = scale * (agg.alpha_of * m_of / lam2 - 1.0 / LN2)
     u2 = scale * lam1
@@ -117,19 +106,21 @@ def capacity_coeff_quadratic(m_of, agg, m, c_fso):
             sq = math.sqrt(disc)
             roots = [(-u2 + sq) / (2.0 * u1), (-u2 - sq) / (2.0 * u1)]
 
-    candidates = [(max(1.0, -math.log2(r) / c_fso), r) for r in roots if 0.0 < r <= 1.0]
+    candidates = [(max(1.0, -math.log2(r) / agg.c_fso), r)
+                  for r in roots if 0.0 < r <= 1.0]
     if candidates:
-        n_star, chi = max(candidates, key=lambda c: _ee(c[0], m_of, agg, m, c_fso))
+        n_star, chi = max(candidates,
+                          key=lambda c: symmetric_terms(c[0], m_of, agg)[0])
         fallback = False
     else:
-        n_star = _best_n(m_of, agg, m, c_fso)
+        n_star = optimal_n_closed_form(m_of, agg)
         chi = float("nan")
         fallback = True
     return CapacityCoeffIntermediates(lam1, lam2, lam4, u1, u2, u3,
                                       chi, float(n_star), fallback)
 
 
-def optimal_n_closed_form(m_of, agg, m, c_fso):
+def optimal_n_closed_form(m_of, agg):
     """Best fiber capacity coefficient at fixed m_of; nan when m_of = 0.
 
     Maximizes the exact symmetric objective over the N_STEP grid on
@@ -137,16 +128,17 @@ def optimal_n_closed_form(m_of, agg, m, c_fso):
     """
     if m_of == 0:
         return float("nan")
-    return _best_n(m_of, agg, m, c_fso)
+    ns = np.arange(N_MIN, N_MAX + N_STEP / 2, N_STEP)
+    return float(ns[np.argmax(symmetric_terms(ns, m_of, agg)[0])])
 
 
-def fiber_count_intermediates(n, agg, m, c_fso):
+def fiber_count_intermediates(n, agg):
     """kappa scalars and the unconstrained stationary fiber count at fixed n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    kappa1 = agg.l2 + m * agg.alpha_fso
-    kappa2 = agg.alpha_fso - agg.alpha_of / (2.0 ** (n * c_fso) - 1.0)
-    kappa3 = agg.gamma_ep + m * agg.gamma_fso
+    kappa1 = agg.l2 + agg.m * agg.alpha_fso
+    kappa2 = agg.alpha_fso - agg.alpha_of / (2.0 ** (n * agg.c_fso) - 1.0)
+    kappa3 = agg.gamma_ep + agg.m * agg.gamma_fso
     kappa4 = n * agg.gamma_of - agg.gamma_fso
     if kappa2 != 0.0 and kappa4 != 0.0:
         m_cont = (kappa1 * kappa4 - kappa2 * kappa3) / (2.0 * kappa2 * kappa4)
@@ -155,23 +147,23 @@ def fiber_count_intermediates(n, agg, m, c_fso):
     return FiberCountIntermediates(kappa1, kappa2, kappa3, kappa4, m_cont)
 
 
-def optimal_m_of_closed_form(n, agg, m, c_fso):
+def optimal_m_of_closed_form(n, agg):
     """Best fiber count at fixed n, by direct objective comparison.
 
     Candidates are the clamped floor/ceil of the stationary point plus both
     endpoints 0 and m; the endpoints decide degenerate cases (kappa2 or
     kappa4 zero) and ties go to the smaller, cheaper count.
     """
-    inter = fiber_count_intermediates(n, agg, m, c_fso)
-    candidates = {0, int(m)}
+    inter = fiber_count_intermediates(n, agg)
+    candidates = {0, int(agg.m)}
     if math.isfinite(inter.m_cont):
         lo = int(math.floor(inter.m_cont))
         hi = int(math.ceil(inter.m_cont))
-        candidates.update(c for c in (lo, hi) if 0 <= c <= m)
+        candidates.update(c for c in (lo, hi) if 0 <= c <= agg.m)
     best = min(candidates)
-    best_ee = _ee(float(n), best, agg, m, c_fso)
+    best_ee = symmetric_terms(float(n), best, agg)[0]
     for cand in sorted(candidates):
-        ee = _ee(float(n), cand, agg, m, c_fso)
+        ee = symmetric_terms(float(n), cand, agg)[0]
         if ee > best_ee:
             best, best_ee = cand, ee
     return best
@@ -185,16 +177,15 @@ def parse_range(lo, hi, step):
     return lo + step * np.arange(count)
 
 
-def grid_cells(agg, m, n_range, k, b_s, c_fso):
+def grid_cells(agg, n_range):
     """Exhaustive objective evaluation over {0..m} x n_range.
 
     Returns (n_grid, m_of_grid, ee, sum_rate) with shape
     (len(n_range), m + 1) each.
     """
     ns = np.asarray(n_range, dtype=float)
-    mofs = np.arange(0, m + 1)
-    nn, mm = np.meshgrid(ns, mofs, indexing="ij")
-    return (nn, mm) + symmetric_terms(nn, mm, agg, m, k, b_s, c_fso)
+    nn, mm = np.meshgrid(ns, np.arange(0, agg.m + 1), indexing="ij")
+    return (nn, mm) + symmetric_terms(nn, mm, agg)
 
 
 def grid_search(cells):
@@ -210,33 +201,32 @@ def grid_search(cells):
                        float(ee.ravel()[idx]), "grid")
 
 
-def alternating_optimize(agg, m, init_n, init_m_of, max_iters, tol, *,
-                         k, b_s, c_fso):
+def alternating_optimize(agg, init_n, init_m_of, max_iters, tol):
     """Joint optimum by alternating the two closed forms.
 
     Each half-step is accepted only if it does not decrease the objective;
     a decreasing step stops the loop at the best point seen. Runs until the
     pair is stationary (n within tol, m_of exact) or max_iters.
     """
-    if not 0 <= init_m_of <= m:
+    if not 0 <= init_m_of <= agg.m:
         raise ValueError("init_m_of must lie in [0, m]")
     if init_n < 1:
         raise ValueError("init_n must be at least 1")
     n, m_of = float(init_n), int(init_m_of)
-    ee = ee_symmetric(n, m_of, agg, m, k, b_s, c_fso)
+    ee = float(symmetric_terms(n, m_of, agg)[0])
     converged = False
     for _ in range(max_iters):
         n_prev, m_prev = n, m_of
 
         if m_of > 0:
-            n_cand = optimal_n_closed_form(m_of, agg, m, c_fso)
-            ee_cand = ee_symmetric(n_cand, m_of, agg, m, k, b_s, c_fso)
+            n_cand = optimal_n_closed_form(m_of, agg)
+            ee_cand = float(symmetric_terms(n_cand, m_of, agg)[0])
             if ee_cand < ee:
                 break
             n, ee = n_cand, ee_cand
 
-        m_cand = optimal_m_of_closed_form(n, agg, m, c_fso)
-        ee_cand = ee_symmetric(n, m_cand, agg, m, k, b_s, c_fso)
+        m_cand = optimal_m_of_closed_form(n, agg)
+        ee_cand = float(symmetric_terms(n, m_cand, agg)[0])
         if ee_cand < ee:
             break
         m_of, ee = m_cand, ee_cand

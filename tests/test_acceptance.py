@@ -61,7 +61,7 @@ def neighborhood_setup(rng):
                          max(pfh_of, 0.3 * p(0.7, 1.3)), pfh_of,
                          0.003 * p(0.7, 1.3), 0.03 * p(0.7, 1.3),
                          20e6 * p(0.7, 1.3))
-    return aggregate_params(beta, sig, pc, m, k, c), m, k, c, pc.b_s
+    return aggregate_params(beta, sig, pc, m, k, c)
 
 
 def test_a1_grid_optimum_location():
@@ -75,8 +75,7 @@ def test_a1_grid_optimum_location():
     """
     start = time.monotonic()
     agg = default_agg()
-    opt = grid_search(grid_cells(agg, CFG.m, parse_range(1.0, 10.0, 0.1),
-                                 CFG.k, CFG.b_s_hz, CFG.c_fso))
+    opt = grid_search(grid_cells(agg, parse_range(1.0, 10.0, 0.1)))
     elapsed = time.monotonic() - start
 
     ee_row = ee_symmetric(2.0, np.arange(CFG.m + 1), agg, CFG.m, CFG.k,
@@ -101,9 +100,8 @@ def test_a2_all_fso_threshold():
     rows = []
     ok = True
     for n in (8.0, 8.5, 9.0, 10.0):
-        closed = optimal_m_of_closed_form(n, agg, CFG.m, CFG.c_fso)
-        _, mm, ee, _ = grid_cells(agg, CFG.m, np.array([n]), CFG.k,
-                                  CFG.b_s_hz, CFG.c_fso)
+        closed = optimal_m_of_closed_form(n, agg)
+        _, mm, ee, _ = grid_cells(agg, np.array([n]))
         oracle = int(mm.ravel()[np.argmax(ee.ravel())])
         rows.append(f"n={n}: closed={closed} grid={oracle}")
         ok = ok and closed == 0 and oracle == 0
@@ -113,8 +111,8 @@ def test_a2_all_fso_threshold():
 def test_a3_equal_capacity_degeneracy():
     """A3: at n = 1 the link-penalty difference cancels exactly and fiber count is 0."""
     agg = default_agg()
-    inter = fiber_count_intermediates(1.0, agg, CFG.m, CFG.c_fso)
-    closed = optimal_m_of_closed_form(1.0, agg, CFG.m, CFG.c_fso)
+    inter = fiber_count_intermediates(1.0, agg)
+    closed = optimal_m_of_closed_form(1.0, agg)
     ok = inter.kappa2 == 0.0 and closed == 0
     report("A3 equal-capacity degeneracy", ok,
            f"kappa2={inter.kappa2!r} (exact zero required), m_of*={closed}")
@@ -196,23 +194,23 @@ def test_a6_closed_forms_vs_grid_oracles():
     total = 100
     n_misses = []
     for _ in range(total):
-        agg, m, k, c, b_s = neighborhood_setup(rng)
+        agg = neighborhood_setup(rng)
         n_fix = float(rng.uniform(1.0, 6.0))
-        m_fix = int(rng.integers(1, m + 1))
+        m_fix = int(rng.integers(1, agg.m + 1))
 
-        closed_m = optimal_m_of_closed_form(n_fix, agg, m, c)
-        _, mm, ee, _ = grid_cells(agg, m, np.array([n_fix]), k, b_s, c)
+        closed_m = optimal_m_of_closed_form(n_fix, agg)
+        _, mm, ee, _ = grid_cells(agg, np.array([n_fix]))
         oracle_m = int(mm.ravel()[np.argmax(ee.ravel())])
         ok_m += abs(closed_m - oracle_m) <= 2
 
-        step_n = optimal_n_closed_form(m_fix, agg, m, c)
-        _, _, ee_n, _ = grid_cells(agg, m, n_fine, k, b_s, c)
+        step_n = optimal_n_closed_form(m_fix, agg)
+        _, _, ee_n, _ = grid_cells(agg, n_fine)
         oracle_n = float(n_fine[np.argmax(ee_n[:, m_fix])])
         if abs(step_n - oracle_n) <= 0.25:
             ok_n += 1
         else:
             n_misses.append(f"n-step {step_n:.2f} vs grid {oracle_n:.2f}")
-        quad = capacity_coeff_quadratic(m_fix, agg, m, c).n_star
+        quad = capacity_coeff_quadratic(m_fix, agg).n_star
         quad_n += abs(quad - oracle_n) <= 0.25
 
     detail = (f"fiber-count closed form within +-2 of grid: {ok_m}/{total}; "
@@ -242,8 +240,7 @@ def test_a7_rate_distortion_identity():
 
 
 def _cdf_dominance_for_seed(seed, drops=200):
-    spec = ExperimentSpec("rate_cdf", CFG, drops=drops, seed=seed,
-                          output_path="/dev/null")
+    spec = ExperimentSpec(CFG, drops=drops, seed=seed, output_path="/dev/null")
     res = run_rate_cdf(spec)
     ref = res[(2.0, 48)][0]
     fails = [f"({n:g},{m_of})" for (n, m_of), (cdf, _) in res.items()
@@ -265,7 +262,7 @@ def test_a8a_cdf_dominance():
 
 def test_a8b_tradeoff_ordering():
     """A8b: at matched sum-rate, EE strictly decreases with the coefficient n."""
-    spec = ExperimentSpec("ee_vs_sumrate", CFG, seed=0, output_path="/dev/null")
+    spec = ExperimentSpec(CFG, seed=0, output_path="/dev/null")
     curves = run_ee_vs_sumrate(spec)
     splits = list(curves)
     lo = max(pts[:, 1].min() for pts in curves.values())
@@ -287,7 +284,7 @@ def test_a8b_tradeoff_ordering():
 
 def test_a8c_cost_sensitivity():
     """A8c: cheaper fiber shifts the optimum toward strictly more fiber."""
-    spec = ExperimentSpec("ee_surface", CFG, seed=0, output_path="/dev/null")
+    spec = ExperimentSpec(CFG, seed=0, output_path="/dev/null")
     optima = run_ee_surface(spec)
     cheap = optima[(0.01, 0.001)].m_of_star
     premium = optima[(0.05, 0.003)].m_of_star

@@ -160,6 +160,40 @@ def test_cli_non_finite_config_is_runtime_error(tmp_path, capsys):
     assert "ee_star" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["cdf", "optimize"])
+@pytest.mark.parametrize("text, keys", [
+    ("mu_fso = 0.05\n", ("'mu_fso'", "'mu_of'")),
+    ("p_fh_fso_w_per_gbps = 0.1\n",
+     ("'p_fh_fso_w_per_gbps'", "'p_fh_of_w_per_gbps'")),
+])
+def test_cli_rejects_link_ordering_for_every_command(command, text, keys,
+                                                     tmp_path, capsys):
+    # FSO links deploy cheaper and burn more power per bit than fiber
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text(text)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: config value")
+    assert all(key in err for key in keys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_tradeoff_rejects_power_below_the_sweep(tmp_path, capsys):
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text("rho_u_mw = 0.5\n")
+    out = tmp_path / "out"
+    rc = main(["tradeoff", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: config value 'rho_u_mw' must be at least 1 mW "
+        "for the power sweep\n")
+    assert not (out / "ee_vs_sumrate.csv").exists()
+    cfg.write_text("rho_u_mw = 1\n")
+    assert main(["tradeoff", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "ee_vs_sumrate.csv").exists()
+
+
 def test_cli_validate_small_run(tmp_path, capsys):
     cfg = tmp_path / "v.cfg"
     cfg.write_text("m = 20\nk = 4\n")

@@ -1,12 +1,13 @@
 """Tests for power, cost, energy efficiency and the symmetric objective."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fronthaul_planner.energy import (AggregateParams, PowerCostParams,
-                                      aggregate_params, ee_symmetric,
-                                      energy_efficiency, fronthaul_cost,
-                                      network_power)
+from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
+                                      ee_symmetric, energy_efficiency,
+                                      fronthaul_cost, network_power)
 from fronthaul_planner.fronthaul import (FronthaulPlan, UplinkSignalParams,
                                          per_ap_distortions)
 from fronthaul_planner.rate import RateResult, achievable_rates
@@ -95,6 +96,21 @@ def test_aggregate_requires_symmetry():
         aggregate_params(1e-12, sig, PowerCostParams(), 3, 2, 2.0)
 
 
+@pytest.mark.parametrize("m, k", [(50, 10), (100, 5)])
+def test_aggregate_rejects_network_other_than_sig(m, k):
+    sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, 100, 10)
+    with pytest.raises(ValueError, match="AP and user counts"):
+        aggregate_params(1.1e-12, sig, PowerCostParams(), m, k, 2.0)
+
+
+@pytest.mark.parametrize("network", [(60, 10, 20e6, 2.0), (100, 9, 20e6, 2.0),
+                                     (100, 10, 10e6, 2.0), (100, 10, 20e6, 3.0)])
+def test_ee_symmetric_rejects_network_other_than_aggregate(network):
+    _, _, agg = default_setup()
+    with pytest.raises(ValueError, match="aggregate's network"):
+        ee_symmetric(2.0, 48, agg, *network)
+
+
 def test_power_cost_validation():
     with pytest.raises(ValueError):
         PowerCostParams(mu_fso=0.05, mu_of=0.03)
@@ -165,9 +181,8 @@ def test_ee_magnitude_in_expected_regime():
 def test_ee_scaling_in_power_terms():
     _, _, agg = default_setup()
     ee = ee_symmetric(2.0, 40, agg, 100, 10, 20e6, 2.0)
-    scaled = AggregateParams(agg.l1, agg.l2, agg.alpha_fso, agg.alpha_of,
-                             3.0 * agg.gamma_ep, 3.0 * agg.gamma_fso,
-                             3.0 * agg.gamma_of)
+    scaled = replace(agg, gamma_ep=3.0 * agg.gamma_ep,
+                     gamma_fso=3.0 * agg.gamma_fso, gamma_of=3.0 * agg.gamma_of)
     assert ee_symmetric(2.0, 40, scaled, 100, 10, 20e6, 2.0) == pytest.approx(
         ee / 3.0, rel=1e-12)
 
@@ -175,9 +190,6 @@ def test_ee_scaling_in_power_terms():
 def test_ee_decreasing_in_endpoint_power():
     _, _, agg = default_setup()
     gammas = np.linspace(agg.gamma_ep, 4.0 * agg.gamma_ep, 8)
-    ees = [ee_symmetric(2.0, 40,
-                        AggregateParams(agg.l1, agg.l2, agg.alpha_fso,
-                                        agg.alpha_of, g, agg.gamma_fso,
-                                        agg.gamma_of),
-                        100, 10, 20e6, 2.0) for g in gammas]
+    ees = [ee_symmetric(2.0, 40, replace(agg, gamma_ep=g), 100, 10, 20e6, 2.0)
+           for g in gammas]
     assert np.all(np.diff(ees) < 0)

@@ -66,14 +66,12 @@ def test_empirical_cdf_dominance():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ExperimentSpec("warp", SMALL)
-    with pytest.raises(ValueError):
-        ExperimentSpec("rate_cdf", SMALL, drops=0)
+        ExperimentSpec(SMALL, drops=0)
 
 
 def test_ee_surface_outputs_and_cost_ordering(tmp_path):
     out = tmp_path / "surface.csv"
-    spec = ExperimentSpec("ee_surface", SystemConfig(), seed=3,
+    spec = ExperimentSpec(SystemConfig(), seed=3,
                           output_path=str(out))
     optima = run_ee_surface(spec)
     assert set(optima) == set(SURFACE_COST_SETS)
@@ -93,7 +91,7 @@ def test_ee_surface_outputs_and_cost_ordering(tmp_path):
 def test_ee_surface_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
-        run_ee_surface(ExperimentSpec("ee_surface", SMALL, seed=11,
+        run_ee_surface(ExperimentSpec(SMALL, seed=11,
                                       output_path=str(path)))
     assert a.read_bytes() == b.read_bytes()
 
@@ -102,7 +100,7 @@ def test_rate_cdf_runs_and_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     results = []
     for path in (a, b):
-        spec = ExperimentSpec("rate_cdf", SMALL, drops=20, seed=5,
+        spec = ExperimentSpec(SMALL, drops=20, seed=5,
                               output_path=str(path))
         results.append(run_rate_cdf(spec))
     assert a.read_bytes() == b.read_bytes()
@@ -115,7 +113,7 @@ def test_rate_cdf_runs_and_is_deterministic(tmp_path):
         assert np.all(np.diff(sum_cdf.values) >= 0)
         assert sum_cdf.probs[-1] == 1.0
     # different seed shifts the samples
-    other = run_rate_cdf(ExperimentSpec("rate_cdf", SMALL, drops=20, seed=6,
+    other = run_rate_cdf(ExperimentSpec(SMALL, drops=20, seed=6,
                                         output_path=str(tmp_path / "c.csv")))
     best = splits[0]
     assert not np.array_equal(other[best][0].values, res[best][0].values)
@@ -131,7 +129,7 @@ WIDE = replace(SystemConfig(), m=200, k=100)
 ])
 def test_rate_cdf_blocks_equal_per_drop_evaluation(cfg, drops, tmp_path):
     assert (cfg.m * cfg.k > BLOCK_GAINS) == (cfg is WIDE)
-    res = run_rate_cdf(ExperimentSpec("rate_cdf", cfg, drops=drops, seed=9,
+    res = run_rate_cdf(ExperimentSpec(cfg, drops=drops, seed=9,
                                       output_path=str(tmp_path / "cdf.csv")))
     sig = signal_params(cfg)
     gains = [draw_fading(cfg, derive_rng(9, "drop", i))[1].beta
@@ -151,7 +149,7 @@ def test_rate_cdf_blocks_equal_per_drop_evaluation(cfg, drops, tmp_path):
 
 def test_rate_cdf_csv_schema(tmp_path):
     out = tmp_path / "cdf.csv"
-    run_rate_cdf(ExperimentSpec("rate_cdf", SMALL, drops=5, seed=1,
+    run_rate_cdf(ExperimentSpec(SMALL, drops=5, seed=1,
                                 output_path=str(out)))
     header, columns, rows = read_csv(out)
     assert columns == ["n", "m_of", "kind", "value", "cum_prob"]
@@ -162,7 +160,7 @@ def test_rate_cdf_csv_schema(tmp_path):
 
 def test_tradeoff_curves_and_zero_power_limit(tmp_path):
     out = tmp_path / "tradeoff.csv"
-    spec = ExperimentSpec("ee_vs_sumrate", SystemConfig(), seed=2,
+    spec = ExperimentSpec(SystemConfig(), seed=2,
                           output_path=str(out))
     curves = run_ee_vs_sumrate(spec)
     assert set(curves) == set(COMPARED_SPLITS)
@@ -184,7 +182,7 @@ def test_tradeoff_curves_and_zero_power_limit(tmp_path):
 def test_tradeoff_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
-        run_ee_vs_sumrate(ExperimentSpec("ee_vs_sumrate", SMALL, seed=7,
+        run_ee_vs_sumrate(ExperimentSpec(SMALL, seed=7,
                                          output_path=str(path)))
     assert a.read_bytes() == b.read_bytes()
 
@@ -202,8 +200,7 @@ def plain_tradeoff(cfg, seed):
             sig = UplinkSignalParams.symmetric(cfg.rho_u_w, p / cfg.rho_u_w,
                                                cfg.noise_power_w, cfg.m, cfg.k)
             agg = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
-            ee, sum_rate = symmetric_terms(n, m_of, agg, cfg.m, cfg.k,
-                                           cfg.b_s_hz, cfg.c_fso)
+            ee, sum_rate = symmetric_terms(n, m_of, agg)
             pts.append((p, sum_rate, ee))
         curves[(n, m_of)] = np.array(pts)
     return curves
@@ -218,7 +215,7 @@ def plain_tradeoff(cfg, seed):
 def test_tradeoff_stack_equals_per_split_loop(cfg, tmp_path):
     for seed in range(4):
         out = tmp_path / f"tradeoff{seed}.csv"
-        curves = run_ee_vs_sumrate(ExperimentSpec("ee_vs_sumrate", cfg,
+        curves = run_ee_vs_sumrate(ExperimentSpec(cfg,
                                                   seed=seed,
                                                   output_path=str(out)))
         expected = plain_tradeoff(cfg, seed)
@@ -236,7 +233,7 @@ def test_geometric_mean_beta_policy(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     for out in (out_a, out_b):
-        run_ee_surface(ExperimentSpec("ee_surface", cfg, seed=4,
+        run_ee_surface(ExperimentSpec(cfg, seed=4,
                                       output_path=str(out)))
     assert out_a.read_bytes() == out_b.read_bytes()
     # the derived scalar is recorded in the header
@@ -246,7 +243,7 @@ def test_geometric_mean_beta_policy(tmp_path):
 
 def test_ee_vs_mof_curves(tmp_path):
     out = tmp_path / "mof.csv"
-    spec = ExperimentSpec("ee_vs_mof", SystemConfig(), seed=0,
+    spec = ExperimentSpec(SystemConfig(), seed=0,
                           output_path=str(out))
     curves = run_ee_vs_mof(spec)
     assert set(curves) == set(FIBER_COUNT_STUDY_NS)
@@ -259,7 +256,7 @@ def test_ee_vs_mof_curves(tmp_path):
     assert len(rows) == len(FIBER_COUNT_STUDY_NS) * 101
     assert sum("argmax" in line for line in header) == len(FIBER_COUNT_STUDY_NS)
     again = tmp_path / "mof2.csv"
-    run_ee_vs_mof(ExperimentSpec("ee_vs_mof", SystemConfig(), seed=0,
+    run_ee_vs_mof(ExperimentSpec(SystemConfig(), seed=0,
                                  output_path=str(again)))
     assert out.read_bytes() == again.read_bytes()
 

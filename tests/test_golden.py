@@ -49,7 +49,7 @@ DIGESTS = {
 def test_csv_bytes_unchanged(name, seed, tmp_path, capsys):
     path = tmp_path / name
     if name == "ee_vs_mof.csv":
-        run_ee_vs_mof(ExperimentSpec("ee_vs_mof", SystemConfig(), seed=seed,
+        run_ee_vs_mof(ExperimentSpec(SystemConfig(), seed=seed,
                                      output_path=str(path)))
     else:
         assert main(COMMANDS[name] + ["--seed", str(seed),

@@ -1,12 +1,12 @@
 """Tests for the closed-form optima, grid oracle and alternating loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fronthaul_planner.energy import (AggregateParams, PowerCostParams,
-                                      aggregate_params)
+from fronthaul_planner.energy import PowerCostParams, aggregate_params
 from fronthaul_planner.fronthaul import UplinkSignalParams
 from fronthaul_planner.optimizer import (alternating_optimize,
                                          capacity_coeff_quadratic,
@@ -26,7 +26,7 @@ def default_agg(beta=1.1e-12, mu_of=0.03, mu_fso=0.003):
 
 
 def grid_optimum(agg, lo, hi, step):
-    return grid_search(grid_cells(agg, M, parse_range(lo, hi, step), K, BS, C))
+    return grid_search(grid_cells(agg, parse_range(lo, hi, step)))
 
 
 def neighborhood_agg(rng):
@@ -43,17 +43,17 @@ def neighborhood_agg(rng):
                          max(pfh_of, 0.3 * p(0.7, 1.3)), pfh_of,
                          0.003 * p(0.7, 1.3), 0.03 * p(0.7, 1.3),
                          20e6 * p(0.7, 1.3))
-    return aggregate_params(beta, sig, pc, m, k, c), m, k, c, pc.b_s
+    return aggregate_params(beta, sig, pc, m, k, c)
 
 
-def grid_argmax_m_of(n, agg, m, k, b_s, c):
-    nn, mm, ee, _ = grid_cells(agg, m, np.array([n]), k, b_s, c)
+def grid_argmax_m_of(n, agg):
+    nn, mm, ee, _ = grid_cells(agg, np.array([n]))
     return int(mm.ravel()[np.argmax(ee.ravel())])
 
 
-def fine_grid_argmax_n(m_of, agg, m, k, b_s, c):
+def fine_grid_argmax_n(m_of, agg):
     ns = 1.0 + 0.01 * np.arange(901)
-    nn, mm, ee, _ = grid_cells(agg, m, ns, k, b_s, c)
+    nn, mm, ee, _ = grid_cells(agg, ns)
     col = ee[:, m_of]
     return float(ns[np.argmax(col)])
 
@@ -61,7 +61,7 @@ def fine_grid_argmax_n(m_of, agg, m, k, b_s, c):
 def test_quadratic_root_residual():
     agg = default_agg()
     for m_of in (5, 30, 48, 77, 100):
-        inter = capacity_coeff_quadratic(m_of, agg, M, C)
+        inter = capacity_coeff_quadratic(m_of, agg)
         if math.isnan(inter.chi):
             continue
         residual = inter.u1 * inter.chi ** 2 + inter.u2 * inter.chi + inter.u3
@@ -71,42 +71,42 @@ def test_quadratic_root_residual():
 
 def test_optimal_n_sentinel_without_fiber():
     agg = default_agg()
-    assert math.isnan(optimal_n_closed_form(0, agg, M, C))
+    assert math.isnan(optimal_n_closed_form(0, agg))
     with pytest.raises(ValueError):
-        capacity_coeff_quadratic(0, agg, M, C)
+        capacity_coeff_quadratic(0, agg)
 
 
 def test_optimal_n_reasonable_at_full_fiber():
     agg = default_agg()
-    n = capacity_coeff_quadratic(100, agg, M, C).n_star
-    true_n = fine_grid_argmax_n(100, agg, M, K, BS, C)
+    n = capacity_coeff_quadratic(100, agg).n_star
+    true_n = fine_grid_argmax_n(100, agg)
     assert n >= 1.0
     assert abs(n - true_n) < 0.25
 
 
 def test_fiber_count_degenerate_equal_capacity():
     agg = default_agg()
-    inter = fiber_count_intermediates(1.0, agg, M, C)
+    inter = fiber_count_intermediates(1.0, agg)
     # at n = 1 the two link penalties cancel exactly
     assert inter.kappa2 == 0.0
     assert math.isnan(inter.m_cont)
-    assert optimal_m_of_closed_form(1.0, agg, M, C) == 0
+    assert optimal_m_of_closed_form(1.0, agg) == 0
 
 
 def test_fiber_count_closed_form_tracks_grid_on_reference():
     agg = default_agg()
     for n in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0):
-        closed = optimal_m_of_closed_form(n, agg, M, C)
-        oracle = grid_argmax_m_of(n, agg, M, K, BS, C)
+        closed = optimal_m_of_closed_form(n, agg)
+        oracle = grid_argmax_m_of(n, agg)
         assert abs(closed - oracle) <= 2
 
 
 def test_fiber_count_all_fso_for_large_n():
     agg = default_agg()
     for n in (8.0, 9.0, 10.0):
-        assert optimal_m_of_closed_form(n, agg, M, C) == 0
+        assert optimal_m_of_closed_form(n, agg) == 0
     with pytest.raises(ValueError):
-        optimal_m_of_closed_form(0.5, agg, M, C)
+        optimal_m_of_closed_form(0.5, agg)
 
 
 def test_fiber_count_degenerate_power_crossover():
@@ -117,10 +117,10 @@ def test_fiber_count_degenerate_power_crossover():
     agg = aggregate_params(1.1e-12, sig, pc, M, K, C)
     n_cross = agg.gamma_fso / agg.gamma_of
     assert n_cross >= 1.0
-    inter = fiber_count_intermediates(n_cross, agg, M, C)
+    inter = fiber_count_intermediates(n_cross, agg)
     assert inter.kappa4 == pytest.approx(0.0, abs=1e-18)
-    closed = optimal_m_of_closed_form(n_cross, agg, M, C)
-    oracle = grid_argmax_m_of(n_cross, agg, M, K, BS, C)
+    closed = optimal_m_of_closed_form(n_cross, agg)
+    oracle = grid_argmax_m_of(n_cross, agg)
     assert abs(closed - oracle) <= 2
 
 
@@ -129,10 +129,10 @@ def test_fiber_count_closed_form_vs_grid_random_family():
     agree = 0
     total = 40
     for _ in range(total):
-        agg, m, k, c, b_s = neighborhood_agg(rng)
+        agg = neighborhood_agg(rng)
         n = float(rng.uniform(1.0, 6.0))
-        closed = optimal_m_of_closed_form(n, agg, m, c)
-        oracle = grid_argmax_m_of(n, agg, m, k, b_s, c)
+        closed = optimal_m_of_closed_form(n, agg)
+        oracle = grid_argmax_m_of(n, agg)
         agree += abs(closed - oracle) <= 2
     assert agree >= int(0.95 * total)
 
@@ -190,8 +190,8 @@ def test_grid_deterministic():
 def test_alternating_reaches_grid_neighborhood():
     agg = default_agg()
     grid = grid_optimum(agg, 1.0, 10.0, 0.1)
-    alt = alternating_optimize(agg, M, init_n=5.0, init_m_of=10,
-                               max_iters=100, tol=1e-6, k=K, b_s=BS, c_fso=C)
+    alt = alternating_optimize(agg, init_n=5.0, init_m_of=10,
+                               max_iters=100, tol=1e-6)
     assert abs(alt.n_star - grid.n_star) <= 1.0
     assert abs(alt.m_of_star - grid.m_of_star) <= 1
     assert alt.method == "alternating"
@@ -201,27 +201,26 @@ def test_alternating_fixed_point_and_monotonicity():
     from fronthaul_planner.energy import ee_symmetric
 
     agg = default_agg()
-    first = alternating_optimize(agg, M, init_n=5.0, init_m_of=10,
-                                 max_iters=100, tol=1e-6, k=K, b_s=BS, c_fso=C)
+    first = alternating_optimize(agg, init_n=5.0, init_m_of=10,
+                                 max_iters=100, tol=1e-6)
     ee_init = ee_symmetric(5.0, 10, agg, M, K, BS, C)
     assert first.ee_star >= ee_init
     # restarting at the result terminates immediately at the same point
-    again = alternating_optimize(agg, M, init_n=first.n_star,
+    again = alternating_optimize(agg, init_n=first.n_star,
                                  init_m_of=first.m_of_star,
-                                 max_iters=100, tol=1e-6, k=K, b_s=BS, c_fso=C)
+                                 max_iters=100, tol=1e-6)
     assert again.ee_star >= first.ee_star - 1e-12
     assert abs(again.n_star - first.n_star) <= 1e-6 or again.ee_star > first.ee_star
 
 
 def test_argmax_invariant_to_power_scaling():
     agg = default_agg()
-    scaled = AggregateParams(agg.l1, agg.l2, agg.alpha_fso, agg.alpha_of,
-                             5.0 * agg.gamma_ep, 5.0 * agg.gamma_fso,
-                             5.0 * agg.gamma_of)
+    scaled = replace(agg, gamma_ep=5.0 * agg.gamma_ep,
+                     gamma_fso=5.0 * agg.gamma_fso, gamma_of=5.0 * agg.gamma_of)
     a = grid_optimum(agg, 1.0, 10.0, 0.1)
     b = grid_optimum(scaled, 1.0, 10.0, 0.1)
     assert (a.n_star, a.m_of_star) == (b.n_star, b.m_of_star)
     assert b.ee_star == pytest.approx(a.ee_star / 5.0, rel=1e-12)
     for n in (2.0, 5.0):
-        assert (optimal_m_of_closed_form(n, agg, M, C)
-                == optimal_m_of_closed_form(n, scaled, M, C))
+        assert (optimal_m_of_closed_form(n, agg)
+                == optimal_m_of_closed_form(n, scaled))

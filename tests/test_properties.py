@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fronthaul_planner.channel import (PathLossModel, ShadowingModel,
                                       generate_topology, large_scale_fading)
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
-                                      ee_symmetric, symmetric_terms)
+                                      symmetric_terms)
 from fronthaul_planner.fronthaul import (UplinkSignalParams,
                                          received_signal_power)
 from fronthaul_planner.optimizer import optimal_n_closed_form
@@ -26,7 +26,7 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 @st.composite
 def neighbourhood(draw):
-    """(agg, m, k, c_fso, b_s) near the reference configuration."""
+    """Aggregate parameters of a network near the reference configuration."""
     p = lambda: draw(st.floats(0.7, 1.3))
     m = draw(st.integers(50, 150))
     k = draw(st.integers(5, 20))
@@ -36,47 +36,44 @@ def neighbourhood(draw):
     pfh_of = 0.25 * p()
     pc = PowerCostParams(0.2 * p(), 0.825 * p(), max(pfh_of, 0.3 * p()),
                          pfh_of, 0.003 * p(), 0.03 * p(), 20e6 * p())
-    return aggregate_params(beta, sig, pc, m, k, c), m, k, c, pc.b_s
+    return aggregate_params(beta, sig, pc, m, k, c)
 
 
 @SETTINGS
 @given(neighbourhood(), st.floats(1.0, 10.0))
-def test_best_fiber_count_is_an_endpoint(setup, n):
+def test_best_fiber_count_is_an_endpoint(agg, n):
     # at fixed n the objective is a convex function of m_of over a positive
     # affine one, hence quasi-convex: no interior split beats both endpoints
     # (up to rounding, which can tie an interior point on a flat objective).
     # This is why A1's interior target (2, 48) is out of this model's reach.
-    agg, m, k, c, b_s = setup
-    ee = ee_symmetric(n, np.arange(m + 1), agg, m, k, b_s, c)
-    assert max(ee[0], ee[m]) >= ee.max() * (1.0 - 1e-12)
+    ee = symmetric_terms(n, np.arange(agg.m + 1), agg)[0]
+    assert max(ee[0], ee[agg.m]) >= ee.max() * (1.0 - 1e-12)
 
 
 @SETTINGS
 @given(neighbourhood(), st.data())
-def test_n_step_beats_the_fine_grid(setup, data):
+def test_n_step_beats_the_fine_grid(agg, data):
     # the n-step's promise: at fixed m_of, no coefficient of the 0.01 grid
     # over [1, 10] does better
-    agg, m, k, c, b_s = setup
-    m_of = data.draw(st.integers(1, m))
-    n = optimal_n_closed_form(m_of, agg, m, c)
+    m_of = data.draw(st.integers(1, agg.m))
+    n = optimal_n_closed_form(m_of, agg)
     assert 1.0 <= n <= 10.0
-    grid = ee_symmetric(1.0 + 0.01 * np.arange(901), m_of, agg, m, k, b_s, c)
-    assert ee_symmetric(n, m_of, agg, m, k, b_s, c) >= grid.max() * (1.0 - 1e-12)
+    grid = symmetric_terms(1.0 + 0.01 * np.arange(901), m_of, agg)[0]
+    assert symmetric_terms(n, m_of, agg)[0] >= grid.max() * (1.0 - 1e-12)
 
 
 @SETTINGS
 @given(neighbourhood(), st.data())
-def test_symmetric_terms_on_a_stack_equal_each_pair(setup, data):
+def test_symmetric_terms_on_a_stack_equal_each_pair(agg, data):
     # the trade-off evaluates all compared splits in one vector call; each
     # element must be bit for bit the scalar call on its pair alone
-    agg, m, k, c, b_s = setup
     pairs = data.draw(st.lists(
-        st.tuples(st.floats(1.0, 10.0), st.one_of(st.just(0), st.integers(0, m))),
+        st.tuples(st.floats(1.0, 10.0), st.one_of(st.just(0), st.integers(0, agg.m))),
         min_size=1, max_size=8))
     ns, mofs = (np.array(v) for v in zip(*pairs))
-    ee, sum_rate = symmetric_terms(ns, mofs, agg, m, k, b_s, c)
+    ee, sum_rate = symmetric_terms(ns, mofs, agg)
     for i, (n, m_of) in enumerate(pairs):
-        assert (ee[i], sum_rate[i]) == symmetric_terms(n, m_of, agg, m, k, b_s, c)
+        assert (ee[i], sum_rate[i]) == symmetric_terms(n, m_of, agg)
 
 
 @SETTINGS
