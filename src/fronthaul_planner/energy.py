@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rate import rate_from_sinr
+
 # Link capacities are carried in bits/s/Hz; bandwidth * capacity is bps and
 # the traffic-dependent power is specified per Gbps.
 GBPS_PER_BPS = 1e-9
@@ -93,12 +95,12 @@ def fronthaul_cost(plan, pc):
     return float(np.sum(plan.capacities() * mu))
 
 
-def energy_efficiency(rates, p_net, omega, b_s):
-    """Energy efficiency in bits per Joule."""
+def energy_efficiency(sum_rate, p_net, omega, b_s):
+    """Energy efficiency in bits per Joule of a sum rate in bits/s/Hz."""
     den = p_net + omega
     if den <= 0:
         raise ValueError("power plus cost must be positive")
-    return b_s * rates.sum_rate / den
+    return b_s * sum_rate / den
 
 
 def aggregate_params(beta_scalar, sig, pc, m, k, c_fso):
@@ -135,7 +137,8 @@ def symmetric_terms(n, m_of, agg):
 
     Vectorized over n and m_of (broadcasting); returns (ee, sum_rate). m_of = 0
     makes both independent of n; n = 0 with m_of > 0 is rejected (a
-    zero-capacity fiber has unbounded distortion).
+    zero-capacity fiber has unbounded distortion), and so is any cell whose
+    power plus cost is not positive.
     """
     n_arr = np.asarray(n, dtype=float)
     m_arr = np.asarray(m_of, dtype=float)
@@ -155,8 +158,10 @@ def symmetric_terms(n, m_of, agg):
             m_b > 0, m_b * agg.alpha_of / (2.0 ** (n_safe * agg.c_fso) - 1.0), 0.0)
     sinr = agg.l1 / (agg.l2 + (agg.m - m_b) * agg.alpha_fso + fiber_gain)
     power = agg.gamma_ep + (agg.m - m_b) * agg.gamma_fso + n_b * m_b * agg.gamma_of
+    if np.any(power <= 0):
+        raise ValueError("power plus cost must be positive")
     del n_safe, fiber_gain  # grid-sized temporaries, freed before the rate arrays
-    rate = np.log2(1.0 + sinr)
+    rate = rate_from_sinr(sinr)
     return agg.k * agg.b_s * rate / power, agg.k * rate
 
 

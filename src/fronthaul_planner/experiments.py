@@ -65,40 +65,6 @@ class ExperimentSpec:
             raise ValueError("drops must be at least 1")
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalCdf:
-    """Empirical distribution: sorted sample values and cumulative steps."""
-
-    values: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "probs", p)
-        if v.size == 0:
-            raise ValueError("need at least one sample")
-        if v.shape != p.shape or np.any(np.diff(v) < 0):
-            raise ValueError("values must be sorted and aligned with probs")
-        if np.any(np.diff(p) <= 0) or p[-1] != 1.0 or p[0] <= 0:
-            raise ValueError("probs must increase to exactly 1")
-
-    @classmethod
-    def from_samples(cls, samples):
-        v = np.sort(np.asarray(samples, dtype=float))
-        if v.size == 0:
-            raise ValueError("need at least one sample")
-        p = np.arange(1, v.size + 1) / v.size
-        return cls(v, p)
-
-    def dominates(self, other):
-        """First-order dominance: every quantile at least as large."""
-        if self.values.size != other.values.size:
-            raise ValueError("dominance check needs equal sample counts")
-        return bool(np.all(self.values >= other.values))
-
-
 def stamp(scenario, seed, config):
     """First provenance line of an output table: scenario tag, seed, config hash."""
     return f"scenario={scenario} seed={seed} config_sha={config.sha()}"
@@ -198,9 +164,10 @@ def run_rate_cdf(spec):
     from derive_rng(seed, "drop", i). Drops are evaluated in blocks of at
     most BLOCK_GAINS gain entries: one (B, M, K) gain stack per block, with
     all S splits at once as an (S, B, M) distortion stack and an (S, B, K)
-    rate stack. The results do not depend on the block size.
+    rate stack. The results do not depend on the block size. The i-th of s
+    sorted values of a CDF has cumulative probability i / s.
 
-    Returns {(n, m_of): (sum_rate_cdf, per_user_cdf)}.
+    Returns {(n, m_of): (sorted sum rates, sorted per-user rates)}.
     """
     cfg = spec.config
     sig = signal_params(cfg)
@@ -217,21 +184,16 @@ def run_rate_cdf(spec):
         dist = quantization_noise_var(received_signal_power(fading.beta, sig),
                                       caps)
         rates = achievable_rates(fading.beta, sig, dist)
-        sums.append(rates.sum_rate)
-        users.append(rates.per_user_rate.reshape(len(splits), -1))
-    sums = np.concatenate(sums, axis=1)
-    users = np.concatenate(users, axis=1)
+        sums.append(rates.sum(axis=-1))
+        users.append(rates.reshape(len(splits), -1))
+    sums = np.sort(np.concatenate(sums, axis=1))
+    users = np.sort(np.concatenate(users, axis=1))
+    result = {c: (sums[j], users[j]) for j, c in enumerate(splits)}
 
-    result = {c: (EmpiricalCdf.from_samples(sums[j]),
-                  EmpiricalCdf.from_samples(users[j]))
-              for j, c in enumerate(splits)}
-
-    keys, cdfs = [], []
-    for (n, m_of), (cdf_s, cdf_u) in result.items():
-        keys += [(n, m_of, "sum_rate"), (n, m_of, "per_user_rate")]
-        cdfs += [cdf_s, cdf_u]
-    sizes = [cdf.values.size for cdf in cdfs]
-    ns, mofs, kinds = zip(*keys)
+    cdfs = [v for pair in result.values() for v in pair]
+    sizes = [v.size for v in cdfs]
+    ns, mofs, kinds = zip(*((n, m_of, kind) for n, m_of in splits
+                            for kind in ("sum_rate", "per_user_rate")))
     # an object column repeats references to two strings, not copies
     write_table(spec.output_path,
                 [stamp("rate_cdf", spec.seed, cfg),
@@ -239,8 +201,8 @@ def run_rate_cdf(spec):
                 ("n", "m_of", "kind", "value", "cum_prob"),
                 (np.repeat(ns, sizes), np.repeat(mofs, sizes),
                  np.repeat(np.array(kinds, dtype=object), sizes),
-                 np.concatenate([cdf.values for cdf in cdfs]),
-                 np.concatenate([cdf.probs for cdf in cdfs])))
+                 np.concatenate(cdfs),
+                 np.concatenate([np.arange(1, s + 1) / s for s in sizes])))
     return result
 
 
@@ -256,8 +218,8 @@ def run_ee_vs_sumrate(spec):
     beta = symmetric_beta(cfg, spec.seed)
     pc = power_cost_params(cfg)
     lo, hi, count = SWEEP_RHO_ETA_W
-    if cfg.rho_u_w < lo:
-        raise ValueError("config value 'rho_u_mw' must be at least "
+    if cfg.rho_u_w <= lo:
+        raise ValueError("config value 'rho_u_mw' must exceed "
                          f"{_F % (lo * 1e3)} mW for the power sweep")
     # eta = product / rho_u must stay within [0, 1]
     hi = min(hi, cfg.rho_u_w)

@@ -60,29 +60,6 @@ class SinrBreakdown:
         return rate_from_sinr(self.sinr)
 
 
-@dataclass(frozen=True, eq=False)
-class RateResult:
-    """Per-user achievable rates in bits/s/Hz.
-
-    per_user_rate has one entry per user on its last axis; leading axes, if
-    any, index a stack of drops or splits.
-    """
-
-    per_user_rate: np.ndarray
-
-    def __post_init__(self):
-        r = np.atleast_1d(np.asarray(self.per_user_rate, dtype=float))
-        object.__setattr__(self, "per_user_rate", r)
-        if np.any(r < 0):
-            raise ValueError("rates must be nonnegative")
-
-    @property
-    def sum_rate(self):
-        """Sum over users: a float, or an array over the leading axes."""
-        total = np.sum(self.per_user_rate, axis=-1)
-        return total if total.ndim else float(total)
-
-
 def rate_from_sinr(gamma):
     """Achievable rate log2(1 + gamma) in bits/s/Hz."""
     g = np.asarray(gamma, dtype=float)
@@ -135,8 +112,8 @@ def per_user_sinrs(beta, sig, distortions):
 
 
 def achievable_rates(beta, sig, distortions):
-    """Per-user rates through the closed-form SINR."""
-    return RateResult(rate_from_sinr(per_user_sinrs(beta, sig, distortions)))
+    """Per-user rates (..., K) in bits/s/Hz through the closed-form SINR."""
+    return rate_from_sinr(per_user_sinrs(beta, sig, distortions))
 
 
 def _pairs(scale):

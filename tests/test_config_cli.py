@@ -180,18 +180,43 @@ def test_cli_rejects_link_ordering_for_every_command(command, text, keys,
 
 
 def test_cli_tradeoff_rejects_power_below_the_sweep(tmp_path, capsys):
+    # at 1 mW the sweep would start and end at the same power
     cfg = tmp_path / "low.cfg"
-    cfg.write_text("rho_u_mw = 0.5\n")
     out = tmp_path / "out"
-    rc = main(["tradeoff", "--config", str(cfg), "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err == (
-        "error: config value 'rho_u_mw' must be at least 1 mW "
-        "for the power sweep\n")
-    assert not (out / "ee_vs_sumrate.csv").exists()
-    cfg.write_text("rho_u_mw = 1\n")
+    for value in ("0.5", "1"):
+        cfg.write_text(f"rho_u_mw = {value}\n")
+        rc = main(["tradeoff", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: config value 'rho_u_mw' must exceed 1 mW "
+            "for the power sweep\n")
+        assert not (out / "ee_vs_sumrate.csv").exists()
+    cfg.write_text("rho_u_mw = 2\n")
     assert main(["tradeoff", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "ee_vs_sumrate.csv").exists()
+
+
+# Every value in range, but the all-FSO network draws no power and costs
+# nothing, so its energy efficiency would be 0/0.
+ZERO_POWER = """eta = 0
+p_circuit_w = 0
+p_fronthaul_const_w = 0
+p_fh_fso_w_per_gbps = 0
+p_fh_of_w_per_gbps = 0
+mu_fso = 0
+"""
+
+
+@pytest.mark.parametrize("command", ["optimize", "grid"])
+def test_cli_rejects_a_network_without_power(command, tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(ZERO_POWER)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: power plus cost must be positive\n")
+    assert not (out / "grid.csv").exists()
 
 
 def test_cli_validate_small_run(tmp_path, capsys):

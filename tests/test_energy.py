@@ -7,10 +7,11 @@ import pytest
 
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       ee_symmetric, energy_efficiency,
-                                      fronthaul_cost, network_power)
+                                      fronthaul_cost, network_power,
+                                      symmetric_terms)
 from fronthaul_planner.fronthaul import (FronthaulPlan, UplinkSignalParams,
                                          per_ap_distortions)
-from fronthaul_planner.rate import RateResult, achievable_rates
+from fronthaul_planner.rate import achievable_rates
 
 NOISE_W = 6.36241029449455e-13
 
@@ -62,12 +63,11 @@ def test_fronthaul_cost_split_invariant_at_equal_prices():
 
 
 def test_energy_efficiency_basic():
-    rates = RateResult(np.array([2.0, 1.0]))
-    assert energy_efficiency(rates, 50.0, 10.0, 20e6) == pytest.approx(1e6)
-    assert energy_efficiency(rates, 110.0, 10.0, 20e6) == pytest.approx(0.5e6)
-    assert energy_efficiency(RateResult(np.zeros(2)), 50.0, 10.0, 20e6) == 0.0
+    assert energy_efficiency(3.0, 50.0, 10.0, 20e6) == pytest.approx(1e6)
+    assert energy_efficiency(3.0, 110.0, 10.0, 20e6) == pytest.approx(0.5e6)
+    assert energy_efficiency(0.0, 50.0, 10.0, 20e6) == 0.0
     with pytest.raises(ValueError):
-        energy_efficiency(rates, 0.0, 0.0, 20e6)
+        energy_efficiency(3.0, 0.0, 0.0, 20e6)
 
 
 def test_aggregate_reference_values():
@@ -136,6 +136,19 @@ def test_ee_symmetric_rejects_zero_n_with_fiber():
     ee_symmetric(0.0, 0, agg, 100, 10, 20e6, 2.0)
 
 
+def test_symmetric_terms_rejects_cells_without_power():
+    # no UE, circuit or link power and free FSO links: an all-FSO cell
+    # consumes nothing, while fiber still costs mu_of
+    sig = UplinkSignalParams.symmetric(0.1, 0.0, NOISE_W, 100, 10)
+    pc = PowerCostParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.03)
+    agg = aggregate_params(1.1e-12, sig, pc, 100, 10, 2.0)
+    assert symmetric_terms(2.0, 48, agg)[0] == 0.0
+    with pytest.raises(ValueError, match="power plus cost must be positive"):
+        symmetric_terms(2.0, 0, agg)
+    with pytest.raises(ValueError, match="power plus cost must be positive"):
+        symmetric_terms(2.0, np.arange(101), agg)
+
+
 def test_ee_symmetric_vanishes_for_huge_n():
     # rate saturates while power grows linearly in n, so EE decays like 1/n
     _, _, agg = default_setup()
@@ -155,7 +168,8 @@ def test_ee_symmetric_matches_general_pipeline():
     plan = FronthaulPlan.fso_first(m, m_of, c, n)
     dist = per_ap_distortions(np.full((m, k), beta), sig, plan)
     rates = achievable_rates(np.full((m, k), beta), sig, dist)
-    ee_general = energy_efficiency(rates, network_power(sig, pc, plan),
+    ee_general = energy_efficiency(float(np.sum(rates)),
+                                   network_power(sig, pc, plan),
                                    fronthaul_cost(plan, pc), pc.b_s)
     ee_agg = ee_symmetric(n, m_of, agg, m, k, pc.b_s, c)
     assert abs(ee_general - ee_agg) / ee_agg < 1e-12

@@ -10,8 +10,7 @@ from fronthaul_planner.config import (SystemConfig, draw_fading,
                                       symmetric_beta)
 from fronthaul_planner.energy import aggregate_params, symmetric_terms
 from fronthaul_planner.experiments import (BLOCK_GAINS, BLOCK_ROWS,
-                                           COMPARED_SPLITS,
-                                           EmpiricalCdf, ExperimentSpec,
+                                           COMPARED_SPLITS, ExperimentSpec,
                                            FIBER_COUNT_STUDY_NS,
                                            SURFACE_COST_SETS, SWEEP_RHO_ETA_W,
                                            compared_splits_for,
@@ -38,30 +37,6 @@ def read_csv(path):
         else:
             rows.append(line.split(","))
     return header, columns, rows
-
-
-def test_empirical_cdf_properties():
-    cdf = EmpiricalCdf.from_samples([3.0, 1.0, 2.0])
-    assert np.array_equal(cdf.values, [1.0, 2.0, 3.0])
-    assert np.array_equal(cdf.probs, [1 / 3, 2 / 3, 1.0])
-    with pytest.raises(ValueError):
-        EmpiricalCdf.from_samples([])
-
-
-def test_empirical_cdf_constant_sample_is_step():
-    cdf = EmpiricalCdf.from_samples(np.full(10, 4.2))
-    assert np.all(cdf.values == 4.2)
-    assert cdf.probs[-1] == 1.0
-    assert np.all(np.diff(cdf.probs) > 0)
-
-
-def test_empirical_cdf_dominance():
-    lo = EmpiricalCdf.from_samples([1.0, 2.0, 3.0])
-    hi = EmpiricalCdf.from_samples([1.5, 2.5, 3.5])
-    assert hi.dominates(lo)
-    assert not lo.dominates(hi)
-    with pytest.raises(ValueError):
-        hi.dominates(EmpiricalCdf.from_samples([1.0]))
 
 
 def test_spec_validation():
@@ -107,16 +82,15 @@ def test_rate_cdf_runs_and_is_deterministic(tmp_path):
     res = results[0]
     splits = compared_splits_for(SMALL.m)
     assert set(res) == set(splits)
-    for sum_cdf, user_cdf in res.values():
-        assert sum_cdf.values.size == 20
-        assert user_cdf.values.size == 20 * SMALL.k
-        assert np.all(np.diff(sum_cdf.values) >= 0)
-        assert sum_cdf.probs[-1] == 1.0
+    for sums, users in res.values():
+        assert sums.size == 20
+        assert users.size == 20 * SMALL.k
+        assert np.all(np.diff(sums) >= 0)
     # different seed shifts the samples
     other = run_rate_cdf(ExperimentSpec(SMALL, drops=20, seed=6,
                                         output_path=str(tmp_path / "c.csv")))
     best = splits[0]
-    assert not np.array_equal(other[best][0].values, res[best][0].values)
+    assert not np.array_equal(other[best][0], res[best][0])
 
 
 # M K beyond the block budget: every block holds a single drop
@@ -140,11 +114,10 @@ def test_rate_cdf_blocks_equal_per_drop_evaluation(cfg, drops, tmp_path):
         for beta in gains:
             rates = achievable_rates(beta, sig,
                                      per_ap_distortions(beta, sig, plan))
-            sums.append(rates.sum_rate)
-            users.extend(rates.per_user_rate.tolist())
-        sum_cdf, user_cdf = res[(n, m_of)]
-        assert np.array_equal(sum_cdf.values, np.sort(sums))
-        assert np.array_equal(user_cdf.values, np.sort(users))
+            sums.append(rates.sum())
+            users.extend(rates.tolist())
+        assert np.array_equal(res[(n, m_of)][0], np.sort(sums))
+        assert np.array_equal(res[(n, m_of)][1], np.sort(users))
 
 
 def test_rate_cdf_csv_schema(tmp_path):
@@ -156,6 +129,13 @@ def test_rate_cdf_csv_schema(tmp_path):
     kinds = {r[2] for r in rows}
     assert kinds == {"sum_rate", "per_user_rate"}
     assert len(rows) == len(COMPARED_SPLITS) * (5 + 5 * SMALL.k)
+    blocks = {}
+    for r in rows:
+        blocks.setdefault(tuple(r[:3]), []).append(r[4])
+    assert len(blocks) == 2 * len(COMPARED_SPLITS)
+    for probs in blocks.values():
+        s = len(probs)
+        assert probs == ["%.9g" % (i / s) for i in range(1, s + 1)]
 
 
 def test_tradeoff_curves_and_zero_power_limit(tmp_path):

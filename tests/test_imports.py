@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import fronthaul_planner
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*ROOT.glob("src/fronthaul_planner/*.py"),
                   *ROOT.glob("tests/*.py")])
@@ -40,3 +42,8 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in fronthaul_planner.__all__
+            if not hasattr(fronthaul_planner, name)] == []
