@@ -14,8 +14,8 @@ from .config import SystemConfig, load_config, symmetric_beta
 from .energy import (AggregateParams, PowerCostParams, aggregate_params,
                      ee_symmetric, energy_efficiency, fronthaul_cost,
                      network_power)
-from .experiments import (ExperimentSpec, run_ee_surface, run_ee_vs_mof,
-                          run_ee_vs_sumrate, run_rate_cdf)
+from .experiments import (ExperimentSpec, run_ee_surface, run_ee_vs_sumrate,
+                          run_rate_cdf)
 from .fronthaul import (FronthaulPlan, UplinkSignalParams, per_ap_distortions,
                         quantization_noise_var, received_signal_power)
 from .optimizer import (PlanOptimum, alternating_optimize, grid_search,
@@ -35,6 +35,5 @@ __all__ = [
     "network_power", "optimal_m_of_closed_form", "optimal_n_closed_form",
     "path_loss_db", "per_ap_distortions", "quantization_noise_var",
     "rate_from_sinr", "received_signal_power", "run_ee_surface",
-    "run_ee_vs_mof", "run_ee_vs_sumrate", "run_rate_cdf", "sinr_closed_form",
-    "symmetric_beta",
+    "run_ee_vs_sumrate", "run_rate_cdf", "sinr_closed_form", "symmetric_beta",
 ]

@@ -5,6 +5,7 @@ byte-identical CSV files. Output files start with a provenance comment
 carrying the scenario tag, the seed and a hash of the effective config.
 """
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,14 +30,12 @@ COMPARED_SPLITS = ((2.0, 48), (3.0, 30), (4.0, 20), (7.0, 5), (8.0, 0))
 # Transmit-power sweep of the trade-off study: rho_u * eta product in Watt.
 SWEEP_RHO_ETA_W = (0.001, 0.1, 100)
 
-# Capacity coefficients compared by the fiber-count study.
-FIBER_COUNT_STUDY_NS = (1.0, 2.0, 3.0, 4.0, 7.0, 8.0)
-
 _F = "%.9g"
 
-# Rows formatted per block by write_table; formatting a whole table at once
-# would hold the text of every row in memory.
-BLOCK_ROWS = 1024
+# Rows rendered per block by write_table. A block's temporaries peak at about
+# 350 bytes per row of four float columns (1.4 MB here), whatever the
+# table's length.
+BLOCK_ROWS = 4096
 
 # Gain entries (drops x M x K) per block of drops in run_rate_cdf; a block
 # holds at least one drop. Sized for memory: a block's stacks and their
@@ -78,20 +77,194 @@ def beta_line(beta, cfg):
 def write_table(path, provenance, names, columns):
     """Write a CSV table: '# ' provenance lines, a header row, then the columns.
 
-    columns are equal-length numpy arrays; integers print as integers,
-    strings as they are and floats as %.9g.
+    columns are equal-length numpy arrays. A float prints as '%.9g' and any
+    other value as '%s' of its Python scalar (what .tolist() gives), so the
+    bytes are those of the plain row loop: row % cells for each row. numpy
+    renders them in blocks of BLOCK_ROWS rows (_render_block).
     """
-    row = ",".join(_F if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    rows = len(columns[0])
+    if any(len(c) != rows for c in columns):
+        raise ValueError("table columns must have equal lengths")
+    fmts = [_F if c.dtype.kind == "f" else "%s" for c in columns]
+    head = "".join(f"# {line}\n" for line in provenance) + ",".join(names) + "\n"
     try:
-        fh = open(path, "w", newline="")
+        fh = open(path, "wb")
     except OSError as exc:
         raise OSError(f"cannot write experiment output '{path}': {exc}") from exc
     with fh:
-        fh.writelines(f"# {line}\n" for line in provenance)
-        fh.write(",".join(names) + "\n")
-        for start in range(0, len(columns[0]), BLOCK_ROWS):
-            block = zip(*(c[start:start + BLOCK_ROWS].tolist() for c in columns))
-            fh.write("".join(row % cells for cells in block))
+        fh.write(head.encode())
+        for start in range(0, rows, BLOCK_ROWS):
+            fh.write(_render_block([c[start:start + BLOCK_ROWS] for c in columns],
+                                   fmts))
+
+
+def _render_block(block, fmts):
+    """CSV bytes of a block of rows.
+
+    Each column's cells become the rows of a byte matrix: text, separator,
+    then padding bytes 0xFF, which UTF-8 text never holds. The matrices
+    side by side, with the padding dropped, are the block's rows. A run of
+    identical consecutive values is rendered once and repeated.
+    """
+    n = len(block[0])
+    texts = []
+    for j, (col, fmt) in enumerate(zip(block, fmts)):
+        starts = _run_starts(col)
+        text = _cell_text(col[starts] if len(starts) < n else col, fmt,
+                          b"\n" if j == len(block) - 1 else b",")
+        if len(starts) < n:
+            run = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+            text = text.take(run, axis=0)
+        texts.append(text)
+    rows = np.concatenate(texts, axis=1)
+    return rows[rows != _PAD]
+
+
+def _run_starts(col):
+    """Index of the first value of each run of identical consecutive values.
+
+    Values are identical when their bits are, so -0.0 and 0.0 differ; in an
+    object column, when they are the same object.
+    """
+    if col.dtype.hasobject:
+        same = np.frompyfunc(operator.is_, 2, 1)(col[1:], col[:-1]).astype(bool)
+    else:
+        raw = np.ascontiguousarray(col)
+        if raw.itemsize in (1, 2, 4, 8):
+            bits = raw.view(f"u{raw.itemsize}")
+            same = bits[1:] == bits[:-1]
+        else:
+            raw = raw.view(np.uint8).reshape(len(col), -1)
+            same = (raw[1:] == raw[:-1]).all(axis=1)
+    return np.flatnonzero(np.concatenate(([True], ~same)))
+
+
+def _cell_text(values, fmt, sep):
+    """Rows of a byte matrix: each value's text, then sep, then _PAD bytes.
+
+    Floats, and integers below 1e9 in magnitude (whose '%s' is their '%.9g'),
+    go through _float_text. Python formats what it leaves undecided and every
+    other value, as fmt % (value,).
+    """
+    kind = values.dtype.kind
+    if kind in "iu" or kind == "f" and values.itemsize <= 8:
+        x = values.astype(np.float64)
+        text, ok = _float_text(x, sep)
+        if kind != "f":
+            ok &= np.abs(x) < 1e9
+        rest = np.flatnonzero(~ok)
+    else:
+        text = np.empty((len(values), 0), np.uint8)
+        rest = np.arange(len(values))
+    if rest.size:
+        cells = [(fmt % (v,)).encode() + sep for v in values[rest].tolist()]
+        width = max(map(len, cells))
+        if width > text.shape[1]:
+            text = np.pad(text, ((0, 0), (0, width - text.shape[1])),
+                          constant_values=_PAD)
+        text[rest] = np.frombuffer(b"".join(c.ljust(text.shape[1], b"\xff") for c in cells),
+                                   np.uint8).reshape(len(cells), -1)
+    return text
+
+
+def _float_text(x, sep):
+    """'%.9g' text of float64 values, followed by sep and _PAD bytes, where
+    numpy can decide it.
+
+    With e = floor(log10|x|), corrected by one where needed, the scaled
+    s = |x| 10^(8 - e) lies in [1e8, 1e9) within about 1e-6, so rint(s) is
+    the correctly rounded 9-digit mantissa unless s is within 1e-4 of a tie.
+    The text is laid out from the digits by the class of its value (see
+    _text_layouts). Returns the byte matrix and the mask of the values
+    decided: not those near a tie, zero, non-finite or of magnitude outside
+    (1e-280, 1e280). The rows of the others hold other text.
+    """
+    a = np.abs(x)
+    ok = (a > 1e-280) & (a < 1e280)
+    a[~ok] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    s = a * _POW10.take(_POW10_ZERO + 8 - e)
+    off = (s >= 1e9).astype(np.intp) - (s < 1e8)
+    if off.any():
+        e += off
+        s = a * _POW10.take(_POW10_ZERO + 8 - e)
+    r = np.rint(s)
+    ok &= (np.abs(s - r) < 0.4999) & (r >= 1e8) & (r <= 1e9)
+    r[~ok] = 1e8
+    carry = r == 1e9
+    r[carry] = 1e8
+    e += carry
+    # three groups of three digits, and the trailing zeros of all nine
+    lo = r.astype(np.intp)
+    mid = lo // 1000
+    hi = mid // 1000
+    lo -= mid * 1000
+    mid -= hi * 1000
+    zeros = _ZEROS3.take(lo) + (lo == 0) * (
+        _ZEROS3.take(mid) + (mid == 0) * _ZEROS3.take(hi))
+    cls = _EXP_CLASS.take(e + _POW10_ZERO) - 2 * zeros + (x < 0)
+    n = len(x)
+    src = np.empty((6, n), np.uint32)
+    for row, group in enumerate((hi, mid, lo, np.abs(e))):
+        _DIGITS4.take(group, out=src[row])
+    src[4] = _SYMBOLS
+    src[5] = np.frombuffer(sep + b"\xff" * 3, np.uint32)[0]
+    # source byte b of row k of value i is at 4 * (k * n + i) + b
+    layout = _LAYOUT[:, :_LENGTH.take(cls).max() + 1]
+    idx = (layout // 4 * (4 * n) + layout % 4).take(cls, axis=0)
+    idx += 4 * np.arange(n)[:, None]
+    return src.view(np.uint8).ravel().take(idx), ok
+
+
+def _text_layouts():
+    """Source byte of each character of each '%.9g' text class, and the text
+    length of each class.
+
+    Class (layout * 9 + digits - 1) * 2 + negative. Layouts 0-12 are fixed
+    notation at decimal exponents -4..8; 13-16 exponent notation with an
+    exponent of +XX, +XXX, -XX or -XXX. A source row of _float_text holds
+    the nine mantissa digits in three groups of three, each followed by a
+    '0', the exponent's three digits and a '0', '.e+-', then the separator
+    and three _PAD bytes. Each layout row ends with the separator, then
+    _PAD.
+    """
+    zero, dot, e, plus, minus, sep, pad = 3, 16, 17, 18, 19, 20, 21
+    digit = [0, 1, 2, 4, 5, 6, 8, 9, 10]
+    texts = []
+    for layout in range(17):
+        exp = layout - 4
+        for digits in range(1, 10):
+            if layout < 13 and exp < 0:
+                text = [zero, dot] + [zero] * (-exp - 1) + digit[:digits]
+            elif layout < 13:
+                text = digit[:exp + 1]
+                text += [dot] + digit[exp + 1:digits] if digits > exp + 1 else []
+            else:
+                text = digit[:1] + ([dot] + digit[1:digits] if digits > 1 else [])
+                text += [e, minus if layout > 14 else plus]
+                text += [12, 13, 14] if layout % 2 == 0 else [13, 14]
+            texts += [text + [sep], [minus] + text + [sep]]
+    layouts = np.full((len(texts), 17), pad)
+    for row, text in zip(layouts, texts):
+        row[:len(text)] = text
+    return layouts, np.array([len(t) - 1 for t in texts])
+
+
+_PAD = 0xFF
+_LAYOUT, _LENGTH = _text_layouts()
+_GROUPS = np.arange(1000)
+# '%03d0' of each three-digit group as one uint32, and its trailing zeros
+_DIGITS4 = np.stack([_GROUPS // 100, _GROUPS // 10 % 10, _GROUPS % 10, 0 * _GROUPS],
+                    axis=1).astype(np.uint8) + np.uint8(ord("0"))
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
+_ZEROS3 = sum((_GROUPS % p == 0).astype(np.intp) for p in (10, 100, 1000))
+_SYMBOLS = np.frombuffer(b".e+-", np.uint32)[0]
+_POW10_ZERO = 300
+_EXPONENTS = np.arange(-_POW10_ZERO, _POW10_ZERO + 1)
+_POW10 = np.power(10.0, _EXPONENTS)
+# class of each decimal exponent at nine digits and positive sign
+_EXP_CLASS = 18 * np.where((_EXPONENTS >= -4) & (_EXPONENTS <= 8), _EXPONENTS + 4,
+                           13 + 2 * (_EXPONENTS < 0) + (abs(_EXPONENTS) >= 100)) + 16
 
 
 def symmetric_setup(cfg, seed):
@@ -133,27 +306,6 @@ def run_ee_surface(spec):
                  "sum_rate_bps_hz"),
                 [np.concatenate(c) for c in zip(*parts)])
     return optima
-
-
-def run_ee_vs_mof(spec):
-    """Objective against fiber count, one curve per studied coefficient.
-
-    Returns {n: (m_of array, ee array)} and writes one CSV row per point,
-    with the per-curve argmax recorded in the header.
-    """
-    cfg = spec.config
-    beta, agg = symmetric_setup(cfg, spec.seed)
-    nn, mm, ee, _ = grid_cells(agg, np.array(FIBER_COUNT_STUDY_NS))
-    curves = {n: (mm[i], ee[i]) for i, n in enumerate(FIBER_COUNT_STUDY_NS)}
-
-    lines = [stamp("ee_vs_mof", spec.seed, cfg), beta_line(beta, cfg)]
-    for n, (mofs, ee_n) in curves.items():
-        best = int(np.argmax(ee_n))
-        lines.append(f"argmax n={_F % n} m_of_star={mofs[best]} "
-                     f"ee_star={_F % ee_n[best]}")
-    write_table(spec.output_path, lines, ("n", "m_of", "ee_bits_per_joule"),
-                (nn.ravel(), mm.ravel(), ee.ravel()))
-    return curves
 
 
 def run_rate_cdf(spec):

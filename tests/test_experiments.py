@@ -1,5 +1,6 @@
 """Tests for the scenario runners and their CSV outputs."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,12 +12,10 @@ from fronthaul_planner.config import (SystemConfig, draw_fading,
 from fronthaul_planner.energy import aggregate_params, symmetric_terms
 from fronthaul_planner.experiments import (BLOCK_GAINS, BLOCK_ROWS,
                                            COMPARED_SPLITS, ExperimentSpec,
-                                           FIBER_COUNT_STUDY_NS,
                                            SURFACE_COST_SETS, SWEEP_RHO_ETA_W,
                                            compared_splits_for,
-                                           run_ee_surface, run_ee_vs_mof,
-                                           run_ee_vs_sumrate, run_rate_cdf,
-                                           write_table)
+                                           run_ee_surface, run_ee_vs_sumrate,
+                                           run_rate_cdf, write_table)
 from fronthaul_planner.fronthaul import (FronthaulPlan, UplinkSignalParams,
                                          per_ap_distortions)
 from fronthaul_planner.rate import achievable_rates
@@ -221,38 +220,44 @@ def test_geometric_mean_beta_policy(tmp_path):
     assert "policy=geometric_mean" in line
 
 
-def test_ee_vs_mof_curves(tmp_path):
-    out = tmp_path / "mof.csv"
-    spec = ExperimentSpec(SystemConfig(), seed=0,
-                          output_path=str(out))
-    curves = run_ee_vs_mof(spec)
-    assert set(curves) == set(FIBER_COUNT_STUDY_NS)
-    mofs, ee = curves[1.0]
-    assert mofs[0] == 0 and mofs[-1] == SystemConfig().m
-    # equal capacities make fiber pure cost, so the curve falls monotonically
-    assert np.all(np.diff(ee) < 0)
-    header, columns, rows = read_csv(out)
-    assert columns == ["n", "m_of", "ee_bits_per_joule"]
-    assert len(rows) == len(FIBER_COUNT_STUDY_NS) * 101
-    assert sum("argmax" in line for line in header) == len(FIBER_COUNT_STUDY_NS)
-    again = tmp_path / "mof2.csv"
-    run_ee_vs_mof(ExperimentSpec(SystemConfig(), seed=0,
-                                 output_path=str(again)))
-    assert out.read_bytes() == again.read_bytes()
-
-
 def test_write_table_matches_row_loop_across_blocks(tmp_path):
     rows = 2 * BLOCK_ROWS + 17
     rng = np.random.default_rng(5)
     ints = rng.integers(-10 ** 6, 10 ** 6, rows)
+    ints[:2] = (1234567890, -9876543210)
     floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
-    floats[:4] = (0.0, 2.0, 1e-300, 123456789.0)
+    floats[:8] = (0.0, -0.0, 0.0, 2.0, 1e-300, 123456789.0, np.nan, np.inf)
     kinds = np.where(ints % 2 == 0, "even", "odd")
+    objects = kinds.astype(object)
+    # equal values that print differently
+    objects[:5] = (1, 1.0, True, 0.0, -0.0)
     path = tmp_path / "t.csv"
     write_table(path, ["scenario=x seed=1", "more"], ("i", "f", "kind", "obj"),
-                (ints, floats, kinds, kinds.astype(object)))
+                (ints, floats, kinds, objects))
 
     expected = "# scenario=x seed=1\n# more\ni,f,kind,obj\n"
-    for i, f, kind in zip(ints.tolist(), floats.tolist(), kinds.tolist()):
-        expected += f"{i},{'%.9g' % f},{kind},{kind}\n"
+    for i, f, kind, obj in zip(ints.tolist(), floats.tolist(), kinds.tolist(),
+                               objects.tolist()):
+        expected += f"{i},{'%.9g' % f},{kind},{obj}\n"
     assert path.read_bytes() == expected.encode()
+    with pytest.raises(ValueError, match="equal lengths"):
+        write_table(path, [], ("i", "f"), (ints, floats[:-1]))
+
+
+def test_write_table_memory_does_not_grow_with_rows(tmp_path):
+    # blocks bound the writer's temporaries: four times the rows may not
+    # cost more memory, and a block stays within a few MB
+    rng = np.random.default_rng(8)
+    peaks = []
+    for rows in (100_000, 400_000):
+        columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-6, 9, rows)
+                   for _ in range(4)]
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "m.csv", ["scenario=x"], ("a", "b", "c", "d"),
+                        columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+    assert peaks[1] < 4e6

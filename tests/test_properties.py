@@ -7,13 +7,14 @@ bits/s/Hz and a symmetric gain between 3e-13 and 3e-12.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fronthaul_planner.channel import (PathLossModel, ShadowingModel,
                                       generate_topology, large_scale_fading)
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       symmetric_terms)
+from fronthaul_planner.experiments import BLOCK_ROWS, write_table
 from fronthaul_planner.fronthaul import (UplinkSignalParams,
                                          received_signal_power)
 from fronthaul_planner.optimizer import optimal_n_closed_form
@@ -154,3 +155,89 @@ def test_gain_kernel_matches_the_plain_formula(m, k, seeds, area, d0, ratio,
     beta = large_scale_fading(topo, pl, sh, seeds).beta
     np.testing.assert_allclose(beta, _plain_gains(topo, pl, sh, seeds),
                                rtol=1e-13, atol=0.0)
+
+
+def _row_loop_csv(columns):
+    """The plain CSV writer that write_table must match byte for byte."""
+    row = ",".join("%.9g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    return "".join(row % cells for cells in zip(*(c.tolist() for c in columns))).encode()
+
+
+# where '%.9g' changes notation or exponent width, each with its neighbours
+_EDGES = [v for edge in (1e-5, 1e-4, 1e9, 1e16, 1e100)
+          for v in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf))]
+_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(-1e12, 1e12),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-280, 1e280]
+                    + _EDGES + [-v for v in _EDGES]),
+    # ties and near-ties of the ninth significant digit
+    st.builds(lambda k, j, d: (k + 0.5 + d) * 10.0 ** j,
+              st.integers(10 ** 8, 10 ** 9 - 1), st.integers(-30, 30),
+              st.sampled_from([0.0, 1e-7, -1e-7, 1e-5, -1e-5])),
+)
+_INTS = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                  st.integers(-10 ** 9 - 2, -10 ** 9 + 2),
+                  st.integers(10 ** 9 - 2, 10 ** 9 + 2),
+                  st.integers(-1000, 1000))
+# equal values of other types or signs print differently, so runs of
+# objects must be runs of the same object
+_OBJECTS = st.one_of(st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True]),
+                     st.integers(), st.floats(), st.none(), st.text(max_size=5),
+                     st.tuples(st.integers()))
+_KINDS = {
+    "float": (_FLOATS, np.float64),
+    "float32": (st.floats(width=32), np.float32),
+    "int": (_INTS, np.int64),
+    "bool": (st.booleans(), bool),
+    "str": (st.text(max_size=8), None),
+    "object": (_OBJECTS, object),
+}
+
+
+@st.composite
+def csv_columns(draw, rows):
+    """A column of rows values: runs of a few drawn values, repeated in turn."""
+    values, dtype = _KINDS[draw(st.sampled_from(sorted(_KINDS)))]
+    pool = draw(st.lists(values, min_size=1, max_size=30))
+    if dtype is object:
+        array = np.empty(len(pool), object)
+        for i, value in enumerate(pool):
+            array[i] = value
+    else:
+        array = np.array(pool, dtype)
+    runs = draw(st.lists(st.one_of(st.just(1), st.integers(1, 300)),
+                         min_size=len(pool), max_size=len(pool)))
+    return np.resize(np.repeat(array, runs), rows)
+
+
+def _write(path, columns):
+    names = [f"c{i}" for i in range(len(columns))]
+    write_table(path, ["scenario=x"], names, columns)
+    head = ("# scenario=x\n" + ",".join(names) + "\n").encode()
+    return path.read_bytes()[len(head):]
+
+
+@SETTINGS
+@given(st.one_of(st.lists(_FLOATS, min_size=1, max_size=300).map(np.array),
+                 st.lists(_INTS, min_size=1, max_size=300).map(np.array)))
+@example(np.array([0.0, -0.0, -0.0, 0.0, np.nan, -np.nan, 1e9, 999999999.5]))
+def test_numbers_print_as_the_row_loop_prints_them(tmp_path_factory, values):
+    # every float and integer the numpy kernel decides, and every one it
+    # leaves to Python (zeros, non-finite values, extreme magnitudes,
+    # near-ties, integers from 1e9 on)
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    assert _write(path, [values]) == _row_loop_csv([values])
+
+
+@SETTINGS
+@given(st.data())
+def test_write_table_matches_the_row_loop(tmp_path_factory, data):
+    # tables of every column kind, with runs, around and across block
+    # boundaries
+    rows = data.draw(st.one_of(st.integers(1, 50),
+                               st.integers(BLOCK_ROWS - 2, BLOCK_ROWS + 2),
+                               st.integers(2 * BLOCK_ROWS - 2, 2 * BLOCK_ROWS + 2)))
+    columns = data.draw(st.lists(csv_columns(rows), min_size=1, max_size=4))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    assert _write(path, columns) == _row_loop_csv(columns)
