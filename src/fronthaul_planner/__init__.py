@@ -12,8 +12,7 @@ from .channel import (LargeScaleFading, NetworkTopology, PathLossModel,
                       path_loss_db)
 from .config import SystemConfig, load_config, symmetric_beta
 from .energy import (AggregateParams, PowerCostParams, aggregate_params,
-                     ee_symmetric, energy_efficiency, fronthaul_cost,
-                     network_power)
+                     ee_symmetric)
 from .experiments import (ExperimentSpec, run_ee_surface, run_ee_vs_sumrate,
                           run_rate_cdf)
 from .fronthaul import (FronthaulPlan, UplinkSignalParams, per_ap_distortions,
@@ -30,10 +29,10 @@ __all__ = [
     "NetworkTopology", "PathLossModel", "PlanOptimum", "PowerCostParams",
     "ShadowingModel", "SinrBreakdown", "SystemConfig", "UplinkSignalParams",
     "achievable_rates", "aggregate_params", "alternating_optimize",
-    "ee_symmetric", "energy_efficiency", "fronthaul_cost", "generate_topology",
-    "grid_search", "large_scale_fading", "load_config", "mc_validate_terms",
-    "network_power", "optimal_m_of_closed_form", "optimal_n_closed_form",
-    "path_loss_db", "per_ap_distortions", "quantization_noise_var",
-    "rate_from_sinr", "received_signal_power", "run_ee_surface",
-    "run_ee_vs_sumrate", "run_rate_cdf", "sinr_closed_form", "symmetric_beta",
+    "ee_symmetric", "generate_topology", "grid_search", "large_scale_fading",
+    "load_config", "mc_validate_terms", "optimal_m_of_closed_form",
+    "optimal_n_closed_form", "path_loss_db", "per_ap_distortions",
+    "quantization_noise_var", "rate_from_sinr", "received_signal_power",
+    "run_ee_surface", "run_ee_vs_sumrate", "run_rate_cdf", "sinr_closed_form",
+    "symmetric_beta",
 ]

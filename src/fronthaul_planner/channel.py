@@ -23,11 +23,11 @@ class PathLossModel:
     beyond d1.
     """
 
-    f_mhz: float = 1900.0
-    h_ap: float = 15.0
-    h_ue: float = 1.65
-    d0: float = 10.0
-    d1: float = 50.0
+    f_mhz: float
+    h_ap: float
+    h_ue: float
+    d0: float
+    d1: float
 
     def __post_init__(self):
         if self.f_mhz <= 0:
@@ -55,8 +55,8 @@ class ShadowingModel:
     it per-AP (equal for all users).
     """
 
-    sigma_sh_db: float = 8.0
-    theta: float = 0.5
+    sigma_sh_db: float
+    theta: float
 
     def __post_init__(self):
         if self.sigma_sh_db < 0:
@@ -123,14 +123,6 @@ class LargeScaleFading:
         object.__setattr__(self, "beta", beta)
         if not np.all(np.isfinite(beta)) or np.any(beta <= 0):
             raise ValueError("gains must be positive and finite")
-
-    @property
-    def m(self):
-        return self.beta.shape[-2]
-
-    @property
-    def k(self):
-        return self.beta.shape[-1]
 
 
 def _per_drop(seed, stream, draw):

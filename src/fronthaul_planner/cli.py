@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .config import (SystemConfig, draw_fading, effective_config_lines,
                      load_config, signal_params)
 from .experiments import (_F, ExperimentSpec, beta_line, run_ee_surface,
@@ -25,6 +23,7 @@ from .experiments import (_F, ExperimentSpec, beta_line, run_ee_surface,
 from .fronthaul import FronthaulPlan, per_ap_distortions
 from .optimizer import alternating_optimize, grid_cells, grid_search, parse_range
 from .rate import mc_validate_terms, sinr_closed_form
+from .seeds import derive_rng
 
 OUTDIR_ENV = "FRONTHAUL_PLANNER_OUTDIR"
 
@@ -80,8 +79,7 @@ def cmd_optimize(args):
     _echo_config(cfg, args.seed)
     beta, agg = symmetric_setup(cfg, args.seed)
     print(f"symmetric gain beta = {_F % beta} ({cfg.beta_policy})")
-    opt = alternating_optimize(agg, init_n=2.0, init_m_of=cfg.m // 2,
-                               max_iters=100, tol=1e-6)
+    opt = alternating_optimize(agg, init_n=2.0, init_m_of=cfg.m // 2)
     status = "converged" if opt.converged else "stopped at best seen"
     print(f"method = {opt.method} ({status})")
     _print_optimum(opt)
@@ -130,7 +128,7 @@ def cmd_validate(args):
     cfg = _load(args)
     _echo_config(cfg, args.seed)
     m, k = args.m, args.k
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(99,)))
+    rng = derive_rng(args.seed, "validate_user", index=None)
     _, fading = draw_fading(cfg, args.seed)
     beta = fading.beta[:m, :k]
     if beta.shape != (m, k):

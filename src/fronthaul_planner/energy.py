@@ -1,16 +1,17 @@
-"""Network power, deployment cost and energy efficiency.
+"""Power and cost parameters and the symmetric energy-efficiency objective.
 
 Energy efficiency is delivered bits per Joule: bandwidth times sum rate
 over total consumed power plus a deployment-cost penalty for the fronthaul
-links. The symmetric (equal-gain) special case collapses to seven aggregate
-scalars and a two-variable objective in the fiber capacity coefficient and
-the fiber count, which is what the planner optimizes.
+links. In the symmetric (equal-gain) network it collapses to seven
+aggregate scalars and a two-variable objective in the fiber capacity
+coefficient and the fiber count, which is what the planner optimizes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fronthaul import quantization_noise_var
 from .rate import rate_from_sinr
 
 # Link capacities are carried in bits/s/Hz; bandwidth * capacity is bps and
@@ -28,13 +29,13 @@ class PowerCostParams:
     deploy but burn more power per bit than fiber.
     """
 
-    p_circuit: float = 0.2
-    p0: float = 0.825
-    p_fh_fso: float = 0.3
-    p_fh_of: float = 0.25
-    mu_fso: float = 0.003
-    mu_of: float = 0.03
-    b_s: float = 20e6
+    p_circuit: float
+    p0: float
+    p_fh_fso: float
+    p_fh_of: float
+    mu_fso: float
+    mu_of: float
+    b_s: float
 
     def __post_init__(self):
         vals = (self.p_circuit, self.p0, self.p_fh_fso, self.p_fh_of,
@@ -72,37 +73,6 @@ class AggregateParams:
     c_fso: float
 
 
-def network_power(sig, pc, plan):
-    """Total consumed power in Watt.
-
-    Sums user transmit power, per-AP circuit power, traffic-dependent
-    fronthaul power (bandwidth * capacity, converted to Gbps) and the
-    constant fronthaul power.
-    """
-    if plan.m != sig.m:
-        raise ValueError("plan does not cover all APs")
-    ue = sig.rho_u * float(np.sum(sig.eta))
-    circuit = plan.m * pc.p_circuit
-    p_fh = np.where(plan.is_fiber, pc.p_fh_of, pc.p_fh_fso)
-    traffic = float(np.sum(pc.b_s * plan.capacities() * GBPS_PER_BPS * p_fh))
-    constant = plan.m * pc.p0
-    return ue + circuit + traffic + constant
-
-
-def fronthaul_cost(plan, pc):
-    """Deployment-cost penalty: capacity times per-type cost coefficient."""
-    mu = np.where(plan.is_fiber, pc.mu_of, pc.mu_fso)
-    return float(np.sum(plan.capacities() * mu))
-
-
-def energy_efficiency(sum_rate, p_net, omega, b_s):
-    """Energy efficiency in bits per Joule of a sum rate in bits/s/Hz."""
-    den = p_net + omega
-    if den <= 0:
-        raise ValueError("power plus cost must be positive")
-    return b_s * sum_rate / den
-
-
 def aggregate_params(beta_scalar, sig, pc, m, k, c_fso):
     """Aggregate scalars for a symmetric network with gain beta_scalar.
 
@@ -124,7 +94,7 @@ def aggregate_params(beta_scalar, sig, pc, m, k, c_fso):
     l1 = m ** 2 * sig.rho_u * eta * beta ** 2
     l2 = m * k * sig.rho_u * eta * beta ** 2 + m * delta_sq * beta
     alpha_of = (k * sig.rho_u * eta * beta + delta_sq) * beta
-    alpha_fso = alpha_of / (2.0 ** c_fso - 1.0)
+    alpha_fso = quantization_noise_var(alpha_of, c_fso)
     gamma_ep = k * sig.rho_u * eta + m * (pc.p_circuit + pc.p0)
     gamma_fso = c_fso * (pc.b_s * pc.p_fh_fso * GBPS_PER_BPS + pc.mu_fso)
     gamma_of = c_fso * (pc.b_s * pc.p_fh_of * GBPS_PER_BPS + pc.mu_of)
@@ -150,12 +120,9 @@ def symmetric_terms(n, m_of, agg):
         raise ValueError("n = 0 with fiber links deployed is out of model")
     n_b, m_b = np.broadcast_arrays(n_arr, m_arr)
     # n is immaterial without fiber links; substitute 1 there so the fiber
-    # term evaluates cleanly before being zeroed out. Overflow of 2^(n c)
-    # for huge n correctly drives the fiber distortion to zero.
+    # term, 0 at m_of = 0, sees a positive capacity.
     n_safe = np.where(m_b > 0, n_b, 1.0)
-    with np.errstate(over="ignore"):
-        fiber_gain = np.where(
-            m_b > 0, m_b * agg.alpha_of / (2.0 ** (n_safe * agg.c_fso) - 1.0), 0.0)
+    fiber_gain = quantization_noise_var(m_b * agg.alpha_of, n_safe * agg.c_fso)
     sinr = agg.l1 / (agg.l2 + (agg.m - m_b) * agg.alpha_fso + fiber_gain)
     power = agg.gamma_ep + (agg.m - m_b) * agg.gamma_fso + n_b * m_b * agg.gamma_of
     if np.any(power <= 0):

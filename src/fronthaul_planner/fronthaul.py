@@ -110,7 +110,9 @@ def quantization_noise_var(signal_power, capacity):
     """Distortion of compressing a signal of the given power to fit a link.
 
     The forward Gaussian test channel (quantizer noise added to the source)
-    gives D = power / (2^C - 1).
+    gives D = power / (2^C - 1). This is the one place the law is written.
+    A capacity so large that 2^C overflows to inf gives the limit D = 0,
+    without a warning.
     """
     power = np.asarray(signal_power, dtype=float)
     cap = np.asarray(capacity, dtype=float)
@@ -118,7 +120,8 @@ def quantization_noise_var(signal_power, capacity):
         raise ValueError("signal_power must be nonnegative")
     if np.any(cap <= 0):
         raise ValueError("capacity must be positive")
-    out = power / (2.0 ** cap - 1.0)
+    with np.errstate(over="ignore"):
+        out = power / (2.0 ** cap - 1.0)
     return out if out.ndim else float(out)
 
 

@@ -21,12 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import symmetric_terms
+from .fronthaul import quantization_noise_var
 
 LN2 = math.log(2.0)
 
 # Bracket and grid step of the capacity coefficient searched by the
 # planner's n-step and by the quadratic's fallback.
 N_MIN, N_MAX, N_STEP = 1.0, 10.0, 0.01
+# The alternating loop stops after MAX_ITERS rounds, or once n moves by at
+# most TOL and m_of not at all.
+MAX_ITERS, TOL = 100, 1e-6
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,7 @@ def fiber_count_intermediates(n, agg):
     if n < 1:
         raise ValueError("n must be at least 1")
     kappa1 = agg.l2 + agg.m * agg.alpha_fso
-    kappa2 = agg.alpha_fso - agg.alpha_of / (2.0 ** (n * agg.c_fso) - 1.0)
+    kappa2 = agg.alpha_fso - quantization_noise_var(agg.alpha_of, n * agg.c_fso)
     kappa3 = agg.gamma_ep + agg.m * agg.gamma_fso
     kappa4 = n * agg.gamma_of - agg.gamma_fso
     if kappa2 != 0.0 and kappa4 != 0.0:
@@ -201,12 +205,12 @@ def grid_search(cells):
                        float(ee.ravel()[idx]), "grid")
 
 
-def alternating_optimize(agg, init_n, init_m_of, max_iters, tol):
+def alternating_optimize(agg, init_n, init_m_of):
     """Joint optimum by alternating the two closed forms.
 
     Each half-step is accepted only if it does not decrease the objective;
     a decreasing step stops the loop at the best point seen. Runs until the
-    pair is stationary (n within tol, m_of exact) or max_iters.
+    pair is stationary (n within TOL, m_of exact) or MAX_ITERS rounds.
     """
     if not 0 <= init_m_of <= agg.m:
         raise ValueError("init_m_of must lie in [0, m]")
@@ -215,7 +219,7 @@ def alternating_optimize(agg, init_n, init_m_of, max_iters, tol):
     n, m_of = float(init_n), int(init_m_of)
     ee = float(symmetric_terms(n, m_of, agg)[0])
     converged = False
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         n_prev, m_prev = n, m_of
 
         if m_of > 0:
@@ -231,7 +235,7 @@ def alternating_optimize(agg, init_n, init_m_of, max_iters, tol):
             break
         m_of, ee = m_cand, ee_cand
 
-        if abs(n - n_prev) <= tol and m_of == m_prev:
+        if abs(n - n_prev) <= TOL and m_of == m_prev:
             converged = True
             break
     return PlanOptimum(n, m_of, ee, "alternating", converged)

@@ -17,6 +17,7 @@ STREAMS = {
     "mc_noise": 5,
     "mc_quant": 6,
     "drop": 7,
+    "validate_user": 99,
 }
 
 
@@ -24,11 +25,13 @@ def derive_rng(seed, stream, index=0):
     """Return a Generator for the named stream of a master seed.
 
     seed may already be a Generator, in which case it is returned as-is
-    (callers that pre-derive a stream pass it straight through).
+    (callers that pre-derive a stream pass it straight through). index None
+    keys the stream by its tag alone, as the validate user pick is keyed.
     """
     if isinstance(seed, np.random.Generator):
         return seed
     if stream not in STREAMS:
         raise ValueError(f"unknown seed stream '{stream}'")
-    ss = np.random.SeedSequence(int(seed), spawn_key=(STREAMS[stream], int(index)))
-    return np.random.default_rng(ss)
+    tag = STREAMS[stream]
+    key = (tag,) if index is None else (tag, int(index))
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))

@@ -1,12 +1,14 @@
 """Tests for topology generation, path loss, shadowing and fast fading."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fronthaul_planner.channel import (LargeScaleFading, NetworkTopology,
-                                       PathLossModel, ShadowingModel,
-                                       generate_topology, large_scale_fading,
-                                       path_loss_db)
+                                       ShadowingModel, generate_topology,
+                                       large_scale_fading, path_loss_db)
+from reference import PATH_LOSS, SHADOWING
 
 # Frozen oracle: independent evaluation of the fixed-loss constant at
 # f = 1900 MHz, h_ap = 15 m, h_ue = 1.65 m.
@@ -59,18 +61,18 @@ def test_topology_validation():
 
 
 def test_fixed_loss_constant_matches_reference():
-    pl = PathLossModel()
+    pl = PATH_LOSS
     assert abs(pl.fixed_loss_db - L_REFERENCE_DB) < 1e-9
 
 
 def test_path_loss_far_branch_direct_evaluation():
-    pl = PathLossModel()
+    pl = PATH_LOSS
     # beyond d1 the loss is -L - 35 log10(d); at 100 m that is -L - 70
     assert path_loss_db(100.0, pl) == pytest.approx(-L_REFERENCE_DB - 70.0, rel=1e-12)
 
 
 def test_path_loss_middle_branch_and_scalar_result():
-    pl = PathLossModel()
+    pl = PATH_LOSS
     # between d0 and d1 the loss is -L - 15 log10(d1) - 20 log10(d)
     expected = -L_REFERENCE_DB - 15.0 * np.log10(50.0) - 20.0 * np.log10(20.0)
     value = path_loss_db(20.0, pl)
@@ -80,14 +82,14 @@ def test_path_loss_middle_branch_and_scalar_result():
 
 
 def test_path_loss_flat_region():
-    pl = PathLossModel()
+    pl = PATH_LOSS
     ref = path_loss_db(pl.d0, pl)
     for d in (0.5, 1.0, 5.0, 9.99, 10.0):
         assert path_loss_db(d, pl) == ref
 
 
 def test_path_loss_continuous_and_monotone():
-    pl = PathLossModel()
+    pl = PATH_LOSS
     for d_edge in (pl.d0, pl.d1):
         below = path_loss_db(d_edge * (1 - 1e-9), pl)
         above = path_loss_db(d_edge * (1 + 1e-9), pl)
@@ -99,7 +101,7 @@ def test_path_loss_continuous_and_monotone():
 
 
 def test_path_loss_rejects_nonpositive_distance():
-    pl = PathLossModel()
+    pl = PATH_LOSS
     with pytest.raises(ValueError):
         path_loss_db(0.0, pl)
     with pytest.raises(ValueError):
@@ -108,8 +110,8 @@ def test_path_loss_rejects_nonpositive_distance():
 
 def test_fading_without_shadowing_is_pure_path_loss():
     topo = generate_topology(20, 5, 1000.0, seed=1)
-    pl = PathLossModel()
-    fading = large_scale_fading(topo, pl, ShadowingModel(sigma_sh_db=0.0), seed=1)
+    pl = PATH_LOSS
+    fading = large_scale_fading(topo, pl, replace(SHADOWING, sigma_sh_db=0.0), seed=1)
     expected = 10.0 ** (path_loss_db(topo.distances(), pl) / 10.0)
     assert np.array_equal(fading.beta, expected)
 
@@ -122,7 +124,7 @@ def _recover_z(topo, pl, sh, seed):
 
 def test_shadowing_correlation_extremes():
     topo = generate_topology(15, 6, 1000.0, seed=2)
-    pl = PathLossModel()
+    pl = PATH_LOSS
     # theta = 0: shadowing is user-driven, equal at all APs
     z0 = _recover_z(topo, pl, ShadowingModel(8.0, 0.0), seed=2)
     assert np.allclose(z0.max(axis=0), z0.min(axis=0), atol=1e-9)
@@ -133,7 +135,7 @@ def test_shadowing_correlation_extremes():
 
 def test_shadowing_spread_over_seeds():
     topo = generate_topology(4, 3, 1000.0, seed=3)
-    pl = PathLossModel()
+    pl = PATH_LOSS
     sh = ShadowingModel(8.0, 0.5)
     entry = np.array([large_scale_fading(topo, pl, sh, seed=s).beta[0, 0]
                       for s in range(300)])
@@ -143,14 +145,14 @@ def test_shadowing_spread_over_seeds():
 
 def test_fading_deterministic():
     topo = generate_topology(10, 4, 500.0, seed=5)
-    pl, sh = PathLossModel(), ShadowingModel()
+    pl, sh = PATH_LOSS, SHADOWING
     b1 = large_scale_fading(topo, pl, sh, seed=9).beta
     b2 = large_scale_fading(topo, pl, sh, seed=9).beta
     assert np.array_equal(b1, b2)
 
 
 def test_drop_stack_equals_single_drops():
-    pl, sh = PathLossModel(), ShadowingModel()
+    pl, sh = PATH_LOSS, SHADOWING
     seeds = [3, 4, 5]
     topo = generate_topology(6, 2, 800.0, seeds)
     beta = large_scale_fading(topo, pl, sh, seeds).beta
@@ -168,8 +170,8 @@ def test_drop_stack_equals_single_drops():
 
 def test_validation_of_models():
     with pytest.raises(ValueError):
-        PathLossModel(d0=50.0, d1=10.0)
+        replace(PATH_LOSS, d0=50.0, d1=10.0)
     with pytest.raises(ValueError):
-        ShadowingModel(theta=1.5)
+        replace(SHADOWING, theta=1.5)
     with pytest.raises(ValueError):
         LargeScaleFading(np.array([[0.0, 1.0]]))

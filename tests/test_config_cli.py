@@ -1,5 +1,7 @@
 """Tests for config parsing, defaults and the command-line surface."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +219,24 @@ def test_cli_rejects_a_network_without_power(command, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: power plus cost must be positive\n")
     assert not (out / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("c_fso, argv", [
+    ("2000", ["optimize"]), ("2000", ["grid"]), ("2000", ["surface"]),
+    ("2000", ["tradeoff"]), ("200", ["cdf", "--drops", "2"]),
+])
+def test_cli_huge_fso_capacity_gives_finite_output(c_fso, argv, tmp_path,
+                                                   capsys):
+    # 2^c_fso overflows to inf: the distortion takes its limit 0, with no
+    # OverflowError and no overflow warning
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"c_fso = {c_fso}\n")
+    out = tmp_path / "out"
+    rc = main(argv + ["--config", str(cfg), "--out", str(out)])
+    texts = [capsys.readouterr().out] + [p.read_text() for p in out.glob("*.csv")]
+    assert rc == 0
+    assert len(texts) == 1 + (argv[0] != "optimize")
+    assert not [t for t in texts if re.search(r"\b(nan|inf)\b", t, re.IGNORECASE)]
 
 
 def test_cli_validate_small_run(tmp_path, capsys):

@@ -5,22 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
-                                      ee_symmetric, energy_efficiency,
-                                      fronthaul_cost, network_power,
-                                      symmetric_terms)
+from fronthaul_planner.energy import aggregate_params, ee_symmetric, symmetric_terms
 from fronthaul_planner.fronthaul import (FronthaulPlan, UplinkSignalParams,
                                          per_ap_distortions)
 from fronthaul_planner.rate import achievable_rates
-
-NOISE_W = 6.36241029449455e-13
+from reference import (NOISE_W, POWER_COST, energy_efficiency, fronthaul_cost,
+                       network_power)
 
 
 def default_setup(m=100, k=10, beta=1.1e-12, c_fso=2.0):
     sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, m, k)
-    pc = PowerCostParams()
-    agg = aggregate_params(beta, sig, pc, m, k, c_fso)
-    return sig, pc, agg
+    agg = aggregate_params(beta, sig, POWER_COST, m, k, c_fso)
+    return sig, POWER_COST, agg
 
 
 def test_network_power_reference_value():
@@ -34,8 +30,8 @@ def test_network_power_reference_value():
 def test_network_power_ue_isolation():
     m, k = 10, 4
     sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, m, k)
-    pc = PowerCostParams(p_circuit=0.0, p0=0.0, p_fh_fso=0.0, p_fh_of=0.0,
-                         mu_fso=0.0, mu_of=0.0)
+    pc = replace(POWER_COST, p_circuit=0.0, p0=0.0, p_fh_fso=0.0, p_fh_of=0.0,
+                 mu_fso=0.0, mu_of=0.0)
     plan = FronthaulPlan.fso_first(m, 0, 2.0)
     assert network_power(sig, pc, plan) == pytest.approx(k * 0.1 * 0.5, rel=1e-12)
 
@@ -48,14 +44,14 @@ def test_network_power_increases_with_n():
 
 
 def test_fronthaul_cost_values():
-    pc = PowerCostParams()
+    pc = POWER_COST
     assert fronthaul_cost(FronthaulPlan.fso_first(100, 0, 2.0), pc) == pytest.approx(0.6)
     empty = FronthaulPlan(np.zeros(0, dtype=bool), 2.0)
     assert fronthaul_cost(empty, pc) == 0.0
 
 
 def test_fronthaul_cost_split_invariant_at_equal_prices():
-    pc = PowerCostParams(mu_fso=0.003, mu_of=0.003)
+    pc = replace(POWER_COST, mu_fso=0.003, mu_of=0.003)
     costs = [fronthaul_cost(FronthaulPlan.fso_first(50, m_of, 2.0, 1.0), pc)
              for m_of in (0, 20, 50)]
     assert costs[0] == pytest.approx(costs[1], rel=1e-12)
@@ -93,14 +89,14 @@ def test_aggregate_identities():
 def test_aggregate_requires_symmetry():
     sig = UplinkSignalParams(0.1, np.array([0.5, 0.6]), np.full(3, NOISE_W))
     with pytest.raises(ValueError):
-        aggregate_params(1e-12, sig, PowerCostParams(), 3, 2, 2.0)
+        aggregate_params(1e-12, sig, POWER_COST, 3, 2, 2.0)
 
 
 @pytest.mark.parametrize("m, k", [(50, 10), (100, 5)])
 def test_aggregate_rejects_network_other_than_sig(m, k):
     sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, 100, 10)
     with pytest.raises(ValueError, match="AP and user counts"):
-        aggregate_params(1.1e-12, sig, PowerCostParams(), m, k, 2.0)
+        aggregate_params(1.1e-12, sig, POWER_COST, m, k, 2.0)
 
 
 @pytest.mark.parametrize("network", [(60, 10, 20e6, 2.0), (100, 9, 20e6, 2.0),
@@ -113,11 +109,11 @@ def test_ee_symmetric_rejects_network_other_than_aggregate(network):
 
 def test_power_cost_validation():
     with pytest.raises(ValueError):
-        PowerCostParams(mu_fso=0.05, mu_of=0.03)
+        replace(POWER_COST, mu_fso=0.05, mu_of=0.03)
     with pytest.raises(ValueError):
-        PowerCostParams(p_fh_fso=0.1, p_fh_of=0.2)
+        replace(POWER_COST, p_fh_fso=0.1, p_fh_of=0.2)
     with pytest.raises(ValueError):
-        PowerCostParams(p_circuit=-1.0)
+        replace(POWER_COST, p_circuit=-1.0)
 
 
 def test_ee_symmetric_no_fiber_ignores_n():
@@ -140,7 +136,8 @@ def test_symmetric_terms_rejects_cells_without_power():
     # no UE, circuit or link power and free FSO links: an all-FSO cell
     # consumes nothing, while fiber still costs mu_of
     sig = UplinkSignalParams.symmetric(0.1, 0.0, NOISE_W, 100, 10)
-    pc = PowerCostParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.03)
+    pc = replace(POWER_COST, p_circuit=0.0, p0=0.0, p_fh_fso=0.0, p_fh_of=0.0,
+                 mu_fso=0.0)
     agg = aggregate_params(1.1e-12, sig, pc, 100, 10, 2.0)
     assert symmetric_terms(2.0, 48, agg)[0] == 0.0
     with pytest.raises(ValueError, match="power plus cost must be positive"):

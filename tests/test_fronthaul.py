@@ -126,13 +126,14 @@ def test_distortions_equal_capacity_split_invariant():
 
 def test_distortions_match_aggregate_penalties():
     # in the symmetric model D_m * beta reproduces the per-link penalties
-    from fronthaul_planner.energy import PowerCostParams, aggregate_params
+    from fronthaul_planner.energy import aggregate_params
+    from reference import NOISE_W, POWER_COST
 
     m, k, beta, c, n = 6, 3, 1.1e-12, 2.0, 3.0
-    sig = UplinkSignalParams.symmetric(0.1, 0.5, 6.36241029449455e-13, m, k)
+    sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, m, k)
     plan = FronthaulPlan.fso_first(m, 2, c, n)
     d = per_ap_distortions(np.full((m, k), beta), sig, plan)
-    agg = aggregate_params(beta, sig, PowerCostParams(), m, k, c)
+    agg = aggregate_params(beta, sig, POWER_COST, m, k, c)
     assert np.allclose(d[:4] * beta, agg.alpha_fso, rtol=1e-12)
     assert np.allclose(d[4:] * beta, agg.alpha_of / (2.0 ** (n * c) - 1.0), rtol=1e-12)
 

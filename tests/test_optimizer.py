@@ -14,14 +14,14 @@ from fronthaul_planner.optimizer import (alternating_optimize,
                                          grid_cells, grid_search,
                                          optimal_m_of_closed_form,
                                          optimal_n_closed_form, parse_range)
+from reference import NOISE_W, POWER_COST
 
-NOISE_W = 6.36241029449455e-13
 M, K, C, BS = 100, 10, 2.0, 20e6
 
 
 def default_agg(beta=1.1e-12, mu_of=0.03, mu_fso=0.003):
     sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, M, K)
-    pc = PowerCostParams(mu_of=mu_of, mu_fso=mu_fso)
+    pc = replace(POWER_COST, mu_of=mu_of, mu_fso=mu_fso)
     return aggregate_params(beta, sig, pc, M, K, C)
 
 
@@ -113,7 +113,7 @@ def test_fiber_count_degenerate_power_crossover():
     # a power-hungry FSO link can make the per-link power terms cross at
     # some n >= 1; the closed form must fall back to endpoint comparison
     sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, M, K)
-    pc = PowerCostParams(p_fh_fso=0.4, p_fh_of=0.2, mu_fso=0.003, mu_of=0.003)
+    pc = replace(POWER_COST, p_fh_fso=0.4, p_fh_of=0.2, mu_fso=0.003, mu_of=0.003)
     agg = aggregate_params(1.1e-12, sig, pc, M, K, C)
     n_cross = agg.gamma_fso / agg.gamma_of
     assert n_cross >= 1.0
@@ -190,8 +190,7 @@ def test_grid_deterministic():
 def test_alternating_reaches_grid_neighborhood():
     agg = default_agg()
     grid = grid_optimum(agg, 1.0, 10.0, 0.1)
-    alt = alternating_optimize(agg, init_n=5.0, init_m_of=10,
-                               max_iters=100, tol=1e-6)
+    alt = alternating_optimize(agg, init_n=5.0, init_m_of=10)
     assert abs(alt.n_star - grid.n_star) <= 1.0
     assert abs(alt.m_of_star - grid.m_of_star) <= 1
     assert alt.method == "alternating"
@@ -201,14 +200,12 @@ def test_alternating_fixed_point_and_monotonicity():
     from fronthaul_planner.energy import ee_symmetric
 
     agg = default_agg()
-    first = alternating_optimize(agg, init_n=5.0, init_m_of=10,
-                                 max_iters=100, tol=1e-6)
+    first = alternating_optimize(agg, init_n=5.0, init_m_of=10)
     ee_init = ee_symmetric(5.0, 10, agg, M, K, BS, C)
     assert first.ee_star >= ee_init
     # restarting at the result terminates immediately at the same point
     again = alternating_optimize(agg, init_n=first.n_star,
-                                 init_m_of=first.m_of_star,
-                                 max_iters=100, tol=1e-6)
+                                 init_m_of=first.m_of_star)
     assert again.ee_star >= first.ee_star - 1e-12
     assert abs(again.n_star - first.n_star) <= 1e-6 or again.ee_star > first.ee_star
 

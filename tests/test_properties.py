@@ -6,12 +6,14 @@ the acceptance check A6: every power, cost and signal parameter within
 bits/s/Hz and a symmetric gain between 3e-13 and 3e-12.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fronthaul_planner.channel import (PathLossModel, ShadowingModel,
-                                      generate_topology, large_scale_fading)
+from fronthaul_planner.channel import (ShadowingModel, generate_topology,
+                                       large_scale_fading)
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       symmetric_terms)
 from fronthaul_planner.experiments import BLOCK_ROWS, write_table
@@ -20,8 +22,8 @@ from fronthaul_planner.fronthaul import (UplinkSignalParams,
 from fronthaul_planner.optimizer import optimal_n_closed_form
 from fronthaul_planner.rate import MC_BLOCK, mc_validate_terms, per_user_sinrs
 from fronthaul_planner.seeds import derive_rng
+from reference import NOISE_W, PATH_LOSS
 
-NOISE_W = 6.36241029449455e-13
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 
@@ -146,7 +148,7 @@ def test_gain_kernel_matches_the_plain_formula(m, k, seeds, area, d0, ratio,
     # the one-log10, one-power kernel against the plain composition on the
     # same drops and draws; distances against np.hypot
     topo = generate_topology(m, k, area, seeds)
-    pl = PathLossModel(d0=d0, d1=d0 * ratio)
+    pl = replace(PATH_LOSS, d0=d0, d1=d0 * ratio)
     sh = ShadowingModel(sigma, theta)
     d = topo.distances()
     dx, dy = np.moveaxis(topo.ap_positions[:, :, None, :]

@@ -1,4 +1,5 @@
-"""Every python block of README.md runs: a stale example fails the suite."""
+"""README.md stays true: every python block runs and the config table
+lists the defaults. A stale example or default fails the suite."""
 
 import os
 import re
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from fronthaul_planner.config import SystemConfig, effective_config_lines
+
 ROOT = Path(__file__).resolve().parent.parent
-BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+README = (ROOT / "README.md").read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README,
                     flags=re.MULTILINE | re.DOTALL)
 
 
@@ -23,3 +27,23 @@ def test_readme_block_runs(source, tmp_path):
     proc = subprocess.run([sys.executable, "-c", source], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _number_or_text(value):
+    try:
+        return float(value)
+    except ValueError:
+        return value
+
+
+def test_readme_config_table_lists_the_defaults():
+    # a row may pair keys and defaults: | `m`, `k` | 100, 10 | ... |
+    table = {}
+    for keys, values in re.findall(r"^\| (`.*?) \| (.*?) \|", README,
+                                   flags=re.MULTILINE):
+        for key, value in zip(keys.split(", "), values.split(", "), strict=True):
+            table[key.strip("`")] = _number_or_text(value.strip("`"))
+    defaults = dict(line.split(" = ")
+                    for line in effective_config_lines(SystemConfig()))
+    assert table == {key: _number_or_text(value)
+                     for key, value in defaults.items()}
