@@ -112,7 +112,8 @@ def quantization_noise_var(signal_power, capacity):
     The forward Gaussian test channel (quantizer noise added to the source)
     gives D = power / (2^C - 1). This is the one place the law is written.
     A capacity so large that 2^C overflows to inf gives the limit D = 0,
-    without a warning.
+    without a warning. A capacity so small that 2^C - 1 rounds to 0
+    (below about 1.6e-16) is rejected.
     """
     power = np.asarray(signal_power, dtype=float)
     cap = np.asarray(capacity, dtype=float)
@@ -121,7 +122,11 @@ def quantization_noise_var(signal_power, capacity):
     if np.any(cap <= 0):
         raise ValueError("capacity must be positive")
     with np.errstate(over="ignore"):
-        out = power / (2.0 ** cap - 1.0)
+        den = 2.0 ** cap - 1.0
+    if np.any(den == 0):
+        raise ValueError(f"capacity {float(np.max(cap[den == 0])):g} is too small: "
+                         "2^C - 1 rounds to 0")
+    out = power / den
     return out if out.ndim else float(out)
 
 

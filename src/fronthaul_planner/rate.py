@@ -9,6 +9,7 @@ Each term has a closed form in the link gains, checked here term by term
 against simulation.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,12 +17,13 @@ import numpy as np
 from .seeds import derive_rng
 
 # Memory budget of one Monte-Carlo chunk when no chunk size is given. Per
-# trial a chunk peaks at 16 bytes a link (the fading draws), 48 an AP (noise
-# and quantization draws, combiner column) and 56 a term row (cross terms,
-# term rows and their carried copy): fitted with tracemalloc, the default
-# chunk then peaks at 0.64-1.003 of the budget over M in 1-100, K in 1-20.
+# trial a chunk peaks at 32 bytes a link (the fading draws, in two buffers),
+# 48 an AP (noise and quantization draws, combiner column) and 56 a term row
+# (cross terms, term rows and their carried copy): fitted with tracemalloc,
+# the default chunk then peaks at 0.66-1.0004 of the budget over M in 1-100,
+# K in 1-20.
 MC_CHUNK_BYTES = 2 ** 23
-MC_LINK_BYTES = 16
+MC_LINK_BYTES = 32
 MC_AP_BYTES = 48
 MC_ROW_BYTES = 56
 
@@ -125,23 +127,26 @@ def _pairs(scale):
     return np.repeat(scale[..., None], 2, axis=-1)
 
 
-def _mc_trial_terms(rngs, t, beta, sig, D, k):
-    """The terms of t fresh trials, one column per trial.
+def _mc_trial_terms(parts, noise_rngs, scales, power, k):
+    """The terms of t trials, one column per trial.
 
-    Rows: a = amp_k sum_m |g_mk|^2, a^2, |amp_j cross_j|^2 for each user j,
-    and |v|^2. Each (..., 2) block of standard normals is viewed as complex
-    and scaled in place, so beside its draws a chunk holds only a few
-    arrays of M or K entries per trial, all freed on return.
+    parts holds the trials' fading standard normals (t, M, K, 2), scales
+    the (..., 2) factors of fading, receiver noise and quantization noise,
+    and power is rho_u eta. Rows: a = amp_k sum_m |g_mk|^2, a^2,
+    |amp_j cross_j|^2 for each user j, and |v|^2. Each (..., 2) block of
+    standard normals is viewed as complex and scaled in place, so beside
+    the fading a chunk holds only a few arrays of M or K entries per trial,
+    all freed on return.
     """
-    rng_h, rng_w, rng_q = rngs
-    m, n_users = beta.shape
-    parts = rng_h.standard_normal((t, m, n_users, 2))
-    parts *= _pairs(np.sqrt(beta / 2.0))
+    rng_w, rng_q = noise_rngs
+    h_scale, w_scale, q_scale = scales
+    t, m, n_users = parts.shape[:3]
+    parts *= h_scale
     g = parts.view(np.complex128)[..., 0]
     wq = rng_w.standard_normal((t, m, 2))
-    wq *= _pairs(np.sqrt(sig.delta_sq / 2.0))
+    wq *= w_scale
     q = rng_q.standard_normal((t, m, 2))
-    q *= _pairs(np.sqrt(D / 2.0))
+    q *= q_scale
     wq += q
 
     gk_conj = np.conj(g[:, :, k])[:, None, :]
@@ -149,9 +154,9 @@ def _mc_trial_terms(rngs, t, beta, sig, D, k):
     v = (gk_conj @ wq.view(np.complex128))[:, 0, 0]
     terms = np.empty((n_users + 3, t))
     # cross_k = sum_m |g_mk|^2
-    terms[0] = np.sqrt(sig.rho_u * sig.eta[k]) * cross[:, k].real
+    terms[0] = np.sqrt(power[k]) * cross[:, k].real
     terms[1] = terms[0] ** 2
-    terms[2:-1] = (sig.rho_u * sig.eta * (cross.real ** 2 + cross.imag ** 2)).T
+    terms[2:-1] = (power * (cross.real ** 2 + cross.imag ** 2)).T
     terms[-1] = v.real ** 2 + v.imag ** 2
     return terms
 
@@ -170,6 +175,12 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     MC_BLOCK trials aligned on the trial index, the block sums added in
     trial order. By default a chunk takes about MC_CHUNK_BYTES, whatever M
     and K are.
+
+    One helper thread draws the fading of the next chunk into the other of
+    two buffers while this thread draws the noise of the current chunk and
+    reduces it. The fading stream is still drawn in trial order, so the
+    result does not depend on the helper; it has ended when this returns
+    or raises.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -183,23 +194,61 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
                                           + MC_ROW_BYTES * (n_users + 3)))
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
-    rngs = (derive_rng(seed, "mc_channel"), derive_rng(seed, "mc_noise"),
-            derive_rng(seed, "mc_quant"))
+    chunk = min(chunk, trials)
+    rng_h = derive_rng(seed, "mc_channel")
+    noise_rngs = (derive_rng(seed, "mc_noise"), derive_rng(seed, "mc_quant"))
+    scales = (_pairs(np.sqrt(beta / 2.0)), _pairs(np.sqrt(sig.delta_sq / 2.0)),
+              _pairs(np.sqrt(D / 2.0)))
+    power = sig.rho_u * sig.eta
+    fading = np.empty((2, chunk, m, n_users, 2))
+    n_chunks = -(-trials // chunk)
 
-    totals = np.zeros(n_users + 3)
-    pending = np.empty((n_users + 3, 0))  # trials of the open block
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        terms = np.concatenate(
-            [pending, _mc_trial_terms(rngs, t, beta, sig, D, k)], axis=1)
-        full = terms.shape[1] - terms.shape[1] % MC_BLOCK
-        blocks = terms[:, :full].reshape(len(terms), -1, MC_BLOCK)
-        for block_sum in blocks.sum(axis=2).T:
-            totals += block_sum
-        pending = terms[:, full:]
-        done += t
-    totals += pending.sum(axis=1)
+    def slot(i):
+        """The buffer of chunk i, cut to its trials."""
+        return fading[i % 2, :min(chunk, trials - i * chunk)]
+
+    # One fill is outstanding at a time: fill i + 1 is asked for only once
+    # fill i has been taken. The helper runs numpy alone, never a package
+    # function, so tracers that wrap those functions see one thread.
+    ask, filled = threading.Lock(), threading.Lock()
+    ask.acquire()
+    filled.acquire()
+    stop = False
+
+    def fill_ahead():
+        for i in range(n_chunks):
+            ask.acquire()
+            if stop:
+                return
+            rng_h.standard_normal(out=slot(i))
+            filled.release()
+
+    helper = threading.Thread(target=fill_ahead)
+    helper.start()
+    ask.release()
+    try:
+        totals = np.zeros(n_users + 3)
+        pending = np.empty((n_users + 3, 0))  # trials of the open block
+        for i in range(n_chunks):
+            filled.acquire()
+            if i + 1 < n_chunks:
+                ask.release()
+            terms = np.concatenate(
+                [pending, _mc_trial_terms(slot(i), noise_rngs, scales, power, k)], axis=1)
+            full = terms.shape[1] - terms.shape[1] % MC_BLOCK
+            blocks = terms[:, :full].reshape(len(terms), -1, MC_BLOCK)
+            for block_sum in blocks.sum(axis=2).T:
+                totals += block_sum
+            pending = terms[:, full:]
+        totals += pending.sum(axis=1)
+    finally:
+        # Only this thread releases ask. If ask is locked, the helper waits
+        # on it or holds it for a fill, and releasing it lets the helper
+        # reach its stop check; if not, the helper takes it and stops.
+        stop = True
+        if ask.locked():
+            ask.release()
+        helper.join()
 
     means = totals / trials
     ds_sq = float(means[0]) ** 2

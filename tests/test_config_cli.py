@@ -239,6 +239,19 @@ def test_cli_huge_fso_capacity_gives_finite_output(c_fso, argv, tmp_path,
     assert not [t for t in texts if re.search(r"\b(nan|inf)\b", t, re.IGNORECASE)]
 
 
+@pytest.mark.parametrize("command", ["optimize", "grid", "surface", "tradeoff"])
+def test_cli_rejects_fso_capacity_below_resolution(command, tmp_path, capsys):
+    # 2^c_fso - 1 rounds to 0: a clear rejection, not nan or inf output
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("c_fso = 1e-17\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: capacity 1e-17 is too small: 2^C - 1 rounds to 0\n")
+    assert not list(out.glob("*.csv"))
+
+
 def test_cli_validate_small_run(tmp_path, capsys):
     cfg = tmp_path / "v.cfg"
     cfg.write_text("m = 20\nk = 4\n")

@@ -92,6 +92,14 @@ def test_quantization_noise_basic_values():
         quantization_noise_var(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("capacity", [1e-17, [2.0, 1e-17]])
+def test_quantization_noise_rejects_capacity_below_resolution(capacity):
+    # 2^C - 1 rounds to 0: the law would divide by zero
+    with pytest.raises(ValueError, match="1e-17 is too small"):
+        quantization_noise_var(1.0, capacity)
+    assert quantization_noise_var(1.0, 1e-15) > 0
+
+
 def test_quantization_noise_decreasing_in_capacity():
     caps = np.linspace(0.5, 30.0, 100)
     d = quantization_noise_var(2.0, caps)

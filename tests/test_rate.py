@@ -1,12 +1,18 @@
 """Tests for the closed-form SINR decomposition and its Monte-Carlo check."""
 
+import functools
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fronthaul_planner import rate
 from fronthaul_planner.fronthaul import UplinkSignalParams
-from fronthaul_planner.rate import (MC_CHUNK_BYTES, achievable_rates,
+from fronthaul_planner.rate import (MC_AP_BYTES, MC_CHUNK_BYTES, MC_LINK_BYTES,
+                                    MC_ROW_BYTES, achievable_rates,
                                     mc_validate_terms, per_user_sinrs,
                                     rate_from_sinr, sinr_closed_form)
 from fronthaul_planner.seeds import derive_rng
@@ -145,6 +151,122 @@ def test_monte_carlo_deterministic_and_chunk_invariant():
     assert a.ds_sq == b.ds_sq and a.bu_var == b.bu_var
     assert np.array_equal(a.interference_var, b.interference_var)
     assert a.noise_var == b.noise_var
+
+
+def _small_drop(seed, m, k):
+    """Gains, signal parameters and distortions of a small test network."""
+    beta = 10.0 ** np.random.default_rng(seed).uniform(-13, -12, size=(m, k))
+    sig = UplinkSignalParams(0.1, np.full(k, 0.5), np.full(m, 3e-13))
+    return beta, sig, np.full(m, 1e-13)
+
+
+def _same_bits(a, b):
+    return (a.ds_sq == b.ds_sq and a.bu_var == b.bu_var
+            and np.array_equal(a.interference_var, b.interference_var)
+            and a.noise_var == b.noise_var)
+
+
+@pytest.mark.parametrize("chunk", [1, 255, 256, 257, 699, 700])
+def test_monte_carlo_double_buffer_edges(chunk):
+    # 700 trials: three chunks with a short last one at 255-257, two at
+    # 699, one at 700; every chunking gives the bits of a single chunk
+    beta, sig, dist = _small_drop(12, 6, 3)
+    whole = mc_validate_terms(beta, sig, dist, 2, trials=700, seed=5, chunk=700)
+    assert _same_bits(
+        mc_validate_terms(beta, sig, dist, 2, trials=700, seed=5, chunk=chunk), whole)
+
+
+def test_monte_carlo_default_chunk_gives_the_explicit_bits():
+    m, k = 4, 2
+    beta, sig, dist = _small_drop(13, m, k)
+    default = MC_CHUNK_BYTES // (MC_LINK_BYTES * m * k + MC_AP_BYTES * m
+                                 + MC_ROW_BYTES * (k + 3))
+    trials = 2 * default + 300  # two full default chunks and a short one
+    a = mc_validate_terms(beta, sig, dist, 1, trials, seed=6)
+    assert _same_bits(a, mc_validate_terms(beta, sig, dist, 1, trials, seed=6,
+                                           chunk=default))
+    assert _same_bits(a, mc_validate_terms(beta, sig, dist, 1, trials, seed=6,
+                                           chunk=trials))
+
+
+def test_monte_carlo_double_buffer_under_thread_switching():
+    # more callers than cores, each with its helper, switching threads
+    # every microsecond: every call still gives the bits of one chunk
+    beta, sig, dist = _small_drop(15, 6, 3)
+    whole = mc_validate_terms(beta, sig, dist, 1, trials=2000, seed=9, chunk=2000)
+    results = [None] * 4
+
+    def call(j):
+        results[j] = mc_validate_terms(beta, sig, dist, 1, trials=2000, seed=9,
+                                       chunk=128)
+
+    callers = [threading.Thread(target=call, args=(j,), daemon=True)
+               for j in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert all(r is not None and _same_bits(r, whole) for r in results)
+
+
+def _call_within(fn, seconds=60):
+    """Run fn on its own thread; fail if it hangs.
+
+    Returns what fn raised (or None) and the number of live threads, the
+    caller's own included, as fn returned or raised.
+    """
+    out = []
+
+    def call():
+        try:
+            fn()
+            out.append(None)
+        except RuntimeError as exc:
+            out.append(str(exc))
+        out.append(threading.active_count())
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=seconds)
+    assert not caller.is_alive(), "mc_validate_terms did not return"
+    return tuple(out)
+
+
+def test_monte_carlo_helper_thread_ends_with_the_call(monkeypatch):
+    beta, sig, dist = _small_drop(14, 4, 2)
+    run = functools.partial(mc_validate_terms, beta, sig, dist, 0, trials=1000,
+                            seed=1, chunk=300)
+    before = threading.active_count()
+    during = []
+    kernel = rate._mc_trial_terms
+
+    def counting(*args):
+        during.append(threading.active_count())
+        return kernel(*args)
+
+    monkeypatch.setattr(rate, "_mc_trial_terms", counting)
+    # four chunks, seen by the caller and its helper; the helper may end
+    # once it has drawn the last one
+    assert _call_within(run) == (None, before + 1)
+    assert during[:2] == [before + 2] * 2 and len(during) == 4
+
+    def failing_on_second_chunk(*args):
+        during.append(threading.active_count())
+        if len(during) == 2:
+            time.sleep(0.05)  # the helper draws the third chunk, waits to be asked
+            raise RuntimeError("kernel failed")
+        return kernel(*args)
+
+    during.clear()
+    monkeypatch.setattr(rate, "_mc_trial_terms", failing_on_second_chunk)
+    assert _call_within(run) == ("kernel failed", before + 1)
+    assert during == [before + 2] * 2
 
 
 def test_monte_carlo_memory_is_bounded():
