@@ -125,32 +125,19 @@ class LargeScaleFading:
             raise ValueError("gains must be positive and finite")
 
 
-def _per_drop(seed, stream, draw):
-    """draw(rng) on the stream of one seed, or stacked over a list of seeds.
-
-    draw returns a tuple of arrays; for a list of seeds (a block of drops)
-    each array gains a leading drop axis.
-    """
-    if not isinstance(seed, (list, tuple)):
-        return draw(derive_rng(seed, stream))
-    draws = [draw(derive_rng(s, stream)) for s in seed]
-    return tuple(np.stack(arrays) for arrays in zip(*draws))
-
-
 def generate_topology(m, k, area_side, seed):
     """Drop m APs and k UEs i.i.d. uniform over the square [0, area_side]^2.
 
-    Each drop draws the AP positions, then the UE positions, from the
-    topology stream of its seed. seed may be a list of seeds; the drops are
-    then stacked on a leading axis, drop j drawn from seed[j].
+    The AP positions, then the UE positions, come from the topology stream
+    of the seed.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be at least 1")
     if not 0 < area_side < np.inf:
         raise ValueError("area_side must be positive and finite")
-    ap, ue = _per_drop(seed, "topology", lambda rng: (
-        rng.uniform(0.0, area_side, size=(int(m), 2)),
-        rng.uniform(0.0, area_side, size=(int(k), 2))))
+    rng = derive_rng(seed, "topology")
+    ap = rng.uniform(0.0, area_side, size=(int(m), 2))
+    ue = rng.uniform(0.0, area_side, size=(int(k), 2))
     return NetworkTopology(ap, ue, float(area_side))
 
 
@@ -176,21 +163,44 @@ def path_loss_db(d, model):
 
 
 def large_scale_fading(topology, pl, sh, seed):
-    """Link gains combining distance loss and correlated shadowing.
+    """Link gains of one drop combining distance loss and correlated shadowing.
 
     The shadowing exponent for link (m, k) is sigma_sh * z_mk where
     z_mk = sqrt(theta) a_m + sqrt(1 - theta) b_k with independent standard
     normal a_m (per AP) and b_k (per UE), drawn in that order from the
-    shadowing stream of the seed. Deterministic given seed. For a stacked
-    topology, seed is a list with one seed per drop.
+    shadowing stream of the seed. Deterministic given seed.
     """
-    a, b = _per_drop(seed, "shadowing", lambda rng: (
-        rng.standard_normal(topology.m), rng.standard_normal(topology.k)))
-    if a.shape[:-1] != topology.ap_positions.shape[:-2]:
-        raise ValueError("need one seed per drop of the topology")
+    rng = derive_rng(seed, "shadowing")
+    return _gains(topology, pl, sh, rng.standard_normal(topology.m),
+                  rng.standard_normal(topology.k))
+
+
+def _gains(topology, pl, sh, a, b):
+    """Gains from the shadowing normals a (per AP) and b (per UE), per drop."""
     # One power of 10 per gain: shadowing is added to the loss in dB.
     x = path_loss_db(topology.distances(), pl)
     x += (sh.sigma_sh_db * np.sqrt(sh.theta) * a[..., :, None]
           + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * b[..., None, :])
     x /= 10.0
     return LargeScaleFading(np.power(10.0, x, out=x))
+
+
+def draw_drops(m, k, area_side, pl, sh, states):
+    """Topology and gains of a block of drops, stacked on a leading axis.
+
+    Drop j is generate_topology then large_scale_fading, both given one
+    Generator at PCG64 state states[j]: one uniform draw of its 2m + 2k
+    coordinates (APs, then UEs) and one normal draw of its m + k shadowing
+    terms (APs, then UEs) give the same values as their four draws.
+    """
+    rng = np.random.Generator(np.random.PCG64())  # numpy.random loads here
+    xy = np.empty((len(states), 2 * (m + k)))
+    z = np.empty((len(states), m + k))
+    for j, state in enumerate(states):
+        rng.bit_generator.state = state
+        rng.random(out=xy[j])  # uniform(0, area_side) is area_side * random()
+        rng.standard_normal(out=z[j])
+    xy *= area_side
+    topo = NetworkTopology(xy[:, :2 * m].reshape(-1, m, 2),
+                           xy[:, 2 * m:].reshape(-1, k, 2), float(area_side))
+    return topo, _gains(topo, pl, sh, z[:, :m], z[:, m:])

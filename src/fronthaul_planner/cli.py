@@ -68,6 +68,13 @@ def _positive_int(text):
     return int(text)
 
 
+def _seed(text):
+    if not text.isdecimal() or int(text) >= 2 ** 64:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [0, 2^64), got {text!r}")
+    return int(text)
+
+
 def _print_optimum(opt):
     print(f"n_star = {_F % opt.n_star}")
     print(f"m_of_star = {opt.m_of_star}")
@@ -174,7 +181,8 @@ def build_parser():
     def common(p):
         p.add_argument("--config", default=None,
                        help="config file path, or 'default' for built-in values")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=_seed, default=0,
+                       help="master seed, an integer in [0, 2^64)")
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUTDIR_ENV} or .)")
 

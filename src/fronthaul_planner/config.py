@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import (PathLossModel, ShadowingModel, generate_topology,
-                      large_scale_fading)
+from .channel import (PathLossModel, ShadowingModel, draw_drops,
+                      generate_topology, large_scale_fading)
 from .energy import PowerCostParams
 from .fronthaul import UplinkSignalParams
 
@@ -64,6 +64,9 @@ class SystemConfig:
         for name in nonnegative:
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"config value '{name}' must be nonnegative and finite")
+        if 2.0 ** min(self.c_fso, 1.0) - 1.0 == 0.0:
+            raise ValueError("config value 'c_fso' is too small: "
+                             "2^c_fso - 1 rounds to 0")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("config value 'eta' must lie in [0, 1]")
         if not 0.0 <= self.theta <= 1.0:
@@ -191,17 +194,26 @@ def power_cost_params(config):
                            config.mu_fso, config.mu_of, config.b_s_hz)
 
 
-def draw_fading(config, seed):
-    """Random drop of positions and link gains under this config.
+def _loss_models(config):
+    return (PathLossModel(config.f_mhz, config.h_ap_m, config.h_ue_m,
+                          config.d0_m, config.d1_m),
+            ShadowingModel(config.sigma_sh_db, config.theta))
 
-    seed may be a list of seeds: the drops are then stacked on a leading
-    axis, drop j the same as draw_fading(config, seed[j]).
-    """
+
+def draw_fading(config, seed):
+    """Random drop of positions and link gains under this config."""
     topo = generate_topology(config.m, config.k, config.area_m, seed)
-    pl = PathLossModel(config.f_mhz, config.h_ap_m, config.h_ue_m,
-                       config.d0_m, config.d1_m)
-    sh = ShadowingModel(config.sigma_sh_db, config.theta)
-    return topo, large_scale_fading(topo, pl, sh, seed)
+    return topo, large_scale_fading(topo, *_loss_models(config), seed)
+
+
+def draw_fading_block(config, states):
+    """Drops stacked on a leading axis, drop j drawn from PCG64 state states[j].
+
+    Drop j is draw_fading(config, rng) for a Generator rng at states[j],
+    bit for bit.
+    """
+    return draw_drops(config.m, config.k, config.area_m,
+                      *_loss_models(config), states)
 
 
 def symmetric_beta(config, seed):

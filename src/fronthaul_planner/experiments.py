@@ -10,14 +10,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (SystemConfig, draw_fading, power_cost_params,
+from .config import (SystemConfig, draw_fading_block, power_cost_params,
                      signal_params, symmetric_beta)
 from .energy import aggregate_params, symmetric_terms
 from .fronthaul import (FronthaulPlan, quantization_noise_var,
                         received_signal_power)
 from .optimizer import grid_cells, grid_search, parse_range
 from .rate import achievable_rates
-from .seeds import derive_rng
+from .seeds import derive_states
 
 # Fiber/FSO cost scenarios compared by the surface study: cheap fiber,
 # baseline, premium fiber.
@@ -43,6 +43,10 @@ BLOCK_ROWS = 4096
 # blocks of 2**16 entries and more raised peak memory by 10% or more at
 # M=100, K=10 without running faster.
 BLOCK_GAINS = 2 ** 14
+
+# Drops whose generator states run_rate_cdf derives at once, about 0.5 KB
+# each; the gain blocks then split them.
+BLOCK_STATES = 1024
 
 
 def compared_splits_for(m):
@@ -313,11 +317,12 @@ def run_rate_cdf(spec):
 
     All splits are evaluated on the same random drops (common random
     numbers), one topology and shadowing realization per drop. Drop i draws
-    from derive_rng(seed, "drop", i). Drops are evaluated in blocks of at
-    most BLOCK_GAINS gain entries: one (B, M, K) gain stack per block, with
-    all S splits at once as an (S, B, M) distortion stack and an (S, B, K)
-    rate stack. The results do not depend on the block size. The i-th of s
-    sorted values of a CDF has cumulative probability i / s.
+    from derive_rng(seed, "drop", i), whose states are derived BLOCK_STATES
+    drops at a time. Drops are evaluated in blocks of at most BLOCK_GAINS
+    gain entries: one (B, M, K) gain stack per block, with all S splits at
+    once as an (S, B, M) distortion stack and an (S, B, K) rate stack. The
+    results do not depend on the block size. The i-th of s sorted values of
+    a CDF has cumulative probability i / s.
 
     Returns {(n, m_of): (sorted sum rates, sorted per-user rates)}.
     """
@@ -329,15 +334,16 @@ def run_rate_cdf(spec):
                      for n, m_of in splits])[:, None, :]
     per_block = max(1, BLOCK_GAINS // (cfg.m * cfg.k))
     sums, users = [], []
-    for start in range(0, spec.drops, per_block):
-        stop = min(start + per_block, spec.drops)
-        _, fading = draw_fading(cfg, [derive_rng(spec.seed, "drop", i)
-                                      for i in range(start, stop)])
-        dist = quantization_noise_var(received_signal_power(fading.beta, sig),
-                                      caps)
-        rates = achievable_rates(fading.beta, sig, dist)
-        sums.append(rates.sum(axis=-1))
-        users.append(rates.reshape(len(splits), -1))
+    for first in range(0, spec.drops, BLOCK_STATES):
+        states = derive_states(spec.seed, "drop", first,
+                               min(first + BLOCK_STATES, spec.drops))
+        for start in range(0, len(states), per_block):
+            _, fading = draw_fading_block(cfg, states[start:start + per_block])
+            dist = quantization_noise_var(
+                received_signal_power(fading.beta, sig), caps)
+            rates = achievable_rates(fading.beta, sig, dist)
+            sums.append(rates.sum(axis=-1))
+            users.append(rates.reshape(len(splits), -1))
     sums = np.sort(np.concatenate(sums, axis=1))
     users = np.sort(np.concatenate(users, axis=1))
     result = {c: (sums[j], users[j]) for j, c in enumerate(splits)}

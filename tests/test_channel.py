@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from fronthaul_planner.channel import (LargeScaleFading, NetworkTopology,
-                                       ShadowingModel, generate_topology,
-                                       large_scale_fading, path_loss_db)
+                                       ShadowingModel, draw_drops,
+                                       generate_topology, large_scale_fading,
+                                       path_loss_db)
+from fronthaul_planner.seeds import derive_rng, derive_states
 from reference import PATH_LOSS, SHADOWING
 
 # Frozen oracle: independent evaluation of the fixed-loss constant at
@@ -152,20 +154,18 @@ def test_fading_deterministic():
 
 
 def test_drop_stack_equals_single_drops():
+    # the block drawer's two draws per drop against generate_topology and
+    # large_scale_fading on that drop's Generator, bit for bit
     pl, sh = PATH_LOSS, SHADOWING
-    seeds = [3, 4, 5]
-    topo = generate_topology(6, 2, 800.0, seeds)
-    beta = large_scale_fading(topo, pl, sh, seeds).beta
-    assert beta.shape == (3, 6, 2) and (topo.m, topo.k) == (6, 2)
-    for j, s in enumerate(seeds):
-        one = generate_topology(6, 2, 800.0, s)
+    topo, fading = draw_drops(6, 2, 800.0, pl, sh, derive_states(3, "drop", 4, 7))
+    assert fading.beta.shape == (3, 6, 2) and (topo.m, topo.k) == (6, 2)
+    for j in range(3):
+        rng = derive_rng(3, "drop", 4 + j)
+        one = generate_topology(6, 2, 800.0, rng)
         assert np.array_equal(topo.ap_positions[j], one.ap_positions)
         assert np.array_equal(topo.ue_positions[j], one.ue_positions)
-        assert np.array_equal(beta[j], large_scale_fading(one, pl, sh, s).beta)
-    with pytest.raises(ValueError):
-        large_scale_fading(topo, pl, sh, 3)
-    with pytest.raises(ValueError):
-        large_scale_fading(topo, pl, sh, seeds[:2])
+        assert np.array_equal(fading.beta[j],
+                              large_scale_fading(one, pl, sh, rng).beta)
 
 
 def test_validation_of_models():

@@ -239,17 +239,39 @@ def test_cli_huge_fso_capacity_gives_finite_output(c_fso, argv, tmp_path,
     assert not [t for t in texts if re.search(r"\b(nan|inf)\b", t, re.IGNORECASE)]
 
 
-@pytest.mark.parametrize("command", ["optimize", "grid", "surface", "tradeoff"])
+COMMANDS = ["optimize", "grid", "surface", "cdf", "tradeoff", "validate"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_cli_rejects_fso_capacity_below_resolution(command, tmp_path, capsys):
-    # 2^c_fso - 1 rounds to 0: a clear rejection, not nan or inf output
+    # 2^c_fso - 1 rounds to 0: the config key named, not nan or inf output
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("c_fso = 1e-17\n")
     out = tmp_path / "out"
     rc = main([command, "--config", str(cfg), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: capacity 1e-17 is too small: 2^C - 1 rounds to 0\n")
-    assert not list(out.glob("*.csv"))
+        "error: config value 'c_fso' is too small: 2^c_fso - 1 rounds to 0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "1.5", "seven"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_seed_outside_u64_is_usage_error(command, seed, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", seed, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert ("argument --seed: expected an integer in [0, 2^64), got "
+            f"{seed!r}") in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_accepts_the_largest_seed(tmp_path, capsys):
+    seed = str(2 ** 64 - 1)
+    assert main(["cdf", "--drops", "3", "--seed", seed, "--out", str(tmp_path)]) == 0
+    assert f"seed = {seed}\n" in capsys.readouterr().out
+    stamp = (tmp_path / "rate_cdf.csv").read_text().splitlines()[0]
+    assert stamp.startswith(f"# scenario=rate_cdf seed={seed} ")
 
 
 def test_cli_validate_small_run(tmp_path, capsys):

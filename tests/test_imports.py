@@ -1,6 +1,10 @@
-"""Every name a module imports is used: a stale import fails the suite."""
+"""Every name a module imports is used: a stale import fails the suite.
+Importing the CLI stays cheap: numpy.random loads only when a command draws."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,14 @@ def test_every_import_is_used(path):
 def test_every_exported_name_resolves():
     assert [name for name in fronthaul_planner.__all__
             if not hasattr(fronthaul_planner, name)] == []
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random and one PCG64 take 14-20 ms to set up, paid by every run
+    # that draws nothing (grid, surface, tradeoff and optimize by default)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fronthaul_planner.cli; "
+         "print('numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

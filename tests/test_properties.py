@@ -9,11 +9,11 @@ bits/s/Hz and a symmetric gain between 3e-13 and 3e-12.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fronthaul_planner.channel import (ShadowingModel, generate_topology,
-                                       large_scale_fading)
+from fronthaul_planner.channel import ShadowingModel, draw_drops
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       symmetric_terms)
 from fronthaul_planner.experiments import BLOCK_ROWS, write_table
@@ -21,7 +21,7 @@ from fronthaul_planner.fronthaul import (UplinkSignalParams,
                                          received_signal_power)
 from fronthaul_planner.optimizer import optimal_n_closed_form
 from fronthaul_planner.rate import MC_BLOCK, mc_validate_terms, per_user_sinrs
-from fronthaul_planner.seeds import derive_rng
+from fronthaul_planner.seeds import STREAMS, derive_rng, derive_states
 from reference import NOISE_W, PATH_LOSS
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -121,7 +121,7 @@ def test_monte_carlo_terms_do_not_depend_on_the_chunk(m, n_users, seed, data):
     assert np.array_equal(a.interference_var, b.interference_var)
 
 
-def _plain_gains(topo, pl, sh, seeds):
+def _plain_gains(topo, pl, sh, seed):
     """The drop gains composed term by term: norm, nested where, two powers."""
     diff = topo.ap_positions[..., :, None, :] - topo.ue_positions[..., None, :, :]
     d = np.linalg.norm(diff, axis=-1)
@@ -131,7 +131,10 @@ def _plain_gains(topo, pl, sh, seeds):
     mid = -L - mid_const - 20.0 * np.log10(d)
     flat = -L - mid_const - 20.0 * np.log10(pl.d0)
     pl_db = np.where(d > pl.d1, far, np.where(d > pl.d0, mid, flat))
-    draws = [derive_rng(s, "shadowing") for s in seeds]
+    # each drop's normals follow its 2m + 2k uniform coordinates
+    draws = [derive_rng(seed, "drop", j) for j in range(len(topo.ap_positions))]
+    for rng in draws:
+        rng.uniform(size=2 * (topo.m + topo.k))
     a = np.stack([rng.standard_normal(topo.m) for rng in draws])
     b = np.stack([rng.standard_normal(topo.k) for rng in draws])
     z = np.sqrt(sh.theta) * a[:, :, None] + np.sqrt(1.0 - sh.theta) * b[:, None, :]
@@ -139,24 +142,52 @@ def _plain_gains(topo, pl, sh, seeds):
 
 
 @SETTINGS
-@given(st.integers(1, 30), st.integers(1, 12),
-       st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=4),
-       st.floats(1.0, 5000.0), st.floats(0.5, 100.0), st.floats(1.01, 50.0),
-       st.floats(0.0, 1.0), st.floats(0.0, 16.0))
-def test_gain_kernel_matches_the_plain_formula(m, k, seeds, area, d0, ratio,
-                                               theta, sigma):
+@given(st.integers(1, 30), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 4), st.floats(1.0, 5000.0), st.floats(0.5, 100.0),
+       st.floats(1.01, 50.0), st.floats(0.0, 1.0), st.floats(0.0, 16.0))
+def test_gain_kernel_matches_the_plain_formula(m, k, seed, drops, area, d0,
+                                               ratio, theta, sigma):
     # the one-log10, one-power kernel against the plain composition on the
     # same drops and draws; distances against np.hypot
-    topo = generate_topology(m, k, area, seeds)
     pl = replace(PATH_LOSS, d0=d0, d1=d0 * ratio)
     sh = ShadowingModel(sigma, theta)
+    topo, fading = draw_drops(m, k, area, pl, sh,
+                              derive_states(seed, "drop", 0, drops))
     d = topo.distances()
     dx, dy = np.moveaxis(topo.ap_positions[:, :, None, :]
                          - topo.ue_positions[:, None, :, :], -1, 0)
     assert np.all(np.abs(d - np.hypot(dx, dy)) <= np.spacing(np.hypot(dx, dy)))
-    beta = large_scale_fading(topo, pl, sh, seeds).beta
-    np.testing.assert_allclose(beta, _plain_gains(topo, pl, sh, seeds),
+    np.testing.assert_allclose(fading.beta, _plain_gains(topo, pl, sh, seed),
                                rtol=1e-13, atol=0.0)
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 130),
+       st.one_of(st.integers(0, 300), st.integers(2 ** 32 - 6, 2 ** 32 + 2)),
+       st.integers(0, 8))
+@example(0, 0, 0)
+@example(2 ** 32 - 1, 2 ** 32 - 3, 6)
+@example(2 ** 32, 7, 3)
+@example(2 ** 64 - 1, 2 ** 32 - 1, 2)
+@example(2 ** 64, 2 ** 32, 0)
+@example(2 ** 96 + 1, 2 ** 32 - 2, 4)
+def test_derived_states_equal_one_generator_per_index(seed, start, count):
+    # indices from 2^32 on take two spawn-key words
+    for stream in STREAMS:
+        assert derive_states(seed, stream, start, start + count) == [
+            derive_rng(seed, stream, i).bit_generator.state
+            for i in range(start, start + count)]
+
+
+@pytest.mark.parametrize("seed, stream, index, error", [
+    (-1, "drop", 0, "non-negative"), (0, "drop", -1, "non-negative"),
+    (0, "nope", 0, "unknown seed stream")])
+def test_derived_states_reject_what_derive_rng_rejects(seed, stream, index,
+                                                       error):
+    with pytest.raises(ValueError, match=error):
+        derive_rng(seed, stream, index)
+    with pytest.raises(ValueError, match=error):
+        derive_states(seed, stream, index, index + 3)
 
 
 def _row_loop_csv(columns):
