@@ -133,6 +133,9 @@ def cmd_tradeoff(args):
 
 def cmd_validate(args):
     cfg = _load(args)
+    if cfg.eta == 0:
+        raise ValueError("config value 'eta' must be positive for validate: "
+                         "at eta = 0 every signal term it checks is 0")
     _echo_config(cfg, args.seed)
     m, k = args.m, args.k
     rng = derive_rng(args.seed, "validate_user", index=None)

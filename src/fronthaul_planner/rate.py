@@ -9,7 +9,6 @@ Each term has a closed form in the link gains, checked here term by term
 against simulation.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,21 +168,27 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     the closed-form decomposition. The quantization noise at AP m has
     variance distortions[m] in every trial: the distortion sized from the
     statistical mean of the received power, as in the closed form.
-    Deterministic given seed, and exactly independent of the chunk size
-    (trials simulated at once): fading, noise and quantization use separate
-    derived streams, and the per-trial terms are summed in blocks of
-    MC_BLOCK trials aligned on the trial index, the block sums added in
-    trial order. By default a chunk takes about MC_CHUNK_BYTES, whatever M
-    and K are.
+    Deterministic given the seed, which must be an integer, and exactly
+    independent of the chunk size (trials simulated at once): fading, noise
+    and quantization use separate derived streams, and the per-trial terms
+    are summed in blocks of MC_BLOCK trials aligned on the trial index, the
+    block sums added in trial order. By default a chunk takes about
+    MC_CHUNK_BYTES, whatever M and K are.
 
-    One helper thread draws the fading of the next chunk into the other of
-    two buffers while this thread draws the noise of the current chunk and
-    reduces it. The fading stream is still drawn in trial order, so the
-    result does not depend on the helper; it has ended when this returns
-    or raises.
+    A one-worker executor draws the fading of the next chunk into the other
+    of two buffers while this thread draws the noise of the current chunk
+    and reduces it. Fills run one at a time in trial order, so the result
+    does not depend on the worker; a failed fill raises here, and the
+    worker has ended when this returns or raises.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, not {type(seed).__name__}: "
+                         "the fading is drawn on another thread, so a shared "
+                         "generator would be drawn in a thread-dependent order")
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
     D = np.atleast_1d(np.asarray(distortions, dtype=float))
     m, n_users = beta.shape
@@ -203,52 +208,29 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     fading = np.empty((2, chunk, m, n_users, 2))
     n_chunks = -(-trials // chunk)
 
-    def slot(i):
-        """The buffer of chunk i, cut to its trials."""
-        return fading[i % 2, :min(chunk, trials - i * chunk)]
+    totals = np.zeros(n_users + 3)
+    pending = np.empty((n_users + 3, 0))  # trials of the open block
+    # The worker runs numpy alone, never a package function, so tracers
+    # that wrap those functions see one thread.
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        def fill(i):
+            """Start drawing the fading of chunk i into its buffer."""
+            return worker.submit(rng_h.standard_normal,
+                                 out=fading[i % 2, :min(chunk, trials - i * chunk)])
 
-    # One fill is outstanding at a time: fill i + 1 is asked for only once
-    # fill i has been taken. The helper runs numpy alone, never a package
-    # function, so tracers that wrap those functions see one thread.
-    ask, filled = threading.Lock(), threading.Lock()
-    ask.acquire()
-    filled.acquire()
-    stop = False
-
-    def fill_ahead():
+        filled = fill(0)
         for i in range(n_chunks):
-            ask.acquire()
-            if stop:
-                return
-            rng_h.standard_normal(out=slot(i))
-            filled.release()
-
-    helper = threading.Thread(target=fill_ahead)
-    helper.start()
-    ask.release()
-    try:
-        totals = np.zeros(n_users + 3)
-        pending = np.empty((n_users + 3, 0))  # trials of the open block
-        for i in range(n_chunks):
-            filled.acquire()
+            parts = filled.result()
             if i + 1 < n_chunks:
-                ask.release()
+                filled = fill(i + 1)
             terms = np.concatenate(
-                [pending, _mc_trial_terms(slot(i), noise_rngs, scales, power, k)], axis=1)
+                [pending, _mc_trial_terms(parts, noise_rngs, scales, power, k)], axis=1)
             full = terms.shape[1] - terms.shape[1] % MC_BLOCK
             blocks = terms[:, :full].reshape(len(terms), -1, MC_BLOCK)
             for block_sum in blocks.sum(axis=2).T:
                 totals += block_sum
             pending = terms[:, full:]
-        totals += pending.sum(axis=1)
-    finally:
-        # Only this thread releases ask. If ask is locked, the helper waits
-        # on it or holds it for a fill, and releasing it lets the helper
-        # reach its stop check; if not, the helper takes it and stops.
-        stop = True
-        if ask.locked():
-            ask.release()
-        helper.join()
+    totals += pending.sum(axis=1)
 
     means = totals / trials
     ds_sq = float(means[0]) ** 2

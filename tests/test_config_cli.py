@@ -255,6 +255,17 @@ def test_cli_rejects_fso_capacity_below_resolution(command, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_validate_rejects_zero_power_control(tmp_path, capsys):
+    # every closed-form signal term is 0, so no relative error is defined
+    cfg = tmp_path / "silent.cfg"
+    cfg.write_text("eta = 0\n")
+    rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: config value 'eta' must be positive "
+                                   "for validate: at eta = 0 every signal term it "
+                                   "checks is 0\n")
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "1.5", "seven"])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_cli_seed_outside_u64_is_usage_error(command, seed, tmp_path, capsys):

@@ -251,15 +251,14 @@ def test_monte_carlo_helper_thread_ends_with_the_call(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(rate, "_mc_trial_terms", counting)
-    # four chunks, seen by the caller and its helper; the helper may end
-    # once it has drawn the last one
+    # four chunks, seen by the caller and its fading worker
     assert _call_within(run) == (None, before + 1)
     assert during[:2] == [before + 2] * 2 and len(during) == 4
 
     def failing_on_second_chunk(*args):
         during.append(threading.active_count())
         if len(during) == 2:
-            time.sleep(0.05)  # the helper draws the third chunk, waits to be asked
+            time.sleep(0.05)  # the worker draws the third chunk meanwhile
             raise RuntimeError("kernel failed")
         return kernel(*args)
 
@@ -267,6 +266,45 @@ def test_monte_carlo_helper_thread_ends_with_the_call(monkeypatch):
     monkeypatch.setattr(rate, "_mc_trial_terms", failing_on_second_chunk)
     assert _call_within(run) == ("kernel failed", before + 1)
     assert during == [before + 2] * 2
+
+
+@pytest.mark.parametrize("failing_fill", [0, 2])
+def test_monte_carlo_failed_fill_reaches_the_caller(monkeypatch, failing_fill):
+    beta, sig, dist = _small_drop(14, 4, 2)
+    run = functools.partial(mc_validate_terms, beta, sig, dist, 0, trials=1000,
+                            seed=1, chunk=300)
+    before = threading.active_count()
+    fills = []
+
+    class FailingFading:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, out):
+            fills.append(out.shape[0])
+            if len(fills) > failing_fill:
+                raise RuntimeError("fill failed")
+            return self.rng.standard_normal(out=out)
+
+    def derive(seed, stream, index=0):
+        rng = derive_rng(seed, stream, index)
+        return FailingFading(rng) if stream == "mc_channel" else rng
+
+    monkeypatch.setattr(rate, "derive_rng", derive)
+    assert _call_within(run) == ("fill failed", before + 1)
+    assert fills == [300] * (failing_fill + 1)
+
+
+def test_monte_carlo_rejects_a_generator_seed():
+    # one generator shared by both threads would be drawn in a
+    # thread-dependent order
+    beta, sig, dist = _small_drop(14, 4, 2)
+    with pytest.raises(ValueError, match="seed must be an integer, not Generator"):
+        mc_validate_terms(beta, sig, dist, 0, trials=100,
+                          seed=np.random.default_rng(3))
+    assert _same_bits(mc_validate_terms(beta, sig, dist, 0, trials=100, seed=3),
+                      mc_validate_terms(beta, sig, dist, 0, trials=100,
+                                        seed=np.int64(3)))
 
 
 def test_monte_carlo_memory_is_bounded():
