@@ -8,8 +8,7 @@ simulation.
 """
 
 from .channel import (LargeScaleFading, NetworkTopology, PathLossModel,
-                      ShadowingModel, generate_topology, large_scale_fading,
-                      path_loss_db)
+                      ShadowingModel, path_loss_db)
 from .config import SystemConfig, load_config, symmetric_beta
 from .energy import (AggregateParams, PowerCostParams, aggregate_params,
                      ee_symmetric)
@@ -29,10 +28,9 @@ __all__ = [
     "NetworkTopology", "PathLossModel", "PlanOptimum", "PowerCostParams",
     "ShadowingModel", "SinrBreakdown", "SystemConfig", "UplinkSignalParams",
     "achievable_rates", "aggregate_params", "alternating_optimize",
-    "ee_symmetric", "generate_topology", "grid_search", "large_scale_fading",
-    "load_config", "mc_validate_terms", "optimal_m_of_closed_form",
-    "optimal_n_closed_form", "path_loss_db", "per_ap_distortions",
-    "quantization_noise_var", "rate_from_sinr", "received_signal_power",
-    "run_ee_surface", "run_ee_vs_sumrate", "run_rate_cdf", "sinr_closed_form",
-    "symmetric_beta",
+    "ee_symmetric", "grid_search", "load_config", "mc_validate_terms",
+    "optimal_m_of_closed_form", "optimal_n_closed_form", "path_loss_db",
+    "per_ap_distortions", "quantization_noise_var", "rate_from_sinr",
+    "received_signal_power", "run_ee_surface", "run_ee_vs_sumrate",
+    "run_rate_cdf", "sinr_closed_form", "symmetric_beta",
 ]

@@ -2,8 +2,8 @@
 
 Access points and users are dropped uniformly over a square area. The link
 gain between an AP and a user combines a three-slope distance loss with
-correlated log-normal shadowing; the fast fading component is i.i.d.
-unit-variance complex Gaussian and is only drawn for Monte-Carlo checks.
+correlated log-normal shadowing, both from one kernel over a drop's raw
+draws. Fast fading is drawn only by the Monte-Carlo check in rate.py.
 """
 
 from dataclasses import dataclass
@@ -125,22 +125,6 @@ class LargeScaleFading:
             raise ValueError("gains must be positive and finite")
 
 
-def generate_topology(m, k, area_side, seed):
-    """Drop m APs and k UEs i.i.d. uniform over the square [0, area_side]^2.
-
-    The AP positions, then the UE positions, come from the topology stream
-    of the seed.
-    """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be at least 1")
-    if not 0 < area_side < np.inf:
-        raise ValueError("area_side must be positive and finite")
-    rng = derive_rng(seed, "topology")
-    ap = rng.uniform(0.0, area_side, size=(int(m), 2))
-    ue = rng.uniform(0.0, area_side, size=(int(k), 2))
-    return NetworkTopology(ap, ue, float(area_side))
-
-
 def path_loss_db(d, model):
     """Three-slope loss in dB (negative) at distance d meters.
 
@@ -162,45 +146,57 @@ def path_loss_db(d, model):
     return out if out.ndim else float(out)
 
 
-def large_scale_fading(topology, pl, sh, seed):
-    """Link gains of one drop combining distance loss and correlated shadowing.
+def _drops(m, k, area_side, pl, sh, xy, z):
+    """Topology and gains of drops from their draws, any leading batch shape.
 
-    The shadowing exponent for link (m, k) is sigma_sh * z_mk where
-    z_mk = sqrt(theta) a_m + sqrt(1 - theta) b_k with independent standard
-    normal a_m (per AP) and b_k (per UE), drawn in that order from the
-    shadowing stream of the seed. Deterministic given seed.
+    xy (..., 2m + 2k) holds uniforms on [0, 1), AP then UE coordinates, and
+    is scaled in place (uniform(0, a) is a * random(), bit for bit). z holds
+    m + k normals, a_m per AP then b_k per UE; link (m, k) is shadowed by
+    sigma_sh * (sqrt(theta) a_m + sqrt(1 - theta) b_k).
     """
-    rng = derive_rng(seed, "shadowing")
-    return _gains(topology, pl, sh, rng.standard_normal(topology.m),
-                  rng.standard_normal(topology.k))
-
-
-def _gains(topology, pl, sh, a, b):
-    """Gains from the shadowing normals a (per AP) and b (per UE), per drop."""
+    xy *= area_side
+    topo = NetworkTopology(xy[..., :2 * m].reshape(xy.shape[:-1] + (m, 2)),
+                           xy[..., 2 * m:].reshape(xy.shape[:-1] + (k, 2)),
+                           float(area_side))
     # One power of 10 per gain: shadowing is added to the loss in dB.
-    x = path_loss_db(topology.distances(), pl)
-    x += (sh.sigma_sh_db * np.sqrt(sh.theta) * a[..., :, None]
-          + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * b[..., None, :])
+    x = path_loss_db(topo.distances(), pl)
+    shadow = (sh.sigma_sh_db * np.sqrt(sh.theta) * z[..., :m, None]
+              + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * z[..., None, m:])
+    x += shadow
     x /= 10.0
-    return LargeScaleFading(np.power(10.0, x, out=x))
+    with np.errstate(over="ignore"):
+        np.power(10.0, x, out=x)
+        try:
+            return topo, LargeScaleFading(x)
+        except ValueError:
+            # the key is named when the shadowing factor alone leaves the range
+            if np.all(np.isfinite(10.0 ** (np.abs(shadow) / 10.0))):
+                raise
+    raise ValueError(f"shadowing 'sigma_sh_db' = {sh.sigma_sh_db:g} dB is too "
+                     "large: link gains leave the float range")
+
+
+def draw_drop(m, k, area_side, pl, sh, seed):
+    """Positions and link gains of one drop of m APs and k UEs.
+
+    The coordinates come from the topology stream of the seed, then the
+    normals from its shadowing stream (a Generator seed serves both).
+    """
+    xy = derive_rng(seed, "topology").random(2 * (m + k))
+    z = derive_rng(seed, "shadowing").standard_normal(m + k)
+    return _drops(m, k, area_side, pl, sh, xy, z)
 
 
 def draw_drops(m, k, area_side, pl, sh, states):
     """Topology and gains of a block of drops, stacked on a leading axis.
 
-    Drop j is generate_topology then large_scale_fading, both given one
-    Generator at PCG64 state states[j]: one uniform draw of its 2m + 2k
-    coordinates (APs, then UEs) and one normal draw of its m + k shadowing
-    terms (APs, then UEs) give the same values as their four draws.
+    Drop j is draw_drop on one Generator at PCG64 state states[j].
     """
     rng = np.random.Generator(np.random.PCG64())  # numpy.random loads here
     xy = np.empty((len(states), 2 * (m + k)))
     z = np.empty((len(states), m + k))
     for j, state in enumerate(states):
         rng.bit_generator.state = state
-        rng.random(out=xy[j])  # uniform(0, area_side) is area_side * random()
+        rng.random(out=xy[j])
         rng.standard_normal(out=z[j])
-    xy *= area_side
-    topo = NetworkTopology(xy[:, :2 * m].reshape(-1, m, 2),
-                           xy[:, 2 * m:].reshape(-1, k, 2), float(area_side))
-    return topo, _gains(topo, pl, sh, z[:, :m], z[:, m:])
+    return _drops(m, k, area_side, pl, sh, xy, z)

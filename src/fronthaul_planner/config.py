@@ -12,8 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import (PathLossModel, ShadowingModel, draw_drops,
-                      generate_topology, large_scale_fading)
+from .channel import PathLossModel, ShadowingModel, draw_drop, draw_drops
 from .energy import PowerCostParams
 from .fronthaul import UplinkSignalParams
 
@@ -175,7 +174,12 @@ def load_config(path):
 
 
 def effective_config_lines(config):
-    """File-key view of a config, one 'key = value' line per key."""
+    """File-key view of a config, one 'key = value' line per key.
+
+    The lines reload to the same config for a loaded config and the
+    defaults. A field set in code in a scaled unit (f_mhz, b_s_hz, rho_u_w)
+    may echo to a neighbouring float.
+    """
     lines = []
     for key in sorted(_KEYS):
         field, _, num, den = _KEYS[key]
@@ -202,8 +206,8 @@ def _loss_models(config):
 
 def draw_fading(config, seed):
     """Random drop of positions and link gains under this config."""
-    topo = generate_topology(config.m, config.k, config.area_m, seed)
-    return topo, large_scale_fading(topo, *_loss_models(config), seed)
+    return draw_drop(config.m, config.k, config.area_m,
+                     *_loss_models(config), seed)
 
 
 def draw_fading_block(config, states):

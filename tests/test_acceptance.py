@@ -11,9 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from fronthaul_planner.channel import generate_topology, large_scale_fading
 from fronthaul_planner.cli import main
-from fronthaul_planner.config import power_cost_params, signal_params
+from fronthaul_planner.config import (draw_fading, power_cost_params,
+                                      signal_params)
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       ee_symmetric)
 from fronthaul_planner.experiments import (ExperimentSpec, run_ee_surface,
@@ -28,8 +28,8 @@ from fronthaul_planner.optimizer import (capacity_coeff_quadratic,
                                          optimal_n_closed_form, parse_range)
 from fronthaul_planner.rate import (achievable_rates, mc_validate_terms,
                                     sinr_closed_form)
-from reference import (CFG, NOISE_W, PATH_LOSS, SHADOWING, energy_efficiency,
-                       fronthaul_cost, network_power)
+from reference import (CFG, NOISE_W, energy_efficiency, fronthaul_cost,
+                       network_power)
 
 
 def report(name, ok, detail):
@@ -118,8 +118,7 @@ def test_a4_closed_form_vs_monte_carlo():
     """A4: every SINR term matches its empirical estimate within 2%."""
     start = time.monotonic()
     m, k, trials = 20, 4, 100_000
-    topo = generate_topology(m, k, CFG.area_m, seed=314)
-    fading = large_scale_fading(topo, PATH_LOSS, SHADOWING, seed=314)
+    _, fading = draw_fading(replace(CFG, m=m, k=k), 314)
     sig = UplinkSignalParams.symmetric(CFG.rho_u_w, CFG.eta, NOISE_W, m, k)
     plan = FronthaulPlan.fso_first(m, 10, CFG.c_fso, 2.0)
     dist = per_ap_distortions(fading.beta, sig, plan)

@@ -1,4 +1,7 @@
-"""Tests for topology generation, path loss, shadowing and fast fading."""
+"""Tests for the drop draws, path loss and correlated shadowing.
+
+Fast fading is drawn by the Monte-Carlo check and tested in test_rate.py.
+"""
 
 from dataclasses import replace
 
@@ -6,9 +9,9 @@ import numpy as np
 import pytest
 
 from fronthaul_planner.channel import (LargeScaleFading, NetworkTopology,
-                                       ShadowingModel, draw_drops,
-                                       generate_topology, large_scale_fading,
+                                       ShadowingModel, draw_drop, draw_drops,
                                        path_loss_db)
+from fronthaul_planner.config import SystemConfig
 from fronthaul_planner.seeds import derive_rng, derive_states
 from reference import PATH_LOSS, SHADOWING
 
@@ -17,26 +20,21 @@ from reference import PATH_LOSS, SHADOWING
 L_REFERENCE_DB = 140.71508370390842
 
 
-def test_generate_topology_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        generate_topology(0, 1, 1000.0, seed=0)
-    with pytest.raises(ValueError):
-        generate_topology(1, 0, 1000.0, seed=0)
-    with pytest.raises(ValueError):
-        generate_topology(1, 1, 0.0, seed=0)
+def test_drop_rejects_bad_arguments():
+    # no AP, no UE or no area: rejected by the topology and by the config
+    for m, k, side, text in ((0, 1, 1000.0, "at least one AP"),
+                             (1, 0, 1000.0, "at least one AP"),
+                             (1, 1, 0.0, "area_side")):
+        with pytest.raises(ValueError, match=text):
+            draw_drop(m, k, side, PATH_LOSS, SHADOWING, seed=0)
+    for fields, text in (({"m": 0}, "'m' and 'k'"), ({"k": 0}, "'m' and 'k'"),
+                         ({"area_m": 0.0}, "'area_m'")):
+        with pytest.raises(ValueError, match=text):
+            SystemConfig(**fields)
 
 
-def test_generate_topology_deterministic():
-    t1 = generate_topology(100, 10, 1000.0, seed=42)
-    t2 = generate_topology(100, 10, 1000.0, seed=42)
-    assert np.array_equal(t1.ap_positions, t2.ap_positions)
-    assert np.array_equal(t1.ue_positions, t2.ue_positions)
-    t3 = generate_topology(100, 10, 1000.0, seed=43)
-    assert not np.array_equal(t1.ap_positions, t3.ap_positions)
-
-
-def test_generate_topology_uniform_mean():
-    topo = generate_topology(100, 10, 1000.0, seed=42)
+def test_drop_positions_uniform_mean():
+    topo, _ = draw_drop(100, 10, 1000.0, PATH_LOSS, SHADOWING, seed=42)
     # mean of 100 uniform draws on [0, 1000]: sd = (1000/sqrt(12))/10
     three_sigma = 3.0 * (1000.0 / np.sqrt(12.0)) / np.sqrt(100.0)
     assert abs(np.mean(topo.ap_positions[:, 0]) - 500.0) < three_sigma
@@ -59,7 +57,7 @@ def test_topology_validation():
             NetworkTopology(ap, ue, side)
     for side in (nan, np.inf):
         with pytest.raises(ValueError, match="area_side"):
-            generate_topology(2, 2, side, seed=0)
+            draw_drop(2, 2, side, PATH_LOSS, SHADOWING, seed=0)
 
 
 def test_fixed_loss_constant_matches_reference():
@@ -111,61 +109,91 @@ def test_path_loss_rejects_nonpositive_distance():
 
 
 def test_fading_without_shadowing_is_pure_path_loss():
-    topo = generate_topology(20, 5, 1000.0, seed=1)
     pl = PATH_LOSS
-    fading = large_scale_fading(topo, pl, replace(SHADOWING, sigma_sh_db=0.0), seed=1)
+    topo, fading = draw_drop(20, 5, 1000.0, pl,
+                             replace(SHADOWING, sigma_sh_db=0.0), seed=1)
     expected = 10.0 ** (path_loss_db(topo.distances(), pl) / 10.0)
     assert np.array_equal(fading.beta, expected)
 
 
-def _recover_z(topo, pl, sh, seed):
-    fading = large_scale_fading(topo, pl, sh, seed)
-    pl_db = path_loss_db(topo.distances(), pl)
+def _recover_z(sh, drops=300, m=4, k=3):
+    """Shadowing exponents z (drops, m, k) of a stack of drops, from the gains."""
+    topo, fading = draw_drops(m, k, 1000.0, PATH_LOSS, sh,
+                              derive_states(2, "drop", 0, drops))
+    pl_db = path_loss_db(topo.distances(), PATH_LOSS)
     return (10.0 * np.log10(fading.beta) - pl_db) / sh.sigma_sh_db
 
 
 def test_shadowing_correlation_extremes():
-    topo = generate_topology(15, 6, 1000.0, seed=2)
-    pl = PATH_LOSS
     # theta = 0: shadowing is user-driven, equal at all APs
-    z0 = _recover_z(topo, pl, ShadowingModel(8.0, 0.0), seed=2)
-    assert np.allclose(z0.max(axis=0), z0.min(axis=0), atol=1e-9)
+    z0 = _recover_z(ShadowingModel(8.0, 0.0))
+    assert np.allclose(z0.max(axis=1), z0.min(axis=1), atol=1e-9)
     # theta = 1: shadowing is AP-driven, equal for all users
-    z1 = _recover_z(topo, pl, ShadowingModel(8.0, 1.0), seed=2)
-    assert np.allclose(z1.max(axis=1), z1.min(axis=1), atol=1e-9)
+    z1 = _recover_z(ShadowingModel(8.0, 1.0))
+    assert np.allclose(z1.max(axis=2), z1.min(axis=2), atol=1e-9)
 
 
 def test_shadowing_spread_over_seeds():
-    topo = generate_topology(4, 3, 1000.0, seed=3)
-    pl = PATH_LOSS
-    sh = ShadowingModel(8.0, 0.5)
-    entry = np.array([large_scale_fading(topo, pl, sh, seed=s).beta[0, 0]
-                      for s in range(300)])
-    # log10(beta) spreads with sd sigma_sh / 10 = 0.8
-    assert np.std(np.log10(entry)) == pytest.approx(0.8, abs=0.15)
+    # z_mk has unit variance; links sharing an AP correlate by theta, links
+    # sharing a user by 1 - theta (300 drops: sd of each estimate below 0.06)
+    z = _recover_z(ShadowingModel(8.0, 0.3))
+    assert np.std(z[:, 0, 0]) == pytest.approx(1.0, abs=0.15)
+    for (ap, ue), rho in (((0, 1), 0.3), ((1, 0), 0.7), ((1, 1), 0.0)):
+        r = np.corrcoef(z[:, 0, 0], z[:, ap, ue])[0, 1]
+        assert r == pytest.approx(rho, abs=0.15)
 
 
 def test_fading_deterministic():
-    topo = generate_topology(10, 4, 500.0, seed=5)
     pl, sh = PATH_LOSS, SHADOWING
-    b1 = large_scale_fading(topo, pl, sh, seed=9).beta
-    b2 = large_scale_fading(topo, pl, sh, seed=9).beta
-    assert np.array_equal(b1, b2)
+    (t1, f1), (t2, f2), (t3, f3) = (draw_drop(10, 4, 500.0, pl, sh, seed)
+                                    for seed in (9, 9, 10))
+    for a, b in ((t1.ap_positions, t2.ap_positions),
+                 (t1.ue_positions, t2.ue_positions), (f1.beta, f2.beta)):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(t1.ap_positions, t3.ap_positions)
+    assert not np.array_equal(f1.beta, f3.beta)
+
+
+def test_one_drop_equals_its_split_draws():
+    # one draw of 2m + 2k uniforms and one of m + k normals give the values
+    # of uniform(0, side) positions per AP and per UE and of normals a then b
+    m, k, side, pl, sh = 7, 3, 900.0, PATH_LOSS, SHADOWING
+    for seed in range(5):
+        topo, fading = draw_drop(m, k, side, pl, sh, seed)
+        rng = derive_rng(seed, "topology")
+        ap, ue = rng.uniform(0.0, side, (m, 2)), rng.uniform(0.0, side, (k, 2))
+        rng = derive_rng(seed, "shadowing")
+        a, b = rng.standard_normal(m), rng.standard_normal(k)
+        assert np.array_equal(topo.ap_positions, ap)
+        assert np.array_equal(topo.ue_positions, ue)
+        shadow = (sh.sigma_sh_db * np.sqrt(sh.theta) * a[:, None]
+                  + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * b[None, :])
+        pl_db = path_loss_db(topo.distances(), pl)
+        assert np.array_equal(fading.beta, 10.0 ** ((pl_db + shadow) / 10.0))
 
 
 def test_drop_stack_equals_single_drops():
-    # the block drawer's two draws per drop against generate_topology and
-    # large_scale_fading on that drop's Generator, bit for bit
+    # the block drawer against the one-drop draw on each drop's Generator,
+    # bit for bit
     pl, sh = PATH_LOSS, SHADOWING
     topo, fading = draw_drops(6, 2, 800.0, pl, sh, derive_states(3, "drop", 4, 7))
     assert fading.beta.shape == (3, 6, 2) and (topo.m, topo.k) == (6, 2)
     for j in range(3):
         rng = derive_rng(3, "drop", 4 + j)
-        one = generate_topology(6, 2, 800.0, rng)
+        one, gains = draw_drop(6, 2, 800.0, pl, sh, rng)
         assert np.array_equal(topo.ap_positions[j], one.ap_positions)
         assert np.array_equal(topo.ue_positions[j], one.ue_positions)
-        assert np.array_equal(fading.beta[j],
-                              large_scale_fading(one, pl, sh, rng).beta)
+        assert np.array_equal(fading.beta[j], gains.beta)
+
+
+def test_gains_outside_the_float_range_are_rejected():
+    # a shadowing spread that alone leaves the float range is named; a path
+    # loss out of scale keeps the plain gain check; neither warns
+    wide, tall = ShadowingModel(2000.0, 0.5), replace(PATH_LOSS, h_ue=1e10)
+    with pytest.raises(ValueError, match="'sigma_sh_db' = 2000 dB is too"):
+        draw_drop(20, 4, 1000.0, PATH_LOSS, wide, seed=0)
+    with pytest.raises(ValueError, match="gains must be positive and finite"):
+        draw_drop(4, 3, 1000.0, tall, SHADOWING, seed=0)
 
 
 def test_validation_of_models():

@@ -255,6 +255,24 @@ def test_cli_rejects_fso_capacity_below_resolution(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text", [
+    ("cdf", ""), ("validate", ""),
+    ("optimize", "beta_policy = geometric_mean\n"),
+])
+def test_cli_huge_shadowing_names_the_key(command, text, tmp_path, capsys):
+    # 10^(sigma_sh z / 10) leaves the float range: the key named on one
+    # line, no overflow warning and no CSV
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(text + "sigma_sh_db = 2000\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: shadowing 'sigma_sh_db' = 2000 dB is too large: "
+        "link gains leave the float range\n")
+    assert not list(out.glob("*.csv"))
+
+
 def test_cli_validate_rejects_zero_power_control(tmp_path, capsys):
     # every closed-form signal term is 0, so no relative error is defined
     cfg = tmp_path / "silent.cfg"

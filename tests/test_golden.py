@@ -14,13 +14,19 @@ The pins named '<file>:<argument>' were recorded before CSV rows were
 rendered by numpy: `grid --n 1:10:0.01` (91,001 rows) and `cdf --drops 400`
 are the benchmark's sizes, and `grid --n 1:8:1` holds the rows of the
 removed fiber-count study (its n, m_of and EE columns at n in 1-4, 7, 8).
+
+The geometric_mean gains were recorded before the one-drop draw and the
+cdf drop blocks were given one gain kernel; they pin a whole drop of the
+reference network, where the validate stdout reads only an 8 x 3 slice.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from fronthaul_planner.cli import main
+from fronthaul_planner.config import SystemConfig, symmetric_beta
 
 # pin name -> argv; the CSV a command writes is named before any ':'
 COMMANDS = {
@@ -77,3 +83,17 @@ def test_stdout_bytes_unchanged(argv, tmp_path, capsys):
     code = main(list(argv) + ["--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_DIGESTS[argv]
+
+
+# seed -> float.hex() of the geometric_mean gain of the reference network
+GEOMETRIC_MEAN_BETA = {
+    0: "0x1.09b0af098bf29p-77",
+    1: "0x1.31b561651bcafp-78",
+    2: "0x1.1fa98ab6279acp-78",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GEOMETRIC_MEAN_BETA))
+def test_geometric_mean_beta_unchanged(seed):
+    cfg = replace(SystemConfig(), beta_policy="geometric_mean")
+    assert symmetric_beta(cfg, seed).hex() == GEOMETRIC_MEAN_BETA[seed]
