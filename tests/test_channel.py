@@ -143,6 +143,15 @@ def test_shadowing_spread_over_seeds():
         assert r == pytest.approx(rho, abs=0.15)
 
 
+def test_drop_positions_deterministic():
+    (t1, _), (t2, _), (t3, _) = (draw_drop(10, 4, 500.0, PATH_LOSS, SHADOWING,
+                                           seed) for seed in (9, 9, 10))
+    assert np.array_equal(t1.ap_positions, t2.ap_positions)
+    assert np.array_equal(t1.ue_positions, t2.ue_positions)
+    assert not np.array_equal(t1.ap_positions, t3.ap_positions)
+    assert not np.array_equal(t1.ue_positions, t3.ue_positions)
+
+
 def test_fading_deterministic():
     pl, sh = PATH_LOSS, SHADOWING
     (t1, f1), (t2, f2), (t3, f3) = (draw_drop(10, 4, 500.0, pl, sh, seed)
