@@ -18,6 +18,14 @@ removed fiber-count study (its n, m_of and EE columns at n in 1-4, 7, 8).
 The geometric_mean gains were recorded before the one-drop draw and the
 cdf drop blocks were given one gain kernel; they pin a whole drop of the
 reference network, where the validate stdout reads only an 8 x 3 slice.
+
+The configured pins were recorded before the symmetric studies were
+streamed in blocks of n rows and the trade-off sweep became one objective
+call. At M = 1000 a block of whole n rows holds 1001 cells, so tables are
+cut mid-table and the old 4096-row render blocks mid-row; the grid's
+optimum there is a tie of the whole n-independent m_of = 0 column. The
+trade-off pin moves beta_scalar and rho_u_mw, which set the sweep's top.
+Each pins the CSV and the stdout, with the output directory as 'TMP'.
 """
 
 import hashlib
@@ -97,3 +105,46 @@ GEOMETRIC_MEAN_BETA = {
 def test_geometric_mean_beta_unchanged(seed):
     cfg = replace(SystemConfig(), beta_policy="geometric_mean")
     assert symmetric_beta(cfg, seed).hex() == GEOMETRIC_MEAN_BETA[seed]
+
+
+# pin name -> (config file text, argv); the CSV is named before any ':'
+CONFIGURED = {
+    "grid.csv:m=1000,n=1:3:0.05": ("m = 1000\n", ["grid", "--n", "1:3:0.05"]),
+    "ee_surface.csv:m=1000": ("m = 1000\n", ["surface"]),
+    "ee_vs_sumrate.csv:beta_scalar=3.3e-13,rho_u_mw=250": (
+        "beta_scalar = 3.3e-13\nrho_u_mw = 250\n", ["tradeoff"]),
+}
+
+# (pin name, seed) -> (CSV sha256, stdout sha256)
+CONFIGURED_DIGESTS = {
+    ("grid.csv:m=1000,n=1:3:0.05", 0): (
+        "d23834df81eccfdec5db56a2bf006f5da2e82aa862a278d307e76fa14050924f",
+        "b71f98e00dfab49e3f50acfe11e3adc92695612770d9cdcf55927d3749c371b5"),
+    ("grid.csv:m=1000,n=1:3:0.05", 1): (
+        "1a64cc506db11ff244149950ff5a634cc9c69dfd1367cdbc947129a0cf908073",
+        "3bf89fbf4bae1f3bee1982a1a91e09fbd85cc8f66d146cb325b90cb9383c47aa"),
+    ("ee_surface.csv:m=1000", 0): (
+        "aa05c5664bcceee9272ffd58e417d2c7698bc74b3fdfcef5f3c0e9bbcdb00761",
+        "d52f0572fc31024d9f80494a708c6b89eec94238e13a3c5bfdeacf7a28369e25"),
+    ("ee_surface.csv:m=1000", 1): (
+        "4942a336ae54887b40479fe1e5074cec66f3afc5292e2f15c19164b300239e8e",
+        "648275096a195645a9e205fc675fc6ba12e73d001362c29674becee355a0c29c"),
+    ("ee_vs_sumrate.csv:beta_scalar=3.3e-13,rho_u_mw=250", 0): (
+        "fa3c09251c05ab010ad8ed5378ecc4c0e02b7de7c66bc3e057de0ae49c9b7174",
+        "70b92b27f73f5853de7a14308953ecb3668f5abb563c35d46723c7570e06ad5d"),
+    ("ee_vs_sumrate.csv:beta_scalar=3.3e-13,rho_u_mw=250", 1): (
+        "bb500790d337d8d6dae8878857d32b09d15b4ccae7539e5aaf74c8c5b9f414be",
+        "b5667800745614d2395f693f24fbca4c4729f79a3e3ac55b077fca10b71b9e9c"),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(CONFIGURED_DIGESTS))
+def test_configured_study_bytes_unchanged(name, seed, tmp_path, capsys):
+    text, argv = CONFIGURED[name]
+    cfg = tmp_path / "pin.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "TMP")
+    csv = hashlib.sha256((out / name.split(":")[0]).read_bytes()).hexdigest()
+    assert (csv, hashlib.sha256(stdout.encode()).hexdigest()) == CONFIGURED_DIGESTS[(name, seed)]
