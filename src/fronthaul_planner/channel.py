@@ -158,13 +158,15 @@ def _drops(m, k, area_side, pl, sh, xy, z):
     topo = NetworkTopology(xy[..., :2 * m].reshape(xy.shape[:-1] + (m, 2)),
                            xy[..., 2 * m:].reshape(xy.shape[:-1] + (k, 2)),
                            float(area_side))
-    # One power of 10 per gain: shadowing is added to the loss in dB.
-    x = path_loss_db(topo.distances(), pl)
-    shadow = (sh.sigma_sh_db * np.sqrt(sh.theta) * z[..., :m, None]
-              + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * z[..., None, m:])
-    x += shadow
-    x /= 10.0
+    # Overflows (of distances in a huge area, too) end in gains that
+    # LargeScaleFading rejects, without a numpy warning.
     with np.errstate(over="ignore"):
+        # One power of 10 per gain: shadowing is added to the loss in dB.
+        x = path_loss_db(topo.distances(), pl)
+        shadow = (sh.sigma_sh_db * np.sqrt(sh.theta) * z[..., :m, None]
+                  + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * z[..., None, m:])
+        x += shadow
+        x /= 10.0
         np.power(10.0, x, out=x)
         try:
             return topo, LargeScaleFading(x)
@@ -190,9 +192,11 @@ def draw_drop(m, k, area_side, pl, sh, seed):
 def draw_drops(m, k, area_side, pl, sh, states):
     """Topology and gains of a block of drops, stacked on a leading axis.
 
-    Drop j is draw_drop on one Generator at PCG64 state states[j].
+    Drop j is draw_drop on one Generator at PCG64 state states[j]. The
+    Generator is built from a fixed seed, which gathers no OS entropy, since
+    each drop overwrites its state.
     """
-    rng = np.random.Generator(np.random.PCG64())  # numpy.random loads here
+    rng = np.random.Generator(np.random.PCG64(0))  # numpy.random loads here
     xy = np.empty((len(states), 2 * (m + k)))
     z = np.empty((len(states), m + k))
     for j, state in enumerate(states):

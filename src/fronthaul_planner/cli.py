@@ -17,11 +17,11 @@ from dataclasses import replace
 
 from .config import (SystemConfig, draw_fading, effective_config_lines,
                      load_config, signal_params)
-from .experiments import (_F, ExperimentSpec, beta_line, run_ee_surface,
-                          run_ee_vs_sumrate, run_rate_cdf, stamp,
-                          symmetric_setup, write_table)
+from .experiments import (_F, ExperimentSpec, beta_line, grid_blocks,
+                          run_ee_surface, run_ee_vs_sumrate, run_rate_cdf,
+                          stamp, symmetric_setup, write_table)
 from .fronthaul import FronthaulPlan, per_ap_distortions
-from .optimizer import alternating_optimize, grid_cells, grid_search, parse_range
+from .optimizer import alternating_optimize, best_of, grid_search, parse_range
 from .rate import mc_validate_terms, sinr_closed_form
 from .seeds import derive_rng
 
@@ -97,12 +97,19 @@ def cmd_grid(args):
     cfg = _load(args)
     _echo_config(cfg, args.seed)
     beta, agg = symmetric_setup(cfg, args.seed)
-    cells = grid_cells(agg, parse_range(*args.n))
-    opt = grid_search(cells)
+    optima = []
+
+    def columns():
+        # one pass: each block is written and its optimum kept
+        for cells in grid_blocks(agg, parse_range(*args.n)):
+            optima.append(grid_search(cells))
+            yield [c.ravel() for c in cells]
+
     path = _outpath(args, "grid.csv")
     write_table(path, [stamp("grid", args.seed, cfg), beta_line(beta, cfg)],
                 ("n", "m_of", "ee_bits_per_joule", "sum_rate_bps_hz"),
-                [c.ravel() for c in cells])
+                columns())
+    opt = best_of(optima)
     print(f"grid written to {path}")
     print(f"symmetric gain beta = {_F % beta} ({cfg.beta_policy})")
     _print_optimum(opt)

@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import PathLossModel, ShadowingModel, draw_drop, draw_drops
+from .channel import (PathLossModel, ShadowingModel, draw_drop, draw_drops,
+                      path_loss_db)
 from .energy import PowerCostParams
 from .fronthaul import UplinkSignalParams
 
@@ -204,10 +205,51 @@ def _loss_models(config):
             ShadowingModel(config.sigma_sh_db, config.theta))
 
 
+# Config fields that set a drop's path loss, as PathLossModel takes them,
+# then the side of the area
+_LOSS_FIELDS = ("f_mhz", "h_ap_m", "h_ue_m", "d0_m", "d1_m", "area_m")
+
+
+def _loss_in_range(values):
+    """True when every link gain before shadowing is positive and finite for
+    these _LOSS_FIELDS values. The loss falls with distance, so the extreme
+    gains are those at d0 and at the area's diagonal."""
+    *model, side = values
+    try:
+        pl = PathLossModel(*model)
+    except ValueError:
+        return False
+    with np.errstate(over="ignore"):
+        gains = 10.0 ** (path_loss_db(np.array([pl.d0, side * np.sqrt(2.0)]), pl) / 10.0)
+    return bool(np.all((gains > 0) & (gains < np.inf)))
+
+
+def _drawn(config, draw, arg):
+    """draw(m, k, area, path loss, shadowing, arg) under this config.
+
+    Gains that leave the float range through the path loss are rejected
+    naming each key whose reference value alone brings them back, or else
+    every path-loss key off its reference value.
+    """
+    try:
+        return draw(config.m, config.k, config.area_m, *_loss_models(config), arg)
+    except ValueError:
+        values = [getattr(config, f) for f in _LOSS_FIELDS]
+        if _loss_in_range(values):
+            raise
+    ref = SystemConfig()
+    at_fault = ({f for i, f in enumerate(_LOSS_FIELDS)
+                 if _loss_in_range(values[:i] + [getattr(ref, f)] + values[i + 1:])}
+                or {f for f in _LOSS_FIELDS if getattr(config, f) != getattr(ref, f)})
+    names = [f"'{key}' = {_scaled(getattr(config, f), den, num):g}"
+             for key, (f, _, num, den) in _KEYS.items() if f in at_fault]
+    raise ValueError(f"path loss at {', '.join(names)} is out of scale: "
+                     "link gains leave the float range")
+
+
 def draw_fading(config, seed):
     """Random drop of positions and link gains under this config."""
-    return draw_drop(config.m, config.k, config.area_m,
-                     *_loss_models(config), seed)
+    return _drawn(config, draw_drop, seed)
 
 
 def draw_fading_block(config, states):
@@ -216,8 +258,7 @@ def draw_fading_block(config, states):
     Drop j is draw_fading(config, rng) for a Generator rng at states[j],
     bit for bit.
     """
-    return draw_drops(config.m, config.k, config.area_m,
-                      *_loss_models(config), states)
+    return _drawn(config, draw_drops, states)
 
 
 def symmetric_beta(config, seed):

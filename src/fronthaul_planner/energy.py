@@ -58,6 +58,10 @@ class AggregateParams:
     alpha_of / (2^(n c_fso) - 1). gamma_ep collects the link-independent
     power, gamma_fso / gamma_of the per-link power-plus-cost rates. m APs
     serve k users over bandwidth b_s (Hz) with FSO capacity c_fso.
+
+    The power-control-dependent fields l1, l2, alpha_fso, alpha_of and
+    gamma_ep may be arrays (aggregate_params with an eta array), and
+    symmetric_terms then broadcasts over them.
     """
 
     l1: float
@@ -73,12 +77,15 @@ class AggregateParams:
     c_fso: float
 
 
-def aggregate_params(beta_scalar, sig, pc, m, k, c_fso):
+def aggregate_params(beta_scalar, sig, pc, m, k, c_fso, *, eta=None):
     """Aggregate scalars for a symmetric network with gain beta_scalar.
 
     Requires equal power control and equal noise across the network; the
     per-user and per-AP structure then collapses to seven scalars. m and k
-    must be the AP and user counts of sig; b_s is taken from pc.
+    must be the AP and user counts of sig; b_s is taken from pc. An eta
+    array in [0, 1] stands in for sig's power control: the fields that
+    depend on it become arrays of its shape, each entry the bits of the
+    scalar aggregate at that eta.
     """
     if (m, k) != (sig.m, sig.k):
         raise ValueError("m and k must be the AP and user counts of sig")
@@ -86,10 +93,13 @@ def aggregate_params(beta_scalar, sig, pc, m, k, c_fso):
         raise ValueError("beta_scalar must be positive")
     if c_fso <= 0:
         raise ValueError("c_fso must be positive")
-    eta = float(sig.eta[0])
     delta_sq = float(sig.delta_sq[0])
-    if not (np.all(sig.eta == eta) and np.all(sig.delta_sq == delta_sq)):
+    if not (np.all(sig.eta == sig.eta[0]) and np.all(sig.delta_sq == delta_sq)):
         raise ValueError("aggregate parameters require symmetric eta and delta_sq")
+    if eta is None:
+        eta = float(sig.eta[0])
+    elif not np.all((eta >= 0) & (eta <= 1)):
+        raise ValueError("eta must lie in [0, 1]")
     beta = float(beta_scalar)
     l1 = m ** 2 * sig.rho_u * eta * beta ** 2
     l2 = m * k * sig.rho_u * eta * beta ** 2 + m * delta_sq * beta

@@ -6,6 +6,7 @@ carrying the scenario tag, the seed and a hash of the effective config.
 """
 
 import operator
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,13 +16,15 @@ from .config import (SystemConfig, draw_fading_block, power_cost_params,
 from .energy import aggregate_params, symmetric_terms
 from .fronthaul import (FronthaulPlan, quantization_noise_var,
                         received_signal_power)
-from .optimizer import grid_cells, grid_search, parse_range
+from .optimizer import best_of, grid_cells, grid_search, parse_range
 from .rate import achievable_rates
 from .seeds import derive_states
 
 # Fiber/FSO cost scenarios compared by the surface study: cheap fiber,
 # baseline, premium fiber.
 SURFACE_COST_SETS = ((0.01, 0.001), (0.03, 0.003), (0.05, 0.003))
+# Capacity-coefficient range (lo, hi, step) of the surface study.
+SURFACE_N = (1.0, 10.0, 0.1)
 
 # Capacity-coefficient / fiber-count pairs compared by the CDF and
 # trade-off studies, defined for a 100-AP network and scaled to others.
@@ -78,28 +81,36 @@ def beta_line(beta, cfg):
     return f"beta_scalar={_F % beta} policy={cfg.beta_policy}"
 
 
-def write_table(path, provenance, names, columns):
-    """Write a CSV table: '# ' provenance lines, a header row, then the columns.
+def write_table(path, provenance, names, blocks):
+    """Write a CSV table: '# ' provenance lines, a header row, then the rows.
 
-    columns are equal-length numpy arrays. A float prints as '%.9g' and any
-    other value as '%s' of its Python scalar (what .tolist() gives), so the
-    bytes are those of the plain row loop: row % cells for each row. numpy
-    renders them in blocks of BLOCK_ROWS rows (_render_block).
+    blocks is an iterable of column blocks, each a sequence of equal-length
+    numpy arrays, one per name; the rows are those of the blocks in turn, so
+    a table can be streamed. A float prints as '%.9g' and any other value
+    as '%s' of its Python scalar (what .tolist() gives), so the bytes are
+    those of the plain row loop: row % cells for each row. numpy renders
+    them in pieces of at most BLOCK_ROWS rows (_render_block). A block that
+    fails to come or to render leaves no file behind.
     """
-    rows = len(columns[0])
-    if any(len(c) != rows for c in columns):
-        raise ValueError("table columns must have equal lengths")
-    fmts = [_F if c.dtype.kind == "f" else "%s" for c in columns]
     head = "".join(f"# {line}\n" for line in provenance) + ",".join(names) + "\n"
     try:
         fh = open(path, "wb")
     except OSError as exc:
         raise OSError(f"cannot write experiment output '{path}': {exc}") from exc
-    with fh:
-        fh.write(head.encode())
-        for start in range(0, rows, BLOCK_ROWS):
-            fh.write(_render_block([c[start:start + BLOCK_ROWS] for c in columns],
-                                   fmts))
+    try:
+        with fh:
+            fh.write(head.encode())
+            for columns in blocks:
+                rows = len(columns[0])
+                if any(len(c) != rows for c in columns):
+                    raise ValueError("table columns must have equal lengths")
+                fmts = [_F if c.dtype.kind == "f" else "%s" for c in columns]
+                for start in range(0, rows, BLOCK_ROWS):
+                    fh.write(_render_block(
+                        [c[start:start + BLOCK_ROWS] for c in columns], fmts))
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _render_block(block, fmts):
@@ -108,14 +119,22 @@ def _render_block(block, fmts):
     Each column's cells become the rows of a byte matrix: text, separator,
     then padding bytes 0xFF, which UTF-8 text never holds. The matrices
     side by side, with the padding dropped, are the block's rows. A run of
-    identical consecutive values is rendered once and repeated.
+    identical consecutive values is rendered once and repeated, and so is
+    each integer of a column that spans fewer integers than half its rows.
     """
     n = len(block[0])
     texts = []
     for j, (col, fmt) in enumerate(zip(block, fmts)):
+        sep = b"\n" if j == len(block) - 1 else b","
+        if col.dtype.kind in "iu" and int(col.max()) - int(col.min()) < n // 2:
+            lo = col.min()
+            span = np.arange(int(col.max()) - int(lo) + 1).astype(col.dtype) + lo
+            # offsets wrap in the column's width; its unsigned view undoes that
+            offset = (col - lo).view(f"u{col.itemsize}")
+            texts.append(_cell_text(span, fmt, sep).take(offset, axis=0))
+            continue
         starts = _run_starts(col)
-        text = _cell_text(col[starts] if len(starts) < n else col, fmt,
-                          b"\n" if j == len(block) - 1 else b",")
+        text = _cell_text(col[starts] if len(starts) < n else col, fmt, sep)
         if len(starts) < n:
             run = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
             text = text.take(run, axis=0)
@@ -279,26 +298,40 @@ def symmetric_setup(cfg, seed):
     return beta, agg
 
 
+def grid_blocks(agg, n_range):
+    """grid_cells over n_range in blocks of whole n rows, about BLOCK_ROWS
+    cells each (one row at least), in n_range's order."""
+    ns = np.asarray(n_range, dtype=float)
+    rows = max(1, BLOCK_ROWS // (agg.m + 1))
+    for start in range(0, len(ns), rows):
+        yield grid_cells(agg, ns[start:start + rows])
+
+
 def run_ee_surface(spec):
     """Objective surface over (n, m_of) for each fiber/FSO cost set.
 
     Returns {(mu_of, mu_fso): PlanOptimum} with the per-set argmax; the CSV
-    holds one row per grid cell for all three sets.
+    holds one row per grid cell for all three sets. The argmaxes head the
+    CSV, so a first pass over the grid blocks finds them and a second one
+    writes the rows; neither holds a whole grid.
     """
     cfg = spec.config
     beta = symmetric_beta(cfg, spec.seed)
     sig = signal_params(cfg)
-    ns = parse_range(1.0, 10.0, 0.1)
-    optima = {}
-    parts = []
+    ns = parse_range(*SURFACE_N)
+    aggs = {}
     for mu_of, mu_fso in SURFACE_COST_SETS:
         pc = power_cost_params(replace(cfg, mu_of=mu_of, mu_fso=mu_fso))
-        agg = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
-        cells = grid_cells(agg, ns)
-        optima[(mu_of, mu_fso)] = grid_search(cells)
-        size = cells[0].size
-        parts.append((np.full(size, mu_of), np.full(size, mu_fso),
-                      *(c.ravel() for c in cells)))
+        aggs[(mu_of, mu_fso)] = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
+    optima = {costs: best_of([grid_search(cells) for cells in grid_blocks(agg, ns)])
+              for costs, agg in aggs.items()}
+
+    def columns():
+        for (mu_of, mu_fso), agg in aggs.items():
+            for cells in grid_blocks(agg, ns):
+                size = cells[0].size
+                yield (np.full(size, mu_of), np.full(size, mu_fso),
+                       *(c.ravel() for c in cells))
 
     lines = [stamp("ee_surface", spec.seed, cfg), beta_line(beta, cfg)]
     for (mu_of, mu_fso), opt in optima.items():
@@ -308,7 +341,7 @@ def run_ee_surface(spec):
     write_table(spec.output_path, lines,
                 ("mu_of", "mu_fso", "n", "m_of", "ee_bits_per_joule",
                  "sum_rate_bps_hz"),
-                [np.concatenate(c) for c in zip(*parts)])
+                columns())
     return optima
 
 
@@ -357,10 +390,10 @@ def run_rate_cdf(spec):
                 [stamp("rate_cdf", spec.seed, cfg),
                  f"drops={spec.drops} common random drops across splits"],
                 ("n", "m_of", "kind", "value", "cum_prob"),
-                (np.repeat(ns, sizes), np.repeat(mofs, sizes),
-                 np.repeat(np.array(kinds, dtype=object), sizes),
-                 np.concatenate(cdfs),
-                 np.concatenate([np.arange(1, s + 1) / s for s in sizes])))
+                [(np.repeat(ns, sizes), np.repeat(mofs, sizes),
+                  np.repeat(np.array(kinds, dtype=object), sizes),
+                  np.concatenate(cdfs),
+                  np.concatenate([np.arange(1, s + 1) / s for s in sizes]))])
     return result
 
 
@@ -368,7 +401,8 @@ def run_ee_vs_sumrate(spec):
     """Energy efficiency against sum rate, traced by sweeping transmit power.
 
     The swept control is the rho_u * eta product over SWEEP_RHO_ETA_W,
-    evaluated on the symmetric model for all compared splits at once.
+    evaluated on the symmetric model in one call for every sweep point and
+    compared split: the aggregate carries one eta per point.
 
     Returns {(n, m_of): array of (rho_eta_w, sum_rate, ee) rows}.
     """
@@ -384,11 +418,10 @@ def run_ee_vs_sumrate(spec):
     sweep = np.linspace(lo, hi, count)
     splits = compared_splits_for(cfg.m)
     ns, mofs = (np.array(c) for c in zip(*splits))
-    ee, sum_rate = np.empty((2, len(splits), count))
-    for j, p in enumerate(sweep):
-        sig = signal_params(replace(cfg, eta=p / cfg.rho_u_w))
-        agg = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
-        ee[:, j], sum_rate[:, j] = symmetric_terms(ns, mofs, agg)
+    agg = aggregate_params(beta, signal_params(cfg), pc, cfg.m, cfg.k, cfg.c_fso,
+                           eta=sweep[:, None] / cfg.rho_u_w)
+    # (point, split) from the objective, (split, point) in the table
+    ee, sum_rate = (t.T for t in symmetric_terms(ns, mofs, agg))
     curves = {c: np.column_stack((sweep, sum_rate[i], ee[i]))
               for i, c in enumerate(splits)}
 
@@ -397,6 +430,6 @@ def run_ee_vs_sumrate(spec):
                  f"sweep rho_u*eta over [{_F % lo}, {_F % hi}] W, {count} points",
                  beta_line(beta, cfg)],
                 ("n", "m_of", "rho_eta_w", "sum_rate_bps_hz", "ee_bits_per_joule"),
-                (np.repeat(ns, count), np.repeat(mofs, count),
-                 np.tile(sweep, len(splits)), sum_rate.ravel(), ee.ravel()))
+                [(np.repeat(ns, count), np.repeat(mofs, count),
+                  np.tile(sweep, len(splits)), sum_rate.ravel(), ee.ravel())])
     return curves

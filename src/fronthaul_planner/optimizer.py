@@ -195,14 +195,24 @@ def grid_cells(agg, n_range):
 def grid_search(cells):
     """Brute-force oracle for the joint (n, m_of) optimum over grid_cells output.
 
-    Ties resolve to the smallest n, then the smallest m_of, independent of
-    evaluation order.
+    The largest EE wins, NaN cells rank last, and ties resolve to the
+    smallest n, then the smallest m_of, independent of evaluation order.
+    No sort: one max over the cells, then the tie-break among the cells at
+    that max only. The sum rate is not read, so cells may be (n, m_of, ee)
+    arrays alone, which is how best_of ranks optima.
     """
-    nn, mm, ee, _ = cells
-    order = np.lexsort((mm.ravel(), nn.ravel(), -ee.ravel()))
-    idx = order[0]
-    return PlanOptimum(float(nn.ravel()[idx]), int(mm.ravel()[idx]),
-                       float(ee.ravel()[idx]), "grid")
+    nn, mm, ee = (np.ravel(c) for c in cells[:3])
+    best = np.fmax.reduce(ee)  # NaN only when every cell is NaN
+    tied = np.flatnonzero(ee == best if best == best else np.isnan(ee))
+    tied = tied[nn[tied] == nn[tied].min()]
+    idx = tied[mm[tied].argmin()]
+    return PlanOptimum(float(nn[idx]), int(mm[idx]), float(ee[idx]), "grid")
+
+
+def best_of(optima):
+    """grid_search's optimum among PlanOptimum records, in any order."""
+    return grid_search([np.array(v) for v in
+                        zip(*((o.n_star, o.m_of_star, o.ee_star) for o in optima))])
 
 
 def alternating_optimize(agg, init_n, init_m_of):

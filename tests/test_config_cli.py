@@ -273,6 +273,40 @@ def test_cli_huge_shadowing_names_the_key(command, text, tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("text, named", [
+    ("h_ue_m = 1e10\n", "'h_ue_m' = 1e+10"),
+    ("area_m = 1e200\n", "'area_m' = 1e+200"),
+    ("f_ghz = 1e-300\n", "'f_ghz' = 1e-300"),
+])
+@pytest.mark.parametrize("command", ["cdf", "validate"])
+def test_cli_path_loss_out_of_scale_names_the_key(command, text, named,
+                                                   tmp_path, capsys):
+    # the loss constant (h_ue_m, f_ghz) or the distances (area_m) put every
+    # gain outside the float range: the key named on one line, no overflow
+    # warning from the distances and no CSV
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    argv = ["--drops", "2"] if command == "cdf" else []
+    rc = main([command, *argv, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: path loss at {named} is out of scale: "
+        "link gains leave the float range\n")
+    assert not list(out.glob("*.csv"))
+
+
+def test_cli_path_loss_faults_named_together(tmp_path, capsys):
+    # neither key's reference value alone brings the gains back
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("h_ue_m = 1e10\narea_m = 1e200\n")
+    rc = main(["cdf", "--drops", "2", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: path loss at 'h_ue_m' = 1e+10, 'area_m' = 1e+200 is out of "
+        "scale: link gains leave the float range\n")
+
+
 def test_cli_validate_rejects_zero_power_control(tmp_path, capsys):
     # every closed-form signal term is 0, so no relative error is defined
     cfg = tmp_path / "silent.cfg"

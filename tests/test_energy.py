@@ -92,6 +92,31 @@ def test_aggregate_requires_symmetry():
         aggregate_params(1e-12, sig, POWER_COST, 3, 2, 2.0)
 
 
+def test_aggregate_over_an_eta_array_holds_each_scalar_aggregate():
+    # each entry of an eta-array field has the bits of the scalar aggregate
+    # at that eta, and the objective broadcasts over the array
+    etas = np.linspace(0.0, 1.0, 7)
+    sig, pc, _ = default_setup()
+    agg = aggregate_params(1.1e-12, sig, pc, 100, 10, 2.0, eta=etas[:, None])
+    ns, mofs = np.array([1.0, 2.0, 8.0]), np.array([0, 48, 100])
+    ee, rate = symmetric_terms(ns, mofs, agg)
+    assert ee.shape == rate.shape == (7, 3)
+    for i, eta in enumerate(etas):
+        one = aggregate_params(1.1e-12, replace(sig, eta=np.full(10, eta)), pc,
+                               100, 10, 2.0)
+        for name in ("l1", "l2", "alpha_fso", "alpha_of", "gamma_ep"):
+            assert getattr(agg, name)[i, 0] == getattr(one, name)
+        for got, want in zip((ee[i], rate[i]), symmetric_terms(ns, mofs, one)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("eta", [-0.1, 1.5, np.nan])
+def test_aggregate_rejects_eta_outside_the_unit_interval(eta):
+    sig, pc, _ = default_setup()
+    with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\]"):
+        aggregate_params(1.1e-12, sig, pc, 100, 10, 2.0, eta=np.array([0.5, eta]))
+
+
 @pytest.mark.parametrize("m, k", [(50, 10), (100, 5)])
 def test_aggregate_rejects_network_other_than_sig(m, k):
     sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, 100, 10)

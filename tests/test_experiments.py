@@ -239,7 +239,7 @@ def test_write_table_matches_row_loop_across_blocks(tmp_path):
     objects[:5] = (1, 1.0, True, 0.0, -0.0)
     path = tmp_path / "t.csv"
     write_table(path, ["scenario=x seed=1", "more"], ("i", "f", "kind", "obj"),
-                (ints, floats, kinds, objects))
+                [(ints, floats, kinds, objects)])
 
     expected = "# scenario=x seed=1\n# more\ni,f,kind,obj\n"
     for i, f, kind, obj in zip(ints.tolist(), floats.tolist(), kinds.tolist(),
@@ -247,7 +247,24 @@ def test_write_table_matches_row_loop_across_blocks(tmp_path):
         expected += f"{i},{'%.9g' % f},{kind},{obj}\n"
     assert path.read_bytes() == expected.encode()
     with pytest.raises(ValueError, match="equal lengths"):
-        write_table(path, [], ("i", "f"), (ints, floats[:-1]))
+        write_table(path, [], ("i", "f"), [(ints, floats[:-1])])
+    assert not path.exists()
+
+
+def test_write_table_streams_blocks_and_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "t.csv"
+    blocks = [(np.arange(3), np.array([0.5, 1.5, 2.5])),
+              (np.arange(3, 4), np.array([3.5]))]
+    write_table(path, ["scenario=x"], ("i", "f"), iter(blocks))
+    assert path.read_text() == "# scenario=x\ni,f\n0,0.5\n1,1.5\n2,2.5\n3,3.5\n"
+
+    def failing():
+        yield blocks[0]
+        raise ValueError("power plus cost must be positive")
+
+    with pytest.raises(ValueError, match="power plus cost"):
+        write_table(path, ["scenario=x"], ("i", "f"), failing())
+    assert not path.exists()
 
 
 def test_write_table_memory_does_not_grow_with_rows(tmp_path):
@@ -261,9 +278,35 @@ def test_write_table_memory_does_not_grow_with_rows(tmp_path):
         tracemalloc.start()
         try:
             write_table(tmp_path / "m.csv", ["scenario=x"], ("a", "b", "c", "d"),
-                        columns)
+                        [columns])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0]
     assert peaks[1] < 4e6
+
+
+def test_grid_and_surface_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch,
+                                                             capsys):
+    # grid and surface evaluate and write blocks of whole n rows: at M = 1000,
+    # 4.3 times the n rows (91 against 21) may not cost more memory, where a
+    # whole grid of 91 rows takes about 5 MB (grid) or 9 MB (surface)
+    from fronthaul_planner.cli import main
+    cfg = tmp_path / "m1000.cfg"
+    cfg.write_text("m = 1000\n")
+    for command in ("grid", "surface"):
+        peaks = []
+        for n_range in ((1.0, 3.0, 0.1), (1.0, 10.0, 0.1)):
+            monkeypatch.setattr(experiments, "SURFACE_N", n_range)
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
+            if command == "grid":
+                argv += ["--n", "%g:%g:%g" % n_range]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] <= 1.1 * peaks[0], (command, peaks)
+        assert peaks[1] < 3e6, (command, peaks)

@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fronthaul_planner.energy import PowerCostParams, aggregate_params
 from fronthaul_planner.fronthaul import UplinkSignalParams
-from fronthaul_planner.optimizer import (alternating_optimize,
+from fronthaul_planner.optimizer import (alternating_optimize, best_of,
                                          capacity_coeff_quadratic,
                                          fiber_count_intermediates,
                                          grid_cells, grid_search,
@@ -221,3 +223,37 @@ def test_argmax_invariant_to_power_scaling():
     for n in (2.0, 5.0):
         assert (optimal_m_of_closed_form(n, agg)
                 == optimal_m_of_closed_form(n, scaled))
+
+
+def _lexsort_cell(nn, mm, ee):
+    """The former grid_search rule: a full sort on (-ee, n, m_of)."""
+    idx = np.lexsort((mm, nn, -ee))[0]
+    return float(nn[idx]), int(mm[idx]), float(ee[idx])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_grid_search_picks_the_lexsort_cell(data):
+    # any cell order, ties forced by a few EE values, the n-independent
+    # m_of = 0 column of the objective, and NaN cells; the optima of blocks
+    # of cells, combined, pick the same cell
+    ns = data.draw(st.lists(st.sampled_from([1.0, 1.5, 2.0, 7.0, 10.0]),
+                            min_size=1, max_size=5, unique=True))
+    m = data.draw(st.integers(0, 6))
+    nn, mm = (g.ravel() for g in np.meshgrid(ns, np.arange(m + 1), indexing="ij"))
+    values = st.one_of(st.sampled_from([1.0, 2.0, 3.0, np.nan, -np.inf]),
+                       st.floats(allow_nan=True))
+    ee = np.array(data.draw(st.lists(values, min_size=nn.size, max_size=nn.size)))
+    if data.draw(st.booleans()):
+        ee[mm == 0] = data.draw(values)
+    order = np.array(data.draw(st.permutations(range(nn.size))))
+    nn, mm, ee = nn[order], mm[order], ee[order]
+    expected = _lexsort_cell(nn, mm, ee)
+    found = grid_search((nn, mm, ee, None))
+    cell = (found.n_star, found.m_of_star, repr(found.ee_star))
+    assert cell == expected[:2] + (repr(expected[2]),)
+    cuts = sorted(data.draw(st.lists(st.integers(1, nn.size - 1), max_size=3, unique=True))
+                  if nn.size > 1 else [])
+    best = best_of([grid_search(c)
+                    for c in zip(*(np.split(a, cuts) for a in (nn, mm, ee)))])
+    assert (best.n_star, best.m_of_star, repr(best.ee_star)) == cell

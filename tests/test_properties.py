@@ -222,6 +222,11 @@ _KINDS = {
     "float": (_FLOATS, np.float64),
     "float32": (st.floats(width=32), np.float32),
     "int": (_INTS, np.int64),
+    # narrow and unsigned widths, whose offsets from the column's minimum
+    # wrap in the column's own type
+    "int8": (st.integers(-128, 127), np.int8),
+    "uint64": (st.one_of(st.integers(0, 3), st.integers(2 ** 64 - 3, 2 ** 64 - 1)),
+               np.uint64),
     "bool": (st.booleans(), bool),
     "str": (st.text(max_size=8), None),
     "object": (_OBJECTS, object),
@@ -244,9 +249,12 @@ def csv_columns(draw, rows):
     return np.resize(np.repeat(array, runs), rows)
 
 
-def _write(path, columns):
+def _write(path, columns, cuts=()):
+    # the table goes to write_table as column blocks cut at the sorted cuts
     names = [f"c{i}" for i in range(len(columns))]
-    write_table(path, ["scenario=x"], names, columns)
+    edges = [0, *cuts, len(columns[0])]
+    write_table(path, ["scenario=x"], names,
+                ([c[a:b] for c in columns] for a, b in zip(edges, edges[1:])))
     head = ("# scenario=x\n" + ",".join(names) + "\n").encode()
     return path.read_bytes()[len(head):]
 
@@ -263,14 +271,27 @@ def test_numbers_print_as_the_row_loop_prints_them(tmp_path_factory, values):
     assert _write(path, [values]) == _row_loop_csv([values])
 
 
+@pytest.mark.parametrize("column", [
+    np.resize(np.array([-128, 127, 0, 5], np.int8), 600),
+    np.resize(np.array([-100, 100, 0], np.int8), 600),
+    np.resize(np.arange(101), 4096),
+    np.resize(np.array([2 ** 64 - 1, 2 ** 64 - 2], np.uint64), 9),
+    np.array([-2 ** 63, 2 ** 63 - 1, 0]),
+], ids=["int8-extremes", "int8-wrap", "grid-fiber-counts", "uint64-top", "int64-extremes"])
+def test_integer_columns_print_as_the_row_loop(tmp_path, column):
+    # a column spanning few integers renders each once and takes its text
+    assert _write(tmp_path / "t.csv", [column]) == _row_loop_csv([column])
+
+
 @SETTINGS
 @given(st.data())
 def test_write_table_matches_the_row_loop(tmp_path_factory, data):
     # tables of every column kind, with runs, around and across block
-    # boundaries
+    # boundaries, streamed in up to four column blocks (empty ones too)
     rows = data.draw(st.one_of(st.integers(1, 50),
                                st.integers(BLOCK_ROWS - 2, BLOCK_ROWS + 2),
                                st.integers(2 * BLOCK_ROWS - 2, 2 * BLOCK_ROWS + 2)))
     columns = data.draw(st.lists(csv_columns(rows), min_size=1, max_size=4))
+    cuts = data.draw(st.lists(st.integers(0, rows), max_size=3).map(sorted))
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    assert _write(path, columns) == _row_loop_csv(columns)
+    assert _write(path, columns, cuts) == _row_loop_csv(columns)
