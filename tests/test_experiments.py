@@ -289,8 +289,9 @@ def test_write_table_memory_does_not_grow_with_rows(tmp_path):
 def test_grid_and_surface_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch,
                                                              capsys):
     # grid and surface evaluate and write blocks of whole n rows: at M = 1000,
-    # 4.3 times the n rows (91 against 21) may not cost more memory, where a
-    # whole grid of 91 rows takes about 5 MB (grid) or 9 MB (surface)
+    # 4.3 times the n rows (91 against 21) may not cost more memory, where
+    # holding whole grids of 91 rows peaks at about 6 MB (grid) and 27 MB
+    # (surface, three grids)
     from fronthaul_planner.cli import main
     cfg = tmp_path / "m1000.cfg"
     cfg.write_text("m = 1000\n")

@@ -21,9 +21,10 @@ reference network, where the validate stdout reads only an 8 x 3 slice.
 
 The configured pins were recorded before the symmetric studies were
 streamed in blocks of n rows and the trade-off sweep became one objective
-call. At M = 1000 a block of whole n rows holds 1001 cells, so tables are
-cut mid-table and the old 4096-row render blocks mid-row; the grid's
-optimum there is a tie of the whole n-independent m_of = 0 column. The
+call. At M = 1000 an n row holds 1001 cells, so blocks of whole n rows cut
+the tables mid-table, and 4096-row pieces of a whole table cut it
+mid-row; the grid's optimum there is a tie of the whole n-independent
+m_of = 0 column. The
 trade-off pin moves beta_scalar and rho_u_mw, which set the sweep's top.
 Each pins the CSV and the stdout, with the output directory as 'TMP'.
 """
