@@ -27,6 +27,11 @@ mid-row; the grid's optimum there is a tie of the whole n-independent
 m_of = 0 column. The
 trade-off pin moves beta_scalar and rho_u_mw, which set the sweep's top.
 Each pins the CSV and the stdout, with the output directory as 'TMP'.
+
+The optimize pins were recorded before each optimizer step picked its cell
+with grid_search and the alternating loop stopped re-evaluating them. They
+hold both ends of the benchmark's beta_scalar range, M = 1000, a dearer
+fiber, a drawn gain, and a run that stops at the best point seen.
 """
 
 import hashlib
@@ -149,3 +154,38 @@ def test_configured_study_bytes_unchanged(name, seed, tmp_path, capsys):
     stdout = capsys.readouterr().out.replace(str(tmp_path), "TMP")
     csv = hashlib.sha256((out / name.split(":")[0]).read_bytes()).hexdigest()
     assert (csv, hashlib.sha256(stdout.encode()).hexdigest()) == CONFIGURED_DIGESTS[(name, seed)]
+
+
+# pin name -> (config file text, seed) of an optimize run; the last one's
+# alternating loop stops at the best point seen, not at a stationary pair.
+OPTIMIZE = {
+    "beta_scalar=1.1e-12*10**-0.3": ("beta_scalar = 5.513059569899995e-13\n", 0),
+    "beta_scalar=1.1e-12*10**0.3": ("beta_scalar = 2.194788546465767e-12\n", 0),
+    "m=1000": ("m = 1000\n", 0),
+    "mu_of=0.05": ("mu_of = 0.05\n", 0),
+    "beta_policy=geometric_mean": ("beta_policy = geometric_mean\n", 1),
+    "stopped at best seen": ("beta_scalar = 9.9e-13\nmu_fso = 0.0031\neta = 0.11\n"
+                             "p_fh_of_w_per_gbps = 0.051\n", 0),
+}
+
+# pin name -> stdout sha256
+OPTIMIZE_DIGESTS = {
+    "beta_scalar=1.1e-12*10**-0.3": "40f8373c260005173caae0460be4fa8bde8246ac77a234da7ba35308fc5cb986",
+    "beta_scalar=1.1e-12*10**0.3": "dd109c7ee82309c4308b4b66fff60403c94490b507e54194ba7516be2a5909c1",
+    "m=1000": "33408605f6af122be875f2d80f598e2f6cb513b153925e761a56201ae25b485a",
+    "mu_of=0.05": "e2122d3bd208f7f79eafceb3b28e15c80b230785bffb8938148e28986d6a41c8",
+    "beta_policy=geometric_mean": "89cbbc4bb07b9fc1536f4ce61b16f0013c285480d0b6655e1f4b4e6ebfd4903a",
+    "stopped at best seen": "ca2136ecc4fe8ae6450ab71e7892f5c16da3c1544872221adaed781fd0647d9c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZE_DIGESTS))
+def test_configured_optimize_stdout_unchanged(name, tmp_path, capsys):
+    text, seed = OPTIMIZE[name]
+    cfg = tmp_path / "pin.cfg"
+    cfg.write_text(text)
+    argv = ["optimize", "--config", str(cfg), "--seed", str(seed),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "TMP")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == OPTIMIZE_DIGESTS[name]
