@@ -7,8 +7,8 @@ closed forms cross-validated against grid search and Monte-Carlo
 simulation.
 """
 
-from .channel import (LargeScaleFading, NetworkTopology, PathLossModel,
-                      ShadowingModel, path_loss_db)
+from .channel import (LargeScaleFading, PathLossModel, ShadowingModel,
+                      path_loss_db)
 from .config import SystemConfig, load_config, symmetric_beta
 from .energy import (AggregateParams, PowerCostParams, aggregate_params,
                      ee_symmetric)
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateParams", "ExperimentSpec", "FronthaulPlan", "LargeScaleFading",
-    "NetworkTopology", "PathLossModel", "PlanOptimum", "PowerCostParams",
-    "ShadowingModel", "SinrBreakdown", "SystemConfig", "UplinkSignalParams",
+    "PathLossModel", "PlanOptimum", "PowerCostParams", "ShadowingModel",
+    "SinrBreakdown", "SystemConfig", "UplinkSignalParams",
     "achievable_rates", "aggregate_params", "alternating_optimize",
     "ee_symmetric", "grid_search", "load_config", "mc_validate_terms",
     "optimal_m_of_closed_form", "optimal_n_closed_form", "path_loss_db",

@@ -66,53 +66,6 @@ class ShadowingModel:
 
 
 @dataclass(frozen=True, eq=False)
-class NetworkTopology:
-    """AP and user positions (meters) inside the square [0, area_side]^2.
-
-    Positions are (M, 2) and (K, 2) arrays for one drop, or carry the same
-    leading batch axes for a stack of drops.
-    """
-
-    ap_positions: np.ndarray
-    ue_positions: np.ndarray
-    area_side: float
-
-    def __post_init__(self):
-        ap = np.atleast_2d(np.asarray(self.ap_positions, dtype=float))
-        ue = np.atleast_2d(np.asarray(self.ue_positions, dtype=float))
-        object.__setattr__(self, "ap_positions", ap)
-        object.__setattr__(self, "ue_positions", ue)
-        if not 0 < self.area_side < np.inf:
-            raise ValueError("area_side must be positive and finite")
-        if ap.shape[-2] < 1 or ue.shape[-2] < 1:
-            raise ValueError("need at least one AP and one UE")
-        if ap.shape[-1] != 2 or ue.shape[-1] != 2:
-            raise ValueError("positions must be planar (x, y) points")
-        if ap.shape[:-2] != ue.shape[:-2]:
-            raise ValueError("AP and UE positions must cover the same drops")
-        for name, pos in (("ap", ap), ("ue", ue)):
-            if not np.all((pos >= 0) & (pos <= self.area_side)):
-                raise ValueError(f"{name} positions fall outside the area")
-
-    @property
-    def m(self):
-        return self.ap_positions.shape[-2]
-
-    @property
-    def k(self):
-        return self.ue_positions.shape[-2]
-
-    def distances(self):
-        """M x K AP-to-UE distances in meters (per drop), sqrt(dx^2 + dy^2)."""
-        ap, ue = self.ap_positions, self.ue_positions
-        d = ap[..., :, None, 0] - ue[..., None, :, 0]
-        dy = ap[..., :, None, 1] - ue[..., None, :, 1]
-        d *= d
-        d += np.square(dy, out=dy)
-        return np.sqrt(d, out=d)
-
-
-@dataclass(frozen=True, eq=False)
 class LargeScaleFading:
     """M x K matrix of linear-scale link gains (per drop, after batch axes)."""
 
@@ -147,29 +100,39 @@ def path_loss_db(d, model):
 
 
 def _drops(m, k, area_side, pl, sh, xy, z):
-    """Topology and gains of drops from their draws, any leading batch shape.
+    """Positions and gains of drops from their draws, any leading batch shape.
 
     xy (..., 2m + 2k) holds uniforms on [0, 1), AP then UE coordinates, and
-    is scaled in place (uniform(0, a) is a * random(), bit for bit). z holds
-    m + k normals, a_m per AP then b_k per UE; link (m, k) is shadowed by
+    is scaled in place (uniform(0, a) is a * random(), bit for bit), so
+    every position lies in the square [0, area_side]^2. ap and ue are its
+    (..., m, 2) and (..., k, 2) views. z holds m + k normals, a_m per AP
+    then b_k per UE; link (m, k) is shadowed by
     sigma_sh * (sqrt(theta) a_m + sqrt(1 - theta) b_k).
     """
+    if not 0 < area_side < np.inf:
+        raise ValueError("area_side must be positive and finite")
+    if m < 1 or k < 1:
+        raise ValueError("need at least one AP and one UE")
     xy *= area_side
-    topo = NetworkTopology(xy[..., :2 * m].reshape(xy.shape[:-1] + (m, 2)),
-                           xy[..., 2 * m:].reshape(xy.shape[:-1] + (k, 2)),
-                           float(area_side))
+    ap = xy[..., :2 * m].reshape(xy.shape[:-1] + (m, 2))
+    ue = xy[..., 2 * m:].reshape(xy.shape[:-1] + (k, 2))
     # Overflows (of distances in a huge area, too) end in gains that
     # LargeScaleFading rejects, without a numpy warning.
     with np.errstate(over="ignore"):
+        # AP-to-UE distances sqrt(dx^2 + dy^2), dx^2 built in place
+        d = ap[..., :, None, 0] - ue[..., None, :, 0]
+        d *= d
+        d += np.square(ap[..., :, None, 1] - ue[..., None, :, 1])
         # One power of 10 per gain: shadowing is added to the loss in dB.
-        x = path_loss_db(topo.distances(), pl)
+        x = path_loss_db(np.sqrt(d, out=d), pl)
+        del d  # a drop-sized temporary, freed before the shadowing arrays
         shadow = (sh.sigma_sh_db * np.sqrt(sh.theta) * z[..., :m, None]
                   + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * z[..., None, m:])
         x += shadow
         x /= 10.0
         np.power(10.0, x, out=x)
         try:
-            return topo, LargeScaleFading(x)
+            return (ap, ue), LargeScaleFading(x)
         except ValueError:
             # the key is named when the shadowing factor alone leaves the range
             if np.all(np.isfinite(10.0 ** (np.abs(shadow) / 10.0))):
@@ -190,7 +153,7 @@ def draw_drop(m, k, area_side, pl, sh, seed):
 
 
 def draw_drops(m, k, area_side, pl, sh, states):
-    """Topology and gains of a block of drops, stacked on a leading axis.
+    """Positions and gains of a block of drops, stacked on a leading axis.
 
     Drop j is draw_drop on one Generator at PCG64 state states[j]. The
     Generator is built from a fixed seed, which gathers no OS entropy, since

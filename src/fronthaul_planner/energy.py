@@ -85,7 +85,8 @@ def aggregate_params(beta_scalar, sig, pc, m, k, c_fso, *, eta=None):
     must be the AP and user counts of sig; b_s is taken from pc. An eta
     array in [0, 1] stands in for sig's power control: the fields that
     depend on it become arrays of its shape, each entry the bits of the
-    scalar aggregate at that eta.
+    scalar aggregate at that eta. A gain whose aggregates overflow, or
+    whose interference-plus-noise floor l2 rounds to 0, is rejected.
     """
     if (m, k) != (sig.m, sig.k):
         raise ValueError("m and k must be the AP and user counts of sig")
@@ -101,10 +102,18 @@ def aggregate_params(beta_scalar, sig, pc, m, k, c_fso, *, eta=None):
     elif not np.all((eta >= 0) & (eta <= 1)):
         raise ValueError("eta must lie in [0, 1]")
     beta = float(beta_scalar)
-    l1 = m ** 2 * sig.rho_u * eta * beta ** 2
-    l2 = m * k * sig.rho_u * eta * beta ** 2 + m * delta_sq * beta
-    alpha_of = (k * sig.rho_u * eta * beta + delta_sq) * beta
-    alpha_fso = quantization_noise_var(alpha_of, c_fso)
+    try:
+        beta_sq = beta ** 2
+    except OverflowError:
+        beta_sq = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        l1 = m ** 2 * sig.rho_u * eta * beta_sq
+        l2 = m * k * sig.rho_u * eta * beta_sq + m * delta_sq * beta
+        alpha_of = (k * sig.rho_u * eta * beta + delta_sq) * beta
+        alpha_fso = quantization_noise_var(alpha_of, c_fso)
+    if not (np.all(np.isfinite([l1, l2, alpha_of, alpha_fso])) and np.all(l2 > 0)):
+        raise ValueError(f"gain 'beta_scalar' = {beta:g} is out of scale: "
+                         "the symmetric aggregates leave the float range")
     gamma_ep = k * sig.rho_u * eta + m * (pc.p_circuit + pc.p0)
     gamma_fso = c_fso * (pc.b_s * pc.p_fh_fso * GBPS_PER_BPS + pc.mu_fso)
     gamma_of = c_fso * (pc.b_s * pc.p_fh_of * GBPS_PER_BPS + pc.mu_of)

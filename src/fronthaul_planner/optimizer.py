@@ -2,7 +2,11 @@
 
 The symmetric-network objective is maximized over the fiber capacity
 coefficient n and the fiber count m_of. A grid search serves as the
-independent oracle and an alternating loop refines the joint pair.
+independent oracle and an alternating loop refines the joint pair. Every
+step evaluates its candidate cells in one symmetric_terms call and returns
+the PlanOptimum grid_search picks among them, so one rule decides
+throughout: the largest EE, then the smallest n, then the smallest m_of,
+NaN cells last.
 
 The planner's n-step is exact to its grid: optimal_n_closed_form maximizes
 the symmetric objective itself on an N_STEP grid over [N_MIN, N_MAX],
@@ -31,6 +35,7 @@ N_MIN, N_MAX, N_STEP = 1.0, 10.0, 0.01
 # The alternating loop stops after MAX_ITERS rounds, or once n moves by at
 # most TOL and m_of not at all.
 MAX_ITERS, TOL = 100, 1e-6
+NO_FIBER = "capacity coefficient is immaterial without fiber links"
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,12 @@ class PlanOptimum:
 def capacity_coeff_quadratic(m_of, agg):
     """Solve the capacity-coefficient stationarity quadratic for fixed m_of.
 
-    Among real roots in (0, 1] the one with the higher objective wins and
-    maps to n = -log2(chi) / c_fso, clamped to [1, inf). Without a valid
-    root, the N_STEP grid over n in [N_MIN, N_MAX] decides and
-    fallback_used is set.
+    Each real root in (0, 1] maps to n = -log2(chi) / c_fso, clamped to
+    [1, inf), and grid_search picks among these n. Without a valid root,
+    optimal_n_closed_form decides and fallback_used is set.
     """
     if m_of < 1:
-        raise ValueError("capacity coefficient is immaterial without fiber links")
+        raise ValueError(NO_FIBER)
     lam2 = agg.l2 + (agg.m - m_of) * agg.alpha_fso
     lam4 = agg.gamma_ep + (agg.m - m_of) * agg.gamma_fso
     lam1 = 2.443 + math.log2(lam2 / agg.l1) + lam4 * agg.c_fso / (agg.gamma_of * m_of)
@@ -110,30 +114,27 @@ def capacity_coeff_quadratic(m_of, agg):
             sq = math.sqrt(disc)
             roots = [(-u2 + sq) / (2.0 * u1), (-u2 - sq) / (2.0 * u1)]
 
-    candidates = [(max(1.0, -math.log2(r) / agg.c_fso), r)
-                  for r in roots if 0.0 < r <= 1.0]
-    if candidates:
-        n_star, chi = max(candidates,
-                          key=lambda c: symmetric_terms(c[0], m_of, agg)[0])
-        fallback = False
+    chis = [r for r in roots if 0.0 < r <= 1.0]
+    if chis:
+        ns = [max(1.0, -math.log2(r) / agg.c_fso) for r in chis]
+        n_star = _best_cell(ns, m_of, agg).n_star
+        chi = chis[ns.index(n_star)]
     else:
-        n_star = optimal_n_closed_form(m_of, agg)
+        n_star = optimal_n_closed_form(m_of, agg).n_star
         chi = float("nan")
-        fallback = True
     return CapacityCoeffIntermediates(lam1, lam2, lam4, u1, u2, u3,
-                                      chi, float(n_star), fallback)
+                                      chi, n_star, not chis)
 
 
 def optimal_n_closed_form(m_of, agg):
-    """Best fiber capacity coefficient at fixed m_of; nan when m_of = 0.
+    """Best fiber capacity coefficient at fixed m_of >= 1, as a PlanOptimum.
 
-    Maximizes the exact symmetric objective over the N_STEP grid on
-    [N_MIN, N_MAX] in one vectorized call; ties go to the smaller n.
+    grid_search's pick of the exact symmetric objective over the N_STEP
+    grid on [N_MIN, N_MAX], evaluated in one call.
     """
-    if m_of == 0:
-        return float("nan")
-    ns = np.arange(N_MIN, N_MAX + N_STEP / 2, N_STEP)
-    return float(ns[np.argmax(symmetric_terms(ns, m_of, agg)[0])])
+    if m_of < 1:
+        raise ValueError(NO_FIBER)
+    return _best_cell(np.arange(N_MIN, N_MAX + N_STEP / 2, N_STEP), m_of, agg)
 
 
 def fiber_count_intermediates(n, agg):
@@ -152,25 +153,19 @@ def fiber_count_intermediates(n, agg):
 
 
 def optimal_m_of_closed_form(n, agg):
-    """Best fiber count at fixed n, by direct objective comparison.
+    """Best fiber count at fixed n, as a PlanOptimum.
 
-    Candidates are the clamped floor/ceil of the stationary point plus both
-    endpoints 0 and m; the endpoints decide degenerate cases (kappa2 or
-    kappa4 zero) and ties go to the smaller, cheaper count.
+    grid_search's pick among both endpoints 0 and m and the floor and ceil
+    of the stationary point clamped to [0, m], evaluated in one call. The
+    endpoints decide degenerate cases (kappa2 or kappa4 zero), and ties go
+    to the smaller, cheaper count.
     """
-    inter = fiber_count_intermediates(n, agg)
-    candidates = {0, int(agg.m)}
-    if math.isfinite(inter.m_cont):
-        lo = int(math.floor(inter.m_cont))
-        hi = int(math.ceil(inter.m_cont))
-        candidates.update(c for c in (lo, hi) if 0 <= c <= agg.m)
-    best = min(candidates)
-    best_ee = symmetric_terms(float(n), best, agg)[0]
-    for cand in sorted(candidates):
-        ee = symmetric_terms(float(n), cand, agg)[0]
-        if ee > best_ee:
-            best, best_ee = cand, ee
-    return best
+    m_cont = fiber_count_intermediates(n, agg).m_cont
+    counts = [0, agg.m]
+    if math.isfinite(m_cont):
+        m_cont = min(max(m_cont, 0.0), agg.m)
+        counts += [math.floor(m_cont), math.ceil(m_cont)]
+    return _best_cell(float(n), counts, agg)
 
 
 def parse_range(lo, hi, step):
@@ -192,8 +187,14 @@ def grid_cells(agg, n_range):
     return (nn, mm) + symmetric_terms(nn, mm, agg)
 
 
+def _best_cell(n, m_of, agg):
+    """grid_search's pick among the cells (n, m_of), broadcast together."""
+    nn, mm = np.broadcast_arrays(np.asarray(n, dtype=float), m_of)
+    return grid_search((nn, mm, symmetric_terms(nn, mm, agg)[0]))
+
+
 def grid_search(cells):
-    """Brute-force oracle for the joint (n, m_of) optimum over grid_cells output.
+    """The optimum among evaluated cells, such as grid_cells output.
 
     The largest EE wins, NaN cells rank last, and ties resolve to the
     smallest n, then the smallest m_of, independent of evaluation order.
@@ -218,7 +219,8 @@ def best_of(optima):
 def alternating_optimize(agg, init_n, init_m_of):
     """Joint optimum by alternating the two closed forms.
 
-    Each half-step is accepted only if it does not decrease the objective;
+    Each half-step's PlanOptimum, EE included, is accepted only if it does
+    not decrease the objective, which is evaluated here only at the start;
     a decreasing step stops the loop at the best point seen. Runs until the
     pair is stationary (n within TOL, m_of exact) or MAX_ITERS rounds.
     """
@@ -228,24 +230,17 @@ def alternating_optimize(agg, init_n, init_m_of):
         raise ValueError("init_n must be at least 1")
     n, m_of = float(init_n), int(init_m_of)
     ee = float(symmetric_terms(n, m_of, agg)[0])
-    converged = False
     for _ in range(MAX_ITERS):
         n_prev, m_prev = n, m_of
-
         if m_of > 0:
-            n_cand = optimal_n_closed_form(m_of, agg)
-            ee_cand = float(symmetric_terms(n_cand, m_of, agg)[0])
-            if ee_cand < ee:
+            step = optimal_n_closed_form(m_of, agg)
+            if step.ee_star < ee:
                 break
-            n, ee = n_cand, ee_cand
-
-        m_cand = optimal_m_of_closed_form(n, agg)
-        ee_cand = float(symmetric_terms(n, m_cand, agg)[0])
-        if ee_cand < ee:
+            n, ee = step.n_star, step.ee_star
+        step = optimal_m_of_closed_form(n, agg)
+        if step.ee_star < ee:
             break
-        m_of, ee = m_cand, ee_cand
-
+        m_of, ee = step.m_of_star, step.ee_star
         if abs(n - n_prev) <= TOL and m_of == m_prev:
-            converged = True
-            break
-    return PlanOptimum(n, m_of, ee, "alternating", converged)
+            return PlanOptimum(n, m_of, ee, "alternating")
+    return PlanOptimum(n, m_of, ee, "alternating", converged=False)

@@ -5,19 +5,37 @@ here are built from it. network_power, fronthaul_cost and energy_efficiency
 score a plan with any per-AP link mix. No command reaches them: the tests
 keep them as an oracle independent of the symmetric objective
 energy.symmetric_terms.
+
+argmax_n_step, loop_m_of_step and reevaluating_alternation are the
+optimizer's two steps and alternating loop as they were before each step
+returned the PlanOptimum grid_search picks: the n-step by np.argmax, the
+fiber-count step by a strict comparison loop, and a loop that evaluated
+each step's cell again.
 """
+
+import math
 
 import numpy as np
 
 from fronthaul_planner.channel import PathLossModel, ShadowingModel
 from fronthaul_planner.config import SystemConfig, power_cost_params
-from fronthaul_planner.energy import GBPS_PER_BPS
+from fronthaul_planner.energy import GBPS_PER_BPS, symmetric_terms
+from fronthaul_planner.optimizer import (MAX_ITERS, N_MAX, N_MIN, N_STEP, TOL,
+                                         PlanOptimum, fiber_count_intermediates)
 
 CFG = SystemConfig()
 NOISE_W = CFG.noise_power_w
 PATH_LOSS = PathLossModel(CFG.f_mhz, CFG.h_ap_m, CFG.h_ue_m, CFG.d0_m, CFG.d1_m)
 SHADOWING = ShadowingModel(CFG.sigma_sh_db, CFG.theta)
 POWER_COST = power_cost_params(CFG)
+
+
+def distances(ap, ue):
+    """AP-to-UE distances (..., M, K) of positions (..., M, 2) and (..., K, 2),
+    sqrt(dx^2 + dy^2) with the operations of the drop-gain kernel."""
+    dx = ap[..., :, None, 0] - ue[..., None, :, 0]
+    dy = ap[..., :, None, 1] - ue[..., None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def network_power(sig, pc, plan):
@@ -49,3 +67,57 @@ def energy_efficiency(sum_rate, p_net, omega, b_s):
     if den <= 0:
         raise ValueError("power plus cost must be positive")
     return b_s * sum_rate / den
+
+
+def argmax_n_step(m_of, agg):
+    """Best fiber capacity coefficient at fixed m_of; nan when m_of = 0."""
+    if m_of == 0:
+        return float("nan")
+    ns = np.arange(N_MIN, N_MAX + N_STEP / 2, N_STEP)
+    return float(ns[np.argmax(symmetric_terms(ns, m_of, agg)[0])])
+
+
+def loop_m_of_step(n, agg):
+    """Best fiber count at fixed n among 0, m and the stationary point's
+    floor and ceil; ties go to the smaller count."""
+    inter = fiber_count_intermediates(n, agg)
+    candidates = {0, int(agg.m)}
+    if math.isfinite(inter.m_cont):
+        lo = int(math.floor(inter.m_cont))
+        hi = int(math.ceil(inter.m_cont))
+        candidates.update(c for c in (lo, hi) if 0 <= c <= agg.m)
+    best = min(candidates)
+    best_ee = symmetric_terms(float(n), best, agg)[0]
+    for cand in sorted(candidates):
+        ee = symmetric_terms(float(n), cand, agg)[0]
+        if ee > best_ee:
+            best, best_ee = cand, ee
+    return best
+
+
+def reevaluating_alternation(agg, init_n, init_m_of):
+    """The alternating loop over argmax_n_step and loop_m_of_step, each
+    accepted step's cell evaluated again."""
+    n, m_of = float(init_n), int(init_m_of)
+    ee = float(symmetric_terms(n, m_of, agg)[0])
+    converged = False
+    for _ in range(MAX_ITERS):
+        n_prev, m_prev = n, m_of
+
+        if m_of > 0:
+            n_cand = argmax_n_step(m_of, agg)
+            ee_cand = float(symmetric_terms(n_cand, m_of, agg)[0])
+            if ee_cand < ee:
+                break
+            n, ee = n_cand, ee_cand
+
+        m_cand = loop_m_of_step(n, agg)
+        ee_cand = float(symmetric_terms(n, m_cand, agg)[0])
+        if ee_cand < ee:
+            break
+        m_of, ee = m_cand, ee_cand
+
+        if abs(n - n_prev) <= TOL and m_of == m_prev:
+            converged = True
+            break
+    return PlanOptimum(n, m_of, ee, "alternating", converged)

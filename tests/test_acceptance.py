@@ -96,7 +96,7 @@ def test_a2_all_fso_threshold():
     rows = []
     ok = True
     for n in (8.0, 8.5, 9.0, 10.0):
-        closed = optimal_m_of_closed_form(n, agg)
+        closed = optimal_m_of_closed_form(n, agg).m_of_star
         _, mm, ee, _ = grid_cells(agg, np.array([n]))
         oracle = int(mm.ravel()[np.argmax(ee.ravel())])
         rows.append(f"n={n}: closed={closed} grid={oracle}")
@@ -108,7 +108,7 @@ def test_a3_equal_capacity_degeneracy():
     """A3: at n = 1 the link-penalty difference cancels exactly and fiber count is 0."""
     agg = default_agg()
     inter = fiber_count_intermediates(1.0, agg)
-    closed = optimal_m_of_closed_form(1.0, agg)
+    closed = optimal_m_of_closed_form(1.0, agg).m_of_star
     ok = inter.kappa2 == 0.0 and closed == 0
     report("A3 equal-capacity degeneracy", ok,
            f"kappa2={inter.kappa2!r} (exact zero required), m_of*={closed}")
@@ -194,12 +194,12 @@ def test_a6_closed_forms_vs_grid_oracles():
         n_fix = float(rng.uniform(1.0, 6.0))
         m_fix = int(rng.integers(1, agg.m + 1))
 
-        closed_m = optimal_m_of_closed_form(n_fix, agg)
+        closed_m = optimal_m_of_closed_form(n_fix, agg).m_of_star
         _, mm, ee, _ = grid_cells(agg, np.array([n_fix]))
         oracle_m = int(mm.ravel()[np.argmax(ee.ravel())])
         ok_m += abs(closed_m - oracle_m) <= 2
 
-        step_n = optimal_n_closed_form(m_fix, agg)
+        step_n = optimal_n_closed_form(m_fix, agg).n_star
         _, _, ee_n, _ = grid_cells(agg, n_fine)
         oracle_n = float(n_fine[np.argmax(ee_n[:, m_fix])])
         if abs(step_n - oracle_n) <= 0.25:

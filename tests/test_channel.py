@@ -8,12 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fronthaul_planner.channel import (LargeScaleFading, NetworkTopology,
-                                       ShadowingModel, draw_drop, draw_drops,
-                                       path_loss_db)
+from fronthaul_planner.channel import (LargeScaleFading, ShadowingModel,
+                                       draw_drop, draw_drops, path_loss_db)
 from fronthaul_planner.config import SystemConfig
 from fronthaul_planner.seeds import derive_rng, derive_states
-from reference import PATH_LOSS, SHADOWING
+from reference import PATH_LOSS, SHADOWING, distances
 
 # Frozen oracle: independent evaluation of the fixed-loss constant at
 # f = 1900 MHz, h_ap = 15 m, h_ue = 1.65 m.
@@ -21,7 +20,7 @@ L_REFERENCE_DB = 140.71508370390842
 
 
 def test_drop_rejects_bad_arguments():
-    # no AP, no UE or no area: rejected by the topology and by the config
+    # no AP, no UE or no area: rejected by the drop and by the config
     for m, k, side, text in ((0, 1, 1000.0, "at least one AP"),
                              (1, 0, 1000.0, "at least one AP"),
                              (1, 1, 0.0, "area_side")):
@@ -34,30 +33,24 @@ def test_drop_rejects_bad_arguments():
 
 
 def test_drop_positions_uniform_mean():
-    topo, _ = draw_drop(100, 10, 1000.0, PATH_LOSS, SHADOWING, seed=42)
+    (ap, ue), _ = draw_drop(100, 10, 1000.0, PATH_LOSS, SHADOWING, seed=42)
     # mean of 100 uniform draws on [0, 1000]: sd = (1000/sqrt(12))/10
     three_sigma = 3.0 * (1000.0 / np.sqrt(12.0)) / np.sqrt(100.0)
-    assert abs(np.mean(topo.ap_positions[:, 0]) - 500.0) < three_sigma
-    assert np.all(topo.ap_positions >= 0) and np.all(topo.ap_positions <= 1000)
-    assert np.all(topo.ue_positions >= 0) and np.all(topo.ue_positions <= 1000)
+    assert abs(np.mean(ap[:, 0]) - 500.0) < three_sigma
+    assert ap.shape == (100, 2) and ue.shape == (10, 2)
+    assert np.all(ap >= 0) and np.all(ap <= 1000)
+    assert np.all(ue >= 0) and np.all(ue <= 1000)
 
 
 def test_topology_validation():
-    with pytest.raises(ValueError):
-        NetworkTopology(np.array([[2000.0, 0.0]]), np.array([[1.0, 1.0]]), 1000.0)
-    with pytest.raises(ValueError):
-        NetworkTopology(np.empty((0, 2)), np.array([[1.0, 1.0]]), 1000.0)
-    # NaN positions and a non-finite area fail the range checks
-    nan = float("nan")
-    for ap, ue, side in (([[nan, 1.0]], [[2.0, 2.0]], 10.0),
-                         ([[1.0, 1.0]], [[2.0, nan]], 10.0),
-                         ([[1.0, 1.0]], [[2.0, 2.0]], nan),
-                         ([[1.0, 1.0]], [[2.0, 2.0]], np.inf)):
-        with pytest.raises(ValueError):
-            NetworkTopology(ap, ue, side)
-    for side in (nan, np.inf):
+    # an area side outside (0, inf), NaN included, fails one drop and a block
+    for side in (-1.0, float("nan"), np.inf):
         with pytest.raises(ValueError, match="area_side"):
             draw_drop(2, 2, side, PATH_LOSS, SHADOWING, seed=0)
+        with pytest.raises(ValueError, match="area_side"):
+            draw_drops(2, 2, side, PATH_LOSS, SHADOWING, derive_states(0, "drop", 0, 2))
+    with pytest.raises(ValueError, match="at least one AP"):
+        draw_drops(2, 0, 10.0, PATH_LOSS, SHADOWING, derive_states(0, "drop", 0, 2))
 
 
 def test_fixed_loss_constant_matches_reference():
@@ -110,17 +103,17 @@ def test_path_loss_rejects_nonpositive_distance():
 
 def test_fading_without_shadowing_is_pure_path_loss():
     pl = PATH_LOSS
-    topo, fading = draw_drop(20, 5, 1000.0, pl,
-                             replace(SHADOWING, sigma_sh_db=0.0), seed=1)
-    expected = 10.0 ** (path_loss_db(topo.distances(), pl) / 10.0)
+    (ap, ue), fading = draw_drop(20, 5, 1000.0, pl,
+                                 replace(SHADOWING, sigma_sh_db=0.0), seed=1)
+    expected = 10.0 ** (path_loss_db(distances(ap, ue), pl) / 10.0)
     assert np.array_equal(fading.beta, expected)
 
 
 def _recover_z(sh, drops=300, m=4, k=3):
     """Shadowing exponents z (drops, m, k) of a stack of drops, from the gains."""
-    topo, fading = draw_drops(m, k, 1000.0, PATH_LOSS, sh,
-                              derive_states(2, "drop", 0, drops))
-    pl_db = path_loss_db(topo.distances(), PATH_LOSS)
+    (ap, ue), fading = draw_drops(m, k, 1000.0, PATH_LOSS, sh,
+                                  derive_states(2, "drop", 0, drops))
+    pl_db = path_loss_db(distances(ap, ue), PATH_LOSS)
     return (10.0 * np.log10(fading.beta) - pl_db) / sh.sigma_sh_db
 
 
@@ -146,20 +139,18 @@ def test_shadowing_spread_over_seeds():
 def test_drop_positions_deterministic():
     (t1, _), (t2, _), (t3, _) = (draw_drop(10, 4, 500.0, PATH_LOSS, SHADOWING,
                                            seed) for seed in (9, 9, 10))
-    assert np.array_equal(t1.ap_positions, t2.ap_positions)
-    assert np.array_equal(t1.ue_positions, t2.ue_positions)
-    assert not np.array_equal(t1.ap_positions, t3.ap_positions)
-    assert not np.array_equal(t1.ue_positions, t3.ue_positions)
+    for side in range(2):  # AP, then UE positions
+        assert np.array_equal(t1[side], t2[side])
+        assert not np.array_equal(t1[side], t3[side])
 
 
 def test_fading_deterministic():
     pl, sh = PATH_LOSS, SHADOWING
     (t1, f1), (t2, f2), (t3, f3) = (draw_drop(10, 4, 500.0, pl, sh, seed)
                                     for seed in (9, 9, 10))
-    for a, b in ((t1.ap_positions, t2.ap_positions),
-                 (t1.ue_positions, t2.ue_positions), (f1.beta, f2.beta)):
+    for a, b in ((t1[0], t2[0]), (t1[1], t2[1]), (f1.beta, f2.beta)):
         assert np.array_equal(a, b)
-    assert not np.array_equal(t1.ap_positions, t3.ap_positions)
+    assert not np.array_equal(t1[0], t3[0])
     assert not np.array_equal(f1.beta, f3.beta)
 
 
@@ -168,16 +159,15 @@ def test_one_drop_equals_its_split_draws():
     # of uniform(0, side) positions per AP and per UE and of normals a then b
     m, k, side, pl, sh = 7, 3, 900.0, PATH_LOSS, SHADOWING
     for seed in range(5):
-        topo, fading = draw_drop(m, k, side, pl, sh, seed)
+        (ap, ue), fading = draw_drop(m, k, side, pl, sh, seed)
         rng = derive_rng(seed, "topology")
-        ap, ue = rng.uniform(0.0, side, (m, 2)), rng.uniform(0.0, side, (k, 2))
+        assert np.array_equal(ap, rng.uniform(0.0, side, (m, 2)))
+        assert np.array_equal(ue, rng.uniform(0.0, side, (k, 2)))
         rng = derive_rng(seed, "shadowing")
         a, b = rng.standard_normal(m), rng.standard_normal(k)
-        assert np.array_equal(topo.ap_positions, ap)
-        assert np.array_equal(topo.ue_positions, ue)
         shadow = (sh.sigma_sh_db * np.sqrt(sh.theta) * a[:, None]
                   + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * b[None, :])
-        pl_db = path_loss_db(topo.distances(), pl)
+        pl_db = path_loss_db(distances(ap, ue), pl)
         assert np.array_equal(fading.beta, 10.0 ** ((pl_db + shadow) / 10.0))
 
 
@@ -185,13 +175,14 @@ def test_drop_stack_equals_single_drops():
     # the block drawer against the one-drop draw on each drop's Generator,
     # bit for bit
     pl, sh = PATH_LOSS, SHADOWING
-    topo, fading = draw_drops(6, 2, 800.0, pl, sh, derive_states(3, "drop", 4, 7))
-    assert fading.beta.shape == (3, 6, 2) and (topo.m, topo.k) == (6, 2)
+    (ap, ue), fading = draw_drops(6, 2, 800.0, pl, sh, derive_states(3, "drop", 4, 7))
+    assert fading.beta.shape == (3, 6, 2)
+    assert ap.shape == (3, 6, 2) and ue.shape == (3, 2, 2)
     for j in range(3):
         rng = derive_rng(3, "drop", 4 + j)
-        one, gains = draw_drop(6, 2, 800.0, pl, sh, rng)
-        assert np.array_equal(topo.ap_positions[j], one.ap_positions)
-        assert np.array_equal(topo.ue_positions[j], one.ue_positions)
+        (ap_j, ue_j), gains = draw_drop(6, 2, 800.0, pl, sh, rng)
+        assert np.array_equal(ap[j], ap_j)
+        assert np.array_equal(ue[j], ue_j)
         assert np.array_equal(fading.beta[j], gains.beta)
 
 

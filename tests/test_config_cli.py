@@ -296,6 +296,25 @@ def test_cli_path_loss_out_of_scale_names_the_key(command, text, named,
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("text, shown", [("1e200", "1e+200"),
+                                         ("1e-320", "9.99989e-321")])
+@pytest.mark.parametrize("command", ["optimize", "grid", "surface", "tradeoff"])
+def test_cli_symmetric_gain_out_of_scale_names_the_key(command, text, shown,
+                                                       tmp_path, capsys):
+    # a gain whose aggregates overflow (1e200) or whose noise floor l2
+    # rounds to 0 (1e-320): the key named on one line, no traceback, no
+    # warning and no CSV
+    cfg = tmp_path / "gain.cfg"
+    cfg.write_text(f"beta_scalar = {text}\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: gain 'beta_scalar' = {shown} is out of scale: "
+        "the symmetric aggregates leave the float range\n")
+    assert not list(out.glob("*.csv"))
+
+
 def test_cli_path_loss_faults_named_together(tmp_path, capsys):
     # neither key's reference value alone brings the gains back
     cfg = tmp_path / "far.cfg"

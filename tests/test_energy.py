@@ -117,6 +117,16 @@ def test_aggregate_rejects_eta_outside_the_unit_interval(eta):
         aggregate_params(1.1e-12, sig, pc, 100, 10, 2.0, eta=np.array([0.5, eta]))
 
 
+@pytest.mark.parametrize("beta", [1e200, 1e-320, np.nan])
+@pytest.mark.parametrize("eta", [None, np.array([0.0, 0.5])])
+def test_aggregate_rejects_a_gain_out_of_scale(beta, eta):
+    # overflowing aggregates (0 * inf at eta = 0 included), a noise floor l2
+    # that rounds to 0, and NaN: rejected without a warning
+    sig, pc, _ = default_setup()
+    with pytest.raises(ValueError, match="'beta_scalar' = .* is out of scale"):
+        aggregate_params(beta, sig, pc, 100, 10, 2.0, eta=eta)
+
+
 @pytest.mark.parametrize("m, k", [(50, 10), (100, 5)])
 def test_aggregate_rejects_network_other_than_sig(m, k):
     sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, 100, 10)

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fronthaul_planner.energy import PowerCostParams, aggregate_params
+from fronthaul_planner import optimizer
+from fronthaul_planner.cli import main
+from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
+                                      symmetric_terms)
 from fronthaul_planner.fronthaul import UplinkSignalParams
 from fronthaul_planner.optimizer import (alternating_optimize, best_of,
                                          capacity_coeff_quadratic,
@@ -71,11 +74,13 @@ def test_quadratic_root_residual():
         assert abs(residual) < bound
 
 
-def test_optimal_n_sentinel_without_fiber():
+def test_optimal_n_rejects_a_split_without_fiber():
+    # the capacity coefficient means nothing at m_of = 0: the n-step and
+    # the quadratic reject it alike
     agg = default_agg()
-    assert math.isnan(optimal_n_closed_form(0, agg))
-    with pytest.raises(ValueError):
-        capacity_coeff_quadratic(0, agg)
+    for step in (optimal_n_closed_form, capacity_coeff_quadratic):
+        with pytest.raises(ValueError, match="immaterial without fiber links"):
+            step(0, agg)
 
 
 def test_optimal_n_reasonable_at_full_fiber():
@@ -92,13 +97,13 @@ def test_fiber_count_degenerate_equal_capacity():
     # at n = 1 the two link penalties cancel exactly
     assert inter.kappa2 == 0.0
     assert math.isnan(inter.m_cont)
-    assert optimal_m_of_closed_form(1.0, agg) == 0
+    assert optimal_m_of_closed_form(1.0, agg).m_of_star == 0
 
 
 def test_fiber_count_closed_form_tracks_grid_on_reference():
     agg = default_agg()
     for n in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0):
-        closed = optimal_m_of_closed_form(n, agg)
+        closed = optimal_m_of_closed_form(n, agg).m_of_star
         oracle = grid_argmax_m_of(n, agg)
         assert abs(closed - oracle) <= 2
 
@@ -106,7 +111,7 @@ def test_fiber_count_closed_form_tracks_grid_on_reference():
 def test_fiber_count_all_fso_for_large_n():
     agg = default_agg()
     for n in (8.0, 9.0, 10.0):
-        assert optimal_m_of_closed_form(n, agg) == 0
+        assert optimal_m_of_closed_form(n, agg).m_of_star == 0
     with pytest.raises(ValueError):
         optimal_m_of_closed_form(0.5, agg)
 
@@ -121,7 +126,7 @@ def test_fiber_count_degenerate_power_crossover():
     assert n_cross >= 1.0
     inter = fiber_count_intermediates(n_cross, agg)
     assert inter.kappa4 == pytest.approx(0.0, abs=1e-18)
-    closed = optimal_m_of_closed_form(n_cross, agg)
+    closed = optimal_m_of_closed_form(n_cross, agg).m_of_star
     oracle = grid_argmax_m_of(n_cross, agg)
     assert abs(closed - oracle) <= 2
 
@@ -133,7 +138,7 @@ def test_fiber_count_closed_form_vs_grid_random_family():
     for _ in range(total):
         agg = neighborhood_agg(rng)
         n = float(rng.uniform(1.0, 6.0))
-        closed = optimal_m_of_closed_form(n, agg)
+        closed = optimal_m_of_closed_form(n, agg).m_of_star
         oracle = grid_argmax_m_of(n, agg)
         agree += abs(closed - oracle) <= 2
     assert agree >= int(0.95 * total)
@@ -212,6 +217,22 @@ def test_alternating_fixed_point_and_monotonicity():
     assert abs(again.n_star - first.n_star) <= 1e-6 or again.ee_star > first.ee_star
 
 
+def test_optimize_evaluates_the_objective_at_most_seven_times(monkeypatch,
+                                                             tmp_path, capsys):
+    # the start point once, then one call per half-step; the default run
+    # converges in three rounds
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return symmetric_terms(*args)
+
+    monkeypatch.setattr(optimizer, "symmetric_terms", counted)
+    assert main(["optimize", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert 1 <= len(calls) <= 7
+
+
 def test_argmax_invariant_to_power_scaling():
     agg = default_agg()
     scaled = replace(agg, gamma_ep=5.0 * agg.gamma_ep,
@@ -221,8 +242,8 @@ def test_argmax_invariant_to_power_scaling():
     assert (a.n_star, a.m_of_star) == (b.n_star, b.m_of_star)
     assert b.ee_star == pytest.approx(a.ee_star / 5.0, rel=1e-12)
     for n in (2.0, 5.0):
-        assert (optimal_m_of_closed_form(n, agg)
-                == optimal_m_of_closed_form(n, scaled))
+        assert (optimal_m_of_closed_form(n, agg).m_of_star
+                == optimal_m_of_closed_form(n, scaled).m_of_star)
 
 
 def _lexsort_cell(nn, mm, ee):

@@ -14,15 +14,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fronthaul_planner.channel import ShadowingModel, draw_drops
+from fronthaul_planner.config import SystemConfig
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       symmetric_terms)
-from fronthaul_planner.experiments import BLOCK_ROWS, write_table
+from fronthaul_planner.experiments import (BLOCK_ROWS, symmetric_setup,
+                                           write_table)
 from fronthaul_planner.fronthaul import (UplinkSignalParams,
                                          received_signal_power)
-from fronthaul_planner.optimizer import optimal_n_closed_form
+from fronthaul_planner.optimizer import (alternating_optimize,
+                                         optimal_m_of_closed_form,
+                                         optimal_n_closed_form)
 from fronthaul_planner.rate import MC_BLOCK, mc_validate_terms, per_user_sinrs
 from fronthaul_planner.seeds import STREAMS, derive_rng, derive_states
-from reference import NOISE_W, PATH_LOSS
+from reference import (NOISE_W, PATH_LOSS, argmax_n_step, distances,
+                       loop_m_of_step, reevaluating_alternation)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -59,10 +64,38 @@ def test_n_step_beats_the_fine_grid(agg, data):
     # the n-step's promise: at fixed m_of, no coefficient of the 0.01 grid
     # over [1, 10] does better
     m_of = data.draw(st.integers(1, agg.m))
-    n = optimal_n_closed_form(m_of, agg)
+    n = optimal_n_closed_form(m_of, agg).n_star
     assert 1.0 <= n <= 10.0
     grid = symmetric_terms(1.0 + 0.01 * np.arange(901), m_of, agg)[0]
     assert symmetric_terms(n, m_of, agg)[0] >= grid.max() * (1.0 - 1e-12)
+
+
+# The network of the 'stopped at best seen' optimize pin: from the start
+# (2, 50) the fiber-count step lowers the objective at once.
+STOPS_AT_BEST_SEEN = symmetric_setup(replace(
+    SystemConfig(), beta_scalar=9.9e-13, mu_fso=0.0031, eta=0.11,
+    p_fh_of_w_per_gbps=0.051), 0)[1]
+
+
+@SETTINGS
+@given(neighbourhood(), st.floats(1.0, 10.0), st.floats(0.0, 1.0))
+@example(STOPS_AT_BEST_SEEN, 2.0, 0.5)
+def test_optimizer_keeps_the_former_cells_and_bits(agg, n, share):
+    # each step's PlanOptimum against the former argmax and comparison-loop
+    # steps with their cell evaluated again, and the loop against the
+    # former one that re-evaluated each step: the same bits and flags
+    m_of = round(share * agg.m)
+    bits = lambda o: (o.n_star.hex(), o.m_of_star, o.ee_star.hex())
+    ee = lambda n, m_of: float(symmetric_terms(n, m_of, agg)[0]).hex()
+    if m_of:
+        old_n = argmax_n_step(m_of, agg)
+        assert bits(optimal_n_closed_form(m_of, agg)) == (old_n.hex(), m_of,
+                                                          ee(old_n, m_of))
+    old_m = loop_m_of_step(n, agg)
+    assert bits(optimal_m_of_closed_form(n, agg)) == (n.hex(), old_m, ee(n, old_m))
+    new = alternating_optimize(agg, n, m_of)
+    old = reevaluating_alternation(agg, n, m_of)
+    assert bits(new) + (new.converged,) == bits(old) + (old.converged,)
 
 
 @SETTINGS
@@ -121,9 +154,10 @@ def test_monte_carlo_terms_do_not_depend_on_the_chunk(m, n_users, seed, data):
     assert np.array_equal(a.interference_var, b.interference_var)
 
 
-def _plain_gains(topo, pl, sh, seed):
+def _plain_gains(ap, ue, pl, sh, seed):
     """The drop gains composed term by term: norm, nested where, two powers."""
-    diff = topo.ap_positions[..., :, None, :] - topo.ue_positions[..., None, :, :]
+    m, k = ap.shape[-2], ue.shape[-2]
+    diff = ap[..., :, None, :] - ue[..., None, :, :]
     d = np.linalg.norm(diff, axis=-1)
     L = pl.fixed_loss_db
     mid_const = 15.0 * np.log10(pl.d1)
@@ -132,11 +166,11 @@ def _plain_gains(topo, pl, sh, seed):
     flat = -L - mid_const - 20.0 * np.log10(pl.d0)
     pl_db = np.where(d > pl.d1, far, np.where(d > pl.d0, mid, flat))
     # each drop's normals follow its 2m + 2k uniform coordinates
-    draws = [derive_rng(seed, "drop", j) for j in range(len(topo.ap_positions))]
+    draws = [derive_rng(seed, "drop", j) for j in range(len(ap))]
     for rng in draws:
-        rng.uniform(size=2 * (topo.m + topo.k))
-    a = np.stack([rng.standard_normal(topo.m) for rng in draws])
-    b = np.stack([rng.standard_normal(topo.k) for rng in draws])
+        rng.uniform(size=2 * (m + k))
+    a = np.stack([rng.standard_normal(m) for rng in draws])
+    b = np.stack([rng.standard_normal(k) for rng in draws])
     z = np.sqrt(sh.theta) * a[:, :, None] + np.sqrt(1.0 - sh.theta) * b[:, None, :]
     return 10.0 ** (pl_db / 10.0) * 10.0 ** (sh.sigma_sh_db * z / 10.0)
 
@@ -148,16 +182,15 @@ def _plain_gains(topo, pl, sh, seed):
 def test_gain_kernel_matches_the_plain_formula(m, k, seed, drops, area, d0,
                                                ratio, theta, sigma):
     # the one-log10, one-power kernel against the plain composition on the
-    # same drops and draws; distances against np.hypot
+    # same drops and draws; the kernel's distances against np.hypot
     pl = replace(PATH_LOSS, d0=d0, d1=d0 * ratio)
     sh = ShadowingModel(sigma, theta)
-    topo, fading = draw_drops(m, k, area, pl, sh,
-                              derive_states(seed, "drop", 0, drops))
-    d = topo.distances()
-    dx, dy = np.moveaxis(topo.ap_positions[:, :, None, :]
-                         - topo.ue_positions[:, None, :, :], -1, 0)
+    (ap, ue), fading = draw_drops(m, k, area, pl, sh,
+                                  derive_states(seed, "drop", 0, drops))
+    d = distances(ap, ue)
+    dx, dy = np.moveaxis(ap[:, :, None, :] - ue[:, None, :, :], -1, 0)
     assert np.all(np.abs(d - np.hypot(dx, dy)) <= np.spacing(np.hypot(dx, dy)))
-    np.testing.assert_allclose(fading.beta, _plain_gains(topo, pl, sh, seed),
+    np.testing.assert_allclose(fading.beta, _plain_gains(ap, ue, pl, sh, seed),
                                rtol=1e-13, atol=0.0)
 
 
