@@ -27,6 +27,9 @@ mid-row; the grid's optimum there is a tie of the whole n-independent
 m_of = 0 column. The
 trade-off pin moves beta_scalar and rho_u_mw, which set the sweep's top.
 Each pins the CSV and the stdout, with the output directory as 'TMP'.
+The cdf pin at M = 1000, K = 100 (the benchmark's 10x size, one drop per
+gain block) was recorded before a run's drop blocks were computed in
+place, in buffers the run reuses.
 
 The optimize pins were recorded before each optimizer step picked its cell
 with grid_search and the alternating loop stopped re-evaluating them. They
@@ -119,6 +122,8 @@ CONFIGURED = {
     "ee_surface.csv:m=1000": ("m = 1000\n", ["surface"]),
     "ee_vs_sumrate.csv:beta_scalar=3.3e-13,rho_u_mw=250": (
         "beta_scalar = 3.3e-13\nrho_u_mw = 250\n", ["tradeoff"]),
+    "rate_cdf.csv:m=1000,k=100,drops=40": (
+        "m = 1000\nk = 100\n", ["cdf", "--drops", "40"]),
 }
 
 # (pin name, seed) -> (CSV sha256, stdout sha256)
@@ -141,6 +146,12 @@ CONFIGURED_DIGESTS = {
     ("ee_vs_sumrate.csv:beta_scalar=3.3e-13,rho_u_mw=250", 1): (
         "bb500790d337d8d6dae8878857d32b09d15b4ccae7539e5aaf74c8c5b9f414be",
         "b5667800745614d2395f693f24fbca4c4729f79a3e3ac55b077fca10b71b9e9c"),
+    ("rate_cdf.csv:m=1000,k=100,drops=40", 0): (
+        "f5cafe7e3e0f96f346f289c32043c17568017b87317657e12d7bbd1934be0d33",
+        "177de76a944d7a3e32aa9bfd5049452abc7cc735263c79de6972628b36f8814f"),
+    ("rate_cdf.csv:m=1000,k=100,drops=40", 1): (
+        "067c51ba86e91f163b23c2d4906f39c5b0e109b00b217974293482e68d34c5d0",
+        "29938ebd67de8641637a22186009d1a8bcbd2a181ce4be3a36099c83a8aea6da"),
 }
 
 
