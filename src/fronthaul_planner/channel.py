@@ -74,24 +74,29 @@ class LargeScaleFading:
     def __post_init__(self):
         beta = np.atleast_2d(np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "beta", beta)
-        if not np.all(np.isfinite(beta)) or np.any(beta <= 0):
+        # two reductions, no boolean temporaries; NaN fails the first
+        if not (beta.min(initial=np.inf) > 0 and beta.max(initial=-np.inf) < np.inf):
             raise ValueError("gains must be positive and finite")
 
 
-def path_loss_db(d, model):
+def path_loss_db(d, model, out=None):
     """Three-slope loss in dB (negative) at distance d meters.
 
     Vectorized over d, one log10 per entry. The loss is continuous and falls
     with d, so each branch is the smallest of the three where it applies.
+    Given a float array out of d's shape, the loss is written there and d
+    serves as scratch (a float array d is overwritten), so nothing of d's
+    size is allocated.
     """
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
+    # the smallest non-NaN distance, without a boolean temporary
+    if np.fmin.reduce(d, axis=None, initial=np.inf) <= 0:
         raise ValueError("distance must be positive")
     L = model.fixed_loss_db
     mid_const = L + 15.0 * np.log10(model.d1)
     flat = -mid_const - 20.0 * np.log10(model.d0)
-    lg = np.log10(d, out=np.empty_like(d))  # an array even for scalar d
-    far = lg * -35.0
+    lg = np.log10(d, out=np.empty_like(d) if out is None else out)
+    far = np.multiply(lg, -35.0, out=None if out is None else d)
     far -= L
     lg *= -20.0
     lg -= mid_const
@@ -99,7 +104,14 @@ def path_loss_db(d, model):
     return out if out.ndim else float(out)
 
 
-def _drops(m, k, area_side, pl, sh, xy, z):
+def _check_network(m, k, area_side):
+    if not 0 < area_side < np.inf:
+        raise ValueError("area_side must be positive and finite")
+    if m < 1 or k < 1:
+        raise ValueError("need at least one AP and one UE")
+
+
+def _drops(m, k, area_side, pl, sh, xy, z, gains, scratch):
     """Positions and gains of drops from their draws, any leading batch shape.
 
     xy (..., 2m + 2k) holds uniforms on [0, 1), AP then UE coordinates, and
@@ -107,27 +119,26 @@ def _drops(m, k, area_side, pl, sh, xy, z):
     every position lies in the square [0, area_side]^2. ap and ue are its
     (..., m, 2) and (..., k, 2) views. z holds m + k normals, a_m per AP
     then b_k per UE; link (m, k) is shadowed by
-    sigma_sh * (sqrt(theta) a_m + sqrt(1 - theta) b_k).
+    sigma_sh * (sqrt(theta) a_m + sqrt(1 - theta) b_k). The gains are
+    computed in gains (..., m, k), with scratch of the same shape, and every
+    step writes into one of the two.
     """
-    if not 0 < area_side < np.inf:
-        raise ValueError("area_side must be positive and finite")
-    if m < 1 or k < 1:
-        raise ValueError("need at least one AP and one UE")
     xy *= area_side
     ap = xy[..., :2 * m].reshape(xy.shape[:-1] + (m, 2))
     ue = xy[..., 2 * m:].reshape(xy.shape[:-1] + (k, 2))
     # Overflows (of distances in a huge area, too) end in gains that
     # LargeScaleFading rejects, without a numpy warning.
     with np.errstate(over="ignore"):
-        # AP-to-UE distances sqrt(dx^2 + dy^2), dx^2 built in place
-        d = ap[..., :, None, 0] - ue[..., None, :, 0]
+        # AP-to-UE distances sqrt(dx^2 + dy^2)
+        d = np.subtract(ap[..., :, None, 0], ue[..., None, :, 0], out=scratch)
         d *= d
-        d += np.square(ap[..., :, None, 1] - ue[..., None, :, 1])
+        dy = np.subtract(ap[..., :, None, 1], ue[..., None, :, 1], out=gains)
+        d += np.square(dy, out=dy)
         # One power of 10 per gain: shadowing is added to the loss in dB.
-        x = path_loss_db(np.sqrt(d, out=d), pl)
-        del d  # a drop-sized temporary, freed before the shadowing arrays
-        shadow = (sh.sigma_sh_db * np.sqrt(sh.theta) * z[..., :m, None]
-                  + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * z[..., None, m:])
+        x = path_loss_db(np.sqrt(d, out=d), pl, out=gains)
+        shadow = np.add(sh.sigma_sh_db * np.sqrt(sh.theta) * z[..., :m, None],
+                        sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * z[..., None, m:],
+                        out=scratch)
         x += shadow
         x /= 10.0
         np.power(10.0, x, out=x)
@@ -142,28 +153,53 @@ def _drops(m, k, area_side, pl, sh, xy, z):
 
 
 def draw_drop(m, k, area_side, pl, sh, seed):
-    """Positions and link gains of one drop of m APs and k UEs.
+    """Positions and link gains of one drop of m APs and k UEs, in arrays of
+    its own.
 
     The coordinates come from the topology stream of the seed, then the
     normals from its shadowing stream (a Generator seed serves both).
     """
+    _check_network(m, k, area_side)
     xy = derive_rng(seed, "topology").random(2 * (m + k))
     z = derive_rng(seed, "shadowing").standard_normal(m + k)
-    return _drops(m, k, area_side, pl, sh, xy, z)
+    return _drops(m, k, area_side, pl, sh, xy, z, np.empty((m, k)), np.empty((m, k)))
+
+
+class DropBlocks:
+    """Blocks of up to size drops, each drawn into the same buffers.
+
+    draw(states) gives what draw_drops gives, in views of buffers made once:
+    one Generator, the block's uniforms and normals, its gains and one
+    scratch array of their size. A shorter block uses the first rows. The
+    next draw overwrites the arrays of the last, so a block's positions and
+    gains hold only until then.
+    """
+
+    def __init__(self, m, k, area_side, pl, sh, size):
+        _check_network(m, k, area_side)
+        self._network = (m, k, area_side, pl, sh)
+        # a fixed seed gathers no OS entropy; each drop overwrites the state
+        self._rng = np.random.Generator(np.random.PCG64(0))
+        self._xy = np.empty((size, 2 * (m + k)))
+        self._z = np.empty((size, m + k))
+        self._gains = np.empty((size, m, k))
+        self._scratch = np.empty((size, m, k))
+
+    def draw(self, states):
+        """Drop j of the block is draw_drop on a Generator at states[j]."""
+        n = len(states)
+        xy, z = self._xy[:n], self._z[:n]
+        for j, state in enumerate(states):
+            self._rng.bit_generator.state = state
+            self._rng.random(out=xy[j])
+            self._rng.standard_normal(out=z[j])
+        return _drops(*self._network, xy, z, self._gains[:n], self._scratch[:n])
 
 
 def draw_drops(m, k, area_side, pl, sh, states):
-    """Positions and gains of a block of drops, stacked on a leading axis.
+    """Positions and gains of a block of drops, stacked on a leading axis,
+    in arrays of their own: the one-block case of DropBlocks.
 
-    Drop j is draw_drop on one Generator at PCG64 state states[j]. The
-    Generator is built from a fixed seed, which gathers no OS entropy, since
-    each drop overwrites its state.
+    Drop j is draw_drop on one Generator at PCG64 state states[j].
     """
-    rng = np.random.Generator(np.random.PCG64(0))  # numpy.random loads here
-    xy = np.empty((len(states), 2 * (m + k)))
-    z = np.empty((len(states), m + k))
-    for j, state in enumerate(states):
-        rng.bit_generator.state = state
-        rng.random(out=xy[j])
-        rng.standard_normal(out=z[j])
-    return _drops(m, k, area_side, pl, sh, xy, z)
+    return DropBlocks(m, k, area_side, pl, sh, len(states)).draw(states)

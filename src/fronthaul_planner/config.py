@@ -12,9 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import (PathLossModel, ShadowingModel, draw_drop, draw_drops,
-                      path_loss_db)
-from .energy import PowerCostParams
+from .channel import DropBlocks, PathLossModel, ShadowingModel, draw_drop, path_loss_db
+from .energy import PowerCostParams, aggregate_params
 from .fronthaul import UplinkSignalParams
 
 
@@ -224,15 +223,26 @@ def _loss_in_range(values):
     return bool(np.all((gains > 0) & (gains < np.inf)))
 
 
-def _drawn(config, draw, arg):
-    """draw(m, k, area, path loss, shadowing, arg) under this config.
+def _named(config, fields):
+    """"'key' = value" of each of these config fields, in file-key order."""
+    return ", ".join(f"'{key}' = {_scaled(getattr(config, f), den, num):g}"
+                     for key, (f, _, num, den) in _KEYS.items() if f in fields)
+
+
+def _loss_off_reference(config):
+    ref = SystemConfig()
+    return {f for f in _LOSS_FIELDS if getattr(config, f) != getattr(ref, f)}
+
+
+def _drawn(config, draw, *args):
+    """draw(*args) under this config.
 
     Gains that leave the float range through the path loss are rejected
     naming each key whose reference value alone brings them back, or else
     every path-loss key off its reference value.
     """
     try:
-        return draw(config.m, config.k, config.area_m, *_loss_models(config), arg)
+        return draw(*args)
     except ValueError:
         values = [getattr(config, f) for f in _LOSS_FIELDS]
         if _loss_in_range(values):
@@ -240,25 +250,27 @@ def _drawn(config, draw, arg):
     ref = SystemConfig()
     at_fault = ({f for i, f in enumerate(_LOSS_FIELDS)
                  if _loss_in_range(values[:i] + [getattr(ref, f)] + values[i + 1:])}
-                or {f for f in _LOSS_FIELDS if getattr(config, f) != getattr(ref, f)})
-    names = [f"'{key}' = {_scaled(getattr(config, f), den, num):g}"
-             for key, (f, _, num, den) in _KEYS.items() if f in at_fault]
-    raise ValueError(f"path loss at {', '.join(names)} is out of scale: "
+                or _loss_off_reference(config))
+    raise ValueError(f"path loss at {_named(config, at_fault)} is out of scale: "
                      "link gains leave the float range")
 
 
 def draw_fading(config, seed):
     """Random drop of positions and link gains under this config."""
-    return _drawn(config, draw_drop, seed)
+    return _drawn(config, draw_drop, config.m, config.k, config.area_m,
+                  *_loss_models(config), seed)
 
 
-def draw_fading_block(config, states):
-    """Drops stacked on a leading axis, drop j drawn from PCG64 state states[j].
+def fading_blocks(config, size):
+    """Drawer of blocks of at most size drops under this config, stacked on a
+    leading axis, drop j of a block drawn from PCG64 state states[j].
 
-    Drop j is draw_fading(config, rng) for a Generator rng at states[j],
-    bit for bit.
+    draw(states)[1].beta[j] is draw_fading(config, rng) for a Generator rng
+    at states[j], bit for bit. Every block is drawn into the same buffers
+    (channel.DropBlocks): a block's arrays hold until the next is drawn.
     """
-    return _drawn(config, draw_drops, states)
+    blocks = DropBlocks(config.m, config.k, config.area_m, *_loss_models(config), size)
+    return lambda states: _drawn(config, blocks.draw, states)
 
 
 def symmetric_beta(config, seed):
@@ -271,3 +283,22 @@ def symmetric_beta(config, seed):
         return config.beta_scalar
     _, fading = draw_fading(config, seed)
     return float(np.exp(np.mean(np.log(fading.beta))))
+
+
+def symmetric_aggregates(config, beta, pc, *, eta=None):
+    """aggregate_params of this config's network at gain beta and costs pc.
+
+    A drawn gain (beta_policy = geometric_mean) that the aggregates reject
+    is named with its policy and the path-loss keys off their reference
+    values, since the config sets no beta_scalar.
+    """
+    try:
+        return aggregate_params(beta, signal_params(config), pc, config.m,
+                                config.k, config.c_fso, eta=eta)
+    except ValueError:
+        if config.beta_policy == "fixed":
+            raise
+    keys = _named(config, _loss_off_reference(config))
+    raise ValueError(f"drawn gain {beta:g} (beta_policy = {config.beta_policy})"
+                     f"{' at path loss ' + keys if keys else ''} is out of "
+                     "scale: the symmetric aggregates leave the float range")

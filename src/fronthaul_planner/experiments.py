@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (SystemConfig, draw_fading_block, power_cost_params,
-                     signal_params, symmetric_beta)
-from .energy import aggregate_params, symmetric_terms
+from .config import (SystemConfig, fading_blocks, power_cost_params,
+                     signal_params, symmetric_aggregates, symmetric_beta)
+from .energy import symmetric_terms
 from .fronthaul import (FronthaulPlan, quantization_noise_var,
                         received_signal_power)
 from .optimizer import best_of, grid_cells, grid_search, parse_range
@@ -293,9 +293,7 @@ _EXP_CLASS = 18 * np.where((_EXPONENTS >= -4) & (_EXPONENTS <= 8), _EXPONENTS + 
 def symmetric_setup(cfg, seed):
     """Gain scalar and aggregate objective parameters of a symmetric study."""
     beta = symmetric_beta(cfg, seed)
-    agg = aggregate_params(beta, signal_params(cfg), power_cost_params(cfg),
-                           cfg.m, cfg.k, cfg.c_fso)
-    return beta, agg
+    return beta, symmetric_aggregates(cfg, beta, power_cost_params(cfg))
 
 
 def grid_blocks(agg, n_range):
@@ -317,12 +315,11 @@ def run_ee_surface(spec):
     """
     cfg = spec.config
     beta = symmetric_beta(cfg, spec.seed)
-    sig = signal_params(cfg)
     ns = parse_range(*SURFACE_N)
     aggs = {}
     for mu_of, mu_fso in SURFACE_COST_SETS:
         pc = power_cost_params(replace(cfg, mu_of=mu_of, mu_fso=mu_fso))
-        aggs[(mu_of, mu_fso)] = aggregate_params(beta, sig, pc, cfg.m, cfg.k, cfg.c_fso)
+        aggs[(mu_of, mu_fso)] = symmetric_aggregates(cfg, beta, pc)
     optima = {costs: best_of([grid_search(cells) for cells in grid_blocks(agg, ns)])
               for costs, agg in aggs.items()}
 
@@ -352,9 +349,10 @@ def run_rate_cdf(spec):
     numbers), one topology and shadowing realization per drop. Drop i draws
     from derive_rng(seed, "drop", i), whose states are derived BLOCK_STATES
     drops at a time. Drops are evaluated in blocks of at most BLOCK_GAINS
-    gain entries: one (B, M, K) gain stack per block, with all S splits at
-    once as an (S, B, M) distortion stack and an (S, B, K) rate stack. The
-    results do not depend on the block size. The i-th of s sorted values of
+    gain entries: one (B, M, K) gain stack per block, drawn into buffers
+    that every block of the run reuses, with all S splits at once as an
+    (S, B, M) distortion stack and an (S, B, K) rate stack. The results do
+    not depend on the block size. The i-th of s sorted values of
     a CDF has cumulative probability i / s.
 
     Returns {(n, m_of): (sorted sum rates, sorted per-user rates)}.
@@ -365,13 +363,14 @@ def run_rate_cdf(spec):
     # split x 1 x M capacities, broadcast over the drops of a block
     caps = np.stack([FronthaulPlan.fso_first(cfg.m, m_of, cfg.c_fso, n).capacities()
                      for n, m_of in splits])[:, None, :]
-    per_block = max(1, BLOCK_GAINS // (cfg.m * cfg.k))
+    per_block = min(spec.drops, max(1, BLOCK_GAINS // (cfg.m * cfg.k)))
+    draw_block = fading_blocks(cfg, per_block)
     sums, users = [], []
     for first in range(0, spec.drops, BLOCK_STATES):
         states = derive_states(spec.seed, "drop", first,
                                min(first + BLOCK_STATES, spec.drops))
         for start in range(0, len(states), per_block):
-            _, fading = draw_fading_block(cfg, states[start:start + per_block])
+            _, fading = draw_block(states[start:start + per_block])
             dist = quantization_noise_var(
                 received_signal_power(fading.beta, sig), caps)
             rates = achievable_rates(fading.beta, sig, dist)
@@ -418,8 +417,7 @@ def run_ee_vs_sumrate(spec):
     sweep = np.linspace(lo, hi, count)
     splits = compared_splits_for(cfg.m)
     ns, mofs = (np.array(c) for c in zip(*splits))
-    agg = aggregate_params(beta, signal_params(cfg), pc, cfg.m, cfg.k, cfg.c_fso,
-                           eta=sweep[:, None] / cfg.rho_u_w)
+    agg = symmetric_aggregates(cfg, beta, pc, eta=sweep[:, None] / cfg.rho_u_w)
     # (point, split) from the objective, (split, point) in the table
     ee, sum_rate = (t.T for t in symmetric_terms(ns, mofs, agg))
     curves = {c: np.column_stack((sweep, sum_rate[i], ee[i]))

@@ -3,13 +3,15 @@
 Fast fading is drawn by the Monte-Carlo check and tested in test_rate.py.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fronthaul_planner.channel import (LargeScaleFading, ShadowingModel,
-                                       draw_drop, draw_drops, path_loss_db)
+from fronthaul_planner.channel import (DropBlocks, LargeScaleFading,
+                                       ShadowingModel, draw_drop, draw_drops,
+                                       path_loss_db)
 from fronthaul_planner.config import SystemConfig
 from fronthaul_planner.seeds import derive_rng, derive_states
 from reference import PATH_LOSS, SHADOWING, distances
@@ -72,6 +74,17 @@ def test_path_loss_middle_branch_and_scalar_result():
     assert type(value) is float
     assert value == pytest.approx(expected, rel=1e-12)
     assert path_loss_db(np.array([20.0]), pl).shape == (1,)
+
+
+def test_path_loss_in_place_equals_fresh():
+    # with out given, the loss lands there, bit for bit, and d is scratch
+    d = np.geomspace(0.5, 5000.0, 101).reshape(1, 101)
+    fresh = path_loss_db(d, PATH_LOSS)
+    out = np.empty_like(d)
+    assert path_loss_db(d.copy(), PATH_LOSS, out=out) is out
+    assert np.array_equal(out, fresh)
+    with pytest.raises(ValueError, match="distance must be positive"):
+        path_loss_db(np.array([np.nan, 0.0]), PATH_LOSS, out=np.empty(2))
 
 
 def test_path_loss_flat_region():
@@ -186,6 +199,44 @@ def test_drop_stack_equals_single_drops():
         assert np.array_equal(fading.beta[j], gains.beta)
 
 
+def test_drop_blocks_reuse_their_buffers():
+    # at M=1000, K=100 no block allocates half a drop's gains, and each
+    # block's gains, the short last one included, are those of draw_drop
+    # on that drop's Generator, bit for bit
+    m, k, size, drops = 1000, 100, 2, 5
+    states = derive_states(4, "drop", 0, drops)
+    blocks = DropBlocks(m, k, 1000.0, PATH_LOSS, SHADOWING, size)
+    tracemalloc.start()
+    try:
+        for start in range(0, drops, size):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            (ap, ue), fading = blocks.draw(states[start:start + size])
+            assert tracemalloc.get_traced_memory()[1] - base < m * k * 8 // 2
+            assert fading.beta.shape == (min(size, drops - start), m, k)
+            for j, beta in enumerate(fading.beta):
+                (ap_j, ue_j), one = draw_drop(m, k, 1000.0, PATH_LOSS, SHADOWING,
+                                              derive_rng(4, "drop", start + j))
+                assert np.array_equal(beta, one.beta)
+                assert np.array_equal(ap[j], ap_j) and np.array_equal(ue[j], ue_j)
+    finally:
+        tracemalloc.stop()
+
+
+def test_separate_draws_do_not_alias():
+    # a block reuses its own buffers only: two blocks, two draw_drops calls
+    # and two one-drop draws each hold arrays of their own
+    states = derive_states(1, "drop", 0, 2)
+    args = (6, 3, 100.0, PATH_LOSS, SHADOWING)
+    pairs = [[DropBlocks(*args, 2).draw(states) for _ in range(2)],
+             [draw_drops(*args, states) for _ in range(2)],
+             [draw_drop(*args, seed) for seed in (1, 2)]]
+    for ((ap1, ue1), f1), ((ap2, ue2), f2) in pairs:
+        for a, b in ((ap1, ap2), (ue1, ue2), (f1.beta, f2.beta)):
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(pairs[0][0][1].beta, pairs[1][0][1].beta)
+
+
 def test_gains_outside_the_float_range_are_rejected():
     # a shadowing spread that alone leaves the float range is named; a path
     # loss out of scale keeps the plain gain check; neither warns
@@ -201,5 +252,6 @@ def test_validation_of_models():
         replace(PATH_LOSS, d0=50.0, d1=10.0)
     with pytest.raises(ValueError):
         replace(SHADOWING, theta=1.5)
-    with pytest.raises(ValueError):
-        LargeScaleFading(np.array([[0.0, 1.0]]))
+    for bad in (np.nan, np.inf, 0.0, -1e-300):
+        with pytest.raises(ValueError, match="gains must be positive and finite"):
+            LargeScaleFading(np.array([[1.0, bad], [2.0, 3.0]]))

@@ -315,6 +315,22 @@ def test_cli_symmetric_gain_out_of_scale_names_the_key(command, text, shown,
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["optimize", "grid", "surface", "tradeoff"])
+def test_cli_drawn_gain_out_of_scale_names_its_policy(command, tmp_path, capsys):
+    # the config sets no beta_scalar: the drawn gain is named with its
+    # policy and the path-loss key off its reference value, on one line
+    cfg = tmp_path / "drawn.cfg"
+    cfg.write_text("beta_policy = geometric_mean\nh_ue_m = 753\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: drawn gain 1.6842e+195 (beta_policy = geometric_mean) at path "
+        "loss 'h_ue_m' = 753 is out of scale: the symmetric aggregates leave "
+        "the float range\n")
+    assert not list(out.glob("*.csv"))
+
+
 def test_cli_path_loss_faults_named_together(tmp_path, capsys):
     # neither key's reference value alone brings the gains back
     cfg = tmp_path / "far.cfg"
