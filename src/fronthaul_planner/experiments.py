@@ -41,8 +41,9 @@ _F = "%.9g"
 BLOCK_ROWS = 4096
 
 # Gain entries (drops x M x K) per block of drops in run_rate_cdf; a block
-# holds at least one drop. Sized for memory: a block's stacks and their
-# temporaries take about 60 bytes per gain entry, about 1 MB here, while
+# holds at least one drop. Sized for memory: the run's two reused gain
+# arrays take 16 bytes per gain entry and a block's other temporaries about
+# 13 more, about 0.5 MB here, while
 # blocks of 2**16 entries and more raised peak memory by 10% or more at
 # M=100, K=10 without running faster.
 BLOCK_GAINS = 2 ** 14
