@@ -5,6 +5,7 @@ byte-identical CSV files. Output files start with a provenance comment
 carrying the scenario tag, the seed and a hash of the effective config.
 """
 
+import math
 import operator
 import os
 from dataclasses import dataclass, replace
@@ -35,9 +36,9 @@ SWEEP_RHO_ETA_W = (0.001, 0.1, 100)
 
 _F = "%.9g"
 
-# Rows rendered per block by write_table. A block's temporaries peak at about
-# 350 bytes per row of four float columns (1.4 MB here), whatever the
-# table's length.
+# Rows rendered per piece by write_table. Four float columns peak at about
+# 420 bytes per row (1.7 MB here, by tracemalloc, while the first piece makes
+# the table's work memory), whatever the table's length.
 BLOCK_ROWS = 4096
 
 # Gain entries (drops x M x K) per block of drops in run_rate_cdf; a block
@@ -101,27 +102,40 @@ def write_table(path, provenance, names, blocks):
     try:
         with fh:
             fh.write(head.encode())
+            buffers = {}
             for columns in blocks:
+                if len(columns) != len(names):
+                    raise ValueError(f"table block has {len(columns)} columns "
+                                     f"for {len(names)} names")
                 rows = len(columns[0])
                 if any(len(c) != rows for c in columns):
                     raise ValueError("table columns must have equal lengths")
                 fmts = [_F if c.dtype.kind == "f" else "%s" for c in columns]
                 for start in range(0, rows, BLOCK_ROWS):
-                    fh.write(_render_block(
-                        [c[start:start + BLOCK_ROWS] for c in columns], fmts))
+                    block = [c[start:start + BLOCK_ROWS] for c in columns]
+                    fh.write(_render_block(block, fmts, buffers))
     except BaseException:
         os.remove(path)
         raise
 
 
-def _render_block(block, fmts):
+def _work(buffers, name, shape, dtype):
+    """An array over buffers[name], bytes that the pieces of one table share:
+    the first piece makes them, later ones reuse (a leading part) or grow them."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if name not in buffers or buffers[name].size < size:
+        buffers[name] = np.empty(size, np.uint8)
+    return buffers[name][:size].view(dtype).reshape(shape)
+
+
+def _render_block(block, fmts, buffers):
     """CSV bytes of a block of rows.
 
     Each column's cells become the rows of a byte matrix: text, separator,
     then padding bytes 0xFF, which UTF-8 text never holds. The matrices
-    side by side, with the padding dropped, are the block's rows. A run of
-    identical consecutive values is rendered once and repeated, and so is
-    each integer of a column that spans fewer integers than half its rows.
+    side by side, with the padding dropped, are the block's rows. Runs of
+    identical values, if at most half the rows, are rendered once and repeated,
+    and so is each integer of a column spanning fewer integers than half its rows.
     """
     n = len(block[0])
     texts = []
@@ -132,16 +146,21 @@ def _render_block(block, fmts):
             span = np.arange(int(col.max()) - int(lo) + 1).astype(col.dtype) + lo
             # offsets wrap in the column's width; its unsigned view undoes that
             offset = (col - lo).view(f"u{col.itemsize}")
-            texts.append(_cell_text(span, fmt, sep).take(offset, axis=0))
+            texts.append(_cell_text(span, fmt, sep, buffers).take(offset, axis=0))
             continue
         starts = _run_starts(col)
-        text = _cell_text(col[starts] if len(starts) < n else col, fmt, sep)
-        if len(starts) < n:
-            run = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
-            text = text.take(run, axis=0)
-        texts.append(text)
-    rows = np.concatenate(texts, axis=1)
-    return rows[rows != _PAD]
+        if 2 * len(starts) > n:
+            texts.append(_cell_text(col, fmt, sep, buffers))
+            continue
+        run = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+        texts.append(_cell_text(col[starts], fmt, sep, buffers).take(run, axis=0))
+    # the rows, filled column by column and copied in row order, take the
+    # gather index's memory; their mask then takes the column order's
+    width = sum(t.shape[1] for t in texts)
+    by_column, rows = _work(buffers, "index", (2, n, width), np.uint8)
+    np.concatenate(texts, axis=1, out=by_column.reshape(width, n).T)
+    rows[...] = by_column.reshape(width, n).T
+    return rows[np.not_equal(rows, _PAD, out=by_column.view(bool))]
 
 
 def _run_starts(col):
@@ -163,17 +182,17 @@ def _run_starts(col):
     return np.flatnonzero(np.concatenate(([True], ~same)))
 
 
-def _cell_text(values, fmt, sep):
+def _cell_text(values, fmt, sep, buffers):
     """Rows of a byte matrix: each value's text, then sep, then _PAD bytes.
 
     Floats, and integers below 1e9 in magnitude (whose '%s' is their '%.9g'),
-    go through _float_text. Python formats what it leaves undecided and every
-    other value, as fmt % (value,).
+    go through _float_text, if more than _FEW_VALUES. Python formats what it
+    leaves undecided and every other value, as fmt % (value,).
     """
     kind = values.dtype.kind
-    if kind in "iu" or kind == "f" and values.itemsize <= 8:
+    if len(values) > _FEW_VALUES and kind in "iuf" and values.itemsize <= 8:
         x = values.astype(np.float64)
-        text, ok = _float_text(x, sep)
+        text, ok = _float_text(x, sep, buffers)
         if kind != "f":
             ok &= np.abs(x) < 1e9
         rest = np.flatnonzero(~ok)
@@ -184,14 +203,14 @@ def _cell_text(values, fmt, sep):
         cells = [(fmt % (v,)).encode() + sep for v in values[rest].tolist()]
         width = max(map(len, cells))
         if width > text.shape[1]:
-            text = np.pad(text, ((0, 0), (0, width - text.shape[1])),
-                          constant_values=_PAD)
+            pad = np.full((len(text), width - text.shape[1]), _PAD, np.uint8)
+            text = np.concatenate((text, pad), axis=1)
         text[rest] = np.frombuffer(b"".join(c.ljust(text.shape[1], b"\xff") for c in cells),
                                    np.uint8).reshape(len(cells), -1)
     return text
 
 
-def _float_text(x, sep):
+def _float_text(x, sep, buffers):
     """'%.9g' text of float64 values, followed by sep and _PAD bytes, where
     numpy can decide it.
 
@@ -227,17 +246,25 @@ def _float_text(x, sep):
     zeros = _ZEROS3.take(lo) + (lo == 0) * (
         _ZEROS3.take(mid) + (mid == 0) * _ZEROS3.take(hi))
     cls = _EXP_CLASS.take(e + _POW10_ZERO) - 2 * zeros + (x < 0)
-    n = len(x)
-    src = np.empty((6, n), np.uint32)
-    for row, group in enumerate((hi, mid, lo, np.abs(e))):
-        _DIGITS4.take(group, out=src[row])
-    src[4] = _SYMBOLS
-    src[5] = np.frombuffer(sep + b"\xff" * 3, np.uint32)[0]
-    # source byte b of row k of value i is at 4 * (k * n + i) + b
+    src = _work(buffers, "source", (len(x), 6), np.uint32)
+    for word, group in enumerate((hi, mid, lo, np.abs(e))):
+        src[:, word] = _DIGITS4.take(group)
+    src[:, 4] = _SYMBOLS
+    src[:, 5] = np.frombuffer(sep + b"\xff" * 3, np.uint32)[0]
+    # byte b of word k of value i is source byte 24 * i + 4 * k + b; values of
+    # the most common class take their text by column, the rest by index
+    src = src.view(np.uint8)
     layout = _LAYOUT[:, :_LENGTH.take(cls).max() + 1]
-    idx = (layout // 4 * (4 * n) + layout % 4).take(cls, axis=0)
-    idx += 4 * np.arange(n)[:, None]
-    return src.view(np.uint8).ravel().take(idx), ok
+    common = np.bincount(cls).argmax()
+    text = src[:, layout[common]]
+    rest = np.flatnonzero(cls != common)
+    if rest.size:
+        # indices are in range, and "clip" lets take write to out unbuffered
+        idx = _work(buffers, "index", (len(rest), layout.shape[1]), np.intp)
+        layout.take(cls[rest], axis=0, mode="clip", out=idx)
+        idx += 24 * rest[:, None]
+        text[rest] = src.ravel().take(idx, mode="clip")
+    return text, ok
 
 
 def _text_layouts():
@@ -246,11 +273,11 @@ def _text_layouts():
 
     Class (layout * 9 + digits - 1) * 2 + negative. Layouts 0-12 are fixed
     notation at decimal exponents -4..8; 13-16 exponent notation with an
-    exponent of +XX, +XXX, -XX or -XXX. A source row of _float_text holds
-    the nine mantissa digits in three groups of three, each followed by a
-    '0', the exponent's three digits and a '0', '.e+-', then the separator
-    and three _PAD bytes. Each layout row ends with the separator, then
-    _PAD.
+    exponent of +XX, +XXX, -XX or -XXX. The six source words of a value in
+    _float_text hold the nine mantissa digits in three groups of three, each
+    followed by a '0', the exponent's three digits and a '0', '.e+-', then
+    the separator and three _PAD bytes. Each layout row ends with the
+    separator, then _PAD.
     """
     zero, dot, e, plus, minus, sep, pad = 3, 16, 17, 18, 19, 20, 21
     digit = [0, 1, 2, 4, 5, 6, 8, 9, 10]
@@ -275,6 +302,8 @@ def _text_layouts():
 
 
 _PAD = 0xFF
+# Python formats this many values faster than _float_text's fixed cost
+_FEW_VALUES = 64
 _LAYOUT, _LENGTH = _text_layouts()
 _GROUPS = np.arange(1000)
 # '%03d0' of each three-digit group as one uint32, and its trailing zeros

@@ -251,6 +251,19 @@ def test_write_table_matches_row_loop_across_blocks(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("block, names", [
+    ((np.arange(3), np.ones(3)), ("a", "b", "c")),
+    ((np.arange(3), np.ones(3)), ("a",)),
+    ((), ("a", "b")),
+], ids=["fewer", "more", "empty"])
+def test_write_table_rejects_a_block_of_the_wrong_width(tmp_path, block, names):
+    path = tmp_path / "t.csv"
+    message = f"table block has {len(block)} columns for {len(names)} names"
+    with pytest.raises(ValueError, match=message):
+        write_table(path, ["scenario=x"], names, [block])
+    assert not path.exists()
+
+
 def test_write_table_streams_blocks_and_leaves_no_partial_file(tmp_path):
     path = tmp_path / "t.csv"
     blocks = [(np.arange(3), np.array([0.5, 1.5, 2.5])),
@@ -284,6 +297,37 @@ def test_write_table_memory_does_not_grow_with_rows(tmp_path):
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0]
     assert peaks[1] < 4e6
+
+
+def test_write_table_reuses_its_work_arrays_across_pieces(tmp_path):
+    # six grid-like pieces (n in runs of 101 rows, fiber counts 0-100, two
+    # float columns of distinct values): the pieces after the first render in
+    # the work arrays the first one made, so each allocates under 1 MB above
+    # what is held when it starts (about 1.1 MB when every piece makes its
+    # own)
+    rng = np.random.default_rng(3)
+    rows = BLOCK_ROWS // 101 * 101
+    blocks = [(np.repeat(1.0 + 0.01 * np.arange(40 * p, 40 * p + 40), 101),
+               np.tile(np.arange(101), 40),
+               rng.uniform(1e6, 5e6, rows), rng.uniform(10.0, 30.0, rows))
+              for p in range(6)]
+    peaks = []
+
+    def pieces():
+        for block in blocks:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            yield block
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "g.csv", ["scenario=x"], ("n", "m_of", "ee", "rate"),
+                    pieces())
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 6
+    assert max(peaks[1:]) < 1e6, peaks
 
 
 def test_grid_and_surface_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch,

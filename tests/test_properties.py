@@ -7,12 +7,14 @@ bits/s/Hz and a symmetric gain between 3e-13 and 3e-12.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fronthaul_planner import experiments
 from fronthaul_planner.channel import ShadowingModel, draw_drops
 from fronthaul_planner.config import SystemConfig
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
@@ -299,9 +301,12 @@ def _write(path, columns, cuts=()):
 def test_numbers_print_as_the_row_loop_prints_them(tmp_path_factory, values):
     # every float and integer the numpy kernel decides, and every one it
     # leaves to Python (zeros, non-finite values, extreme magnitudes,
-    # near-ties, integers from 1e9 on)
+    # near-ties, integers from 1e9 on); without the threshold that sends a
+    # few values to Python, the kernel sees the short inputs too
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     assert _write(path, [values]) == _row_loop_csv([values])
+    with mock.patch.object(experiments, "_FEW_VALUES", 0):
+        assert _write(path, [values]) == _row_loop_csv([values])
 
 
 @pytest.mark.parametrize("column", [
@@ -316,6 +321,30 @@ def test_integer_columns_print_as_the_row_loop(tmp_path, column):
     assert _write(tmp_path / "t.csv", [column]) == _row_loop_csv([column])
 
 
+def test_reused_work_arrays_carry_no_bytes_between_pieces(tmp_path):
+    # pieces alternate wide and narrow text, so a narrow piece renders in the
+    # leading part of arrays a wider one filled; a second, narrower table
+    # follows in the same process
+    rng = np.random.default_rng(11)
+    mantissas = rng.integers(10 ** 8, 10 ** 9, 1200) / 1e8
+    wide = (-mantissas * 10.0 ** -rng.integers(100, 300, 1200),
+            rng.integers(-10 ** 8, -10 ** 7, 1200))
+    narrow = (rng.integers(1, 9, 1000) / 4, rng.integers(0, 10, 1000))
+    # nan, 1e300 and near-ties go to Python and widen the float column
+    fallback = (rng.integers(1, 99, 1200) / 8, rng.integers(0, 10 ** 6, 1200))
+    fallback[0][::3] = np.nan
+    fallback[0][1::3] = 1e300
+    fallback[0][2::30] = (123456789 + 0.5 + 1e-7) * 10.0 ** -20
+    short = (np.array([0.5, 2.0, 1e-5, 3.0, 1e-5, 0.25, 7.0]),
+             np.arange(7))
+    pieces = [wide, narrow, fallback, short]
+    columns = [np.concatenate(c) for c in zip(*pieces)]
+    cuts = np.cumsum([len(p[0]) for p in pieces])[:-1].tolist()
+    assert _write(tmp_path / "a.csv", columns, cuts) == _row_loop_csv(columns)
+    columns = [np.concatenate(c) for c in zip(narrow, short)]
+    assert _write(tmp_path / "b.csv", columns, [1000]) == _row_loop_csv(columns)
+
+
 @SETTINGS
 @given(st.data())
 def test_write_table_matches_the_row_loop(tmp_path_factory, data):
@@ -328,3 +357,5 @@ def test_write_table_matches_the_row_loop(tmp_path_factory, data):
     cuts = data.draw(st.lists(st.integers(0, rows), max_size=3).map(sorted))
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     assert _write(path, columns, cuts) == _row_loop_csv(columns)
+    with mock.patch.object(experiments, "_FEW_VALUES", 0):
+        assert _write(path, columns, cuts) == _row_loop_csv(columns)
