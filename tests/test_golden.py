@@ -14,6 +14,8 @@ The pins named '<file>:<argument>' were recorded before CSV rows were
 rendered by numpy: `grid --n 1:10:0.01` (91,001 rows) and `cdf --drops 400`
 are the benchmark's sizes, and `grid --n 1:8:1` holds the rows of the
 removed fiber-count study (its n, m_of and EE columns at n in 1-4, 7, 8).
+The `cdf --drops 1` pins were recorded before drop i of a stream became i
+jumps of its generator; they hold drop 0, which that change keeps.
 
 The geometric_mean gains were recorded before the one-drop draw and the
 cdf drop blocks were given one gain kernel; they pin a whole drop of the
@@ -53,6 +55,7 @@ COMMANDS = {
     "ee_surface.csv": ["surface"],
     "ee_vs_sumrate.csv": ["tradeoff"],
     "rate_cdf.csv": ["cdf", "--drops", "20"],
+    "rate_cdf.csv:drops=1": ["cdf", "--drops", "1"],
     "rate_cdf.csv:drops=400": ["cdf", "--drops", "400"],
 }
 
@@ -73,6 +76,9 @@ DIGESTS = {
     ("rate_cdf.csv", 0): "149a2c8859d3c4da50eb0b597813e7abd625fdc491c1691d5fb3b6defe5c1069",
     ("rate_cdf.csv", 1): "d3a2035cb8e8ae413fb9e11e29eedae227433892dc780d3b9b5740a68cfb28d1",
     ("rate_cdf.csv", 2): "0d61184b42eb2cc64991b81b0c30209f2e8076687289e151cd2594c9d5a60c21",
+    ("rate_cdf.csv:drops=1", 0): "657ec2dcfa63162f35023d951b5a2858c04ceed33f77c2f031bae163dc82dae8",
+    ("rate_cdf.csv:drops=1", 1): "a4b0f2942d8af01fefd2b15cf8a8e51fad9fc67402530fcaa27a4e0554a81f20",
+    ("rate_cdf.csv:drops=1", 2): "44e9df06892cbcc70a8baf2682957837283ec95d0704060b806dbd2be2991882",
     ("rate_cdf.csv:drops=400", 0): "0390a7bd0f5a885f8d78b7236720ea006e4462bbb47b29338681581dea8cbf82",
 }
 
