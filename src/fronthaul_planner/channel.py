@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import derive_rng
+from .seeds import derive_rng, jump_to
 
 
 @dataclass(frozen=True)
@@ -166,40 +166,33 @@ def draw_drop(m, k, area_side, pl, sh, seed):
 
 
 class DropBlocks:
-    """Blocks of up to size drops, each drawn into the same buffers.
+    """Blocks of up to size drops of a seed, each drawn into the same buffers.
 
-    draw(states) gives what draw_drops gives, in views of buffers made once:
-    one Generator, the block's uniforms and normals, its gains and one
-    scratch array of their size. A shorter block uses the first rows. The
-    next draw overwrites the arrays of the last, so a block's positions and
-    gains hold only until then.
+    draw(start, stop) gives drops start to stop - 1 of the seed's "drop"
+    stream, stacked on a leading axis, in views of buffers made once: one
+    Generator, the block's uniforms and normals, its gains and one scratch
+    array of their size. A shorter block uses the first rows. The next draw
+    overwrites the arrays of the last, so a block's positions and gains hold
+    only until then.
     """
 
-    def __init__(self, m, k, area_side, pl, sh, size):
+    def __init__(self, m, k, area_side, pl, sh, size, seed):
         _check_network(m, k, area_side)
         self._network = (m, k, area_side, pl, sh)
-        # a fixed seed gathers no OS entropy; each drop overwrites the state
-        self._rng = np.random.Generator(np.random.PCG64(0))
+        self._rng = derive_rng(seed, "drop")
+        self._state = self._rng.bit_generator.state
         self._xy = np.empty((size, 2 * (m + k)))
         self._z = np.empty((size, m + k))
         self._gains = np.empty((size, m, k))
         self._scratch = np.empty((size, m, k))
 
-    def draw(self, states):
-        """Drop j of the block is draw_drop on a Generator at states[j]."""
-        n = len(states)
+    def draw(self, start, stop):
+        """Drop i is draw_drop on derive_rng(seed, "drop", i): the one
+        Generator jumped to index i."""
+        n = stop - start
         xy, z = self._xy[:n], self._z[:n]
-        for j, state in enumerate(states):
-            self._rng.bit_generator.state = state
+        for j in range(n):
+            jump_to(self._rng.bit_generator, self._state, start + j)
             self._rng.random(out=xy[j])
             self._rng.standard_normal(out=z[j])
         return _drops(*self._network, xy, z, self._gains[:n], self._scratch[:n])
-
-
-def draw_drops(m, k, area_side, pl, sh, states):
-    """Positions and gains of a block of drops, stacked on a leading axis,
-    in arrays of their own: the one-block case of DropBlocks.
-
-    Drop j is draw_drop on one Generator at PCG64 state states[j].
-    """
-    return DropBlocks(m, k, area_side, pl, sh, len(states)).draw(states)

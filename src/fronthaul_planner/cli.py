@@ -11,6 +11,7 @@ variable, falling back to the working directory.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -182,7 +183,9 @@ def cmd_validate(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fronthaul-planner",
         description="Plan fiber/FSO fronthaul splits for distributed MIMO uplink.")
@@ -198,41 +201,35 @@ def build_parser():
 
     p = sub.add_parser("optimize", help="closed-form + alternating optimum")
     common(p)
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("grid", help="brute-force grid search oracle")
     common(p)
     p.add_argument("--n", type=_range, default=(1.0, 10.0, 0.1),
                    help="capacity coefficient range lo:hi:step")
-    p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("surface", help="EE surface over (n, m_of) per cost set")
     common(p)
-    p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("cdf", help="rate CDFs over random drops")
     common(p)
     p.add_argument("--drops", type=_positive_int, default=200)
-    p.set_defaults(func=cmd_cdf)
 
     p = sub.add_parser("tradeoff", help="EE versus sum-rate curves")
     common(p)
-    p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("validate", help="Monte-Carlo check of the closed-form SINR")
     common(p)
     p.add_argument("--trials", type=_positive_int, default=100000)
     p.add_argument("--m", type=_positive_int, default=20)
     p.add_argument("--k", type=_positive_int, default=4)
-    p.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name on each run, not kept in the cached parser
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -82,6 +82,13 @@ class SystemConfig:
         if self.beta_policy not in ("fixed", "geometric_mean"):
             raise ValueError("config value 'beta_policy' must be "
                              "'fixed' or 'geometric_mean'")
+        try:
+            noise = self.noise_power_w
+        except OverflowError:
+            noise = np.inf
+        if not 0 < noise < np.inf:
+            raise ValueError("config values 'k_boltzmann', 't0_kelvin', 'b_s_hz' "
+                             "and 'nf_db' must give a positive, finite noise power")
 
     @property
     def noise_power_w(self):
@@ -261,16 +268,18 @@ def draw_fading(config, seed):
                   *_loss_models(config), seed)
 
 
-def fading_blocks(config, size):
-    """Drawer of blocks of at most size drops under this config, stacked on a
-    leading axis, drop j of a block drawn from PCG64 state states[j].
+def fading_blocks(config, size, seed):
+    """Drawer of blocks of at most size drops of a seed under this config,
+    stacked on a leading axis.
 
-    draw(states)[1].beta[j] is draw_fading(config, rng) for a Generator rng
-    at states[j], bit for bit. Every block is drawn into the same buffers
-    (channel.DropBlocks): a block's arrays hold until the next is drawn.
+    draw(start, stop)[1].beta[j] is draw_fading(config, derive_rng(seed,
+    "drop", start + j)), bit for bit. Every block is drawn into the same
+    buffers (channel.DropBlocks): a block's arrays hold until the next is
+    drawn.
     """
-    blocks = DropBlocks(config.m, config.k, config.area_m, *_loss_models(config), size)
-    return lambda states: _drawn(config, blocks.draw, states)
+    blocks = DropBlocks(config.m, config.k, config.area_m, *_loss_models(config),
+                        size, seed)
+    return lambda start, stop: _drawn(config, blocks.draw, start, stop)
 
 
 def symmetric_beta(config, seed):

@@ -19,7 +19,6 @@ from .fronthaul import (FronthaulPlan, quantization_noise_var,
                         received_signal_power)
 from .optimizer import best_of, grid_cells, grid_search, parse_range
 from .rate import achievable_rates
-from .seeds import derive_states
 
 # Fiber/FSO cost scenarios compared by the surface study: cheap fiber,
 # baseline, premium fiber.
@@ -48,10 +47,6 @@ BLOCK_ROWS = 4096
 # blocks of 2**16 entries and more raised peak memory by 10% or more at
 # M=100, K=10 without running faster.
 BLOCK_GAINS = 2 ** 14
-
-# Drops whose generator states run_rate_cdf derives at once, about 0.5 KB
-# each; the gain blocks then split them.
-BLOCK_STATES = 1024
 
 
 def compared_splits_for(m):
@@ -377,13 +372,13 @@ def run_rate_cdf(spec):
 
     All splits are evaluated on the same random drops (common random
     numbers), one topology and shadowing realization per drop. Drop i draws
-    from derive_rng(seed, "drop", i), whose states are derived BLOCK_STATES
-    drops at a time. Drops are evaluated in blocks of at most BLOCK_GAINS
-    gain entries: one (B, M, K) gain stack per block, drawn into buffers
-    that every block of the run reuses, with all S splits at once as an
-    (S, B, M) distortion stack and an (S, B, K) rate stack. The results do
-    not depend on the block size. The i-th of s sorted values of
-    a CDF has cumulative probability i / s.
+    from derive_rng(seed, "drop", i), i jumps of the seed's drop stream.
+    Drops are evaluated in blocks of at most BLOCK_GAINS gain entries: one
+    (B, M, K) gain stack per block, drawn into buffers that every block of
+    the run reuses, with all S splits at once as an (S, B, M) distortion
+    stack and an (S, B, K) rate stack. The results do not depend on the
+    block size. The i-th of s sorted values of a CDF has cumulative
+    probability i / s.
 
     Returns {(n, m_of): (sorted sum rates, sorted per-user rates)}.
     """
@@ -394,18 +389,15 @@ def run_rate_cdf(spec):
     caps = np.stack([FronthaulPlan.fso_first(cfg.m, m_of, cfg.c_fso, n).capacities()
                      for n, m_of in splits])[:, None, :]
     per_block = min(spec.drops, max(1, BLOCK_GAINS // (cfg.m * cfg.k)))
-    draw_block = fading_blocks(cfg, per_block)
+    draw_block = fading_blocks(cfg, per_block, spec.seed)
     sums, users = [], []
-    for first in range(0, spec.drops, BLOCK_STATES):
-        states = derive_states(spec.seed, "drop", first,
-                               min(first + BLOCK_STATES, spec.drops))
-        for start in range(0, len(states), per_block):
-            _, fading = draw_block(states[start:start + per_block])
-            dist = quantization_noise_var(
-                received_signal_power(fading.beta, sig), caps)
-            rates = achievable_rates(fading.beta, sig, dist)
-            sums.append(rates.sum(axis=-1))
-            users.append(rates.reshape(len(splits), -1))
+    for start in range(0, spec.drops, per_block):
+        _, fading = draw_block(start, min(start + per_block, spec.drops))
+        dist = quantization_noise_var(
+            received_signal_power(fading.beta, sig), caps)
+        rates = achievable_rates(fading.beta, sig, dist)
+        sums.append(rates.sum(axis=-1))
+        users.append(rates.reshape(len(splits), -1))
     sums = np.sort(np.concatenate(sums, axis=1))
     users = np.sort(np.concatenate(users, axis=1))
     result = {c: (sums[j], users[j]) for j, c in enumerate(splits)}

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from fronthaul_planner.channel import (DropBlocks, LargeScaleFading,
-                                       ShadowingModel, draw_drop, draw_drops,
-                                       path_loss_db)
+                                       ShadowingModel, draw_drop, path_loss_db)
 from fronthaul_planner.config import SystemConfig
-from fronthaul_planner.seeds import derive_rng, derive_states
+from fronthaul_planner.seeds import derive_rng
 from reference import PATH_LOSS, SHADOWING, distances
 
 # Frozen oracle: independent evaluation of the fixed-loss constant at
@@ -50,9 +49,9 @@ def test_topology_validation():
         with pytest.raises(ValueError, match="area_side"):
             draw_drop(2, 2, side, PATH_LOSS, SHADOWING, seed=0)
         with pytest.raises(ValueError, match="area_side"):
-            draw_drops(2, 2, side, PATH_LOSS, SHADOWING, derive_states(0, "drop", 0, 2))
+            DropBlocks(2, 2, side, PATH_LOSS, SHADOWING, 2, 0)
     with pytest.raises(ValueError, match="at least one AP"):
-        draw_drops(2, 0, 10.0, PATH_LOSS, SHADOWING, derive_states(0, "drop", 0, 2))
+        DropBlocks(2, 0, 10.0, PATH_LOSS, SHADOWING, 2, 0)
 
 
 def test_fixed_loss_constant_matches_reference():
@@ -124,8 +123,7 @@ def test_fading_without_shadowing_is_pure_path_loss():
 
 def _recover_z(sh, drops=300, m=4, k=3):
     """Shadowing exponents z (drops, m, k) of a stack of drops, from the gains."""
-    (ap, ue), fading = draw_drops(m, k, 1000.0, PATH_LOSS, sh,
-                                  derive_states(2, "drop", 0, drops))
+    (ap, ue), fading = DropBlocks(m, k, 1000.0, PATH_LOSS, sh, drops, 2).draw(0, drops)
     pl_db = path_loss_db(distances(ap, ue), PATH_LOSS)
     return (10.0 * np.log10(fading.beta) - pl_db) / sh.sigma_sh_db
 
@@ -188,7 +186,7 @@ def test_drop_stack_equals_single_drops():
     # the block drawer against the one-drop draw on each drop's Generator,
     # bit for bit
     pl, sh = PATH_LOSS, SHADOWING
-    (ap, ue), fading = draw_drops(6, 2, 800.0, pl, sh, derive_states(3, "drop", 4, 7))
+    (ap, ue), fading = DropBlocks(6, 2, 800.0, pl, sh, 3, 3).draw(4, 7)
     assert fading.beta.shape == (3, 6, 2)
     assert ap.shape == (3, 6, 2) and ue.shape == (3, 2, 2)
     for j in range(3):
@@ -204,14 +202,13 @@ def test_drop_blocks_reuse_their_buffers():
     # block's gains, the short last one included, are those of draw_drop
     # on that drop's Generator, bit for bit
     m, k, size, drops = 1000, 100, 2, 5
-    states = derive_states(4, "drop", 0, drops)
-    blocks = DropBlocks(m, k, 1000.0, PATH_LOSS, SHADOWING, size)
+    blocks = DropBlocks(m, k, 1000.0, PATH_LOSS, SHADOWING, size, 4)
     tracemalloc.start()
     try:
         for start in range(0, drops, size):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            (ap, ue), fading = blocks.draw(states[start:start + size])
+            (ap, ue), fading = blocks.draw(start, min(start + size, drops))
             assert tracemalloc.get_traced_memory()[1] - base < m * k * 8 // 2
             assert fading.beta.shape == (min(size, drops - start), m, k)
             for j, beta in enumerate(fading.beta):
@@ -224,17 +221,15 @@ def test_drop_blocks_reuse_their_buffers():
 
 
 def test_separate_draws_do_not_alias():
-    # a block reuses its own buffers only: two blocks, two draw_drops calls
-    # and two one-drop draws each hold arrays of their own
-    states = derive_states(1, "drop", 0, 2)
+    # a block reuses its own buffers only: two blocks of the same drops and
+    # two one-drop draws each hold arrays of their own
     args = (6, 3, 100.0, PATH_LOSS, SHADOWING)
-    pairs = [[DropBlocks(*args, 2).draw(states) for _ in range(2)],
-             [draw_drops(*args, states) for _ in range(2)],
+    pairs = [[DropBlocks(*args, 2, 1).draw(0, 2) for _ in range(2)],
              [draw_drop(*args, seed) for seed in (1, 2)]]
     for ((ap1, ue1), f1), ((ap2, ue2), f2) in pairs:
         for a, b in ((ap1, ap2), (ue1, ue2), (f1.beta, f2.beta)):
             assert not np.shares_memory(a, b)
-    assert np.array_equal(pairs[0][0][1].beta, pairs[1][0][1].beta)
+    assert np.array_equal(pairs[0][0][1].beta, pairs[0][1][1].beta)
 
 
 def test_gains_outside_the_float_range_are_rejected():

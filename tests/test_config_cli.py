@@ -1,12 +1,16 @@
 """Tests for config parsing, defaults and the command-line surface."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fronthaul_planner.cli import main
+from fronthaul_planner.cli import build_parser, main
 from fronthaul_planner.config import (_KEYS, SystemConfig,
                                       effective_config_lines, load_config,
                                       symmetric_beta)
@@ -27,6 +31,15 @@ def test_noise_power_derivation():
     cfg = SystemConfig()
     # k_B T0 B_s NF = 1.381e-23 * 290 * 2e7 * 10^0.9
     assert cfg.noise_power_w == pytest.approx(6.362410294e-13, rel=1e-9)
+
+
+@pytest.mark.parametrize("fields", [{"nf_db": 1e10}, {"k_boltzmann": 1e300},
+                                    {"k_boltzmann": 1e-300, "t0_kelvin": 1e-30}])
+def test_noise_power_out_of_range_is_rejected(fields):
+    # an overflowing noise figure, an infinite and an underflowing product
+    with pytest.raises(ValueError, match="'k_boltzmann', 't0_kelvin', 'b_s_hz' "
+                       "and 'nf_db' must give a positive, finite noise power"):
+        SystemConfig(**fields)
 
 
 def test_config_overrides_and_unit_conversions(tmp_path):
@@ -453,3 +466,41 @@ def test_effective_config_lines_reload_to_the_same_config(tmp_path_factory,
                        "\n".join(effective_config_lines(cfg)) + "\n")
     assert echoed == cfg
     assert echoed.sha() == cfg.sha()
+
+
+@pytest.mark.parametrize("text, key", [("noise_figure_db = 1e10\n", "noise_figure_db"),
+                                       ("boltzmann = 1e300\n", "boltzmann")])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_noise_power_out_of_range_names_the_key(command, text, key,
+                                                    tmp_path, capsys):
+    # noise power overflows (10^(nf / 10)) or is inf: one error line naming
+    # the thermal keys, no traceback and no CSV
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: config values 'boltzmann', 'noise_temp_k', "
+                   "'bandwidth_mhz' and 'noise_figure_db' must give a "
+                   "positive, finite noise power\n")
+    assert f"'{key}'" in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_cli_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):
+    # a second run in the same process takes the default --n, and writes
+    # what a fresh process writes
+    assert build_parser() is build_parser()
+    assert main(["grid", "--n", "1:2:0.5", "--out", str(tmp_path / "a")]) == 0
+    assert main(["grid", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fronthaul_planner.cli", "grid",
+         "--out", str(tmp_path / "c")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, second, fresh = ((tmp_path / d / "grid.csv").read_bytes() for d in "abc")
+    assert second == fresh != first

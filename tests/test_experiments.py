@@ -95,19 +95,14 @@ def test_rate_cdf_runs_and_is_deterministic(tmp_path):
 
 # M K beyond the block budget: every block holds a single drop
 WIDE = replace(SystemConfig(), m=200, k=100)
-# Drops per state batch in the test below: SMALL's 225 drops span two
-# batches, and the 150-drop batch cuts a 109-drop gain block short.
-STATE_BATCH = 150
 
 
 @pytest.mark.parametrize("cfg, drops", [
     (SMALL, 2 * (BLOCK_GAINS // (SMALL.m * SMALL.k)) + 7),
     (WIDE, 3),
 ])
-def test_rate_cdf_blocks_equal_per_drop_evaluation(cfg, drops, tmp_path,
-                                                   monkeypatch):
+def test_rate_cdf_blocks_equal_per_drop_evaluation(cfg, drops, tmp_path):
     assert (cfg.m * cfg.k > BLOCK_GAINS) == (cfg is WIDE)
-    monkeypatch.setattr(experiments, "BLOCK_STATES", STATE_BATCH)
     res = run_rate_cdf(ExperimentSpec(cfg, drops=drops, seed=9,
                                       output_path=str(tmp_path / "cdf.csv")))
     sig = signal_params(cfg)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fronthaul_planner import experiments
-from fronthaul_planner.channel import ShadowingModel, draw_drops
+from fronthaul_planner.channel import DropBlocks, ShadowingModel
 from fronthaul_planner.config import SystemConfig
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       symmetric_terms)
@@ -27,7 +27,7 @@ from fronthaul_planner.optimizer import (alternating_optimize,
                                          optimal_m_of_closed_form,
                                          optimal_n_closed_form)
 from fronthaul_planner.rate import MC_BLOCK, mc_validate_terms, per_user_sinrs
-from fronthaul_planner.seeds import STREAMS, derive_rng, derive_states
+from fronthaul_planner.seeds import STREAMS, derive_rng
 from reference import (NOISE_W, PATH_LOSS, argmax_n_step, distances,
                        loop_m_of_step, reevaluating_alternation)
 
@@ -187,8 +187,7 @@ def test_gain_kernel_matches_the_plain_formula(m, k, seed, drops, area, d0,
     # same drops and draws; the kernel's distances against np.hypot
     pl = replace(PATH_LOSS, d0=d0, d1=d0 * ratio)
     sh = ShadowingModel(sigma, theta)
-    (ap, ue), fading = draw_drops(m, k, area, pl, sh,
-                                  derive_states(seed, "drop", 0, drops))
+    (ap, ue), fading = DropBlocks(m, k, area, pl, sh, drops, seed).draw(0, drops)
     d = distances(ap, ue)
     dx, dy = np.moveaxis(ap[:, :, None, :] - ue[:, None, :, :], -1, 0)
     assert np.all(np.abs(d - np.hypot(dx, dy)) <= np.spacing(np.hypot(dx, dy)))
@@ -198,31 +197,37 @@ def test_gain_kernel_matches_the_plain_formula(m, k, seed, drops, area, d0,
 
 @SETTINGS
 @given(st.integers(0, 2 ** 130),
-       st.one_of(st.integers(0, 300), st.integers(2 ** 32 - 6, 2 ** 32 + 2)),
-       st.integers(0, 8))
-@example(0, 0, 0)
-@example(2 ** 32 - 1, 2 ** 32 - 3, 6)
-@example(2 ** 32, 7, 3)
-@example(2 ** 64 - 1, 2 ** 32 - 1, 2)
-@example(2 ** 64, 2 ** 32, 0)
-@example(2 ** 96 + 1, 2 ** 32 - 2, 4)
-def test_derived_states_equal_one_generator_per_index(seed, start, count):
-    # indices from 2^32 on take two spawn-key words
-    for stream in STREAMS:
-        assert derive_states(seed, stream, start, start + count) == [
-            derive_rng(seed, stream, i).bit_generator.state
-            for i in range(start, start + count)]
+       st.one_of(st.integers(0, 300), st.integers(2 ** 64 - 2, 2 ** 64 + 1)))
+@example(0, 0)
+@example(2 ** 64 - 1, 1)
+@example(2 ** 96 + 1, 2 ** 64 + 1)
+def test_stream_index_is_jumps_of_index_zero(seed, index):
+    # index i of every stream is numpy's PCG64.jumped(i) of its index 0
+    for stream, tag in STREAMS.items():
+        base = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(tag, 0)))
+        assert (derive_rng(seed, stream, index).bit_generator.state
+                == base.jumped(index).state)
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 130))
+def test_stream_index_zero_keeps_its_generator(seed):
+    # index 0 is the generator keyed (tag, 0) and index None the one keyed
+    # (tag,), as before streams were jumped
+    for stream, tag in STREAMS.items():
+        for index, key in ((0, (tag, 0)), (None, (tag,))):
+            old = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+            rng = derive_rng(seed, stream, index)
+            assert rng.bit_generator.state == old.bit_generator.state
+            assert np.array_equal(rng.random(3), old.random(3))
 
 
 @pytest.mark.parametrize("seed, stream, index, error", [
     (-1, "drop", 0, "non-negative"), (0, "drop", -1, "non-negative"),
     (0, "nope", 0, "unknown seed stream")])
-def test_derived_states_reject_what_derive_rng_rejects(seed, stream, index,
-                                                       error):
+def test_derive_rng_rejects_bad_arguments(seed, stream, index, error):
     with pytest.raises(ValueError, match=error):
         derive_rng(seed, stream, index)
-    with pytest.raises(ValueError, match=error):
-        derive_states(seed, stream, index, index + 3)
 
 
 def _row_loop_csv(columns):
