@@ -65,18 +65,46 @@ class ShadowingModel:
             raise ValueError("theta must lie in [0, 1]")
 
 
+_LN10_OVER_10 = np.log(10.0) / 10.0
+
+# Link gains an SINR can use: the product of two is a normal float, and a
+# sum of 2^64 such products is finite, so its terms are finite and nonzero.
+SINR_GAINS = (2.0 ** -511, 2.0 ** 479)
+
+
+def db_to_linear(x, out=None):
+    """10^(x / 10) of dB values x: one multiply and one exp per entry, in
+    place when out is x. Every dB-to-linear gain conversion is this one."""
+    return np.exp(np.multiply(x, _LN10_OVER_10, out=out), out=out)
+
+
+def gains_in_range(lo, hi, sinr=True):
+    """True when link gains from lo to hi lie in SINR_GAINS or, with sinr
+    False, are positive and finite. NaN lies in neither range."""
+    if sinr:
+        return bool(SINR_GAINS[0] <= lo and hi <= SINR_GAINS[1])
+    return bool(0 < lo and hi < np.inf)
+
+
 @dataclass(frozen=True, eq=False)
 class LargeScaleFading:
-    """M x K matrix of linear-scale link gains (per drop, after batch axes)."""
+    """M x K matrix of linear-scale link gains (per drop, after batch axes).
+
+    The gains lie in SINR_GAINS, or with sinr False are only positive and
+    finite (a drop reduced to one gain checks that gain's own products).
+    """
 
     beta: np.ndarray
+    sinr: bool = True
 
     def __post_init__(self):
         beta = np.atleast_2d(np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "beta", beta)
-        # two reductions, no boolean temporaries; NaN fails the first
-        if not (beta.min(initial=np.inf) > 0 and beta.max(initial=-np.inf) < np.inf):
-            raise ValueError("gains must be positive and finite")
+        # two reductions, no boolean temporaries
+        if not gains_in_range(beta.min(initial=np.inf), beta.max(initial=-np.inf),
+                              self.sinr):
+            raise ValueError("gains must be positive and finite"
+                             + (", within SINR_GAINS" if self.sinr else ""))
 
 
 def path_loss_db(d, model, out=None):
@@ -111,7 +139,7 @@ def _check_network(m, k, area_side):
         raise ValueError("need at least one AP and one UE")
 
 
-def _drops(m, k, area_side, pl, sh, xy, z, gains, scratch):
+def _drops(m, k, area_side, pl, sh, xy, z, gains, scratch, sinr=True):
     """Positions and gains of drops from their draws, any leading batch shape.
 
     xy (..., 2m + 2k) holds uniforms on [0, 1), AP then UE coordinates, and
@@ -121,7 +149,8 @@ def _drops(m, k, area_side, pl, sh, xy, z, gains, scratch):
     then b_k per UE; link (m, k) is shadowed by
     sigma_sh * (sqrt(theta) a_m + sqrt(1 - theta) b_k). The gains are
     computed in gains (..., m, k), with scratch of the same shape, and every
-    step writes into one of the two.
+    step writes into one of the two. They must lie in the range that
+    gains_in_range(..., sinr) admits.
     """
     xy *= area_side
     ap = xy[..., :2 * m].reshape(xy.shape[:-1] + (m, 2))
@@ -134,27 +163,26 @@ def _drops(m, k, area_side, pl, sh, xy, z, gains, scratch):
         d *= d
         dy = np.subtract(ap[..., :, None, 1], ue[..., None, :, 1], out=gains)
         d += np.square(dy, out=dy)
-        # One power of 10 per gain: shadowing is added to the loss in dB.
+        # One exp per gain: shadowing is added to the loss in dB.
         x = path_loss_db(np.sqrt(d, out=d), pl, out=gains)
         shadow = np.add(sh.sigma_sh_db * np.sqrt(sh.theta) * z[..., :m, None],
                         sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * z[..., None, m:],
                         out=scratch)
         x += shadow
-        x /= 10.0
-        np.power(10.0, x, out=x)
         try:
-            return (ap, ue), LargeScaleFading(x)
+            return (ap, ue), LargeScaleFading(db_to_linear(x, out=x), sinr)
         except ValueError:
             # the key is named when the shadowing factor alone leaves the range
-            if np.all(np.isfinite(10.0 ** (np.abs(shadow) / 10.0))):
+            s = np.abs(shadow).max(initial=0.0)
+            if gains_in_range(*db_to_linear(np.array([-s, s])), sinr):
                 raise
     raise ValueError(f"shadowing 'sigma_sh_db' = {sh.sigma_sh_db:g} dB is too "
                      "large: link gains leave the float range")
 
 
-def draw_drop(m, k, area_side, pl, sh, seed):
+def draw_drop(m, k, area_side, pl, sh, seed, sinr=True):
     """Positions and link gains of one drop of m APs and k UEs, in arrays of
-    its own.
+    its own, the gains in the range of gains_in_range(..., sinr).
 
     The coordinates come from the topology stream of the seed, then the
     normals from its shadowing stream (a Generator seed serves both).
@@ -162,7 +190,8 @@ def draw_drop(m, k, area_side, pl, sh, seed):
     _check_network(m, k, area_side)
     xy = derive_rng(seed, "topology").random(2 * (m + k))
     z = derive_rng(seed, "shadowing").standard_normal(m + k)
-    return _drops(m, k, area_side, pl, sh, xy, z, np.empty((m, k)), np.empty((m, k)))
+    return _drops(m, k, area_side, pl, sh, xy, z, np.empty((m, k)), np.empty((m, k)),
+                  sinr)
 
 
 class DropBlocks:

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import (SystemConfig, draw_fading, effective_config_lines,
+from .config import (SystemConfig, _named, draw_fading, effective_config_lines,
                      load_config, signal_params)
 from .experiments import (_F, ExperimentSpec, beta_line, grid_blocks,
                           run_ee_surface, run_ee_vs_sumrate, run_rate_cdf,
@@ -139,6 +139,21 @@ def cmd_tradeoff(args):
     return _run_scenario(args, "ee_vs_sumrate", run_ee_vs_sumrate)
 
 
+# config fields that scale validate's signal terms, then its noise term
+_SIGNAL_KEYS = ("rho_u_w", "eta")
+_NOISE_KEYS = ("k_boltzmann", "t0_kelvin", "b_s_hz", "nf_db")
+
+
+def _validate_terms(terms, k, user):
+    """The SINR terms validate compares, by name, in the order it prints them."""
+    named = {"ds_sq": terms.ds_sq, "bu_var": terms.bu_var,
+             "noise_var": terms.noise_var, "sinr": terms.sinr}
+    for j in range(k):
+        if j != user:
+            named[f"interference_var[{j}]"] = terms.interference_var[j]
+    return named
+
+
 def cmd_validate(args):
     cfg = _load(args)
     if cfg.eta == 0:
@@ -156,21 +171,15 @@ def cmd_validate(args):
     dist = per_ap_distortions(beta, sig, plan)
     user = int(rng.integers(0, k))
     closed = sinr_closed_form(beta, sig, dist, user)
-    emp = mc_validate_terms(beta, sig, dist, user, args.trials, args.seed)
-
-    def rel(a, b):
-        return abs(a - b) / abs(b)
-
-    errs = {
-        "ds_sq": rel(emp.ds_sq, closed.ds_sq),
-        "bu_var": rel(emp.bu_var, closed.bu_var),
-        "noise_var": rel(emp.noise_var, closed.noise_var),
-        "sinr": rel(emp.sinr, closed.sinr),
-    }
-    for j in range(k):
-        if j != user:
-            errs[f"interference_var[{j}]"] = rel(emp.interference_var[j],
-                                                 closed.interference_var[j])
+    exact = _validate_terms(closed, k, user)
+    zero = next((name for name, v in exact.items() if v == 0), None)
+    if zero is not None:
+        keys = _NOISE_KEYS if zero == "noise_var" else _SIGNAL_KEYS
+        raise ValueError(f"config values {_named(cfg, keys)} make the closed-form "
+                         f"'{zero}' 0: validate's relative errors are undefined")
+    emp = _validate_terms(mc_validate_terms(beta, sig, dist, user, args.trials,
+                                            args.seed), k, user)
+    errs = {name: abs(emp[name] - b) / abs(b) for name, b in exact.items()}
     worst = max(errs, key=errs.get)
     print(f"validated user {user} over {args.trials} trials (M={m}, K={k})")
     for name, e in errs.items():

@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import DropBlocks, PathLossModel, ShadowingModel, draw_drop, path_loss_db
+from .channel import (DropBlocks, PathLossModel, ShadowingModel, db_to_linear,
+                      draw_drop, gains_in_range, path_loss_db)
 from .energy import PowerCostParams, aggregate_params
 from .fronthaul import UplinkSignalParams
 
@@ -217,17 +218,17 @@ _LOSS_FIELDS = ("f_mhz", "h_ap_m", "h_ue_m", "d0_m", "d1_m", "area_m")
 
 
 def _loss_in_range(values):
-    """True when every link gain before shadowing is positive and finite for
-    these _LOSS_FIELDS values. The loss falls with distance, so the extreme
-    gains are those at d0 and at the area's diagonal."""
+    """True when every link gain before shadowing lies in channel.SINR_GAINS
+    for these _LOSS_FIELDS values. The loss falls with distance, so the
+    extreme gains are those at d0 and at the area's diagonal."""
     *model, side = values
     try:
         pl = PathLossModel(*model)
     except ValueError:
         return False
     with np.errstate(over="ignore"):
-        gains = 10.0 ** (path_loss_db(np.array([pl.d0, side * np.sqrt(2.0)]), pl) / 10.0)
-    return bool(np.all((gains > 0) & (gains < np.inf)))
+        far, near = db_to_linear(path_loss_db(np.array([side * np.sqrt(2.0), pl.d0]), pl))
+    return gains_in_range(far, near)
 
 
 def _named(config, fields):
@@ -244,7 +245,7 @@ def _loss_off_reference(config):
 def _drawn(config, draw, *args):
     """draw(*args) under this config.
 
-    Gains that leave the float range through the path loss are rejected
+    Gains outside channel.SINR_GAINS through the path loss are rejected
     naming each key whose reference value alone brings them back, or else
     every path-loss key off its reference value.
     """
@@ -262,10 +263,11 @@ def _drawn(config, draw, *args):
                      "link gains leave the float range")
 
 
-def draw_fading(config, seed):
-    """Random drop of positions and link gains under this config."""
+def draw_fading(config, seed, sinr=True):
+    """Random drop of positions and link gains under this config, the gains
+    in the range of channel.gains_in_range(..., sinr)."""
     return _drawn(config, draw_drop, config.m, config.k, config.area_m,
-                  *_loss_models(config), seed)
+                  *_loss_models(config), seed, sinr)
 
 
 def fading_blocks(config, size, seed):
@@ -286,11 +288,13 @@ def symmetric_beta(config, seed):
     """Gain scalar for the symmetric model under the configured policy.
 
     The geometric_mean policy takes exp(mean(ln beta)) of one seeded drop,
-    matching the log-normal structure of the gain model.
+    matching the log-normal structure of the gain model. The drop's gains
+    need only be positive and finite: the symmetric aggregates check the
+    products of the one gain they take.
     """
     if config.beta_policy == "fixed":
         return config.beta_scalar
-    _, fading = draw_fading(config, seed)
+    _, fading = draw_fading(config, seed, sinr=False)
     return float(np.exp(np.mean(np.log(fading.beta))))
 
 

@@ -119,6 +119,8 @@ def _work(buffers, name, shape, dtype):
     the first piece makes them, later ones reuse (a leading part) or grow them."""
     size = math.prod(shape) * np.dtype(dtype).itemsize
     if name not in buffers or buffers[name].size < size:
+        # the old bytes go before the new come, so the two never coexist
+        buffers.pop(name, None)
         buffers[name] = np.empty(size, np.uint8)
     return buffers[name][:size].view(dtype).reshape(shape)
 

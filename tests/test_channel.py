@@ -9,8 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fronthaul_planner.channel import (DropBlocks, LargeScaleFading,
-                                       ShadowingModel, draw_drop, path_loss_db)
+from fronthaul_planner.channel import (SINR_GAINS, DropBlocks, LargeScaleFading,
+                                       ShadowingModel, db_to_linear, draw_drop,
+                                       path_loss_db)
 from fronthaul_planner.config import SystemConfig
 from fronthaul_planner.seeds import derive_rng
 from reference import PATH_LOSS, SHADOWING, distances
@@ -117,8 +118,9 @@ def test_fading_without_shadowing_is_pure_path_loss():
     pl = PATH_LOSS
     (ap, ue), fading = draw_drop(20, 5, 1000.0, pl,
                                  replace(SHADOWING, sigma_sh_db=0.0), seed=1)
-    expected = 10.0 ** (path_loss_db(distances(ap, ue), pl) / 10.0)
-    assert np.array_equal(fading.beta, expected)
+    pl_db = path_loss_db(distances(ap, ue), pl)
+    assert np.array_equal(fading.beta, db_to_linear(pl_db))
+    np.testing.assert_allclose(fading.beta, 10.0 ** (pl_db / 10.0), rtol=1e-13, atol=0.0)
 
 
 def _recover_z(sh, drops=300, m=4, k=3):
@@ -178,8 +180,9 @@ def test_one_drop_equals_its_split_draws():
         a, b = rng.standard_normal(m), rng.standard_normal(k)
         shadow = (sh.sigma_sh_db * np.sqrt(sh.theta) * a[:, None]
                   + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * b[None, :])
-        pl_db = path_loss_db(distances(ap, ue), pl)
-        assert np.array_equal(fading.beta, 10.0 ** ((pl_db + shadow) / 10.0))
+        x = path_loss_db(distances(ap, ue), pl) + shadow
+        assert np.array_equal(fading.beta, db_to_linear(x))
+        np.testing.assert_allclose(fading.beta, 10.0 ** (x / 10.0), rtol=1e-13, atol=0.0)
 
 
 def test_drop_stack_equals_single_drops():
@@ -250,3 +253,21 @@ def test_validation_of_models():
     for bad in (np.nan, np.inf, 0.0, -1e-300):
         with pytest.raises(ValueError, match="gains must be positive and finite"):
             LargeScaleFading(np.array([[1.0, bad], [2.0, 3.0]]))
+
+
+def test_gains_for_an_sinr_lie_in_one_range():
+    # a product of two gains in SINR_GAINS is a normal float and 2^64 of
+    # them sum to a finite one; the next floats outside are rejected, and a
+    # drop reduced to one gain (sinr False) needs only positive, finite ones
+    lo, hi = SINR_GAINS
+    assert lo * lo >= np.finfo(float).tiny and hi * hi * 2.0 ** 64 < np.inf
+    LargeScaleFading(np.array([[lo, hi]]))
+    for bad in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)):
+        with pytest.raises(ValueError, match="gains must be positive and finite"):
+            LargeScaleFading(np.array([[1e-10, bad]]))
+        LargeScaleFading(np.array([[1e-10, bad]]), sinr=False)
+    (_, _), tall = draw_drop(4, 3, 1000.0, replace(PATH_LOSS, h_ue=1000.0),
+                             SHADOWING, 0, sinr=False)
+    assert tall.beta.min() > hi
+    with pytest.raises(ValueError, match="gains must be positive and finite"):
+        draw_drop(4, 3, 1000.0, replace(PATH_LOSS, h_ue=1000.0), SHADOWING, 0)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -353,6 +354,51 @@ def test_cli_path_loss_faults_named_together(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: path loss at 'h_ue_m' = 1e+10, 'area_m' = 1e+200 is out of "
         "scale: link gains leave the float range\n")
+
+
+@pytest.mark.parametrize("text, command, error", [
+    ("h_ue_m = 1000\n", "cdf", "path loss at 'h_ue_m' = 1000 is out of scale"),
+    ("sigma_sh_db = 1000\n", "cdf", "shadowing 'sigma_sh_db' = 1000 dB is too large"),
+    ("h_ue_m = 1000\n", "validate", "path loss at 'h_ue_m' = 1000 is out of scale"),
+    ("h_ap_m = 1e-100\n", "validate", "path loss at 'h_ap_m' = 1e-100 is out of scale"),
+    ("d1_m = 1e100\n", "validate", "path loss at 'd1_m' = 1e+100 is out of scale"),
+])
+def test_cli_rejects_gains_the_sinr_cannot_use(text, command, error, tmp_path,
+                                               capsys):
+    # finite, positive gains whose squares overflow (h_ue_m, sigma_sh_db) or
+    # underflow (h_ap_m, d1_m, sigma_sh_db) gave nan rates or a traceback:
+    # the key named on one line, no warning and no CSV
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    argv = ["--drops", "2"] if command == "cdf" else ["--trials", "300", "--m", "4",
+                                                      "--k", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, *argv, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {error}: link gains leave the float range\n")
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("rho_u_mw = 1e-300\n", "'rho_u_mw' = 1e-300, 'eta' = 0.5"),
+    ("eta = 1e-300\n", "'rho_u_mw' = 100, 'eta' = 1e-300"),
+])
+def test_cli_validate_rejects_a_zero_closed_form_term(text, shown, tmp_path, capsys):
+    # the signal terms round to 0, so no relative error is defined: the keys
+    # named on one line before the Monte-Carlo loop, no traceback
+    cfg = tmp_path / "faint.cfg"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["validate", "--trials", "300", "--m", "4", "--k", "2",
+                   "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: config values {shown} make the closed-form 'ds_sq' 0: "
+        "validate's relative errors are undefined\n")
 
 
 def test_cli_validate_rejects_zero_power_control(tmp_path, capsys):

@@ -325,6 +325,22 @@ def test_write_table_reuses_its_work_arrays_across_pieces(tmp_path):
     assert max(peaks[1:]) < 1e6, peaks
 
 
+def test_work_memory_frees_before_it_grows():
+    # a work array that grows lets the old bytes go before the new come:
+    # growing 1 MiB to 2 MiB peaks at 2 MiB, not at the 3 MiB of both
+    buffers = {}
+    tracemalloc.start()
+    try:
+        experiments._work(buffers, "w", (2 ** 20,), np.uint8)
+        tracemalloc.reset_peak()
+        grown = experiments._work(buffers, "w", (2 ** 18,), np.float64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grown.nbytes == 2 ** 21 and buffers["w"].nbytes == 2 ** 21
+    assert peak < 2 ** 21 + 2 ** 16, peak
+
+
 def test_grid_and_surface_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch,
                                                              capsys):
     # grid and surface evaluate and write blocks of whole n rows: at M = 1000,
