@@ -24,6 +24,11 @@ the M = 1000 stdout digests held.
 The geometric_mean gains were recorded before the one-drop draw and the
 cdf drop blocks were given one gain kernel; they pin a whole drop of the
 reference network, where the validate stdout reads only an 8 x 3 slice.
+The gains of seeds 0 and 2 were recorded again when the kernel's
+10^(x / 10) became exp(x ln10 / 10) (channel.db_to_linear): that moves a
+gain by up to a few ulp, and their geometric means by 33 and 36 ulp.
+Seed 1's mean held, and so did every CSV digest (printed to 9
+significant digits) and the validate stdout.
 
 The configured pins were recorded before the symmetric studies were
 streamed in blocks of n rows and the trade-off sweep became one objective
@@ -114,9 +119,9 @@ def test_stdout_bytes_unchanged(argv, tmp_path, capsys):
 
 # seed -> float.hex() of the geometric_mean gain of the reference network
 GEOMETRIC_MEAN_BETA = {
-    0: "0x1.09b0af098bf29p-77",
+    0: "0x1.09b0af098bf08p-77",
     1: "0x1.31b561651bcafp-78",
-    2: "0x1.1fa98ab6279acp-78",
+    2: "0x1.1fa98ab627988p-78",
 }
 
 
