@@ -104,7 +104,7 @@ class LargeScaleFading:
         if not gains_in_range(beta.min(initial=np.inf), beta.max(initial=-np.inf),
                               self.sinr):
             raise ValueError("gains must be positive and finite"
-                             + (", within SINR_GAINS" if self.sinr else ""))
+                             + (", within [2^-511, 2^479]" if self.sinr else ""))
 
 
 def path_loss_db(d, model, out=None):

@@ -139,11 +139,6 @@ def cmd_tradeoff(args):
     return _run_scenario(args, "ee_vs_sumrate", run_ee_vs_sumrate)
 
 
-# config fields that scale validate's signal terms, then its noise term
-_SIGNAL_KEYS = ("rho_u_w", "eta")
-_NOISE_KEYS = ("k_boltzmann", "t0_kelvin", "b_s_hz", "nf_db")
-
-
 def _validate_terms(terms, k, user):
     """The SINR terms validate compares, by name, in the order it prints them."""
     named = {"ds_sq": terms.ds_sq, "bu_var": terms.bu_var,
@@ -174,12 +169,14 @@ def cmd_validate(args):
     exact = _validate_terms(closed, k, user)
     zero = next((name for name, v in exact.items() if v == 0), None)
     if zero is not None:
-        keys = _NOISE_KEYS if zero == "noise_var" else _SIGNAL_KEYS
+        # the config fields that scale the noise term, or the signal terms
+        keys = (("k_boltzmann", "t0_kelvin", "b_s_hz", "nf_db") if zero == "noise_var"
+                else ("rho_u_w", "eta"))
         raise ValueError(f"config values {_named(cfg, keys)} make the closed-form "
                          f"'{zero}' 0: validate's relative errors are undefined")
     emp = _validate_terms(mc_validate_terms(beta, sig, dist, user, args.trials,
                                             args.seed), k, user)
-    errs = {name: abs(emp[name] - b) / abs(b) for name, b in exact.items()}
+    errs = {name: abs(emp[name] - b) / b for name, b in exact.items()}
     worst = max(errs, key=errs.get)
     print(f"validated user {user} over {args.trials} trials (M={m}, K={k})")
     for name, e in errs.items():

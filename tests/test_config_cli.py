@@ -382,13 +382,18 @@ def test_cli_rejects_gains_the_sinr_cannot_use(text, command, error, tmp_path,
     assert not list(out.glob("*.csv"))
 
 
-@pytest.mark.parametrize("text, shown", [
-    ("rho_u_mw = 1e-300\n", "'rho_u_mw' = 1e-300, 'eta' = 0.5"),
-    ("eta = 1e-300\n", "'rho_u_mw' = 100, 'eta' = 1e-300"),
+@pytest.mark.parametrize("text, shown, term", [
+    ("rho_u_mw = 1e-300\n", "'rho_u_mw' = 1e-300, 'eta' = 0.5", "ds_sq"),
+    ("eta = 1e-300\n", "'rho_u_mw' = 100, 'eta' = 1e-300", "ds_sq"),
+    ("boltzmann = 1e-300\nnoise_temp_k = 1e-10\nbandwidth_mhz = 1e-10\nc_fso = 2000\n",
+     "'bandwidth_mhz' = 1e-10, 'boltzmann' = 1e-300, 'noise_temp_k' = 1e-10, "
+     "'noise_figure_db' = 9", "noise_var"),
 ])
-def test_cli_validate_rejects_a_zero_closed_form_term(text, shown, tmp_path, capsys):
-    # the signal terms round to 0, so no relative error is defined: the keys
-    # named on one line before the Monte-Carlo loop, no traceback
+def test_cli_validate_rejects_a_zero_closed_form_term(text, shown, term, tmp_path,
+                                                      capsys):
+    # the signal terms round to 0, or the noise term does (no quantization
+    # noise at c_fso = 2000 and a tiny receiver noise), so no relative error
+    # is defined: the keys named on one line before the Monte-Carlo loop
     cfg = tmp_path / "faint.cfg"
     cfg.write_text(text)
     with warnings.catch_warnings():
@@ -397,7 +402,7 @@ def test_cli_validate_rejects_a_zero_closed_form_term(text, shown, tmp_path, cap
                    "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error: config values {shown} make the closed-form 'ds_sq' 0: "
+        f"error: config values {shown} make the closed-form '{term}' 0: "
         "validate's relative errors are undefined\n")
 
 
