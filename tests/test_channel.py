@@ -266,8 +266,8 @@ def test_gains_for_an_sinr_lie_in_one_range():
         with pytest.raises(ValueError, match="gains must be positive and finite"):
             LargeScaleFading(np.array([[1e-10, bad]]))
         LargeScaleFading(np.array([[1e-10, bad]]), sinr=False)
-    (_, _), tall = draw_drop(4, 3, 1000.0, replace(PATH_LOSS, h_ue=1000.0),
-                             SHADOWING, 0, sinr=False)
+    _, tall = draw_drop(4, 3, 1000.0, replace(PATH_LOSS, h_ue=1000.0),
+                        SHADOWING, 0, sinr=False)
     assert tall.beta.min() > hi
     with pytest.raises(ValueError, match="gains must be positive and finite"):
         draw_drop(4, 3, 1000.0, replace(PATH_LOSS, h_ue=1000.0), SHADOWING, 0)
