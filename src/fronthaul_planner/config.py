@@ -77,7 +77,7 @@ class SystemConfig:
             raise ValueError("config value 'p_fh_fso_w_per_gbps' must be at "
                              "least 'p_fh_of_w_per_gbps'")
         if self.d0_m >= self.d1_m:
-            raise ValueError("config requires d0_m < d1_m")
+            raise ValueError("config values 'd0_m' and 'd1_m' must satisfy d0_m < d1_m")
         if self.m < 1 or self.k < 1:
             raise ValueError("config values 'm' and 'k' must be at least 1")
         if self.beta_policy not in ("fixed", "geometric_mean"):
@@ -218,9 +218,10 @@ _LOSS_FIELDS = ("f_mhz", "h_ap_m", "h_ue_m", "d0_m", "d1_m", "area_m")
 
 
 def _loss_in_range(values):
-    """True when every link gain before shadowing lies in channel.SINR_GAINS
-    for these _LOSS_FIELDS values. The loss falls with distance, so the
-    extreme gains are those at d0 and at the area's diagonal."""
+    """True when for these _LOSS_FIELDS values every link gain before
+    shadowing, extreme at d0 and at the area's diagonal (the loss falls with
+    distance), lies in channel.SINR_GAINS, and distinct positions, side *
+    2^-53 apart at least, square to normal floats (no distance underflows)."""
     *model, side = values
     try:
         pl = PathLossModel(*model)
@@ -228,7 +229,7 @@ def _loss_in_range(values):
         return False
     with np.errstate(over="ignore"):
         far, near = db_to_linear(path_loss_db(np.array([side * np.sqrt(2.0), pl.d0]), pl))
-    return gains_in_range(far, near)
+    return gains_in_range(far, near) and side * side * 2.0 ** -106 >= np.finfo(float).tiny
 
 
 def _named(config, fields):

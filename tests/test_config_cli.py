@@ -555,3 +555,40 @@ def test_cli_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     first, second, fresh = ((tmp_path / d / "grid.csv").read_bytes() for d in "abc")
     assert second == fresh != first
+
+
+# The float keys, each alone at the edges of the float range, under every
+# command at small sizes
+EDGE_RUNS = {"optimize": [], "grid": ["--n", "1:3:0.5"], "surface": [],
+             "cdf": ["--drops", "2"], "tradeoff": [],
+             "validate": ["--trials", "300", "--m", "4", "--k", "2"]}
+
+
+@pytest.mark.parametrize("key", sorted(k for k, (_, typ, *_) in _KEYS.items()
+                                       if typ is float))
+def test_cli_edge_values_end_in_output_an_error_or_usage(key, tmp_path, capsys):
+    # every run ends one of three ways: exit 0 with finite stdout and CSVs
+    # and no warning; exit 1 with one 'error:' line naming the key and no
+    # CSV (or validate's own FAIL); or exit 2 for usage
+    broken = []
+    for value in ("0", "1e-300", "1e300"):
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text(f"m = 4\nk = 2\n{key} = {value}\n")
+        for command, argv in EDGE_RUNS.items():
+            out = tmp_path / f"{value}-{command}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main([command, "--config", str(cfg), "--out", str(out), *argv])
+            std = capsys.readouterr()
+            csvs = "".join(p.read_text() for p in out.glob("*.csv"))
+            if rc == 0:
+                ok = not caught and not re.search(r"\b(nan|inf)\b", std.out + csvs, re.I)
+            elif rc == 1 and std.err:
+                ok = (std.err.count("\n") == 1 and std.err.startswith("error: ")
+                      and f"'{key}'" in std.err and not csvs)
+            else:
+                ok = rc == 2 or (command == "validate" and "FAIL:" in std.out)
+            if not ok:
+                broken.append((value, command, rc, std.err.strip(),
+                               [str(w.message) for w in caught]))
+    assert broken == []
