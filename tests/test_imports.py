@@ -1,4 +1,5 @@
-"""Every name a module imports is used: a stale import fails the suite.
+"""Every name a module imports is used, and every private function or class
+of the package is referenced in it: a stale import or helper fails the suite.
 Importing the CLI stays cheap: numpy.random loads only when a command draws."""
 
 import ast
@@ -12,8 +13,8 @@ import pytest
 import fronthaul_planner
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/fronthaul_planner/*.py"),
-                  *ROOT.glob("tests/*.py")])
+SOURCES = sorted(ROOT.glob("src/fronthaul_planner/*.py"))
+MODULES = sorted([*SOURCES, *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source):
@@ -46,6 +47,36 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_defs(sources):
+    """Private (_name, not __dunder__) functions and classes defined in the
+    sources whose name no other node of the sources reads: as a name, an
+    attribute or an imported name."""
+    defined, used = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(defined - used)
+
+
+def test_unreferenced_private_defs_are_found():
+    sources = ["def _a(): pass\ndef _b(): pass\nclass _C: pass\n"
+               "def __init__(self): pass\n_b()\n",
+               "from m import _C\n"]
+    assert unreferenced_private_defs(sources) == ["_a"]
+
+
+def test_every_private_def_is_referenced():
+    assert unreferenced_private_defs([p.read_text() for p in SOURCES]) == []
 
 
 def test_every_exported_name_resolves():
