@@ -16,11 +16,13 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .config import (SystemConfig, _named, draw_fading, effective_config_lines,
                      load_config, signal_params)
 from .experiments import (_F, ExperimentSpec, beta_line, grid_blocks,
-                          run_ee_surface, run_ee_vs_sumrate, run_rate_cdf,
-                          stamp, symmetric_setup, write_table)
+                          grid_columns, run_ee_surface, run_ee_vs_sumrate,
+                          run_rate_cdf, stamp, symmetric_setup, write_table)
 from .fronthaul import FronthaulPlan, per_ap_distortions
 from .optimizer import alternating_optimize, best_of, grid_search, parse_range
 from .rate import mc_validate_terms, sinr_closed_form
@@ -99,21 +101,20 @@ def cmd_grid(args):
     _echo_config(cfg, args.seed)
     beta, agg = symmetric_setup(cfg, args.seed)
     optima = []
+    mofs = np.arange(agg.m + 1)
 
     def columns():
         # one pass: each block is written and its optimum kept
         for cells in grid_blocks(agg, parse_range(*args.n)):
             optima.append(grid_search(cells))
-            yield [c.ravel() for c in cells]
+            yield grid_columns(cells, mofs)
 
     path = _outpath(args, "grid.csv")
     write_table(path, [stamp("grid", args.seed, cfg), beta_line(beta, cfg)],
-                ("n", "m_of", "ee_bits_per_joule", "sum_rate_bps_hz"),
-                columns())
-    opt = best_of(optima)
+                ("n", "m_of", "ee_bits_per_joule", "sum_rate_bps_hz"), columns())
     print(f"grid written to {path}")
     print(f"symmetric gain beta = {_F % beta} ({cfg.beta_policy})")
-    _print_optimum(opt)
+    _print_optimum(best_of(optima))
     return 0
 
 
@@ -121,8 +122,7 @@ def _run_scenario(args, scenario, runner, drops=1):
     cfg = _load(args)
     _echo_config(cfg, args.seed)
     path = _outpath(args, f"{scenario}.csv")
-    spec = ExperimentSpec(cfg, drops, args.seed, path)
-    runner(spec)
+    runner(ExperimentSpec(cfg, drops, args.seed, path))
     print(f"{scenario} written to {path}")
     return 0
 

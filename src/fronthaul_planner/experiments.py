@@ -6,7 +6,6 @@ carrying the scenario tag, the seed and a hash of the effective config.
 """
 
 import math
-import operator
 import os
 from dataclasses import dataclass, replace
 
@@ -36,16 +35,15 @@ SWEEP_RHO_ETA_W = (0.001, 0.1, 100)
 _F = "%.9g"
 
 # Rows rendered per piece by write_table. Four float columns peak at about
-# 420 bytes per row (1.7 MB here, by tracemalloc, while the first piece makes
+# 350 bytes per row (1.4 MB here, by tracemalloc, while the first piece makes
 # the table's work memory), whatever the table's length.
 BLOCK_ROWS = 4096
 
 # Gain entries (drops x M x K) per block of drops in run_rate_cdf; a block
 # holds at least one drop. Sized for memory: the run's two reused gain
 # arrays take 16 bytes per gain entry and a block's other temporaries about
-# 13 more, about 0.5 MB here, while
-# blocks of 2**16 entries and more raised peak memory by 10% or more at
-# M=100, K=10 without running faster.
+# 13 more, about 0.5 MB here, while blocks of 2**16 entries and more raised
+# peak memory by 10% or more at M=100, K=10 without running faster.
 BLOCK_GAINS = 2 ** 14
 
 
@@ -82,12 +80,14 @@ def write_table(path, provenance, names, blocks):
     """Write a CSV table: '# ' provenance lines, a header row, then the rows.
 
     blocks is an iterable of column blocks, each a sequence of equal-length
-    numpy arrays, one per name; the rows are those of the blocks in turn, so
-    a table can be streamed. A float prints as '%.9g' and any other value
-    as '%s' of its Python scalar (what .tolist() gives), so the bytes are
-    those of the plain row loop: row % cells for each row. numpy renders
-    them in pieces of at most BLOCK_ROWS rows (_render_block). A block that
-    fails to come or to render leaves no file behind.
+    columns, one per name: numpy arrays, or coded pairs (values, index) of
+    arrays whose cells are values[index], the text of values rendered once
+    while later blocks pass the same (unchanged) values object. The rows
+    are those of the blocks in turn, so a table can be streamed. A float
+    prints as '%.9g' and any other value as '%s' of its Python scalar (what
+    .tolist() gives), so the bytes are those of the plain row loop, in
+    pieces of at most BLOCK_ROWS rows (_render_block). A block that fails
+    to come or to render leaves no file behind.
     """
     head = "".join(f"# {line}\n" for line in provenance) + ",".join(names) + "\n"
     try:
@@ -98,20 +98,45 @@ def write_table(path, provenance, names, blocks):
         with fh:
             fh.write(head.encode())
             buffers = {}
+            seps = [b","] * (len(names) - 1) + [b"\n"]
             for columns in blocks:
                 if len(columns) != len(names):
                     raise ValueError(f"table block has {len(columns)} columns "
                                      f"for {len(names)} names")
-                rows = len(columns[0])
-                if any(len(c) != rows for c in columns):
-                    raise ValueError("table columns must have equal lengths")
-                fmts = [_F if c.dtype.kind == "f" else "%s" for c in columns]
+                coded = [c if isinstance(c, tuple) else (None, c) for c in columns]
+                rows = len(coded[0][1])
+                texts = [_coded_text(buffers, j, names[j], *c, rows, seps[j])
+                         for j, c in enumerate(coded)]
                 for start in range(0, rows, BLOCK_ROWS):
-                    block = [c[start:start + BLOCK_ROWS] for c in columns]
-                    fh.write(_render_block(block, fmts, buffers))
+                    block = [col[start:start + BLOCK_ROWS] for _, col in coded]
+                    fh.write(_render_block(block, texts, seps, buffers))
     except BaseException:
         os.remove(path)
         raise
+
+
+def _coded_text(buffers, j, name, values, index, rows, sep):
+    """_cell_text of column j's values, rendered in pieces of BLOCK_ROWS (so
+    with the temporaries of a piece) and kept as buffers[j] while blocks pass
+    the same values object; None for a plain column (values None)."""
+    if len(index) != rows:
+        raise ValueError(f"table columns must have equal lengths: '{name}' has "
+                         f"{len(index)} rows for {rows}")
+    if values is None:
+        return None
+    if index.dtype.kind not in "iu" or index.size and not (
+            0 <= index.min() and index.max() < len(values)):
+        raise ValueError(f"coded column '{name}' needs indices in [0, {len(values)})")
+    if buffers.get(j, (None,))[0] is not values:
+        buffers.pop(j, None)  # the old text goes before the new comes
+        starts = range(0, len(values), BLOCK_ROWS)
+        pieces = [_cell_text(values[i:i + BLOCK_ROWS], sep, buffers) for i in starts]
+        text = np.full((len(values), max((p.shape[1] for p in pieces), default=0)),
+                       _PAD, np.uint8)
+        for i, p in zip(starts, pieces):
+            text[i:i + len(p), :p.shape[1]] = p
+        buffers[j] = values, text
+    return buffers[j][1]
 
 
 def _work(buffers, name, shape, dtype):
@@ -125,32 +150,16 @@ def _work(buffers, name, shape, dtype):
     return buffers[name][:size].view(dtype).reshape(shape)
 
 
-def _render_block(block, fmts, buffers):
-    """CSV bytes of a block of rows.
-
-    Each column's cells become the rows of a byte matrix: text, separator,
-    then padding bytes 0xFF, which UTF-8 text never holds. The matrices
-    side by side, with the padding dropped, are the block's rows. Runs of
-    identical values, if at most half the rows, are rendered once and repeated,
-    and so is each integer of a column spanning fewer integers than half its rows.
+def _render_block(block, texts, seps, buffers):
+    """CSV bytes of a piece of rows: of each column, the cells of a plain one
+    or the index of a coded one into its text in texts. Each column's cells
+    become the rows of a byte matrix: text, separator, then padding bytes
+    0xFF, which UTF-8 text never holds. The matrices side by side, with the
+    padding dropped, are the piece's rows.
     """
-    n = len(block[0])
-    texts = []
-    for j, (col, fmt) in enumerate(zip(block, fmts)):
-        sep = b"\n" if j == len(block) - 1 else b","
-        if col.dtype.kind in "iu" and int(col.max()) - int(col.min()) < n // 2:
-            lo = col.min()
-            span = np.arange(int(col.max()) - int(lo) + 1).astype(col.dtype) + lo
-            # offsets wrap in the column's width; its unsigned view undoes that
-            offset = (col - lo).view(f"u{col.itemsize}")
-            texts.append(_cell_text(span, fmt, sep, buffers).take(offset, axis=0))
-            continue
-        starts = _run_starts(col)
-        if 2 * len(starts) > n:
-            texts.append(_cell_text(col, fmt, sep, buffers))
-            continue
-        run = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
-        texts.append(_cell_text(col[starts], fmt, sep, buffers).take(run, axis=0))
+    texts = [_cell_text(col, sep, buffers) if text is None else text.take(col, axis=0)
+             for col, text, sep in zip(block, texts, seps)]
+    n = len(texts[0])
     # the rows, filled column by column and copied in row order, take the
     # gather index's memory; their mask then takes the column order's
     width = sum(t.shape[1] for t in texts)
@@ -160,31 +169,12 @@ def _render_block(block, fmts, buffers):
     return rows[np.not_equal(rows, _PAD, out=by_column.view(bool))]
 
 
-def _run_starts(col):
-    """Index of the first value of each run of identical consecutive values.
-
-    Values are identical when their bits are, so -0.0 and 0.0 differ; in an
-    object column, when they are the same object.
-    """
-    if col.dtype.hasobject:
-        same = np.frompyfunc(operator.is_, 2, 1)(col[1:], col[:-1]).astype(bool)
-    else:
-        raw = np.ascontiguousarray(col)
-        if raw.itemsize in (1, 2, 4, 8):
-            bits = raw.view(f"u{raw.itemsize}")
-            same = bits[1:] == bits[:-1]
-        else:
-            raw = raw.view(np.uint8).reshape(len(col), -1)
-            same = (raw[1:] == raw[:-1]).all(axis=1)
-    return np.flatnonzero(np.concatenate(([True], ~same)))
-
-
-def _cell_text(values, fmt, sep, buffers):
+def _cell_text(values, sep, buffers):
     """Rows of a byte matrix: each value's text, then sep, then _PAD bytes.
 
     Floats, and integers below 1e9 in magnitude (whose '%s' is their '%.9g'),
     go through _float_text, if more than _FEW_VALUES. Python formats what it
-    leaves undecided and every other value, as fmt % (value,).
+    leaves undecided and every other value, as the row loop does.
     """
     kind = values.dtype.kind
     if len(values) > _FEW_VALUES and kind in "iuf" and values.itemsize <= 8:
@@ -197,6 +187,7 @@ def _cell_text(values, fmt, sep, buffers):
         text = np.empty((len(values), 0), np.uint8)
         rest = np.arange(len(values))
     if rest.size:
+        fmt = _F if kind == "f" else "%s"
         cells = [(fmt % (v,)).encode() + sep for v in values[rest].tolist()]
         width = max(map(len, cells))
         if width > text.shape[1]:
@@ -332,6 +323,14 @@ def grid_blocks(agg, n_range):
         yield grid_cells(agg, ns[start:start + rows])
 
 
+def grid_columns(cells, mofs):
+    """write_table columns (n, m_of, ee, sum rate) of a grid_cells block: n
+    coded by row over the block's n values, m_of over mofs, arange(m + 1)."""
+    nn, mm, *terms = cells
+    return ((nn[:, 0], np.repeat(np.arange(len(nn)), mm.shape[1])),
+            (mofs, mm.ravel()), *(t.ravel() for t in terms))
+
+
 def run_ee_surface(spec):
     """Objective surface over (n, m_of) for each fiber/FSO cost set.
 
@@ -343,19 +342,19 @@ def run_ee_surface(spec):
     cfg = spec.config
     beta = symmetric_beta(cfg, spec.seed)
     ns = parse_range(*SURFACE_N)
-    aggs = {}
-    for mu_of, mu_fso in SURFACE_COST_SETS:
-        pc = power_cost_params(replace(cfg, mu_of=mu_of, mu_fso=mu_fso))
-        aggs[(mu_of, mu_fso)] = symmetric_aggregates(cfg, beta, pc)
+    aggs = {(mu_of, mu_fso): symmetric_aggregates(cfg, beta, power_cost_params(
+        replace(cfg, mu_of=mu_of, mu_fso=mu_fso))) for mu_of, mu_fso in SURFACE_COST_SETS}
     optima = {costs: best_of([grid_search(cells) for cells in grid_blocks(agg, ns)])
               for costs, agg in aggs.items()}
 
+    mu_ofs, mu_fsos = np.array(SURFACE_COST_SETS).T
+    mofs = np.arange(cfg.m + 1)
+
     def columns():
-        for (mu_of, mu_fso), agg in aggs.items():
+        for costs, agg in enumerate(aggs.values()):
             for cells in grid_blocks(agg, ns):
-                size = cells[0].size
-                yield (np.full(size, mu_of), np.full(size, mu_fso),
-                       *(c.ravel() for c in cells))
+                at = np.full(cells[0].size, costs)
+                yield (mu_ofs, at), (mu_fsos, at), *grid_columns(cells, mofs)
 
     lines = [stamp("ee_surface", spec.seed, cfg), beta_line(beta, cfg)]
     for (mu_of, mu_fso), opt in optima.items():
@@ -363,8 +362,7 @@ def run_ee_surface(spec):
                      f"n_star={_F % opt.n_star} m_of_star={opt.m_of_star} "
                      f"ee_star={_F % opt.ee_star}")
     write_table(spec.output_path, lines,
-                ("mu_of", "mu_fso", "n", "m_of", "ee_bits_per_joule",
-                 "sum_rate_bps_hz"),
+                ("mu_of", "mu_fso", "n", "m_of", "ee_bits_per_joule", "sum_rate_bps_hz"),
                 columns())
     return optima
 
@@ -379,8 +377,8 @@ def run_rate_cdf(spec):
     (B, M, K) gain stack per block, drawn into buffers that every block of
     the run reuses, with all S splits at once as an (S, B, M) distortion
     stack and an (S, B, K) rate stack. The results do not depend on the
-    block size. The i-th of s sorted values of a CDF has cumulative
-    probability i / s.
+    block size. The table codes n, m_of and kind by CDF, and the cumulative
+    probability i / s of the i-th of s sorted values over (1..S) / S.
 
     Returns {(n, m_of): (sorted sum rates, sorted per-user rates)}.
     """
@@ -405,19 +403,24 @@ def run_rate_cdf(spec):
     result = {c: (sums[j], users[j]) for j, c in enumerate(splits)}
 
     cdfs = [v for pair in result.values() for v in pair]
-    sizes = [v.size for v in cdfs]
-    ns, mofs, kinds = zip(*((n, m_of, kind) for n, m_of in splits
-                            for kind in ("sum_rate", "per_user_rate")))
-    # an object column repeats references to two strings, not copies
+    ns, mofs, kinds = (np.array(c) for c in zip(*(
+        (n, m_of, kind) for n, m_of in splits for kind in ("sum_rate", "per_user_rate"))))
+    cdf = np.repeat(np.arange(len(cdfs)), [v.size for v in cdfs])
     write_table(spec.output_path,
                 [stamp("rate_cdf", spec.seed, cfg),
                  f"drops={spec.drops} common random drops across splits"],
                 ("n", "m_of", "kind", "value", "cum_prob"),
-                [(np.repeat(ns, sizes), np.repeat(mofs, sizes),
-                  np.repeat(np.array(kinds, dtype=object), sizes),
-                  np.concatenate(cdfs),
-                  np.concatenate([np.arange(1, s + 1) / s for s in sizes]))])
+                [((ns, cdf), (mofs, cdf), (kinds, cdf), np.concatenate(cdfs),
+                  _cum_prob([v.size for v in cdfs]))])
     return result
+
+
+def _cum_prob(sizes):
+    """Coded i / s for each size s: (1..S) / S at i * (S / s) - 1, the same
+    rational, so the same double; S is the largest size, which all divide."""
+    top = max(sizes)
+    return (np.arange(1, top + 1) / top,
+            np.concatenate([np.arange(1, s + 1) * (top // s) - 1 for s in sizes]))
 
 
 def run_ee_vs_sumrate(spec):
@@ -446,12 +449,13 @@ def run_ee_vs_sumrate(spec):
     ee, sum_rate = (t.T for t in symmetric_terms(ns, mofs, agg))
     curves = {c: np.column_stack((sweep, sum_rate[i], ee[i]))
               for i, c in enumerate(splits)}
+    split = np.repeat(np.arange(len(splits)), count)
 
     write_table(spec.output_path,
                 [stamp("ee_vs_sumrate", spec.seed, cfg),
                  f"sweep rho_u*eta over [{_F % lo}, {_F % hi}] W, {count} points",
                  beta_line(beta, cfg)],
                 ("n", "m_of", "rho_eta_w", "sum_rate_bps_hz", "ee_bits_per_joule"),
-                [(np.repeat(ns, count), np.repeat(mofs, count),
-                  np.tile(sweep, len(splits)), sum_rate.ravel(), ee.ravel())])
+                [((ns, split), (mofs, split), np.tile(sweep, len(splits)),
+                  sum_rate.ravel(), ee.ravel())])
     return curves

@@ -14,7 +14,7 @@ from fronthaul_planner.energy import aggregate_params, symmetric_terms
 from fronthaul_planner.experiments import (BLOCK_GAINS, BLOCK_ROWS,
                                            COMPARED_SPLITS, ExperimentSpec,
                                            SURFACE_COST_SETS, SWEEP_RHO_ETA_W,
-                                           compared_splits_for,
+                                           compared_splits_for, grid_columns,
                                            run_ee_surface, run_ee_vs_sumrate,
                                            run_rate_cdf, write_table)
 from fronthaul_planner.fronthaul import (FronthaulPlan, UplinkSignalParams,
@@ -305,6 +305,37 @@ def test_write_table_reuses_its_work_arrays_across_pieces(tmp_path):
     blocks = [(np.repeat(1.0 + 0.01 * np.arange(40 * p, 40 * p + 40), 101),
                np.tile(np.arange(101), 40),
                rng.uniform(1e6, 5e6, rows), rng.uniform(10.0, 30.0, rows))
+              for p in range(6)]
+    peaks = []
+
+    def pieces():
+        for block in blocks:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            yield block
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "g.csv", ["scenario=x"], ("n", "m_of", "ee", "rate"),
+                    pieces())
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 6
+    assert max(peaks[1:]) < 1e6, peaks
+
+
+def test_write_table_reuses_its_work_arrays_across_coded_pieces(tmp_path):
+    # the grid pieces above as cmd_grid passes them (grid_columns): n coded
+    # over each block's 40 values, m_of over one arange(101) for the table;
+    # the pieces after the first gather m_of from the text the first one
+    # made and render in its work arrays
+    rng = np.random.default_rng(3)
+    mofs = np.arange(101)
+    blocks = [grid_columns((np.repeat(1.0 + 0.01 * np.arange(40 * p, 40 * p + 40),
+                                      101).reshape(40, 101),
+                            np.tile(mofs, (40, 1)), rng.uniform(1e6, 5e6, (40, 101)),
+                            rng.uniform(10.0, 30.0, (40, 101))), mofs)
               for p in range(6)]
     peaks = []
 

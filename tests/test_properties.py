@@ -273,8 +273,7 @@ _INTS = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
                   st.integers(-10 ** 9 - 2, -10 ** 9 + 2),
                   st.integers(10 ** 9 - 2, 10 ** 9 + 2),
                   st.integers(-1000, 1000))
-# equal values of other types or signs print differently, so runs of
-# objects must be runs of the same object
+# equal values of other types or signs print differently
 _OBJECTS = st.one_of(st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True]),
                      st.integers(), st.floats(), st.none(), st.text(max_size=5),
                      st.tuples(st.integers()))
@@ -282,8 +281,7 @@ _KINDS = {
     "float": (_FLOATS, np.float64),
     "float32": (st.floats(width=32), np.float32),
     "int": (_INTS, np.int64),
-    # narrow and unsigned widths, whose offsets from the column's minimum
-    # wrap in the column's own type
+    # narrow and unsigned widths, and their extremes
     "int8": (st.integers(-128, 127), np.int8),
     "uint64": (st.one_of(st.integers(0, 3), st.integers(2 ** 64 - 3, 2 ** 64 - 1)),
                np.uint64),
@@ -342,7 +340,8 @@ def test_numbers_print_as_the_row_loop_prints_them(tmp_path_factory, values):
     np.array([-2 ** 63, 2 ** 63 - 1, 0]),
 ], ids=["int8-extremes", "int8-wrap", "grid-fiber-counts", "uint64-top", "int64-extremes"])
 def test_integer_columns_print_as_the_row_loop(tmp_path, column):
-    # a column spanning few integers renders each once and takes its text
+    # extremes of narrow, unsigned and 64-bit widths, and the grid's fiber
+    # counts passed as a plain column
     assert _write(tmp_path / "t.csv", [column]) == _row_loop_csv([column])
 
 
@@ -368,6 +367,102 @@ def test_reused_work_arrays_carry_no_bytes_between_pieces(tmp_path):
     assert _write(tmp_path / "a.csv", columns, cuts) == _row_loop_csv(columns)
     columns = [np.concatenate(c) for c in zip(narrow, short)]
     assert _write(tmp_path / "b.csv", columns, [1000]) == _row_loop_csv(columns)
+
+
+# value strategies of the coded-column tests, and their dtypes
+_CODED_KINDS = {"float": (_FLOATS, np.float64), "int": (_INTS, np.int64),
+                "str": (st.text(max_size=8), None)}
+
+
+@SETTINGS
+@given(st.data())
+def test_coded_columns_match_the_row_loop(tmp_path_factory, data):
+    # plain and coded columns of float, int and str values, streamed in up
+    # to four blocks with a short last piece; each coded column keeps one
+    # values object over the blocks up to a drawn one, then takes a new one
+    rows = data.draw(st.sampled_from([1, 70, BLOCK_ROWS + 3, 2 * BLOCK_ROWS + 17]))
+    edges = [0, *data.draw(st.lists(st.integers(0, rows), max_size=3).map(sorted)),
+             rows]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = [[] for _ in edges[1:]]
+    columns = []
+    for kind in data.draw(st.lists(st.sampled_from(sorted(_CODED_KINDS)),
+                                   min_size=1, max_size=4)):
+        values, dtype = _CODED_KINDS[kind]
+        pools = [np.array(data.draw(st.lists(values, min_size=1, max_size=100)), dtype)
+                 for _ in range(2)]
+        if not data.draw(st.booleans()):
+            column = np.resize(pools[0], rows)
+            for block, a, b in zip(blocks, edges, edges[1:]):
+                block.append(column[a:b])
+            columns.append(column)
+            continue
+        switch = data.draw(st.integers(0, len(blocks)))
+        cells = []
+        for i, (block, a, b) in enumerate(zip(blocks, edges, edges[1:])):
+            pool = pools[i >= switch]
+            index = rng.integers(0, len(pool), b - a)
+            block.append((pool, index))
+            cells.append(pool[index])
+        columns.append(np.concatenate(cells))
+    names = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_table(path, [], names, blocks)
+    assert path.read_bytes() == (",".join(names) + "\n").encode() + _row_loop_csv(columns)
+
+
+def test_coded_values_render_once_while_blocks_pass_them(tmp_path):
+    # three blocks share one values object and a fourth brings a new one:
+    # the values render twice, whatever the blocks' lengths
+    values, new = np.array([0.5, 1e-7, 3.0]), np.array([2.5, 4.0])
+    blocks = [((values, np.arange(n) % 3),) for n in (5, BLOCK_ROWS + 1, 2)]
+    blocks.append(((new, np.array([1, 0, 1])),))
+    with mock.patch.object(experiments, "_cell_text", wraps=experiments._cell_text) as text:
+        write_table(tmp_path / "t.csv", [], ("v",), blocks)
+    assert [len(call.args[0]) for call in text.call_args_list] == [3, 2]
+    cells = [np.resize(values, n) for n in (5, BLOCK_ROWS + 1, 2)] + [new[[1, 0, 1]]]
+    assert (tmp_path / "t.csv").read_bytes() == b"v\n" + _row_loop_csv([np.concatenate(cells)])
+
+
+def test_coded_values_longer_than_a_piece_match_the_row_loop(tmp_path):
+    # values render in pieces of BLOCK_ROWS: a narrow piece, then wider
+    # ones, padded to one width; empty values with an empty index write no row
+    rng = np.random.default_rng(4)
+    values = np.concatenate([np.arange(BLOCK_ROWS) / 4,
+                             -rng.random(BLOCK_ROWS + 5) * 1e-100, [np.nan, 1e300]])
+    index = rng.integers(0, len(values), 3 * BLOCK_ROWS)
+    path = tmp_path / "t.csv"
+    write_table(path, [], ("v", "i"), [((values, index), index),
+                                       ((values[:0], index[:0]), index[:0])])
+    assert path.read_bytes() == b"v,i\n" + _row_loop_csv([values[index], index])
+
+
+@pytest.mark.parametrize("index", [
+    np.array([0, -1, 2]), np.array([0, 3, 2]), np.array([0.0, 1.0, 2.0]),
+    np.array([True, False, True]), np.array([0, 1]), np.array([0, 1, 2, 0]),
+], ids=["negative", "past-the-end", "float", "bool", "short", "long"])
+def test_write_table_rejects_a_bad_coded_index(tmp_path, index):
+    # take would wrap a negative index: every bad index is named with its
+    # column, after a first block was written, and no file is left
+    path = tmp_path / "t.csv"
+    blocks = [(np.arange(3), (np.array([0.5, 1.5, 2.5]), np.arange(3))),
+              (np.arange(3), (np.array([0.5, 1.5, 2.5]), index))]
+    with pytest.raises(ValueError, match="'code'"):
+        write_table(path, ["scenario=x"], ("i", "code"), blocks)
+    assert not path.exists()
+
+
+@SETTINGS
+@given(st.integers(1, 3000), st.integers(1, 120))
+@example(400, 10)
+@example(40, 100)
+def test_coded_cum_prob_is_i_over_s_bit_for_bit(drops, k):
+    # the CDF sizes of run_rate_cdf: drops sum rates and drops * k user
+    # rates per split; (1..S) / S at i * (S / s) - 1 is i / s exactly
+    sizes = [drops, drops * k] * len(experiments.COMPARED_SPLITS)
+    values, index = experiments._cum_prob(sizes)
+    expected = np.concatenate([np.arange(1, s + 1) / s for s in sizes])
+    assert np.array_equal(values[index].view(np.uint64), expected.view(np.uint64))
 
 
 @SETTINGS
