@@ -117,6 +117,17 @@ def test_stdout_bytes_unchanged(argv, tmp_path, capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_DIGESTS[argv]
 
 
+def test_validate_within_one_trial_block_keeps_its_stdout(tmp_path, capsys):
+    # recorded before Monte-Carlo trial blocks were drawn from jumped
+    # streams: block 0 is the streams' index-0 generator, so a run of at
+    # most MC_BLOCK trials keeps every byte
+    argv = ["validate", "--m", "8", "--k", "3", "--trials", "256", "--seed", "5"]
+    code = main(argv + ["--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        1, "e81701e88553b9408ef639183bed1d804fce44a5d59a60ff34cf0dd36e85af1d")
+
+
 # seed -> float.hex() of the geometric_mean gain of the reference network
 GEOMETRIC_MEAN_BETA = {
     0: "0x1.09b0af098bf08p-77",

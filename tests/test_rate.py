@@ -295,6 +295,50 @@ def test_monte_carlo_failed_fill_reaches_the_caller(monkeypatch, failing_fill):
     assert fills == [300] * (failing_fill + 1)
 
 
+# (M, K, trials) -> float.hex() of ds_sq, bu_var, each interference entry
+# and noise_var for the last user of _pinned_drop(M, K) at seed M + trials.
+# Recorded before trial blocks were drawn from jumped streams; a run of at
+# most MC_BLOCK trials is block 0 alone and keeps its bits.
+MC_BITS = {
+    (4, 2, 100): ['0x1.90a05ce540ddfp-78', '0x1.472e62f4fdee6p-79', '0x1.a2db6b78bb7e5p-80',
+                  '0x0.0p+0', '0x1.cfb3b8365db86p-79'],
+    (4, 2, 256): ['0x1.6d921e2683661p-78', '0x1.621281b3c578ap-79', '0x1.9fb86fc6ff1adp-80',
+                  '0x0.0p+0', '0x1.4afb241fcf0cfp-79'],
+    (20, 4, 100): ['0x1.e75aa1ebdd404p-75', '0x1.afaa5c67a06d0p-78', '0x1.86b629a026288p-78',
+                   '0x1.06fba09e18147p-79', '0x1.9fca07b0f3ffbp-79', '0x0.0p+0',
+                   '0x1.9577614bde673p-76'],
+    (20, 4, 256): ['0x1.0e2b55217d42dp-74', '0x1.b83fba8e8ecf0p-78', '0x1.c25326985350ap-78',
+                   '0x1.134d1c14e0f60p-79', '0x1.8dcaeeb4aab64p-79', '0x0.0p+0',
+                   '0x1.a201b1081a7b2p-76'],
+    (100, 10, 100): ['0x1.398e13b69e624p-69', '0x1.0c2675c660de0p-74', '0x1.1e63eae3a6b29p-75',
+                     '0x1.e883b34d149a1p-76', '0x1.0b84e0c3a20fdp-76', '0x1.09f5db1435264p-76',
+                     '0x1.131fa975a504cp-76', '0x1.a7184a1b97171p-75', '0x1.b141bce21332dp-75',
+                     '0x1.bcbed71185066p-76', '0x1.200c71ba4d4b1p-75', '0x0.0p+0',
+                     '0x1.3051487a23720p-73'],
+    (100, 10, 256): ['0x1.3edb7c7c9aa8cp-69', '0x1.c42c641af3cc0p-75', '0x1.3cadf365f5193p-75',
+                     '0x1.894fc38cf36cep-76', '0x1.16dccfed19cd8p-76', '0x1.1a57ca66621e1p-76',
+                     '0x1.03112b8140017p-76', '0x1.f55bdbb56967ep-75', '0x1.add5415db573ap-75',
+                     '0x1.92a144055de46p-76', '0x1.2bf0ce386b339p-75', '0x0.0p+0',
+                     '0x1.29e4b7013037dp-73'],
+}
+
+
+def _pinned_drop(m, k):
+    rng = np.random.default_rng(1000 * m + k)
+    beta = 10.0 ** rng.uniform(-13, -11, size=(m, k))
+    sig = UplinkSignalParams(0.1, rng.uniform(0.3, 1.0, k),
+                             10.0 ** rng.uniform(-13, -12, m))
+    return beta, sig, 10.0 ** rng.uniform(-14, -12, m)
+
+
+@pytest.mark.parametrize("m, k, trials", sorted(MC_BITS))
+def test_monte_carlo_bits_of_the_first_block_are_pinned(m, k, trials):
+    beta, sig, dist = _pinned_drop(m, k)
+    e = mc_validate_terms(beta, sig, dist, k - 1, trials, seed=m + trials)
+    terms = [e.ds_sq, e.bu_var, *e.interference_var, e.noise_var]
+    assert [float(v).hex() for v in terms] == MC_BITS[(m, k, trials)]
+
+
 def test_monte_carlo_rejects_a_generator_seed():
     # one generator shared by both threads would be drawn in a
     # thread-dependent order
