@@ -9,27 +9,36 @@ Each term has a closed form in the link gains, checked here term by term
 against simulation.
 """
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .seeds import derive_rng
+from .seeds import _jump, derive_rng
 
-# Memory budget of one Monte-Carlo chunk when no chunk size is given. Per
-# trial a chunk peaks at 32 bytes a link (the fading draws, in two buffers),
-# 48 an AP (noise and quantization draws, combiner column) and 56 a term row
-# (cross terms, term rows and their carried copy): fitted with tracemalloc,
-# the default chunk then peaks at 0.66-1.0004 of the budget over M in 1-100,
-# K in 1-20.
+# Memory budget of the Monte-Carlo draws when no chunk size is given,
+# shared evenly by the MC_WORKERS workers. Per trial a worker peaks at 16
+# bytes a link (its fading draws), 48 an AP (noise and quantization draws,
+# combiner column) and 40 a term row (cross terms and their squares, term
+# rows): fitted with tracemalloc, the default chunk then peaks at 0.46-0.99
+# of the budget over M in 1-100, K in 1-20. It stays below 1 because a
+# worker draws whole blocks at once when it can, and a share that holds
+# less than two blocks holds one.
 MC_CHUNK_BYTES = 2 ** 23
-MC_LINK_BYTES = 32
+MC_LINK_BYTES = 16
 MC_AP_BYTES = 48
-MC_ROW_BYTES = 56
+MC_ROW_BYTES = 40
 
-# Trials per summation block. Blocks start at multiples of MC_BLOCK in the
-# trial index, whatever the chunk size, so every block sum and their sum in
-# trial order are the same bits for any chunking.
+# Trials per block. Block b is trials [b MC_BLOCK, (b + 1) MC_BLOCK), drawn
+# from index b of the three Monte-Carlo streams and summed on its own, so
+# every block sum, and their sum in block order, are the same bits however
+# the blocks are chunked and whichever worker draws them.
 MC_BLOCK = 256
+MC_STREAMS = ("mc_channel", "mc_noise", "mc_quant")
+
+# Threads that draw and reduce trial blocks.
+MC_WORKERS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,38 +135,76 @@ def _pairs(scale):
     return np.repeat(scale[..., None], 2, axis=-1)
 
 
-def _mc_trial_terms(parts, noise_rngs, scales, power, k):
-    """The terms of t trials, one column per trial.
+def _mc_trial_terms(parts, noise, scales, power, k, out):
+    """The terms of t trials, one column per trial, written into out.
 
-    parts holds the trials' fading standard normals (t, M, K, 2), scales
-    the (..., 2) factors of fading, receiver noise and quantization noise,
-    and power is rho_u eta. Rows: a = amp_k sum_m |g_mk|^2, a^2,
-    |amp_j cross_j|^2 for each user j, and |v|^2. Each (..., 2) block of
-    standard normals is viewed as complex and scaled in place, so beside
-    the fading a chunk holds only a few arrays of M or K entries per trial,
-    all freed on return.
+    parts holds the trials' fading standard normals (t, M, K, 2), noise
+    their receiver and quantization noise standard normals (2, t, M, 2),
+    scales the (..., 2) factors of the three, and power is rho_u eta. Rows
+    of out (K + 3, t): a = amp_k sum_m |g_mk|^2, a^2, |amp_j cross_j|^2 for
+    each user j, and |v|^2. Each (..., 2) block of standard normals is
+    viewed as complex and scaled in place, so beside the draws a call holds
+    only a few arrays of M or K entries per trial, all freed on return.
     """
-    rng_w, rng_q = noise_rngs
     h_scale, w_scale, q_scale = scales
-    t, m, n_users = parts.shape[:3]
+    wq, q = noise
     parts *= h_scale
     g = parts.view(np.complex128)[..., 0]
-    wq = rng_w.standard_normal((t, m, 2))
     wq *= w_scale
-    q = rng_q.standard_normal((t, m, 2))
     q *= q_scale
     wq += q
 
     gk_conj = np.conj(g[:, :, k])[:, None, :]
     cross = (gk_conj @ g)[:, 0, :]
     v = (gk_conj @ wq.view(np.complex128))[:, 0, 0]
-    terms = np.empty((n_users + 3, t))
     # cross_k = sum_m |g_mk|^2
-    terms[0] = np.sqrt(power[k]) * cross[:, k].real
-    terms[1] = terms[0] ** 2
-    terms[2:-1] = (power * (cross.real ** 2 + cross.imag ** 2)).T
-    terms[-1] = v.real ** 2 + v.imag ** 2
-    return terms
+    out[0] = np.sqrt(power[k]) * cross[:, k].real
+    out[1] = out[0] ** 2
+    out[2:-1] = (power * (cross.real ** 2 + cross.imag ** 2)).T
+    out[-1] = v.real ** 2 + v.imag ** 2
+
+
+class _McWorker:
+    """One Monte-Carlo worker: its own generators of the three streams and
+    buffers for piece trials, reused for every run of blocks it draws."""
+
+    def __init__(self, seed, piece, span, m, n_users):
+        self.streams = [derive_rng(seed, name) for name in MC_STREAMS]
+        self.starts = [rng.bit_generator.state for rng in self.streams]
+        self.fading = np.empty((piece, m, n_users, 2))
+        self.noise = np.empty((2, piece, m, 2))
+        self.terms = np.empty((n_users + 3, span))
+
+    def block_sums(self, start, stop, kernel_args):
+        """Term sums of the blocks of trials [start, stop), start the first
+        trial of a block: one row per block, in block order.
+
+        The trials are drawn piece by piece, each block from index b of
+        every stream from its first trial on, so a block drawn in several
+        pieces continues its streams from one piece to the next.
+        """
+        rng_h, rng_w, rng_q = self.streams
+        piece = len(self.fading)
+        for lo in range(start, stop, piece):
+            hi = min(lo + piece, stop)
+            for b in range(lo // MC_BLOCK, (hi - 1) // MC_BLOCK + 1):
+                first = max(lo, b * MC_BLOCK)
+                if first == b * MC_BLOCK:
+                    for rng, state in zip(self.streams, self.starts):
+                        _jump(rng.bit_generator, state, b)
+                at = slice(first - lo, min(hi, (b + 1) * MC_BLOCK) - lo)
+                rng_h.standard_normal(out=self.fading[at])
+                rng_w.standard_normal(out=self.noise[0, at])
+                rng_q.standard_normal(out=self.noise[1, at])
+            _mc_trial_terms(self.fading[:hi - lo], self.noise[:, :hi - lo],
+                            *kernel_args, out=self.terms[:, lo - start:hi - start])
+        n = stop - start
+        full = n - n % MC_BLOCK
+        terms = self.terms[:, :n]
+        sums = list(terms[:, :full].reshape(len(terms), -1, MC_BLOCK).sum(axis=2).T)
+        if full < n:
+            sums.append(terms[:, full:].sum(axis=1))
+        return sums
 
 
 def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
@@ -168,69 +215,81 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     the closed-form decomposition. The quantization noise at AP m has
     variance distortions[m] in every trial: the distortion sized from the
     statistical mean of the received power, as in the closed form.
-    Deterministic given the seed, which must be an integer, and exactly
-    independent of the chunk size (trials simulated at once): fading, noise
-    and quantization use separate derived streams, and the per-trial terms
-    are summed in blocks of MC_BLOCK trials aligned on the trial index, the
-    block sums added in trial order. By default a chunk takes about
-    MC_CHUNK_BYTES, whatever M and K are.
 
-    A one-worker executor draws the fading of the next chunk into the other
-    of two buffers while this thread draws the noise of the current chunk
-    and reduces it. Fills run one at a time in trial order, so the result
-    does not depend on the worker; a failed fill raises here, and the
-    worker has ended when this returns or raises.
+    Trials come in blocks of MC_BLOCK: block b draws its fading, receiver
+    noise and quantization noise from index b of the "mc_channel",
+    "mc_noise" and "mc_quant" streams of the seed (b jumps of each
+    stream's index-0 generator, seeds.jump_to's rule), so a run of at most
+    MC_BLOCK trials draws what index 0 alone gives. A fixed pool of
+    MC_WORKERS threads draws and reduces runs of whole blocks, each worker
+    with its own buffers, and this thread adds the block sums in block
+    order. The result is therefore deterministic given the seed, which
+    must be an integer, and exactly independent of the chunk size, the
+    worker count and the scheduling.
+
+    chunk is the most trials a worker draws at once: a worker takes runs of
+    chunk // MC_BLOCK whole blocks, or one block in pieces of chunk trials
+    when chunk < MC_BLOCK. By default a worker's chunk takes about
+    MC_CHUNK_BYTES / MC_WORKERS, whatever M and K are. A failed draw or
+    kernel raises here; blocks not yet started are then cancelled, and no
+    worker outlives the call.
     """
     from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
 
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, not {type(seed).__name__}: "
-                         "the fading is drawn on another thread, so a shared "
-                         "generator would be drawn in a thread-dependent order")
+                         "each trial block is drawn from jumped streams of "
+                         "the seed, on any worker")
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
     D = np.atleast_1d(np.asarray(distortions, dtype=float))
     m, n_users = beta.shape
     if not 0 <= k < n_users:
         raise ValueError(f"user index {k} out of range for K = {n_users}")
     if chunk is None:
-        chunk = max(1, MC_CHUNK_BYTES // (MC_LINK_BYTES * m * n_users + MC_AP_BYTES * m
-                                          + MC_ROW_BYTES * (n_users + 3)))
+        chunk = max(1, MC_CHUNK_BYTES // MC_WORKERS
+                    // (MC_LINK_BYTES * m * n_users + MC_AP_BYTES * m
+                        + MC_ROW_BYTES * (n_users + 3)))
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
-    chunk = min(chunk, trials)
-    rng_h = derive_rng(seed, "mc_channel")
-    noise_rngs = (derive_rng(seed, "mc_noise"), derive_rng(seed, "mc_quant"))
+    # a run: span trials of whole blocks (the last run may be shorter),
+    # drawn in pieces of at most chunk trials
+    span = min(max(1, chunk // MC_BLOCK) * MC_BLOCK, trials)
+    piece = min(chunk, span)
     scales = (_pairs(np.sqrt(beta / 2.0)), _pairs(np.sqrt(sig.delta_sq / 2.0)),
               _pairs(np.sqrt(D / 2.0)))
-    power = sig.rho_u * sig.eta
-    fading = np.empty((2, chunk, m, n_users, 2))
-    n_chunks = -(-trials // chunk)
+    kernel_args = (scales, sig.rho_u * sig.eta, k)
 
+    idle = SimpleQueue()
+    for _ in range(min(MC_WORKERS, -(-trials // span))):
+        idle.put(_McWorker(seed, piece, span, m, n_users))
+
+    def run(start):
+        # numpy and private functions alone, never a package function:
+        # tracers that wrap those functions keep one span stack
+        worker = idle.get()
+        try:
+            return worker.block_sums(start, min(start + span, trials), kernel_args)
+        finally:
+            idle.put(worker)
+
+    starts = iter(range(0, trials, span))
     totals = np.zeros(n_users + 3)
-    pending = np.empty((n_users + 3, 0))  # trials of the open block
-    # The worker runs numpy alone, never a package function, so tracers
-    # that wrap those functions see one thread.
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        def fill(i):
-            """Start drawing the fading of chunk i into its buffer."""
-            return worker.submit(rng_h.standard_normal,
-                                 out=fading[i % 2, :min(chunk, trials - i * chunk)])
-
-        filled = fill(0)
-        for i in range(n_chunks):
-            parts = filled.result()
-            if i + 1 < n_chunks:
-                filled = fill(i + 1)
-            terms = np.concatenate(
-                [pending, _mc_trial_terms(parts, noise_rngs, scales, power, k)], axis=1)
-            full = terms.shape[1] - terms.shape[1] % MC_BLOCK
-            blocks = terms[:, :full].reshape(len(terms), -1, MC_BLOCK)
-            for block_sum in blocks.sum(axis=2).T:
+    pool = ThreadPoolExecutor(MC_WORKERS)
+    try:
+        # two runs queued a worker keep the pool busy while this thread
+        # adds the oldest run's sums; later runs are not submitted yet
+        running = deque(pool.submit(run, start)
+                        for start in islice(starts, 2 * MC_WORKERS))
+        while running:
+            sums = running.popleft().result()
+            running.extend(pool.submit(run, start) for start in islice(starts, 1))
+            for block_sum in sums:
                 totals += block_sum
-            pending = terms[:, full:]
-    totals += pending.sum(axis=1)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     means = totals / trials
     ds_sq = float(means[0]) ** 2

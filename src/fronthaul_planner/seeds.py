@@ -2,7 +2,7 @@
 
 One master seed drives the whole run. Each consumer derives its own
 generator from a named stream (plus an index for repeated uses such as
-Monte-Carlo chunks or topology drops), so components never share generator
+Monte-Carlo trial blocks or drops), so components never share generator
 state and any piece of a run can be reproduced or parallelized in
 isolation. Index i of a stream is i jumps of the stream's index-0
 generator, numpy's documented PCG64.jumped(i), so one generator reaches
@@ -26,13 +26,22 @@ STREAMS = {
 JUMP = 0x9e3779b97f4a7c15f39cc0605cedc835
 
 
+def _jump(bit_generator, state, index):
+    """jump_to's rule without its check, for the Monte-Carlo workers.
+
+    bench/tracer.py wraps public functions only, on one span stack, so a
+    worker thread must not call jump_to itself.
+    """
+    bit_generator.state = state
+    bit_generator.advance(index * JUMP)
+
+
 def jump_to(bit_generator, state, index):
     """Put a PCG64 bit_generator at index jumps past state, as
     PCG64.jumped(index) of a generator at state is."""
     if index < 0:
         raise ValueError("stream index must be non-negative")
-    bit_generator.state = state
-    bit_generator.advance(index * JUMP)
+    _jump(bit_generator, state, index)
 
 
 def derive_rng(seed, stream, index=0):

@@ -3,7 +3,6 @@
 import functools
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -11,11 +10,11 @@ import pytest
 
 from fronthaul_planner import rate
 from fronthaul_planner.fronthaul import UplinkSignalParams
-from fronthaul_planner.rate import (MC_AP_BYTES, MC_CHUNK_BYTES, MC_LINK_BYTES,
-                                    MC_ROW_BYTES, achievable_rates,
+from fronthaul_planner.rate import (MC_AP_BYTES, MC_BLOCK, MC_CHUNK_BYTES,
+                                    MC_LINK_BYTES, MC_ROW_BYTES, MC_WORKERS,
+                                    achievable_rates,
                                     mc_validate_terms, per_user_sinrs,
                                     rate_from_sinr, sinr_closed_form)
-from fronthaul_planner.seeds import derive_rng
 
 
 def test_rate_from_sinr_values():
@@ -167,9 +166,10 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("chunk", [1, 255, 256, 257, 699, 700])
-def test_monte_carlo_double_buffer_edges(chunk):
-    # 700 trials: three chunks with a short last one at 255-257, two at
-    # 699, one at 700; every chunking gives the bits of a single chunk
+def test_monte_carlo_block_edges(chunk):
+    # 700 trials, two whole blocks and a short one: pieces inside a block
+    # at 1 and 255, one block a run at 256 and 257, two at 699 and 700;
+    # every chunking gives the bits of a single chunk
     beta, sig, dist = _small_drop(12, 6, 3)
     whole = mc_validate_terms(beta, sig, dist, 2, trials=700, seed=5, chunk=700)
     assert _same_bits(
@@ -179,8 +179,8 @@ def test_monte_carlo_double_buffer_edges(chunk):
 def test_monte_carlo_default_chunk_gives_the_explicit_bits():
     m, k = 4, 2
     beta, sig, dist = _small_drop(13, m, k)
-    default = MC_CHUNK_BYTES // (MC_LINK_BYTES * m * k + MC_AP_BYTES * m
-                                 + MC_ROW_BYTES * (k + 3))
+    default = MC_CHUNK_BYTES // MC_WORKERS // (MC_LINK_BYTES * m * k + MC_AP_BYTES * m
+                                               + MC_ROW_BYTES * (k + 3))
     trials = 2 * default + 300  # two full default chunks and a short one
     a = mc_validate_terms(beta, sig, dist, 1, trials, seed=6)
     assert _same_bits(a, mc_validate_terms(beta, sig, dist, 1, trials, seed=6,
@@ -189,8 +189,8 @@ def test_monte_carlo_default_chunk_gives_the_explicit_bits():
                                            chunk=trials))
 
 
-def test_monte_carlo_double_buffer_under_thread_switching():
-    # more callers than cores, each with its helper, switching threads
+def test_monte_carlo_workers_under_thread_switching():
+    # more callers than cores, each with its workers, switching threads
     # every microsecond: every call still gives the bits of one chunk
     beta, sig, dist = _small_drop(15, 6, 3)
     whole = mc_validate_terms(beta, sig, dist, 1, trials=2000, seed=9, chunk=2000)
@@ -213,6 +213,17 @@ def test_monte_carlo_double_buffer_under_thread_switching():
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert all(r is not None and _same_bits(r, whole) for r in results)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("chunk", [100, 256, 600, None])
+def test_monte_carlo_worker_count_leaves_the_bits(monkeypatch, workers, chunk):
+    beta, sig, dist = _small_drop(16, 5, 3)
+    run = functools.partial(mc_validate_terms, beta, sig, dist, 1, trials=3000,
+                            seed=4, chunk=chunk)
+    two = run()
+    monkeypatch.setattr(rate, "MC_WORKERS", workers)
+    assert _same_bits(run(), two)
 
 
 def _call_within(fn, seconds=60):
@@ -238,61 +249,37 @@ def _call_within(fn, seconds=60):
     return tuple(out)
 
 
-def test_monte_carlo_helper_thread_ends_with_the_call(monkeypatch):
+@pytest.mark.parametrize("failing", ["draw", "kernel"])
+def test_monte_carlo_failure_in_a_late_block_reaches_the_caller(monkeypatch,
+                                                               failing):
+    # one block a run, 40 runs, and block 30 fails. At most two runs a
+    # worker are queued past the one this thread waits for, so the blocks
+    # after them never start, and no worker outlives the call
     beta, sig, dist = _small_drop(14, 4, 2)
-    run = functools.partial(mc_validate_terms, beta, sig, dist, 0, trials=1000,
-                            seed=1, chunk=300)
+    n_blocks, bad = 40, 30
+    run = functools.partial(mc_validate_terms, beta, sig, dist, 0,
+                            trials=n_blocks * MC_BLOCK, seed=1, chunk=MC_BLOCK)
     before = threading.active_count()
-    during = []
-    kernel = rate._mc_trial_terms
+    started = set()
+    block_of = {}  # worker thread -> the block it draws
+    jump, kernel = rate._jump, rate._mc_trial_terms
 
-    def counting(*args):
-        during.append(threading.active_count())
-        return kernel(*args)
+    def jumping(bit_generator, state, index):
+        started.add(index)
+        block_of[threading.get_ident()] = index
+        if failing == "draw" and index == bad:
+            raise RuntimeError("draw failed")
+        return jump(bit_generator, state, index)
 
-    monkeypatch.setattr(rate, "_mc_trial_terms", counting)
-    # four chunks, seen by the caller and its fading worker
-    assert _call_within(run) == (None, before + 1)
-    assert during[:2] == [before + 2] * 2 and len(during) == 4
-
-    def failing_on_second_chunk(*args):
-        during.append(threading.active_count())
-        if len(during) == 2:
-            time.sleep(0.05)  # the worker draws the third chunk meanwhile
+    def computing(*args, **kwargs):
+        if failing == "kernel" and block_of[threading.get_ident()] == bad:
             raise RuntimeError("kernel failed")
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
-    during.clear()
-    monkeypatch.setattr(rate, "_mc_trial_terms", failing_on_second_chunk)
-    assert _call_within(run) == ("kernel failed", before + 1)
-    assert during == [before + 2] * 2
-
-
-@pytest.mark.parametrize("failing_fill", [0, 2])
-def test_monte_carlo_failed_fill_reaches_the_caller(monkeypatch, failing_fill):
-    beta, sig, dist = _small_drop(14, 4, 2)
-    run = functools.partial(mc_validate_terms, beta, sig, dist, 0, trials=1000,
-                            seed=1, chunk=300)
-    before = threading.active_count()
-    fills = []
-
-    class FailingFading:
-        def __init__(self, rng):
-            self.rng = rng
-
-        def standard_normal(self, out):
-            fills.append(out.shape[0])
-            if len(fills) > failing_fill:
-                raise RuntimeError("fill failed")
-            return self.rng.standard_normal(out=out)
-
-    def derive(seed, stream, index=0):
-        rng = derive_rng(seed, stream, index)
-        return FailingFading(rng) if stream == "mc_channel" else rng
-
-    monkeypatch.setattr(rate, "derive_rng", derive)
-    assert _call_within(run) == ("fill failed", before + 1)
-    assert fills == [300] * (failing_fill + 1)
+    monkeypatch.setattr(rate, "_jump", jumping)
+    monkeypatch.setattr(rate, "_mc_trial_terms", computing)
+    assert _call_within(run) == (f"{failing} failed", before + 1)
+    assert bad in started and max(started) < bad + 2 * MC_WORKERS
 
 
 # (M, K, trials) -> float.hex() of ds_sq, bu_var, each interference entry
@@ -396,15 +383,24 @@ def _plain_mc_terms(beta, sig, D, k, trials, seed):
     """The Monte-Carlo estimate written out plainly, all trials in one chunk.
 
     Complex fading, noise and quantization from the same three streams,
-    built component by component; the reference the kernel is checked
-    against.
+    each block of MC_BLOCK trials from numpy's own PCG64.jumped, built
+    component by component; the reference the kernel is checked against.
     """
     m, n_users = beta.shape
-    parts = derive_rng(seed, "mc_channel").standard_normal((trials, m, n_users, 2))
+
+    def draws(tag, shape):
+        # block b of a stream: b jumps of its (tag, 0) generator
+        first = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(tag, 0)))
+        return np.concatenate([
+            np.random.Generator(first.jumped(b)).standard_normal(
+                (min(MC_BLOCK, trials - start),) + shape)
+            for b, start in enumerate(range(0, trials, MC_BLOCK))])
+
+    parts = draws(4, (m, n_users, 2))
     g = np.sqrt(beta) * (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
-    wparts = derive_rng(seed, "mc_noise").standard_normal((trials, m, 2))
+    wparts = draws(5, (m, 2))
     w = np.sqrt(sig.delta_sq) * (wparts[..., 0] + 1j * wparts[..., 1]) / np.sqrt(2.0)
-    qparts = derive_rng(seed, "mc_quant").standard_normal((trials, m, 2))
+    qparts = draws(6, (m, 2))
     q = np.sqrt(D) * (qparts[..., 0] + 1j * qparts[..., 1]) / np.sqrt(2.0)
 
     amp = np.sqrt(sig.rho_u * sig.eta)
