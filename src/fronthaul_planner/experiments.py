@@ -159,14 +159,12 @@ def _render_block(block, texts, seps, buffers):
     """
     texts = [_cell_text(col, sep, buffers) if text is None else text.take(col, axis=0)
              for col, text, sep in zip(block, texts, seps)]
-    n = len(texts[0])
-    # the rows, filled column by column and copied in row order, take the
-    # gather index's memory; their mask then takes the column order's
+    # the rows, filled column by column in the gather index's memory, are
+    # read in row order, and translate drops the padding in one pass
     width = sum(t.shape[1] for t in texts)
-    by_column, rows = _work(buffers, "index", (2, n, width), np.uint8)
-    np.concatenate(texts, axis=1, out=by_column.reshape(width, n).T)
-    rows[...] = by_column.reshape(width, n).T
-    return rows[np.not_equal(rows, _PAD, out=by_column.view(bool))]
+    rows = _work(buffers, "index", (width, len(texts[0])), np.uint8).T
+    np.concatenate(texts, axis=1, out=rows)
+    return rows.tobytes().translate(None, b"\xff")
 
 
 def _cell_text(values, sep, buffers):
