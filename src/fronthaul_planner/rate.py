@@ -35,7 +35,6 @@ MC_ROW_BYTES = 40
 # every block sum, and their sum in block order, are the same bits however
 # the blocks are chunked and whichever worker draws them.
 MC_BLOCK = 256
-MC_STREAMS = ("mc_channel", "mc_noise", "mc_quant")
 
 # Threads that draw and reduce trial blocks.
 MC_WORKERS = 2
@@ -166,10 +165,11 @@ def _mc_trial_terms(parts, noise, scales, power, k, out):
 
 class _McWorker:
     """One Monte-Carlo worker: its own generators of the three streams and
-    buffers for piece trials, reused for every run of blocks it draws."""
+    draw buffers of piece trials, reused for every run of blocks it takes."""
 
     def __init__(self, seed, piece, span, m, n_users):
-        self.streams = [derive_rng(seed, name) for name in MC_STREAMS]
+        self.streams = [derive_rng(seed, name)
+                        for name in ("mc_channel", "mc_noise", "mc_quant")]
         self.starts = [rng.bit_generator.state for rng in self.streams]
         self.fading = np.empty((piece, m, n_users, 2))
         self.noise = np.empty((2, piece, m, 2))

@@ -327,8 +327,9 @@ def test_monte_carlo_bits_of_the_first_block_are_pinned(m, k, trials):
 
 
 def test_monte_carlo_rejects_a_generator_seed():
-    # one generator shared by both threads would be drawn in a
-    # thread-dependent order
+    # each block is drawn from jumped streams of the seed, on whichever
+    # worker takes it; one generator would be drawn in a worker-dependent
+    # order
     beta, sig, dist = _small_drop(14, 4, 2)
     with pytest.raises(ValueError, match="seed must be an integer, not Generator"):
         mc_validate_terms(beta, sig, dist, 0, trials=100,
