@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import derive_rng, jump_to
+from .seeds import _jump, derive_rng
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ class DropBlocks:
         n = stop - start
         xy, z = self._xy[:n], self._z[:n]
         for j in range(n):
-            jump_to(self._rng.bit_generator, self._state, start + j)
+            _jump(self._rng.bit_generator, self._state, start + j)
             self._rng.random(out=xy[j])
             self._rng.standard_normal(out=z[j])
         return _drops(*self._network, xy, z, self._gains[:n], self._scratch[:n])

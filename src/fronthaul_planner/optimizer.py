@@ -32,9 +32,8 @@ LN2 = math.log(2.0)
 # Bracket and grid step of the capacity coefficient searched by the
 # planner's n-step and by the quadratic's fallback.
 N_MIN, N_MAX, N_STEP = 1.0, 10.0, 0.01
-# The alternating loop stops after MAX_ITERS rounds, or once n moves by at
-# most TOL and m_of not at all.
-MAX_ITERS, TOL = 100, 1e-6
+# Most rounds of the alternating loop, which stops at a stationary (n, m_of).
+MAX_ITERS = 100
 NO_FIBER = "capacity coefficient is immaterial without fiber links"
 
 
@@ -129,12 +128,12 @@ def capacity_coeff_quadratic(m_of, agg):
 def optimal_n_closed_form(m_of, agg):
     """Best fiber capacity coefficient at fixed m_of >= 1, as a PlanOptimum.
 
-    grid_search's pick of the exact symmetric objective over the N_STEP
-    grid on [N_MIN, N_MAX], evaluated in one call.
+    grid_search's pick of the exact symmetric objective over grid's n grid,
+    parse_range(N_MIN, N_MAX, N_STEP), evaluated in one call.
     """
     if m_of < 1:
         raise ValueError(NO_FIBER)
-    return _best_cell(np.arange(N_MIN, N_MAX + N_STEP / 2, N_STEP), m_of, agg)
+    return _best_cell(parse_range(N_MIN, N_MAX, N_STEP), m_of, agg)
 
 
 def fiber_count_intermediates(n, agg):
@@ -222,7 +221,7 @@ def alternating_optimize(agg, init_n, init_m_of):
     Each half-step's PlanOptimum, EE included, is accepted only if it does
     not decrease the objective, which is evaluated here only at the start;
     a decreasing step stops the loop at the best point seen. Runs until the
-    pair is stationary (n within TOL, m_of exact) or MAX_ITERS rounds.
+    pair is stationary or MAX_ITERS rounds; at m_of = 0 n is N_MIN, as in grid.
     """
     if not 0 <= init_m_of <= agg.m:
         raise ValueError("init_m_of must lie in [0, m]")
@@ -241,6 +240,7 @@ def alternating_optimize(agg, init_n, init_m_of):
         if step.ee_star < ee:
             break
         m_of, ee = step.m_of_star, step.ee_star
-        if abs(n - n_prev) <= TOL and m_of == m_prev:
+        n = n if m_of else N_MIN
+        if (n, m_of) == (n_prev, m_prev):
             return PlanOptimum(n, m_of, ee, "alternating")
     return PlanOptimum(n, m_of, ee, "alternating", converged=False)

@@ -219,7 +219,7 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     Trials come in blocks of MC_BLOCK: block b draws its fading, receiver
     noise and quantization noise from index b of the "mc_channel",
     "mc_noise" and "mc_quant" streams of the seed (b jumps of each
-    stream's index-0 generator, seeds.jump_to's rule), so a run of at most
+    stream's index-0 generator, by seeds._jump), so a run of at most
     MC_BLOCK trials draws what index 0 alone gives. A fixed pool of
     MC_WORKERS threads draws and reduces runs of whole blocks, each worker
     with its own buffers, and this thread adds the block sums in block

@@ -27,21 +27,14 @@ JUMP = 0x9e3779b97f4a7c15f39cc0605cedc835
 
 
 def _jump(bit_generator, state, index):
-    """jump_to's rule without its check, for the Monte-Carlo workers.
-
-    bench/tracer.py wraps public functions only, on one span stack, so a
-    worker thread must not call jump_to itself.
-    """
-    bit_generator.state = state
-    bit_generator.advance(index * JUMP)
-
-
-def jump_to(bit_generator, state, index):
     """Put a PCG64 bit_generator at index jumps past state, as
-    PCG64.jumped(index) of a generator at state is."""
+    PCG64.jumped(index) of a generator at state is. The one jump rule, private
+    so Monte-Carlo worker threads call no traced public function; it checks
+    the index, as PCG64.advance takes a negative one without an error."""
     if index < 0:
         raise ValueError("stream index must be non-negative")
-    _jump(bit_generator, state, index)
+    bit_generator.state = state
+    bit_generator.advance(index * JUMP)
 
 
 def derive_rng(seed, stream, index=0):
@@ -60,5 +53,5 @@ def derive_rng(seed, stream, index=0):
     key = (tag,) if index is None else (tag, 0)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
     if index:
-        jump_to(rng.bit_generator, rng.bit_generator.state, int(index))
+        _jump(rng.bit_generator, rng.bit_generator.state, int(index))
     return rng

@@ -10,7 +10,8 @@ argmax_n_step, loop_m_of_step and reevaluating_alternation are the
 optimizer's two steps and alternating loop as they were before each step
 returned the PlanOptimum grid_search picks: the n-step by np.argmax, the
 fiber-count step by a strict comparison loop, and a loop that evaluated
-each step's cell again.
+each step's cell again. They search the optimizer's n grid, stop on an
+exact repeat of (n, m_of) and hold n = N_MIN at m_of = 0, as it does.
 """
 
 import math
@@ -20,8 +21,9 @@ import numpy as np
 from fronthaul_planner.channel import PathLossModel, ShadowingModel
 from fronthaul_planner.config import SystemConfig, power_cost_params
 from fronthaul_planner.energy import GBPS_PER_BPS, symmetric_terms
-from fronthaul_planner.optimizer import (MAX_ITERS, N_MAX, N_MIN, N_STEP, TOL,
-                                         PlanOptimum, fiber_count_intermediates)
+from fronthaul_planner.optimizer import (MAX_ITERS, N_MAX, N_MIN, N_STEP,
+                                         PlanOptimum, fiber_count_intermediates,
+                                         parse_range)
 
 CFG = SystemConfig()
 NOISE_W = CFG.noise_power_w
@@ -73,7 +75,7 @@ def argmax_n_step(m_of, agg):
     """Best fiber capacity coefficient at fixed m_of; nan when m_of = 0."""
     if m_of == 0:
         return float("nan")
-    ns = np.arange(N_MIN, N_MAX + N_STEP / 2, N_STEP)
+    ns = parse_range(N_MIN, N_MAX, N_STEP)
     return float(ns[np.argmax(symmetric_terms(ns, m_of, agg)[0])])
 
 
@@ -116,8 +118,10 @@ def reevaluating_alternation(agg, init_n, init_m_of):
         if ee_cand < ee:
             break
         m_of, ee = m_cand, ee_cand
+        if m_of == 0:
+            n = N_MIN
 
-        if abs(n - n_prev) <= TOL and m_of == m_prev:
+        if n == n_prev and m_of == m_prev:
             converged = True
             break
     return PlanOptimum(n, m_of, ee, "alternating", converged)

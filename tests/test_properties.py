@@ -23,13 +23,14 @@ from fronthaul_planner.experiments import (BLOCK_ROWS, symmetric_setup,
                                            write_table)
 from fronthaul_planner.fronthaul import (UplinkSignalParams,
                                          received_signal_power)
-from fronthaul_planner.optimizer import (alternating_optimize,
-                                         optimal_m_of_closed_form,
-                                         optimal_n_closed_form)
+from fronthaul_planner.optimizer import (N_MAX, N_MIN, N_STEP,
+                                         alternating_optimize, grid_cells,
+                                         grid_search, optimal_m_of_closed_form,
+                                         optimal_n_closed_form, parse_range)
 from fronthaul_planner.rate import MC_BLOCK, mc_validate_terms, per_user_sinrs
 from fronthaul_planner.seeds import STREAMS, derive_rng
-from reference import (NOISE_W, PATH_LOSS, argmax_n_step, distances,
-                       loop_m_of_step, reevaluating_alternation)
+from reference import (NOISE_W, PATH_LOSS, SHADOWING, argmax_n_step,
+                       distances, loop_m_of_step, reevaluating_alternation)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -73,7 +74,8 @@ def test_n_step_beats_the_fine_grid(agg, data):
 
 
 # The network of the 'stopped at best seen' optimize pin: from the start
-# (2, 50) the fiber-count step lowers the objective at once.
+# (2, 50) an n-step on an np.arange grid picked 2.000000000000001, which
+# scores below 2.0, and stopped the loop at once.
 STOPS_AT_BEST_SEEN = symmetric_setup(replace(
     SystemConfig(), beta_scalar=9.9e-13, mu_fso=0.0031, eta=0.11,
     p_fh_of_w_per_gbps=0.051), 0)[1]
@@ -98,6 +100,28 @@ def test_optimizer_keeps_the_former_cells_and_bits(agg, n, share):
     new = alternating_optimize(agg, n, m_of)
     old = reevaluating_alternation(agg, n, m_of)
     assert bits(new) + (new.converged,) == bits(old) + (old.converged,)
+
+
+@SETTINGS
+@given(neighbourhood())
+@example(STOPS_AT_BEST_SEEN)
+def test_optimize_reports_a_cell_of_the_grid_of_grid(agg):
+    # the loop's n-step searches grid's own n grid, so optimize reports a
+    # cell grid evaluates: N_MIN without fiber, where every n ties and
+    # grid_search picks the smallest, and never more than grid's optimum
+    ns = parse_range(N_MIN, N_MAX, N_STEP)
+    opt = alternating_optimize(agg, 2.0, agg.m // 2)
+    best = grid_search(grid_cells(agg, ns))
+    assert opt.n_star in ns.tolist()
+    if opt.m_of_star == 0:
+        assert opt.n_star == N_MIN
+    assert opt.ee_star <= best.ee_star
+    if agg is STOPS_AT_BEST_SEEN:
+        # on an np.arange grid, n = 2.000000000000001 stopped the loop
+        # 3.3% below this optimum
+        assert (best.n_star, best.m_of_star) == (2.1, 100)
+        assert (opt.n_star, opt.m_of_star, opt.ee_star) == (
+            best.n_star, best.m_of_star, best.ee_star)
 
 
 @SETTINGS
@@ -248,6 +272,15 @@ def test_stream_index_zero_keeps_its_generator(seed):
 def test_derive_rng_rejects_bad_arguments(seed, stream, index, error):
     with pytest.raises(ValueError, match=error):
         derive_rng(seed, stream, index)
+
+
+def test_drop_blocks_reject_a_negative_drop_index():
+    # PCG64.advance takes a negative delta without an error; drop blocks
+    # jump by the same rule as derive_rng, which rejects it
+    assert np.random.PCG64(1).advance(-5) is not None
+    blocks = DropBlocks(2, 2, 100.0, PATH_LOSS, SHADOWING, 2, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        blocks.draw(-1, 1)
 
 
 def _row_loop_csv(columns):

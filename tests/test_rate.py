@@ -1,6 +1,9 @@
 """Tests for the closed-form SINR decomposition and its Monte-Carlo check."""
 
 import functools
+import importlib
+import inspect
+import pkgutil
 import sys
 import threading
 import tracemalloc
@@ -280,6 +283,64 @@ def test_monte_carlo_failure_in_a_late_block_reaches_the_caller(monkeypatch,
     monkeypatch.setattr(rate, "_mc_trial_terms", computing)
     assert _call_within(run) == (f"{failing} failed", before + 1)
     assert bad in started and max(started) < bad + 2 * MC_WORKERS
+
+
+def test_monte_carlo_workers_call_no_public_function(monkeypatch):
+    # span tracers wrap every public function of the package, and every
+    # public method (plus __post_init__) of its classes, at every import
+    # site, and keep one span stack; so the workers call numpy and private
+    # functions alone and every wrapped call runs on the calling thread
+    calls = []
+
+    def wrap(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    package = importlib.import_module("fronthaul_planner")
+    modules = [importlib.import_module(f"{package.__name__}.{info.name}")
+               for info in pkgutil.iter_modules(package.__path__)]
+    wrapped = {}
+    for mod in modules:
+        for attr, obj in list(vars(mod).items()):
+            if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                wrapped[obj] = wrap(obj, f"{mod.__name__}.{attr}")
+            elif inspect.isclass(obj):
+                for name, member in list(vars(obj).items()):
+                    if name.startswith("_") and name != "__post_init__":
+                        continue
+                    qualname = f"{mod.__name__}.{attr}.{name}"
+                    if isinstance(member, (classmethod, staticmethod)):
+                        new = type(member)(wrap(member.__func__, qualname))
+                    elif inspect.isfunction(member):
+                        new = wrap(member, qualname)
+                    else:
+                        continue
+                    monkeypatch.setattr(obj, name, new)
+    for mod in [package, *modules]:
+        for attr, obj in list(vars(mod).items()):
+            if inspect.isfunction(obj) and obj in wrapped:
+                monkeypatch.setattr(mod, attr, wrapped[obj])
+    kernel_threads = set()
+    kernel = rate._mc_trial_terms
+
+    def computing(*args, **kwargs):
+        kernel_threads.add(threading.get_ident())
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(rate, "_mc_trial_terms", computing)
+    beta, sig, dist = _small_drop(14, 4, 2)
+    # eight runs of one block each, on two workers
+    rate.mc_validate_terms(beta, sig, dist, 0, trials=8 * MC_BLOCK, seed=1,
+                           chunk=MC_BLOCK)
+    caller = threading.get_ident()
+    assert MC_WORKERS == 2 and caller not in kernel_threads
+    assert ("fronthaul_planner.seeds.derive_rng", caller) in calls
+    assert {ident for _, ident in calls} == {caller}
 
 
 # (M, K, trials) -> float.hex() of ds_sq, bu_var, each interference entry
