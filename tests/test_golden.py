@@ -45,7 +45,16 @@ place, in buffers the run reuses.
 The optimize pins were recorded before each optimizer step picked its cell
 with grid_search and the alternating loop stopped re-evaluating them. They
 hold both ends of the benchmark's beta_scalar range, M = 1000, a dearer
-fiber, a drawn gain, and a run that stops at the best point seen.
+fiber, a drawn gain, and a run that stopped at the best point seen. Four
+were recorded again when the loop's n-step took grid's n grid
+(parse_range, which holds 2.0 exactly where np.arange held
+2.000000000000001) and n became N_MIN at m_of = 0, where grid_search
+picks it: the three all-FSO pins (beta_scalar=1.1e-12*10**0.3, m=1000,
+mu_of=0.05) print n_star = 1 where they printed 1.67, 1.34 and 1.47, with
+ee_star unchanged, and 'stopped at best seen', whose n-step at (2, 50)
+picked 2.000000000000001 at 2.3e-10 bits/J below the start, now converges
+at grid's optimum (2.1, 100), 2165618.93 bits/J where it stopped at
+(2, 50), 2094688.46 bits/J. No other digest moved.
 """
 
 import hashlib
@@ -198,7 +207,8 @@ def test_configured_study_bytes_unchanged(name, seed, tmp_path, capsys):
 
 
 # pin name -> (config file text, seed) of an optimize run; the last one's
-# alternating loop stops at the best point seen, not at a stationary pair.
+# alternating loop stopped at the best point seen while its n-step searched
+# an np.arange grid, and converges at grid's optimum on grid's n grid.
 OPTIMIZE = {
     "beta_scalar=1.1e-12*10**-0.3": ("beta_scalar = 5.513059569899995e-13\n", 0),
     "beta_scalar=1.1e-12*10**0.3": ("beta_scalar = 2.194788546465767e-12\n", 0),
@@ -212,11 +222,11 @@ OPTIMIZE = {
 # pin name -> stdout sha256
 OPTIMIZE_DIGESTS = {
     "beta_scalar=1.1e-12*10**-0.3": "40f8373c260005173caae0460be4fa8bde8246ac77a234da7ba35308fc5cb986",
-    "beta_scalar=1.1e-12*10**0.3": "dd109c7ee82309c4308b4b66fff60403c94490b507e54194ba7516be2a5909c1",
-    "m=1000": "33408605f6af122be875f2d80f598e2f6cb513b153925e761a56201ae25b485a",
-    "mu_of=0.05": "e2122d3bd208f7f79eafceb3b28e15c80b230785bffb8938148e28986d6a41c8",
+    "beta_scalar=1.1e-12*10**0.3": "9d7e356b9e2a04d09906817631aec52789f04728eefb0dfa669e4a9c1034d0fb",
+    "m=1000": "550c753e5be18f0384253eb0790f462fa767707b267dedee1586f3535c200d3b",
+    "mu_of=0.05": "16f173b77e8a6a9bca67c1d3c67cd7a2df8f9089ba268f2db68b0750b1890c27",
     "beta_policy=geometric_mean": "89cbbc4bb07b9fc1536f4ce61b16f0013c285480d0b6655e1f4b4e6ebfd4903a",
-    "stopped at best seen": "ca2136ecc4fe8ae6450ab71e7892f5c16da3c1544872221adaed781fd0647d9c",
+    "stopped at best seen": "bc5c73c47038e7f2f7579b3b07ef52433c495592757b65d78fd8b056623a7a39",
 }
 
 
