@@ -8,15 +8,16 @@ the PlanOptimum grid_search picks among them, so one rule decides
 throughout: the largest EE, then the smallest n, then the smallest m_of,
 NaN cells last.
 
-The planner's n-step is exact to its grid: optimal_n_closed_form maximizes
-the symmetric objective itself on an N_STEP grid over [N_MIN, N_MAX],
-with no log-linearization. The paper's closed form for n, the
-stationarity condition of a log-linearized objective written as a
-quadratic in chi = 2^(-n c_fso), is reproduced as capacity_coeff_quadratic;
-it is reported against the planner's step, not used by it.
-
-The fiber-count step compares the stationary point of the fiber-count
-objective with both endpoints.
+The planner's steps are exact: optimal_n_closed_form maximizes the
+symmetric objective itself on an N_STEP grid over [N_MIN, N_MAX], with no
+log-linearization, and optimal_m_of_closed_form compares the endpoints 0
+and m alone, since at fixed n the objective is quasi-convex in m_of. The
+paper's closed forms are reported next to these steps, not used by them:
+capacity_coeff_quadratic, the stationarity condition of a log-linearized
+objective written as a quadratic in chi = 2^(-n c_fso), and
+fiber_count_intermediates, whose stationary point m_cont of
+(kappa1 - kappa2 m)(kappa3 + kappa4 m) minimizes SINR/P where
+kappa2 kappa4 > 0.
 """
 
 import math
@@ -152,19 +153,14 @@ def fiber_count_intermediates(n, agg):
 
 
 def optimal_m_of_closed_form(n, agg):
-    """Best fiber count at fixed n, as a PlanOptimum.
+    """Best fiber count at fixed n >= 1, as a PlanOptimum.
 
-    grid_search's pick among both endpoints 0 and m and the floor and ceil
-    of the stationary point clamped to [0, m], evaluated in one call. The
-    endpoints decide degenerate cases (kappa2 or kappa4 zero), and ties go
-    to the smaller, cheaper count.
+    grid_search's pick between the endpoints 0 and m in one call, ties to
+    the smaller count. EE, quasi-convex in m_of, peaks at no interior count.
     """
-    m_cont = fiber_count_intermediates(n, agg).m_cont
-    counts = [0, agg.m]
-    if math.isfinite(m_cont):
-        m_cont = min(max(m_cont, 0.0), agg.m)
-        counts += [math.floor(m_cont), math.ceil(m_cont)]
-    return _best_cell(float(n), counts, agg)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return _best_cell(float(n), [0, agg.m], agg)
 
 
 def parse_range(lo, hi, step):
@@ -221,7 +217,9 @@ def alternating_optimize(agg, init_n, init_m_of):
     Each half-step's PlanOptimum, EE included, is accepted only if it does
     not decrease the objective, which is evaluated here only at the start;
     a decreasing step stops the loop at the best point seen. Runs until the
-    pair is stationary or MAX_ITERS rounds; at m_of = 0 n is N_MIN, as in grid.
+    pair is stationary or MAX_ITERS rounds. At m_of = 0, where EE ignores n,
+    the n-step takes all-fiber's n, the fiber-count step's only other pick,
+    and an accepted m_of = 0 holds n = N_MIN, as in grid.
     """
     if not 0 <= init_m_of <= agg.m:
         raise ValueError("init_m_of must lie in [0, m]")
@@ -236,6 +234,8 @@ def alternating_optimize(agg, init_n, init_m_of):
             if step.ee_star < ee:
                 break
             n, ee = step.n_star, step.ee_star
+        else:
+            n = optimal_n_closed_form(agg.m, agg).n_star
         step = optimal_m_of_closed_form(n, agg)
         if step.ee_star < ee:
             break

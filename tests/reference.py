@@ -9,12 +9,12 @@ energy.symmetric_terms.
 argmax_n_step, loop_m_of_step and reevaluating_alternation are the
 optimizer's two steps and alternating loop as they were before each step
 returned the PlanOptimum grid_search picks: the n-step by np.argmax, the
-fiber-count step by a strict comparison loop, and a loop that evaluated
-each step's cell again. They search the optimizer's n grid, stop on an
-exact repeat of (n, m_of) and hold n = N_MIN at m_of = 0, as it does.
+fiber-count step by a strict comparison, and a loop that evaluated
+each step's cell again. They follow the optimizer's rules: the n grid of
+grid, a fiber-count step between the endpoints 0 and m alone, a stop on an
+exact repeat of (n, m_of), n = N_MIN held at an accepted m_of = 0, and an
+n-step at m_of = 0 that takes argmax_n_step(m, agg), all-fiber's n.
 """
-
-import math
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from fronthaul_planner.channel import PathLossModel, ShadowingModel
 from fronthaul_planner.config import SystemConfig, power_cost_params
 from fronthaul_planner.energy import GBPS_PER_BPS, symmetric_terms
 from fronthaul_planner.optimizer import (MAX_ITERS, N_MAX, N_MIN, N_STEP,
-                                         PlanOptimum, fiber_count_intermediates,
-                                         parse_range)
+                                         PlanOptimum, parse_range)
 
 CFG = SystemConfig()
 NOISE_W = CFG.noise_power_w
@@ -80,21 +79,10 @@ def argmax_n_step(m_of, agg):
 
 
 def loop_m_of_step(n, agg):
-    """Best fiber count at fixed n among 0, m and the stationary point's
-    floor and ceil; ties go to the smaller count."""
-    inter = fiber_count_intermediates(n, agg)
-    candidates = {0, int(agg.m)}
-    if math.isfinite(inter.m_cont):
-        lo = int(math.floor(inter.m_cont))
-        hi = int(math.ceil(inter.m_cont))
-        candidates.update(c for c in (lo, hi) if 0 <= c <= agg.m)
-    best = min(candidates)
-    best_ee = symmetric_terms(float(n), best, agg)[0]
-    for cand in sorted(candidates):
-        ee = symmetric_terms(float(n), cand, agg)[0]
-        if ee > best_ee:
-            best, best_ee = cand, ee
-    return best
+    """Best fiber count at fixed n between the endpoints 0 and m, by a
+    strict comparison; a tie goes to 0."""
+    ee_0, ee_m = (symmetric_terms(float(n), c, agg)[0] for c in (0, agg.m))
+    return int(agg.m) if ee_m > ee_0 else 0
 
 
 def reevaluating_alternation(agg, init_n, init_m_of):
@@ -112,6 +100,8 @@ def reevaluating_alternation(agg, init_n, init_m_of):
             if ee_cand < ee:
                 break
             n, ee = n_cand, ee_cand
+        else:
+            n = argmax_n_step(agg.m, agg)
 
         m_cand = loop_m_of_step(n, agg)
         ee_cand = float(symmetric_terms(n, m_cand, agg)[0])

@@ -103,9 +103,7 @@ def test_fiber_count_degenerate_equal_capacity():
 def test_fiber_count_closed_form_tracks_grid_on_reference():
     agg = default_agg()
     for n in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0):
-        closed = optimal_m_of_closed_form(n, agg).m_of_star
-        oracle = grid_argmax_m_of(n, agg)
-        assert abs(closed - oracle) <= 2
+        assert optimal_m_of_closed_form(n, agg).m_of_star == grid_argmax_m_of(n, agg)
 
 
 def test_fiber_count_all_fso_for_large_n():
@@ -118,7 +116,8 @@ def test_fiber_count_all_fso_for_large_n():
 
 def test_fiber_count_degenerate_power_crossover():
     # a power-hungry FSO link can make the per-link power terms cross at
-    # some n >= 1; the closed form must fall back to endpoint comparison
+    # some n >= 1, where the paper's stationary point degenerates; the
+    # endpoint step does not read it
     sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, M, K)
     pc = replace(POWER_COST, p_fh_fso=0.4, p_fh_of=0.2, mu_fso=0.003, mu_of=0.003)
     agg = aggregate_params(1.1e-12, sig, pc, M, K, C)
@@ -126,22 +125,16 @@ def test_fiber_count_degenerate_power_crossover():
     assert n_cross >= 1.0
     inter = fiber_count_intermediates(n_cross, agg)
     assert inter.kappa4 == pytest.approx(0.0, abs=1e-18)
-    closed = optimal_m_of_closed_form(n_cross, agg).m_of_star
-    oracle = grid_argmax_m_of(n_cross, agg)
-    assert abs(closed - oracle) <= 2
+    assert (optimal_m_of_closed_form(n_cross, agg).m_of_star
+            == grid_argmax_m_of(n_cross, agg))
 
 
 def test_fiber_count_closed_form_vs_grid_random_family():
     rng = np.random.default_rng(2024)
-    agree = 0
-    total = 40
-    for _ in range(total):
+    for _ in range(40):
         agg = neighborhood_agg(rng)
         n = float(rng.uniform(1.0, 6.0))
-        closed = optimal_m_of_closed_form(n, agg).m_of_star
-        oracle = grid_argmax_m_of(n, agg)
-        agree += abs(closed - oracle) <= 2
-    assert agree >= int(0.95 * total)
+        assert optimal_m_of_closed_form(n, agg).m_of_star == grid_argmax_m_of(n, agg)
 
 
 def test_parse_range():
@@ -231,6 +224,21 @@ def test_optimize_evaluates_the_objective_at_most_seven_times(monkeypatch,
     assert main(["optimize", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert 1 <= len(calls) <= 7
+
+
+def test_optimize_prints_grids_optimum_on_one_ap(tmp_path, capsys):
+    # optimize starts at m_of = 0 on one AP; it must still find the fiber
+    # grid finds, (1.45, 1), not stay at all-FSO (1, 0)
+    cfg = tmp_path / "one_ap.cfg"
+    cfg.write_text("m = 1\nk = 9\nc_fso = 3.8\np_fh_fso_w_per_gbps = 0.67\n"
+                   "p_fh_of_w_per_gbps = 0.12\nmu_of = 0.022\n")
+    optimum = {}
+    for argv in (["optimize"], ["grid", "--n", "1:10:0.01"]):
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
+        optimum[argv[0]] = [line for line in capsys.readouterr().out.splitlines()
+                            if line.startswith(("n_star", "m_of_star", "ee_star"))]
+    assert optimum["optimize"] == optimum["grid"] == [
+        "n_star = 1.45", "m_of_star = 1", "ee_star = 7495754.2 bits/J"]
 
 
 def test_argmax_invariant_to_power_scaling():

@@ -22,9 +22,11 @@ from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
 from fronthaul_planner.experiments import (BLOCK_ROWS, symmetric_setup,
                                            write_table)
 from fronthaul_planner.fronthaul import (UplinkSignalParams,
+                                         quantization_noise_var,
                                          received_signal_power)
 from fronthaul_planner.optimizer import (N_MAX, N_MIN, N_STEP,
-                                         alternating_optimize, grid_cells,
+                                         alternating_optimize,
+                                         fiber_count_intermediates, grid_cells,
                                          grid_search, optimal_m_of_closed_form,
                                          optimal_n_closed_form, parse_range)
 from fronthaul_planner.rate import MC_BLOCK, mc_validate_terms, per_user_sinrs
@@ -59,6 +61,40 @@ def test_best_fiber_count_is_an_endpoint(agg, n):
     # This is why A1's interior target (2, 48) is out of this model's reach.
     ee = symmetric_terms(n, np.arange(agg.m + 1), agg)[0]
     assert max(ee[0], ee[agg.m]) >= ee.max() * (1.0 - 1e-12)
+
+
+@SETTINGS
+@given(neighbourhood(), st.floats(1.0, 10.0), st.floats(0.0, 1.0))
+def test_paper_fiber_count_point_minimizes_sinr_over_power(agg, n, share):
+    # the paper's fiber-count form: kappa1 - kappa2 m is the SINR
+    # denominator and kappa3 + kappa4 m the power plus cost of the symmetric
+    # objective, and m_cont the stationary point of their product. Where
+    # kappa2 kappa4 > 0 the product is a downward parabola, so m_cont
+    # maximizes it and minimizes SINR/P. This is why the planner's
+    # fiber-count step compares the endpoints alone.
+    kap = fiber_count_intermediates(n, agg)
+    m = share * agg.m
+    den = (agg.l2 + (agg.m - m) * agg.alpha_fso
+           + quantization_noise_var(m * agg.alpha_of, n * agg.c_fso))
+    power = agg.gamma_ep + (agg.m - m) * agg.gamma_fso + n * m * agg.gamma_of
+    assert kap.kappa1 - kap.kappa2 * m == pytest.approx(den, rel=1e-12)
+    assert kap.kappa3 + kap.kappa4 * m == pytest.approx(power, rel=1e-12)
+    ee = agg.k * agg.b_s * np.log2(1.0 + agg.l1 / den) / power
+    assert symmetric_terms(n, m, agg)[0] == pytest.approx(ee, rel=1e-12)
+
+    curv = kap.kappa2 * kap.kappa4
+    if curv == 0.0:
+        assert np.isnan(kap.m_cont)
+        return
+    product = lambda x: (kap.kappa1 - kap.kappa2 * x) * (kap.kappa3 + kap.kappa4 * x)
+    at, far = product(kap.m_cont), product(kap.m_cont + agg.m)
+    # exactly, product(m_cont) - product(m_cont + h) = kappa2 kappa4 h^2
+    assert at - far == pytest.approx(curv * agg.m ** 2, rel=1e-6,
+                                     abs=1e-12 * max(abs(at), abs(far)))
+    if curv > 0 and 0.0 <= kap.m_cont <= agg.m:
+        sinr_over_p = lambda x: agg.l1 / product(x)
+        assert sinr_over_p(kap.m_cont) <= min(sinr_over_p(0.0),
+                                              sinr_over_p(agg.m))
 
 
 @SETTINGS
@@ -102,26 +138,33 @@ def test_optimizer_keeps_the_former_cells_and_bits(agg, n, share):
     assert bits(new) + (new.converged,) == bits(old) + (old.converged,)
 
 
+# A one-AP network, where optimize starts at m_of = 0: only an n-step taken
+# without fiber reaches grid's (1.45, 1), 0.5% above all-FSO's EE.
+ONE_AP = symmetric_setup(replace(
+    SystemConfig(), m=1, k=9, c_fso=3.8, p_fh_fso_w_per_gbps=0.67,
+    p_fh_of_w_per_gbps=0.12, mu_of=0.022), 0)[1]
+
+
 @SETTINGS
 @given(neighbourhood())
 @example(STOPS_AT_BEST_SEEN)
+@example(ONE_AP)
 def test_optimize_reports_a_cell_of_the_grid_of_grid(agg):
-    # the loop's n-step searches grid's own n grid, so optimize reports a
-    # cell grid evaluates: N_MIN without fiber, where every n ties and
-    # grid_search picks the smallest, and never more than grid's optimum
+    # the loop's n-step searches grid's own n grid and its fiber-count step
+    # both endpoints, the only counts that can win, so from optimize's
+    # start it reports grid's optimum bit for bit: N_MIN without fiber,
+    # where every n ties and grid_search picks the smallest
     ns = parse_range(N_MIN, N_MAX, N_STEP)
     opt = alternating_optimize(agg, 2.0, agg.m // 2)
     best = grid_search(grid_cells(agg, ns))
-    assert opt.n_star in ns.tolist()
-    if opt.m_of_star == 0:
-        assert opt.n_star == N_MIN
-    assert opt.ee_star <= best.ee_star
+    bits = lambda o: (o.n_star, o.m_of_star, o.ee_star.hex())
+    assert bits(opt) == bits(best)
+    if agg is ONE_AP:
+        assert (best.n_star, best.m_of_star) == (1.45, 1)
     if agg is STOPS_AT_BEST_SEEN:
         # on an np.arange grid, n = 2.000000000000001 stopped the loop
         # 3.3% below this optimum
         assert (best.n_star, best.m_of_star) == (2.1, 100)
-        assert (opt.n_star, opt.m_of_star, opt.ee_star) == (
-            best.n_star, best.m_of_star, best.ee_star)
 
 
 @SETTINGS
