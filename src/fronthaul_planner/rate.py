@@ -6,7 +6,9 @@ channel (a use-and-forget style bound). The resulting SINR splits into a
 coherent-gain numerator and three variance terms: beamforming uncertainty,
 inter-user interference and aggregated receiver plus quantization noise.
 Each term has a closed form in the link gains, checked here term by term
-against simulation.
+against simulation. The rate sees receiver noise and quantization
+distortion only through their sum, so the simulation draws them as one
+circular Gaussian per AP of variance delta_sq + D.
 """
 
 from collections import deque
@@ -19,21 +21,21 @@ from .seeds import _jump, derive_rng
 
 # Memory budget of the Monte-Carlo draws when no chunk size is given,
 # shared evenly by the MC_WORKERS workers. Per trial a worker peaks at 16
-# bytes a link (its fading draws), 48 an AP (noise and quantization draws,
-# combiner column) and 40 a term row (cross terms and their squares, term
-# rows): fitted with tracemalloc, the default chunk then peaks at 0.46-0.99
-# of the budget over M in 1-100, K in 1-20. It stays below 1 because a
-# worker draws whole blocks at once when it can, and a share that holds
-# less than two blocks holds one.
+# bytes a link (its fading draws), 32 an AP (its noise column draw and
+# combiner column) and 48 a term row (the row, its cross term and their
+# squares): fitted with tracemalloc, the default chunk then peaks at
+# 0.47-0.99 of the budget over M in 1-100, K in 1-20. It stays below 1
+# because a worker draws whole blocks at once when it can, and a share
+# that holds less than two blocks holds one.
 MC_CHUNK_BYTES = 2 ** 23
 MC_LINK_BYTES = 16
-MC_AP_BYTES = 48
-MC_ROW_BYTES = 40
+MC_AP_BYTES = 32
+MC_ROW_BYTES = 48
 
 # Trials per block. Block b is trials [b MC_BLOCK, (b + 1) MC_BLOCK), drawn
-# from index b of the three Monte-Carlo streams and summed on its own, so
-# every block sum, and their sum in block order, are the same bits however
-# the blocks are chunked and whichever worker draws them.
+# from index b of the "mc_channel" stream and summed on its own, so every
+# block sum, and their sum in block order, are the same bits however the
+# blocks are chunked and whichever worker draws them.
 MC_BLOCK = 256
 
 # Threads that draw and reduce trial blocks.
@@ -134,70 +136,57 @@ def _pairs(scale):
     return np.repeat(scale[..., None], 2, axis=-1)
 
 
-def _mc_trial_terms(parts, noise, scales, power, k, out):
+def _mc_trial_terms(parts, scale, power, k, out):
     """The terms of t trials, one column per trial, written into out.
 
-    parts holds the trials' fading standard normals (t, M, K, 2), noise
-    their receiver and quantization noise standard normals (2, t, M, 2),
-    scales the (..., 2) factors of the three, and power is rho_u eta. Rows
-    of out (K + 3, t): a = amp_k sum_m |g_mk|^2, a^2, |amp_j cross_j|^2 for
-    each user j, and |v|^2. Each (..., 2) block of standard normals is
-    viewed as complex and scaled in place, so beside the draws a call holds
-    only a few arrays of M or K entries per trial, all freed on return.
+    parts holds the trials' standard normals (t, M, K + 1, 2): the fading
+    of each link, then each AP's receiver plus quantization noise in column
+    K. scale is their (M, K + 1, 2) factor and power is rho_u eta with a 1
+    appended. Rows of out (K + 3, t): a = amp_k sum_m |g_mk|^2, a^2,
+    |amp_j cross_j|^2 for each user j, and |v|^2. The normals are viewed
+    as complex and scaled in place, and one product conj(g_k) @ [g | w + q]
+    gives the cross terms and v, so beside the draws a call holds only a
+    few arrays of M or K entries per trial, all freed on return.
     """
-    h_scale, w_scale, q_scale = scales
-    wq, q = noise
-    parts *= h_scale
+    parts *= scale
     g = parts.view(np.complex128)[..., 0]
-    wq *= w_scale
-    q *= q_scale
-    wq += q
-
-    gk_conj = np.conj(g[:, :, k])[:, None, :]
-    cross = (gk_conj @ g)[:, 0, :]
-    v = (gk_conj @ wq.view(np.complex128))[:, 0, 0]
-    # cross_k = sum_m |g_mk|^2
+    cross = (np.conj(g[:, :, k])[:, None, :] @ g)[:, 0, :]
+    # cross_k = sum_m |g_mk|^2, cross_K = v
     out[0] = np.sqrt(power[k]) * cross[:, k].real
     out[1] = out[0] ** 2
-    out[2:-1] = (power * (cross.real ** 2 + cross.imag ** 2)).T
-    out[-1] = v.real ** 2 + v.imag ** 2
+    out[2:] = (power * (cross.real ** 2 + cross.imag ** 2)).T
 
 
 class _McWorker:
-    """One Monte-Carlo worker: its own generators of the three streams and
-    draw buffers of piece trials, reused for every run of blocks it takes."""
+    """One Monte-Carlo worker: its own generator of the "mc_channel" stream
+    and a draw buffer of piece trials, reused for every run of blocks it
+    takes."""
 
     def __init__(self, seed, piece, span, m, n_users):
-        self.streams = [derive_rng(seed, name)
-                        for name in ("mc_channel", "mc_noise", "mc_quant")]
-        self.starts = [rng.bit_generator.state for rng in self.streams]
-        self.fading = np.empty((piece, m, n_users, 2))
-        self.noise = np.empty((2, piece, m, 2))
+        self.rng = derive_rng(seed, "mc_channel")
+        self.start = self.rng.bit_generator.state
+        self.draws = np.empty((piece, m, n_users + 1, 2))
         self.terms = np.empty((n_users + 3, span))
 
     def block_sums(self, start, stop, kernel_args):
         """Term sums of the blocks of trials [start, stop), start the first
         trial of a block: one row per block, in block order.
 
-        The trials are drawn piece by piece, each block from index b of
-        every stream from its first trial on, so a block drawn in several
-        pieces continues its streams from one piece to the next.
+        The trials are drawn piece by piece, each block from index b of the
+        stream from its first trial on, so a block drawn in several pieces
+        continues its stream from one piece to the next.
         """
-        rng_h, rng_w, rng_q = self.streams
-        piece = len(self.fading)
+        piece = len(self.draws)
         for lo in range(start, stop, piece):
             hi = min(lo + piece, stop)
             for b in range(lo // MC_BLOCK, (hi - 1) // MC_BLOCK + 1):
                 first = max(lo, b * MC_BLOCK)
                 if first == b * MC_BLOCK:
-                    for rng, state in zip(self.streams, self.starts):
-                        _jump(rng.bit_generator, state, b)
+                    _jump(self.rng.bit_generator, self.start, b)
                 at = slice(first - lo, min(hi, (b + 1) * MC_BLOCK) - lo)
-                rng_h.standard_normal(out=self.fading[at])
-                rng_w.standard_normal(out=self.noise[0, at])
-                rng_q.standard_normal(out=self.noise[1, at])
-            _mc_trial_terms(self.fading[:hi - lo], self.noise[:, :hi - lo],
-                            *kernel_args, out=self.terms[:, lo - start:hi - start])
+                self.rng.standard_normal(out=self.draws[at])
+            _mc_trial_terms(self.draws[:hi - lo], *kernel_args,
+                            out=self.terms[:, lo - start:hi - start])
         n = stop - start
         full = n - n % MC_BLOCK
         terms = self.terms[:, :n]
@@ -214,18 +203,22 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     and Gaussian quantization noise each trial and estimates every term of
     the closed-form decomposition. The quantization noise at AP m has
     variance distortions[m] in every trial: the distortion sized from the
-    statistical mean of the received power, as in the closed form.
+    statistical mean of the received power, as in the closed form. Receiver
+    noise w and quantization noise q are independent circular Gaussians, so
+    w + q is one circular Gaussian of variance delta_sq + D; each AP draws
+    it as one more column of its channel, and every estimated term has the
+    distribution it has with w and q drawn apart.
 
-    Trials come in blocks of MC_BLOCK: block b draws its fading, receiver
-    noise and quantization noise from index b of the "mc_channel",
-    "mc_noise" and "mc_quant" streams of the seed (b jumps of each
-    stream's index-0 generator, by seeds._jump), so a run of at most
-    MC_BLOCK trials draws what index 0 alone gives. A fixed pool of
-    MC_WORKERS threads draws and reduces runs of whole blocks, each worker
-    with its own buffers, and this thread adds the block sums in block
-    order. The result is therefore deterministic given the seed, which
-    must be an integer, and exactly independent of the chunk size, the
-    worker count and the scheduling.
+    Trials come in blocks of MC_BLOCK: block b draws its (M, K + 1)
+    standard normal pairs, fading then noise, from index b of the
+    "mc_channel" stream of the seed (b jumps of the stream's index-0
+    generator, by seeds._jump), so a run of at most MC_BLOCK trials draws
+    what index 0 alone gives. A fixed pool of MC_WORKERS threads draws and
+    reduces runs of whole blocks, each worker with its own buffers, and
+    this thread adds the block sums in block order. The result is
+    therefore deterministic given the seed, which must be an integer, and
+    exactly independent of the chunk size, the worker count and the
+    scheduling.
 
     chunk is the most trials a worker draws at once: a worker takes runs of
     chunk // MC_BLOCK whole blocks, or one block in pieces of chunk trials
@@ -241,7 +234,7 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
         raise ValueError("trials must be at least 1")
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, not {type(seed).__name__}: "
-                         "each trial block is drawn from jumped streams of "
+                         "each trial block is drawn from a jumped stream of "
                          "the seed, on any worker")
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
     D = np.atleast_1d(np.asarray(distortions, dtype=float))
@@ -258,9 +251,9 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     # drawn in pieces of at most chunk trials
     span = min(max(1, chunk // MC_BLOCK) * MC_BLOCK, trials)
     piece = min(chunk, span)
-    scales = (_pairs(np.sqrt(beta / 2.0)), _pairs(np.sqrt(sig.delta_sq / 2.0)),
-              _pairs(np.sqrt(D / 2.0)))
-    kernel_args = (scales, sig.rho_u * sig.eta, k)
+    variances = np.column_stack((beta, np.broadcast_to(sig.delta_sq + D, m)))
+    kernel_args = (_pairs(np.sqrt(variances / 2.0)),
+                   np.append(sig.rho_u * sig.eta, 1.0), k)
 
     idle = SimpleQueue()
     for _ in range(min(MC_WORKERS, -(-trials // span))):

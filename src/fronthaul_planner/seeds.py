@@ -12,12 +12,11 @@ every index of a stream by setting a state and advancing it.
 import numpy as np
 
 # Fixed stream tags. Changing them invalidates reproducibility of stored runs.
+# Tags 3, 5 and 6 belonged to retired streams and stay unused.
 STREAMS = {
     "topology": 1,
     "shadowing": 2,
     "mc_channel": 4,
-    "mc_noise": 5,
-    "mc_quant": 6,
     "drop": 7,
     "validate_user": 99,
 }

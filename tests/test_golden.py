@@ -111,13 +111,14 @@ def test_csv_bytes_unchanged(name, seed, tmp_path, capsys):
 
 # argv -> (exit code, stdout sha256). The validate run fails its 2% gate at
 # 5000 trials; the pinned report includes the FAIL line and exit code 1.
-# Its digest was recorded again when Monte-Carlo trial blocks 1 on began
-# to draw from jumped streams (block b from b jumps of each stream), which
-# moves every draw past trial 256: the worst term went from ds_sq at
-# 2.315% to interference_var[0] at 3.246%, still a FAIL.
+# Its digest was recorded again when each AP's receiver plus quantization
+# noise became one more column of the "mc_channel" draws (one Gaussian of
+# variance delta_sq + D), which moves every draw: the worst term went from
+# interference_var[0] at 3.246% to interference_var[0] at 3.947%, still a
+# FAIL.
 STDOUT_DIGESTS = {
     ("validate", "--m", "8", "--k", "3", "--trials", "5000", "--seed", "5"):
-        (1, "5fa5ab5af264fc07295b9ab7c22177a8593370561467b71111c430d0347bef73"),
+        (1, "7b58e9a83d2fcd0586a4c51e97df2dd16a213c66846e4a3446def12fd7be1248"),
     ("optimize", "--seed", "0"):
         (0, "252033712cd954d4a1b56874ae4f50bdf6e87bbe527e28a25eed0ce2b1a2f701"),
 }
@@ -131,14 +132,15 @@ def test_stdout_bytes_unchanged(argv, tmp_path, capsys):
 
 
 def test_validate_within_one_trial_block_keeps_its_stdout(tmp_path, capsys):
-    # recorded before Monte-Carlo trial blocks were drawn from jumped
-    # streams: block 0 is the streams' index-0 generator, so a run of at
-    # most MC_BLOCK trials keeps every byte
+    # block 0 is the stream's index-0 generator, so a run of at most
+    # MC_BLOCK trials draws what one generator gives. Recorded again when
+    # the noise became column K of the "mc_channel" draws: the worst term
+    # went from noise_var at 8.782% to noise_var at 10.091%
     argv = ["validate", "--m", "8", "--k", "3", "--trials", "256", "--seed", "5"]
     code = main(argv + ["--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
-        1, "e81701e88553b9408ef639183bed1d804fce44a5d59a60ff34cf0dd36e85af1d")
+        1, "f316040099d2b1917961798ebb1da63423824ab43eec467eb0c969d28c20659c")
 
 
 # seed -> float.hex() of the geometric_mean gain of the reference network

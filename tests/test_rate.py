@@ -345,29 +345,32 @@ def test_monte_carlo_workers_call_no_public_function(monkeypatch):
 
 # (M, K, trials) -> float.hex() of ds_sq, bu_var, each interference entry
 # and noise_var for the last user of _pinned_drop(M, K) at seed M + trials.
-# Recorded before trial blocks were drawn from jumped streams; a run of at
-# most MC_BLOCK trials is block 0 alone and keeps its bits.
+# Recorded again when each AP's receiver plus quantization noise became
+# column K of the "mc_channel" draws, one Gaussian of variance
+# delta_sq + D instead of two from the retired "mc_noise" and "mc_quant"
+# streams: every draw of block 0 moved. A run of at most MC_BLOCK trials
+# is block 0 alone.
 MC_BITS = {
-    (4, 2, 100): ['0x1.90a05ce540ddfp-78', '0x1.472e62f4fdee6p-79', '0x1.a2db6b78bb7e5p-80',
-                  '0x0.0p+0', '0x1.cfb3b8365db86p-79'],
-    (4, 2, 256): ['0x1.6d921e2683661p-78', '0x1.621281b3c578ap-79', '0x1.9fb86fc6ff1adp-80',
-                  '0x0.0p+0', '0x1.4afb241fcf0cfp-79'],
-    (20, 4, 100): ['0x1.e75aa1ebdd404p-75', '0x1.afaa5c67a06d0p-78', '0x1.86b629a026288p-78',
-                   '0x1.06fba09e18147p-79', '0x1.9fca07b0f3ffbp-79', '0x0.0p+0',
-                   '0x1.9577614bde673p-76'],
-    (20, 4, 256): ['0x1.0e2b55217d42dp-74', '0x1.b83fba8e8ecf0p-78', '0x1.c25326985350ap-78',
-                   '0x1.134d1c14e0f60p-79', '0x1.8dcaeeb4aab64p-79', '0x0.0p+0',
-                   '0x1.a201b1081a7b2p-76'],
-    (100, 10, 100): ['0x1.398e13b69e624p-69', '0x1.0c2675c660de0p-74', '0x1.1e63eae3a6b29p-75',
-                     '0x1.e883b34d149a1p-76', '0x1.0b84e0c3a20fdp-76', '0x1.09f5db1435264p-76',
-                     '0x1.131fa975a504cp-76', '0x1.a7184a1b97171p-75', '0x1.b141bce21332dp-75',
-                     '0x1.bcbed71185066p-76', '0x1.200c71ba4d4b1p-75', '0x0.0p+0',
-                     '0x1.3051487a23720p-73'],
-    (100, 10, 256): ['0x1.3edb7c7c9aa8cp-69', '0x1.c42c641af3cc0p-75', '0x1.3cadf365f5193p-75',
-                     '0x1.894fc38cf36cep-76', '0x1.16dccfed19cd8p-76', '0x1.1a57ca66621e1p-76',
-                     '0x1.03112b8140017p-76', '0x1.f55bdbb56967ep-75', '0x1.add5415db573ap-75',
-                     '0x1.92a144055de46p-76', '0x1.2bf0ce386b339p-75', '0x0.0p+0',
-                     '0x1.29e4b7013037dp-73'],
+    (4, 2, 100): ['0x1.a85c5c9e7587ep-78', '0x1.84ec9cc3705ecp-79', '0x1.b738f320f0fdcp-80',
+                  '0x0.0p+0', '0x1.d5977062359d2p-79'],
+    (4, 2, 256): ['0x1.873f647c2216dp-78', '0x1.623c4c4dda27ep-79', '0x1.9ea9bc869743bp-80',
+                  '0x0.0p+0', '0x1.aae5b8b87cc5ap-79'],
+    (20, 4, 100): ['0x1.f10d0a7e50264p-75', '0x1.db31ea3f780c0p-78', '0x1.e7cd8872d7283p-78',
+                   '0x1.97aff61001364p-80', '0x1.89bd96b88fb66p-79', '0x0.0p+0',
+                   '0x1.a1216164c4843p-76'],
+    (20, 4, 256): ['0x1.021b397735de1p-74', '0x1.be0fe1446b150p-78', '0x1.b3327a21782bcp-78',
+                   '0x1.3022d0bcb7e86p-79', '0x1.a593127af3aa8p-79', '0x0.0p+0',
+                   '0x1.7eb94c5682c40p-76'],
+    (100, 10, 100): ['0x1.409ccb7e4439ap-69', '0x1.e61a9720e90c0p-75', '0x1.1b4f994973f16p-75',
+                     '0x1.d79d74fb89205p-76', '0x1.3a503a6545f46p-76', '0x1.158c6d3eb3257p-76',
+                     '0x1.ef3a8077d21e4p-77', '0x1.ba99b5c09b28fp-75', '0x1.71f5f99363206p-75',
+                     '0x1.aa6448a5b09e3p-76', '0x1.dd44402e06541p-76', '0x0.0p+0',
+                     '0x1.1cea32636c08fp-73'],
+    (100, 10, 256): ['0x1.39b51412eb97cp-69', '0x1.9c83f1752abc0p-75', '0x1.12ab4f5c00c93p-75',
+                     '0x1.b4b84c58687dap-76', '0x1.0eab240bbc6e2p-76', '0x1.1678e6ebc66c6p-76',
+                     '0x1.ee1783f366e5cp-77', '0x1.a3a15c18b7b66p-75', '0x1.d7d1692e94eb8p-75',
+                     '0x1.d8523e57829bep-76', '0x1.ce19152ccc777p-76', '0x0.0p+0',
+                     '0x1.19e26cb799251p-73'],
 }
 
 
@@ -388,7 +391,7 @@ def test_monte_carlo_bits_of_the_first_block_are_pinned(m, k, trials):
 
 
 def test_monte_carlo_rejects_a_generator_seed():
-    # each block is drawn from jumped streams of the seed, on whichever
+    # each block is drawn from a jumped stream of the seed, on whichever
     # worker takes it; one generator would be drawn in a worker-dependent
     # order
     beta, sig, dist = _small_drop(14, 4, 2)
@@ -444,32 +447,27 @@ def test_monte_carlo_rejects_empty_chunk():
 def _plain_mc_terms(beta, sig, D, k, trials, seed):
     """The Monte-Carlo estimate written out plainly, all trials in one chunk.
 
-    Complex fading, noise and quantization from the same three streams,
-    each block of MC_BLOCK trials from numpy's own PCG64.jumped, built
-    component by component; the reference the kernel is checked against.
+    Complex fading and, in column K, each AP's receiver plus quantization
+    noise, from the "mc_channel" stream, each block of MC_BLOCK trials from
+    numpy's own PCG64.jumped, built component by component; the reference
+    the kernel is checked against.
     """
     m, n_users = beta.shape
-
-    def draws(tag, shape):
-        # block b of a stream: b jumps of its (tag, 0) generator
-        first = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(tag, 0)))
-        return np.concatenate([
-            np.random.Generator(first.jumped(b)).standard_normal(
-                (min(MC_BLOCK, trials - start),) + shape)
-            for b, start in enumerate(range(0, trials, MC_BLOCK))])
-
-    parts = draws(4, (m, n_users, 2))
-    g = np.sqrt(beta) * (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
-    wparts = draws(5, (m, 2))
-    w = np.sqrt(sig.delta_sq) * (wparts[..., 0] + 1j * wparts[..., 1]) / np.sqrt(2.0)
-    qparts = draws(6, (m, 2))
-    q = np.sqrt(D) * (qparts[..., 0] + 1j * qparts[..., 1]) / np.sqrt(2.0)
+    # block b: b jumps of the stream's (tag, 0) generator
+    first = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(4, 0)))
+    parts = np.concatenate([
+        np.random.Generator(first.jumped(b)).standard_normal(
+            (min(MC_BLOCK, trials - start), m, n_users + 1, 2))
+        for b, start in enumerate(range(0, trials, MC_BLOCK))])
+    z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
+    g = np.sqrt(beta) * z[:, :, :n_users]
+    wq = np.sqrt(sig.delta_sq + D) * z[:, :, n_users]
 
     amp = np.sqrt(sig.rho_u * sig.eta)
     g_k = g[:, :, k]
     a = amp[k] * np.sum(np.abs(g_k) ** 2, axis=1)
     cross = np.einsum("tmj,tm->tj", g, np.conj(g_k))
-    v = np.sum((w + q) * np.conj(g_k), axis=1)
+    v = np.sum(wq * np.conj(g_k), axis=1)
     ds_sq = np.mean(a) ** 2
     interference = np.mean(np.abs(amp * cross) ** 2, axis=0)
     interference[k] = 0.0
