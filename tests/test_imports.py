@@ -1,6 +1,7 @@
-"""Every name a module imports is used, and every private function or class
-of the package is referenced in it: a stale import or helper fails the suite.
-Importing the CLI stays cheap: numpy.random loads only when a command draws."""
+"""Every name a module imports is used, every private function or class of
+the package is referenced in it, and every seed stream is drawn from: a
+stale import, helper or stream fails the suite. Importing the CLI stays
+cheap: numpy.random loads only when a command draws."""
 
 import ast
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import fronthaul_planner
+from fronthaul_planner.seeds import STREAMS
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(ROOT.glob("src/fronthaul_planner/*.py"))
@@ -77,6 +79,36 @@ def test_unreferenced_private_defs_are_found():
 
 def test_every_private_def_is_referenced():
     assert unreferenced_private_defs([p.read_text() for p in SOURCES]) == []
+
+
+def drawn_streams(sources):
+    """The stream argument of every derive_rng call in the sources: its
+    string, or None where it is not a string literal."""
+    streams = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "derive_rng"):
+                args = node.args[1:2] + [kw.value for kw in node.keywords
+                                         if kw.arg == "stream"]
+                streams += [arg.value if isinstance(arg, ast.Constant) else None
+                            for arg in args]
+    return streams
+
+
+def test_drawn_streams_are_found():
+    sources = ['derive_rng(1, "a")\nderive_rng(s, "b", index=2)\n',
+               'derive_rng(s, stream="c")\nderive_rng(s, name)\nrng("d")\n']
+    assert drawn_streams(sources) == ["a", "b", "c", None]
+
+
+def test_every_stream_is_drawn_and_tags_are_unique():
+    # a stream that nothing draws from must leave STREAMS, and no two
+    # streams share a tag
+    drawn = drawn_streams([p.read_text() for p in SOURCES])
+    assert None not in drawn
+    assert set(drawn) == set(STREAMS)
+    assert len(set(STREAMS.values())) == len(STREAMS)
 
 
 def test_every_exported_name_resolves():

@@ -124,14 +124,16 @@ def test_monte_carlo_matches_closed_form_terms():
     dist = rng.uniform(5e-14, 5e-13, m)
     closed = sinr_closed_form(beta, sig, dist, 0)
     emp = mc_validate_terms(beta, sig, dist, 0, trials=40_000, seed=123)
-    # 40k trials put the estimator sd near 1%; 5% is a 4-5 sigma band
-    assert emp.ds_sq == pytest.approx(closed.ds_sq, rel=0.05)
-    assert emp.bu_var == pytest.approx(closed.bu_var, rel=0.05)
-    assert emp.noise_var == pytest.approx(closed.noise_var, rel=0.05)
+    # 40k trials put the estimator sd near 1%; 5% is a 4-5 sigma band.
+    # abs=0: approx's default absolute band, 1e-12, would pass any
+    # estimate of terms near 1e-24
+    assert emp.ds_sq == pytest.approx(closed.ds_sq, rel=0.05, abs=0)
+    assert emp.bu_var == pytest.approx(closed.bu_var, rel=0.05, abs=0)
+    assert emp.noise_var == pytest.approx(closed.noise_var, rel=0.05, abs=0)
     for j in (1, 2):
         assert emp.interference_var[j] == pytest.approx(
-            closed.interference_var[j], rel=0.05)
-    assert emp.sinr == pytest.approx(closed.sinr, rel=0.05)
+            closed.interference_var[j], rel=0.05, abs=0)
+    assert emp.sinr == pytest.approx(closed.sinr, rel=0.05, abs=0)
 
 
 def test_monte_carlo_zero_noise_limit():
@@ -140,6 +142,22 @@ def test_monte_carlo_zero_noise_limit():
     sig = UplinkSignalParams(0.1, np.full(k, 0.5), np.zeros(m))
     emp = mc_validate_terms(beta, sig, np.zeros(m), 0, trials=2000, seed=1)
     assert emp.noise_var == 0.0
+
+
+@pytest.mark.parametrize("keep", ["delta_sq", "D"])
+def test_monte_carlo_noise_column_carries_both_variances(keep):
+    # each AP's one noise column has variance delta_sq + D: with either
+    # part zero, the estimate still follows the closed form's sum
+    rng = np.random.default_rng(6)
+    m, k = 10, 3
+    beta = 10.0 ** rng.uniform(-13, -12, size=(m, k))
+    delta_sq = np.full(m, 6.36e-13) * (keep == "delta_sq")
+    sig = UplinkSignalParams(0.1, rng.uniform(0.3, 1.0, k), delta_sq)
+    dist = rng.uniform(5e-14, 5e-13, m) * (keep == "D")
+    closed = sinr_closed_form(beta, sig, dist, 0)
+    emp = mc_validate_terms(beta, sig, dist, 0, trials=40_000, seed=123)
+    assert closed.noise_var > 0
+    assert emp.noise_var == pytest.approx(closed.noise_var, rel=0.05, abs=0)
 
 
 def test_monte_carlo_deterministic_and_chunk_invariant():
