@@ -6,9 +6,11 @@ channel (a use-and-forget style bound). The resulting SINR splits into a
 coherent-gain numerator and three variance terms: beamforming uncertainty,
 inter-user interference and aggregated receiver plus quantization noise.
 Each term has a closed form in the link gains, checked here term by term
-against simulation. The rate sees receiver noise and quantization
-distortion only through their sum, so the simulation draws them as one
-circular Gaussian per AP of variance delta_sq + D.
+against simulation. The simulation draws each trial's terms in law: they
+depend on user k's fading only through |g_mk|^2 = beta_mk E_m, and given
+those, each cross term and the combined noise are independent circular
+Gaussians whose squared magnitudes are their variances times standard
+exponentials. So a trial draws M + K standard exponentials.
 """
 
 from collections import deque
@@ -20,17 +22,16 @@ import numpy as np
 from .seeds import _jump, derive_rng
 
 # Memory budget of the Monte-Carlo draws when no chunk size is given,
-# shared evenly by the MC_WORKERS workers. Per trial a worker peaks at 16
-# bytes a link (its fading draws), 32 an AP (its noise column draw and
-# combiner column) and 48 a term row (the row, its cross term and their
-# squares): fitted with tracemalloc, the default chunk then peaks at
-# 0.47-0.99 of the budget over M in 1-100, K in 1-20. It stays below 1
-# because a worker draws whole blocks at once when it can, and a share
-# that holds less than two blocks holds one.
+# shared evenly by the MC_WORKERS workers. Per trial a worker peaks at 8
+# bytes an AP (its exponential E_m) and 40 a term row (the row, a user's X
+# draw, its variance c_j, the gathered X and their product): fitted with
+# tracemalloc, the default chunk then peaks at 0.58-0.98 of the budget over
+# M in 1-100, K in 1-20. It stays below 1 because a worker draws whole
+# blocks at once when it can, and a share that holds less than two blocks
+# holds one.
 MC_CHUNK_BYTES = 2 ** 23
-MC_LINK_BYTES = 16
-MC_AP_BYTES = 32
-MC_ROW_BYTES = 48
+MC_AP_BYTES = 8
+MC_ROW_BYTES = 40
 
 # Trials per block. Block b is trials [b MC_BLOCK, (b + 1) MC_BLOCK), drawn
 # from index b of the "mc_channel" stream and summed on its own, so every
@@ -127,34 +128,27 @@ def achievable_rates(beta, sig, distortions):
     return rate_from_sinr(per_user_sinrs(beta, sig, distortions))
 
 
-def _pairs(scale):
-    """Repeat scale over the two real components of each complex entry.
-
-    A full (..., 2) factor keeps the in-place products on contiguous inner
-    loops; a broadcast length-1 axis would run them two elements at a time.
-    """
-    return np.repeat(scale[..., None], 2, axis=-1)
-
-
-def _mc_trial_terms(parts, scale, power, k, out):
+def _mc_trial_terms(draws, weights, power, k, out):
     """The terms of t trials, one column per trial, written into out.
 
-    parts holds the trials' standard normals (t, M, K + 1, 2): the fading
-    of each link, then each AP's receiver plus quantization noise in column
-    K. scale is their (M, K + 1, 2) factor and power is rho_u eta with a 1
-    appended. Rows of out (K + 3, t): a = amp_k sum_m |g_mk|^2, a^2,
-    |amp_j cross_j|^2 for each user j, and |v|^2. The normals are viewed
-    as complex and scaled in place, and one product conj(g_k) @ [g | w + q]
-    gives the cross terms and v, so beside the draws a call holds only a
-    few arrays of M or K entries per trial, all freed on return.
+    draws holds the trials' standard exponentials (t, M + K): E_m of each
+    AP, then X_j of each user j != k in user order, then X_v of the noise.
+    weights (M, K + 1) maps E to the variances c: column j != k is
+    beta_mk beta_mj, column k is beta_mk and column K is
+    beta_mk (delta_sq + D_m). power is rho_u eta with a 1 appended. Rows of
+    out (K + 3, t): a = amp_k c_k (amp_k sum_m |g_mk|^2), a^2,
+    |amp_j cross_j|^2 = p_j c_j X_j for each user j (a^2 at j = k) and
+    |v|^2 = c_K X_v. c takes one product per trial, so its bits do not
+    depend on how many trials a call holds.
     """
-    parts *= scale
-    g = parts.view(np.complex128)[..., 0]
-    cross = (np.conj(g[:, :, k])[:, None, :] @ g)[:, 0, :]
-    # cross_k = sum_m |g_mk|^2, cross_K = v
-    out[0] = np.sqrt(power[k]) * cross[:, k].real
+    m = len(weights)
+    c = (draws[:, None, :m] @ weights)[:, 0]
+    # user j's X is column m + j, less one past k; v's is the last
+    x = draws[:, m + np.arange(len(power)) - (np.arange(len(power)) > k)]
+    out[0] = np.sqrt(power[k]) * c[:, k]
     out[1] = out[0] ** 2
-    out[2:] = (power * (cross.real ** 2 + cross.imag ** 2)).T
+    out[2:] = (power * c * x).T
+    out[2 + k] = out[1]
 
 
 class _McWorker:
@@ -165,7 +159,7 @@ class _McWorker:
     def __init__(self, seed, piece, span, m, n_users):
         self.rng = derive_rng(seed, "mc_channel")
         self.start = self.rng.bit_generator.state
-        self.draws = np.empty((piece, m, n_users + 1, 2))
+        self.draws = np.empty((piece, m + n_users))
         self.terms = np.empty((n_users + 3, span))
 
     def block_sums(self, start, stop, kernel_args):
@@ -184,7 +178,7 @@ class _McWorker:
                 if first == b * MC_BLOCK:
                     _jump(self.rng.bit_generator, self.start, b)
                 at = slice(first - lo, min(hi, (b + 1) * MC_BLOCK) - lo)
-                self.rng.standard_normal(out=self.draws[at])
+                self.rng.standard_exponential(out=self.draws[at])
             _mc_trial_terms(self.draws[:hi - lo], *kernel_args,
                             out=self.terms[:, lo - start:hi - start])
         n = stop - start
@@ -203,22 +197,28 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     and Gaussian quantization noise each trial and estimates every term of
     the closed-form decomposition. The quantization noise at AP m has
     variance distortions[m] in every trial: the distortion sized from the
-    statistical mean of the received power, as in the closed form. Receiver
-    noise w and quantization noise q are independent circular Gaussians, so
-    w + q is one circular Gaussian of variance delta_sq + D; each AP draws
-    it as one more column of its channel, and every estimated term has the
-    distribution it has with w and q drawn apart.
+    statistical mean of the received power, as in the closed form.
 
-    Trials come in blocks of MC_BLOCK: block b draws its (M, K + 1)
-    standard normal pairs, fading then noise, from index b of the
-    "mc_channel" stream of the seed (b jumps of the stream's index-0
-    generator, by seeds._jump), so a run of at most MC_BLOCK trials draws
-    what index 0 alone gives. A fixed pool of MC_WORKERS threads draws and
-    reduces runs of whole blocks, each worker with its own buffers, and
-    this thread adds the block sums in block order. The result is
-    therefore deterministic given the seed, which must be an integer, and
-    exactly independent of the chunk size, the worker count and the
-    scheduling.
+    Each trial is drawn in law. With g_mk = sqrt(beta_mk) z_mk,
+    |g_mk|^2 = beta_mk E_m for a standard exponential E_m. Given user k's
+    fading, each cross term sum_m conj(g_mk) g_mj (j != k) and the
+    combined noise v = sum_m conj(g_mk) (w_m + q_m) are independent
+    circular Gaussians of variance c_j = sum_m beta_mk E_m beta_mj and
+    c_K = sum_m beta_mk E_m (delta_sq_m + D_m), and the squared magnitude
+    of such a Gaussian is its variance times a standard exponential. So a
+    trial draws M + K standard exponentials, and every estimated term has
+    the distribution it has with the complex fading and noise drawn.
+
+    Trials come in blocks of MC_BLOCK: block b draws its M + K standard
+    exponentials a trial, E_1..E_M, then one X per other user in user
+    order, then the noise's X, from index b of the "mc_channel" stream of
+    the seed (b jumps of the stream's index-0 generator, by seeds._jump),
+    so a run of at most MC_BLOCK trials draws what index 0 alone gives. A
+    fixed pool of MC_WORKERS threads draws and reduces runs of whole
+    blocks, each worker with its own buffers, and this thread adds the
+    block sums in block order. The result is therefore deterministic given
+    the seed, which must be an integer, and exactly independent of the
+    chunk size, the worker count and the scheduling.
 
     chunk is the most trials a worker draws at once: a worker takes runs of
     chunk // MC_BLOCK whole blocks, or one block in pieces of chunk trials
@@ -243,17 +243,17 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
         raise ValueError(f"user index {k} out of range for K = {n_users}")
     if chunk is None:
         chunk = max(1, MC_CHUNK_BYTES // MC_WORKERS
-                    // (MC_LINK_BYTES * m * n_users + MC_AP_BYTES * m
-                        + MC_ROW_BYTES * (n_users + 3)))
+                    // (MC_AP_BYTES * m + MC_ROW_BYTES * (n_users + 3)))
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
     # a run: span trials of whole blocks (the last run may be shorter),
     # drawn in pieces of at most chunk trials
     span = min(max(1, chunk // MC_BLOCK) * MC_BLOCK, trials)
     piece = min(chunk, span)
-    variances = np.column_stack((beta, np.broadcast_to(sig.delta_sq + D, m)))
-    kernel_args = (_pairs(np.sqrt(variances / 2.0)),
-                   np.append(sig.rho_u * sig.eta, 1.0), k)
+    col = beta[:, k:k + 1]
+    weights = col * np.column_stack((beta, np.broadcast_to(sig.delta_sq + D, m)))
+    weights[:, k] = col[:, 0]
+    kernel_args = (weights, np.append(sig.rho_u * sig.eta, 1.0), k)
 
     idle = SimpleQueue()
     for _ in range(min(MC_WORKERS, -(-trials // span))):

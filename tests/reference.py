@@ -14,6 +14,11 @@ each step's cell again. They follow the optimizer's rules: the n grid of
 grid, a fiber-count step between the endpoints 0 and m alone, a stop on an
 exact repeat of (n, m_of), n = N_MIN held at an accepted m_of = 0, and an
 n-step at m_of = 0 that takes argmax_n_step(m, agg), all-fiber's n.
+
+combining_trial_terms is the Monte-Carlo check's trial written out in full:
+complex fading and noise, combined with maximum-ratio weights. The check
+itself draws each trial's terms in law from exponentials; this is the law
+it must keep.
 """
 
 import numpy as np
@@ -115,3 +120,25 @@ def reevaluating_alternation(agg, init_n, init_m_of):
             converged = True
             break
     return PlanOptimum(n, m_of, ee, "alternating", converged)
+
+
+def combining_trial_terms(beta, sig, D, k, parts):
+    """Per-trial SINR terms of user k from complex maximum-ratio combining.
+
+    parts holds standard normals (t, M, K + 1, 2): the real and imaginary
+    parts of each link's fading g and, in column K, of each AP's receiver
+    plus quantization noise w + q, of variance delta_sq + D. Rows
+    (K + 3, t): a = amp_k sum_m |g_mk|^2, a^2, |amp_j cross_j|^2 for each
+    user j, with cross_j = sum_m conj(g_mk) g_mj, and |v|^2, with
+    v = sum_m conj(g_mk) (w + q)_m.
+    """
+    n_users = beta.shape[1]
+    z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
+    g = np.sqrt(beta) * z[:, :, :n_users]
+    wq = np.sqrt(sig.delta_sq + D) * z[:, :, n_users]
+    amp = np.sqrt(sig.rho_u * sig.eta)
+    g_k = g[:, :, k]
+    a = amp[k] * np.sum(np.abs(g_k) ** 2, axis=1)
+    cross = np.einsum("tmj,tm->tj", g, np.conj(g_k))
+    v = np.sum(wq * np.conj(g_k), axis=1)
+    return np.vstack((a, a ** 2, (np.abs(amp * cross) ** 2).T, np.abs(v) ** 2))

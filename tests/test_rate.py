@@ -14,10 +14,10 @@ import pytest
 from fronthaul_planner import rate
 from fronthaul_planner.fronthaul import UplinkSignalParams
 from fronthaul_planner.rate import (MC_AP_BYTES, MC_BLOCK, MC_CHUNK_BYTES,
-                                    MC_LINK_BYTES, MC_ROW_BYTES, MC_WORKERS,
-                                    achievable_rates,
+                                    MC_ROW_BYTES, MC_WORKERS, achievable_rates,
                                     mc_validate_terms, per_user_sinrs,
                                     rate_from_sinr, sinr_closed_form)
+from reference import combining_trial_terms
 
 
 def test_rate_from_sinr_values():
@@ -200,8 +200,7 @@ def test_monte_carlo_block_edges(chunk):
 def test_monte_carlo_default_chunk_gives_the_explicit_bits():
     m, k = 4, 2
     beta, sig, dist = _small_drop(13, m, k)
-    default = MC_CHUNK_BYTES // MC_WORKERS // (MC_LINK_BYTES * m * k + MC_AP_BYTES * m
-                                               + MC_ROW_BYTES * (k + 3))
+    default = MC_CHUNK_BYTES // MC_WORKERS // (MC_AP_BYTES * m + MC_ROW_BYTES * (k + 3))
     trials = 2 * default + 300  # two full default chunks and a short one
     a = mc_validate_terms(beta, sig, dist, 1, trials, seed=6)
     assert _same_bits(a, mc_validate_terms(beta, sig, dist, 1, trials, seed=6,
@@ -465,32 +464,33 @@ def test_monte_carlo_rejects_empty_chunk():
 def _plain_mc_terms(beta, sig, D, k, trials, seed):
     """The Monte-Carlo estimate written out plainly, all trials in one chunk.
 
-    Complex fading and, in column K, each AP's receiver plus quantization
-    noise, from the "mc_channel" stream, each block of MC_BLOCK trials from
-    numpy's own PCG64.jumped, built component by component; the reference
-    the kernel is checked against.
+    Each trial's M + K standard exponentials come from the "mc_channel"
+    stream, each block of MC_BLOCK trials from numpy's own PCG64.jumped:
+    E_m of each AP, then X_j of each user j != k in user order, then the
+    noise's X. |g_mk|^2 = beta_mk E_m, and each squared cross term and
+    |v|^2 is its conditional variance times its X; the reference the
+    kernel is checked against.
     """
     m, n_users = beta.shape
     # block b: b jumps of the stream's (tag, 0) generator
     first = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(4, 0)))
-    parts = np.concatenate([
-        np.random.Generator(first.jumped(b)).standard_normal(
-            (min(MC_BLOCK, trials - start), m, n_users + 1, 2))
+    draws = np.concatenate([
+        np.random.Generator(first.jumped(b)).standard_exponential(
+            (min(MC_BLOCK, trials - start), m + n_users))
         for b, start in enumerate(range(0, trials, MC_BLOCK))])
-    z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
-    g = np.sqrt(beta) * z[:, :, :n_users]
-    wq = np.sqrt(sig.delta_sq + D) * z[:, :, n_users]
+    gain_k = beta[:, k] * draws[:, :m]
+    x = iter(draws[:, m:].T)
 
-    amp = np.sqrt(sig.rho_u * sig.eta)
-    g_k = g[:, :, k]
-    a = amp[k] * np.sum(np.abs(g_k) ** 2, axis=1)
-    cross = np.einsum("tmj,tm->tj", g, np.conj(g_k))
-    v = np.sum(wq * np.conj(g_k), axis=1)
+    power = sig.rho_u * sig.eta
+    a = np.sqrt(power[k]) * np.sum(gain_k, axis=1)
+    interference = np.zeros(n_users)
+    for j in range(n_users):
+        if j != k:
+            interference[j] = np.mean(power[j] * np.sum(gain_k * beta[:, j], axis=1)
+                                      * next(x))
+    noise_var = np.mean(np.sum(gain_k * (sig.delta_sq + D), axis=1) * next(x))
     ds_sq = np.mean(a) ** 2
-    interference = np.mean(np.abs(amp * cross) ** 2, axis=0)
-    interference[k] = 0.0
-    return (ds_sq, np.mean(a ** 2) - ds_sq, interference,
-            np.mean(np.abs(v) ** 2))
+    return ds_sq, np.mean(a ** 2) - ds_sq, interference, noise_var
 
 
 @pytest.mark.parametrize("m, n_users, k", [(4, 2, 0), (10, 3, 2), (20, 4, 1)])
@@ -509,3 +509,36 @@ def test_monte_carlo_kernel_matches_the_plain_formula(m, n_users, k):
     assert emp.bu_var == pytest.approx(bu_var, rel=1e-12, abs=0)
     np.testing.assert_allclose(emp.interference_var, interference, rtol=1e-12, atol=0)
     assert emp.noise_var == pytest.approx(noise_var, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("m, n_users, k", [(1, 1, 0), (6, 3, 1), (8, 4, 3)])
+def test_monte_carlo_trial_terms_follow_complex_combining_in_law(monkeypatch, m,
+                                                                n_users, k):
+    # every term row the workers compute from exponentials has the mean and
+    # second moment of that row under complex fading and noise, within 4
+    # standard errors of their difference; a row with an X replaced by its
+    # mean 1 keeps the mean but halves the second moment
+    rng = np.random.default_rng(30 + m)
+    beta = 10.0 ** rng.uniform(-13, -11, size=(m, n_users))
+    sig = UplinkSignalParams(0.1, rng.uniform(0.3, 1.0, n_users),
+                             10.0 ** rng.uniform(-13, -12, m))
+    dist = 10.0 ** rng.uniform(-14, -12, m)
+    trials = 40_000
+    pieces = []
+    kernel = rate._mc_trial_terms
+
+    def keeping(*args, out):
+        kernel(*args, out=out)
+        pieces.append(out.copy())
+
+    monkeypatch.setattr(rate, "_mc_trial_terms", keeping)
+    mc_validate_terms(beta, sig, dist, k, trials, seed=11)
+    drawn = np.hstack(pieces)
+    parts = np.random.default_rng(12).standard_normal((trials, m, n_users + 1, 2))
+    combined = combining_trial_terms(beta, sig, dist, k, parts)
+    assert drawn.shape == combined.shape == (n_users + 3, trials)
+    for power in (1, 2):
+        a, b = drawn ** power, combined ** power
+        gap = np.abs(a.mean(axis=1) - b.mean(axis=1))
+        se = np.sqrt((a.var(axis=1) + b.var(axis=1)) / trials)
+        assert np.all(gap < 4 * se), (power, gap / se)
