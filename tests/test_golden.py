@@ -111,14 +111,14 @@ def test_csv_bytes_unchanged(name, seed, tmp_path, capsys):
 
 # argv -> (exit code, stdout sha256). The validate run fails its 2% gate at
 # 5000 trials; the pinned report includes the FAIL line and exit code 1.
-# Its digest was recorded again when each AP's receiver plus quantization
-# noise became one more column of the "mc_channel" draws (one Gaussian of
-# variance delta_sq + D), which moves every draw: the worst term went from
-# interference_var[0] at 3.246% to interference_var[0] at 3.947%, still a
-# FAIL.
+# Its digest was recorded again when each trial came to be drawn in law,
+# from M + K standard exponentials instead of 2M(K + 1) standard normals:
+# every term keeps its distribution, but every draw moves. The worst term
+# went from interference_var[0] at 3.947% to interference_var[0] at
+# 4.383%, still a FAIL.
 STDOUT_DIGESTS = {
     ("validate", "--m", "8", "--k", "3", "--trials", "5000", "--seed", "5"):
-        (1, "7b58e9a83d2fcd0586a4c51e97df2dd16a213c66846e4a3446def12fd7be1248"),
+        (1, "013709a0d7608411b6544ff77888cf5275c5d38e7bcd6f37b7f8ff3fa3249643"),
     ("optimize", "--seed", "0"):
         (0, "252033712cd954d4a1b56874ae4f50bdf6e87bbe527e28a25eed0ce2b1a2f701"),
 }
@@ -134,13 +134,13 @@ def test_stdout_bytes_unchanged(argv, tmp_path, capsys):
 def test_validate_within_one_trial_block_keeps_its_stdout(tmp_path, capsys):
     # block 0 is the stream's index-0 generator, so a run of at most
     # MC_BLOCK trials draws what one generator gives. Recorded again when
-    # the noise became column K of the "mc_channel" draws: the worst term
-    # went from noise_var at 8.782% to noise_var at 10.091%
+    # the trials came to be drawn in law, from exponentials: the worst term
+    # went from noise_var at 10.091% to interference_var[0] at 21.763%
     argv = ["validate", "--m", "8", "--k", "3", "--trials", "256", "--seed", "5"]
     code = main(argv + ["--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
-        1, "f316040099d2b1917961798ebb1da63423824ab43eec467eb0c969d28c20659c")
+        1, "810f67fef7f5fd1ea6f2d4cbc6cd0e574f9cd96aca0823591d044b98ccda72e5")
 
 
 # seed -> float.hex() of the geometric_mean gain of the reference network

@@ -362,32 +362,31 @@ def test_monte_carlo_workers_call_no_public_function(monkeypatch):
 
 # (M, K, trials) -> float.hex() of ds_sq, bu_var, each interference entry
 # and noise_var for the last user of _pinned_drop(M, K) at seed M + trials.
-# Recorded again when each AP's receiver plus quantization noise became
-# column K of the "mc_channel" draws, one Gaussian of variance
-# delta_sq + D instead of two from the retired "mc_noise" and "mc_quant"
-# streams: every draw of block 0 moved. A run of at most MC_BLOCK trials
-# is block 0 alone.
+# Recorded again when each trial came to be drawn in law, from M + K
+# standard exponentials of the "mc_channel" stream instead of 2M(K + 1)
+# standard normals: every term keeps its distribution, but every draw of
+# block 0 moved. A run of at most MC_BLOCK trials is block 0 alone.
 MC_BITS = {
-    (4, 2, 100): ['0x1.a85c5c9e7587ep-78', '0x1.84ec9cc3705ecp-79', '0x1.b738f320f0fdcp-80',
-                  '0x0.0p+0', '0x1.d5977062359d2p-79'],
-    (4, 2, 256): ['0x1.873f647c2216dp-78', '0x1.623c4c4dda27ep-79', '0x1.9ea9bc869743bp-80',
-                  '0x0.0p+0', '0x1.aae5b8b87cc5ap-79'],
-    (20, 4, 100): ['0x1.f10d0a7e50264p-75', '0x1.db31ea3f780c0p-78', '0x1.e7cd8872d7283p-78',
-                   '0x1.97aff61001364p-80', '0x1.89bd96b88fb66p-79', '0x0.0p+0',
-                   '0x1.a1216164c4843p-76'],
-    (20, 4, 256): ['0x1.021b397735de1p-74', '0x1.be0fe1446b150p-78', '0x1.b3327a21782bcp-78',
-                   '0x1.3022d0bcb7e86p-79', '0x1.a593127af3aa8p-79', '0x0.0p+0',
-                   '0x1.7eb94c5682c40p-76'],
-    (100, 10, 100): ['0x1.409ccb7e4439ap-69', '0x1.e61a9720e90c0p-75', '0x1.1b4f994973f16p-75',
-                     '0x1.d79d74fb89205p-76', '0x1.3a503a6545f46p-76', '0x1.158c6d3eb3257p-76',
-                     '0x1.ef3a8077d21e4p-77', '0x1.ba99b5c09b28fp-75', '0x1.71f5f99363206p-75',
-                     '0x1.aa6448a5b09e3p-76', '0x1.dd44402e06541p-76', '0x0.0p+0',
-                     '0x1.1cea32636c08fp-73'],
-    (100, 10, 256): ['0x1.39b51412eb97cp-69', '0x1.9c83f1752abc0p-75', '0x1.12ab4f5c00c93p-75',
-                     '0x1.b4b84c58687dap-76', '0x1.0eab240bbc6e2p-76', '0x1.1678e6ebc66c6p-76',
-                     '0x1.ee1783f366e5cp-77', '0x1.a3a15c18b7b66p-75', '0x1.d7d1692e94eb8p-75',
-                     '0x1.d8523e57829bep-76', '0x1.ce19152ccc777p-76', '0x0.0p+0',
-                     '0x1.19e26cb799251p-73'],
+    (4, 2, 100): ['0x1.7750c51f35509p-78', '0x1.72dc79b34ab96p-79', '0x1.edc14d7d0ba06p-80',
+                  '0x0.0p+0', '0x1.d7b40bda2ba61p-79'],
+    (4, 2, 256): ['0x1.6fa4086ed87fep-78', '0x1.25a177459cb4cp-79', '0x1.8e57ebdcae5c2p-80',
+                  '0x0.0p+0', '0x1.86fb819b2f11cp-79'],
+    (20, 4, 100): ['0x1.d3a8582166961p-75', '0x1.55fef89a0bbc8p-78', '0x1.c935c4e0a206fp-78',
+                   '0x1.cad7aff4be096p-80', '0x1.80065d2d07264p-79', '0x0.0p+0',
+                   '0x1.6b659921326a1p-76'],
+    (20, 4, 256): ['0x1.1a09540ef2c7bp-74', '0x1.e3d9bbc9d6450p-78', '0x1.abd2b9568d53ep-78',
+                   '0x1.1c572b3cf45c2p-79', '0x1.85134e01500f8p-79', '0x0.0p+0',
+                   '0x1.e25a4e0c4a00cp-76'],
+    (100, 10, 100): ['0x1.3e0e63a4a6ed6p-69', '0x1.9e6fd92eebd00p-75', '0x1.3b1ec74c69da6p-75',
+                     '0x1.ddc7100e4da48p-76', '0x1.2804db6412300p-76', '0x1.125739a4a4576p-76',
+                     '0x1.f537739f206f4p-77', '0x1.837230c4065b8p-75', '0x1.a8fee231f5fc0p-75',
+                     '0x1.db262cf999374p-76', '0x1.048ab8fb8b1d8p-75', '0x0.0p+0',
+                     '0x1.2373ada00d221p-73'],
+    (100, 10, 256): ['0x1.38d35d72e863bp-69', '0x1.d2d95e0951800p-75', '0x1.0b47f4222fa98p-75',
+                     '0x1.a74a2e9ce5adap-76', '0x1.19d95ded008bep-76', '0x1.080431adf2226p-76',
+                     '0x1.019199772a85ap-76', '0x1.c3632b7939c82p-75', '0x1.a06c0dfe13363p-75',
+                     '0x1.a421b85684e11p-76', '0x1.01ec05db383b6p-75', '0x0.0p+0',
+                     '0x1.25bfb8e2b4630p-73'],
 }
 
 
