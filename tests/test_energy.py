@@ -67,11 +67,13 @@ def test_energy_efficiency_basic():
 
 
 def test_aggregate_reference_values():
-    # independent re-derivation at beta = 1.1e-12 with reference parameters
+    # independent re-derivation at beta = 1.1e-12 with reference parameters;
+    # abs=0: approx's default absolute band, 1e-12, would pass any value of
+    # l1, l2 or alpha_of, all near 1e-22 to 1e-24
     _, _, agg = default_setup()
-    assert agg.l1 == pytest.approx(6.05e-22, rel=1e-12)
-    assert agg.l2 == pytest.approx(1.3048651323944e-22, rel=1e-10)
-    assert agg.alpha_of == pytest.approx(1.3048651323944e-24, rel=1e-10)
+    assert agg.l1 == pytest.approx(6.05e-22, rel=1e-12, abs=0)
+    assert agg.l2 == pytest.approx(1.3048651323944e-22, rel=1e-10, abs=0)
+    assert agg.alpha_of == pytest.approx(1.3048651323944e-24, rel=1e-10, abs=0)
     assert agg.gamma_ep == pytest.approx(103.0, rel=1e-12)
     assert agg.gamma_fso == pytest.approx(0.018, rel=1e-12)
     assert agg.gamma_of == pytest.approx(0.07, rel=1e-12)
@@ -79,7 +81,8 @@ def test_aggregate_reference_values():
 
 def test_aggregate_identities():
     _, _, agg = default_setup()
-    assert agg.alpha_fso * (2.0 ** 2.0 - 1.0) == pytest.approx(agg.alpha_of, rel=1e-14)
+    assert agg.alpha_fso * (2.0 ** 2.0 - 1.0) == pytest.approx(agg.alpha_of, rel=1e-14,
+                                                            abs=0)
     # l1 / l2 = M rho eta beta / (K rho eta beta + delta2)
     beta = 1.1e-12
     expected = 100 * 0.05 * beta / (10 * 0.05 * beta + NOISE_W)

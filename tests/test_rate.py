@@ -61,13 +61,15 @@ def test_breakdown_terms_formulas():
     sig = UplinkSignalParams(0.1, eta, delta)
     bd = sinr_closed_form(beta, sig, dist, 1)
     col = beta[:, 1]
-    assert bd.ds_sq == pytest.approx(0.1 * eta[1] * col.sum() ** 2, rel=1e-12)
-    assert bd.bu_var == pytest.approx(0.1 * eta[1] * (col ** 2).sum(), rel=1e-12)
+    # abs=0: approx's default absolute band, 1e-12, would pass any value of
+    # these terms, all near 1e-24
+    assert bd.ds_sq == pytest.approx(0.1 * eta[1] * col.sum() ** 2, rel=1e-12, abs=0)
+    assert bd.bu_var == pytest.approx(0.1 * eta[1] * (col ** 2).sum(), rel=1e-12, abs=0)
     assert bd.interference_var[1] == 0.0
     for j in (0, 2):
         assert bd.interference_var[j] == pytest.approx(
-            0.1 * eta[j] * np.dot(beta[:, j], col), rel=1e-12)
-    assert bd.noise_var == pytest.approx(np.dot(delta + dist, col), rel=1e-12)
+            0.1 * eta[j] * np.dot(beta[:, j], col), rel=1e-12, abs=0)
+    assert bd.noise_var == pytest.approx(np.dot(delta + dist, col), rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         sinr_closed_form(beta, sig, dist, 3)
 
