@@ -23,15 +23,14 @@ from .seeds import _jump, derive_rng
 
 # Memory budget of the Monte-Carlo draws when no chunk size is given,
 # shared evenly by the MC_WORKERS workers. Per trial a worker peaks at 8
-# bytes an AP (its exponential E_m) and 40 a term row (the row, a user's X
-# draw, its variance c_j, the gathered X and their product): fitted with
-# tracemalloc, the default chunk then peaks at 0.58-0.98 of the budget over
-# M in 1-100, K in 1-20. It stays below 1 because a worker draws whole
-# blocks at once when it can, and a share that holds less than two blocks
-# holds one.
+# bytes an AP (its exponential E_m) and 32 a term row (the row, a user's X
+# draw, its variance c_j and the gathered X): fitted with tracemalloc, the
+# default chunk then peaks at 0.56-0.97 of the budget over M in 1-100, K in
+# 1-20. It stays below 1 because a worker draws whole blocks at once when
+# it can, and a share that holds less than two blocks holds one.
 MC_CHUNK_BYTES = 2 ** 23
 MC_AP_BYTES = 8
-MC_ROW_BYTES = 40
+MC_ROW_BYTES = 32
 
 # Trials per block. Block b is trials [b MC_BLOCK, (b + 1) MC_BLOCK), drawn
 # from index b of the "mc_channel" stream and summed on its own, so every
@@ -143,11 +142,12 @@ def _mc_trial_terms(draws, weights, power, k, out):
     """
     m = len(weights)
     c = (draws[:, None, :m] @ weights)[:, 0]
-    # user j's X is column m + j, less one past k; v's is the last
-    x = draws[:, m + np.arange(len(power)) - (np.arange(len(power)) > k)]
     out[0] = np.sqrt(power[k]) * c[:, k]
     out[1] = out[0] ** 2
-    out[2:] = (power * c * x).T
+    c *= power
+    # user j's X is column m + j, less one past k; v's is the last
+    c *= draws[:, m + np.arange(len(power)) - (np.arange(len(power)) > k)]
+    out[2:] = c.T
     out[2 + k] = out[1]
 
 
