@@ -145,8 +145,9 @@ def _mc_trial_terms(draws, weights, power, k, out):
     out[0] = np.sqrt(power[k]) * c[:, k]
     out[1] = out[0] ** 2
     c *= power
-    # user j's X is column m + j, less one past k; v's is the last
-    c *= draws[:, m + np.arange(len(power)) - (np.arange(len(power)) > k)]
+    # user j's X is column m + j, less one past k; v's (j = K) is the last
+    j = np.arange(len(power))
+    c *= draws[:, m + j - (j > k)]
     out[2:] = c.T
     out[2 + k] = out[1]
 
