@@ -154,41 +154,37 @@ def _mc_trial_terms(draws, weights, power, k, out):
 
 class _McWorker:
     """One Monte-Carlo worker: its own generator of the "mc_channel" stream
-    and a draw buffer of piece trials, reused for every run of blocks it
-    takes."""
+    and buffers of span trials, reused for every run of blocks it takes."""
 
-    def __init__(self, seed, piece, span, m, n_users):
+    def __init__(self, seed, span, m, n_users):
         self.rng = derive_rng(seed, "mc_channel")
         self.start = self.rng.bit_generator.state
-        self.draws = np.empty((piece, m + n_users))
+        self.draws = np.empty((span, m + n_users))
         self.terms = np.empty((n_users + 3, span))
 
     def block_sums(self, start, stop, kernel_args):
-        """Term sums of the blocks of trials [start, stop), start the first
-        trial of a block: one row per block, in block order.
+        """Sums of the blocks of trials [start, stop), start the first trial
+        of a block: one row per block, in block order, holding the sums of
+        the term rows, of the draws and of each term row times each draw.
 
-        The trials are drawn piece by piece, each block from index b of the
-        stream from its first trial on, so a block drawn in several pieces
-        continues its stream from one piece to the next.
+        Each block is drawn from index b of the stream, and each block's
+        sums are taken from that block's trials alone.
         """
-        piece = len(self.draws)
-        for lo in range(start, stop, piece):
-            hi = min(lo + piece, stop)
-            for b in range(lo // MC_BLOCK, (hi - 1) // MC_BLOCK + 1):
-                first = max(lo, b * MC_BLOCK)
-                if first == b * MC_BLOCK:
-                    _jump(self.rng.bit_generator, self.start, b)
-                at = slice(first - lo, min(hi, (b + 1) * MC_BLOCK) - lo)
-                self.rng.standard_exponential(out=self.draws[at])
-            _mc_trial_terms(self.draws[:hi - lo], *kernel_args,
-                            out=self.terms[:, lo - start:hi - start])
         n = stop - start
+        draws, terms = self.draws[:n], self.terms[:, :n]
+        for lo in range(0, n, MC_BLOCK):
+            _jump(self.rng.bit_generator, self.start, (start + lo) // MC_BLOCK)
+            self.rng.standard_exponential(out=draws[lo:lo + MC_BLOCK])
+        _mc_trial_terms(draws, *kernel_args, out=terms)
         full = n - n % MC_BLOCK
-        terms = self.terms[:, :n]
-        sums = list(terms[:, :full].reshape(len(terms), -1, MC_BLOCK).sum(axis=2).T)
-        if full < n:
-            sums.append(terms[:, full:].sum(axis=1))
-        return sums
+        # the whole blocks, then the short one, each a stack of blocks
+        parts = [(terms[:, :full].reshape(len(terms), full // MC_BLOCK, MC_BLOCK)
+                  .transpose(1, 0, 2),
+                  draws[:full].reshape(full // MC_BLOCK, MC_BLOCK, draws.shape[1])),
+                 (terms[None, :, full:], draws[None, full:])]
+        return np.vstack([np.hstack((rows.sum(axis=2), block.sum(axis=1),
+                                     (rows @ block).reshape(len(rows), -1)))
+                          for rows, block in parts if rows.size])
 
 
 def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
@@ -221,9 +217,18 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     the seed, which must be an integer, and exactly independent of the
     chunk size, the worker count and the scheduling.
 
-    chunk is the most trials a worker draws at once: a worker takes runs of
-    chunk // MC_BLOCK whole blocks, or one block in pieces of chunk trials
-    when chunk < MC_BLOCK. By default a worker's chunk takes about
+    Each term is estimated from its row's mean with the draws as control
+    variates: every draw is a standard exponential, of known mean 1 and
+    variance 1, so the row mean less the sum over draws of the row's sample
+    covariance with the draw times the draw's sample-mean error keeps the
+    row's expectation (up to an O(1/trials) bias) and drops the part of the
+    row's spread that is linear in the draws. That removes about two
+    thirds or more of the variance of each interference and noise term,
+    and nearly all of ds_sq's; bu_var, a variance, keeps most of its own.
+
+    chunk sets the trials a worker draws and holds at once: a worker takes
+    runs of chunk // MC_BLOCK whole blocks, and one block when
+    chunk < MC_BLOCK. By default a worker's chunk takes about
     MC_CHUNK_BYTES / MC_WORKERS, whatever M and K are. A failed draw or
     kernel raises here; blocks not yet started are then cancelled, and no
     worker outlives the call.
@@ -247,10 +252,8 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
                     // (MC_AP_BYTES * m + MC_ROW_BYTES * (n_users + 3)))
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
-    # a run: span trials of whole blocks (the last run may be shorter),
-    # drawn in pieces of at most chunk trials
+    # a run: span trials of whole blocks (the last run may be shorter)
     span = min(max(1, chunk // MC_BLOCK) * MC_BLOCK, trials)
-    piece = min(chunk, span)
     col = beta[:, k:k + 1]
     weights = col * np.column_stack((beta, np.broadcast_to(sig.delta_sq + D, m)))
     weights[:, k] = col[:, 0]
@@ -258,7 +261,7 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
 
     idle = SimpleQueue()
     for _ in range(min(MC_WORKERS, -(-trials // span))):
-        idle.put(_McWorker(seed, piece, span, m, n_users))
+        idle.put(_McWorker(seed, span, m, n_users))
 
     def run(start):
         # numpy and private functions alone, never a package function:
@@ -270,7 +273,8 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
             idle.put(worker)
 
     starts = iter(range(0, trials, span))
-    totals = np.zeros(n_users + 3)
+    rows, n_draws = n_users + 3, m + n_users
+    totals = np.zeros(rows + n_draws + rows * n_draws)
     pool = ThreadPoolExecutor(MC_WORKERS)
     try:
         # two runs queued a worker keep the pool busy while this thread
@@ -285,7 +289,11 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     finally:
         pool.shutdown(cancel_futures=True)
 
-    means = totals / trials
+    means, draw_means, cross = np.split(totals / trials, [rows, rows + n_draws])
+    # every draw has mean 1 and variance 1, and the draws are independent:
+    # each row's mean less its covariance with each draw times that draw's
+    # mean error (draws as control variates) has the row's expectation
+    means -= (cross.reshape(rows, n_draws) - np.outer(means, draw_means)) @ (draw_means - 1.0)
     ds_sq = float(means[0]) ** 2
     bu_var = max(0.0, float(means[1]) - ds_sq)
     interference = means[2:-1]

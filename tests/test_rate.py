@@ -469,8 +469,9 @@ def _plain_mc_terms(beta, sig, D, k, trials, seed):
     stream, each block of MC_BLOCK trials from numpy's own PCG64.jumped:
     E_m of each AP, then X_j of each user j != k in user order, then the
     noise's X. |g_mk|^2 = beta_mk E_m, and each squared cross term and
-    |v|^2 is its conditional variance times its X; the reference the
-    kernel is checked against.
+    |v|^2 is its conditional variance times its X. Each mean is taken with
+    the draws as control variates of known mean 1 and variance 1; the
+    reference the kernel is checked against.
     """
     m, n_users = beta.shape
     # block b: b jumps of the stream's (tag, 0) generator
@@ -481,17 +482,22 @@ def _plain_mc_terms(beta, sig, D, k, trials, seed):
         for b, start in enumerate(range(0, trials, MC_BLOCK))])
     gain_k = beta[:, k] * draws[:, :m]
     x = iter(draws[:, m:].T)
+    draw_means = draws.mean(axis=0)
+
+    def mean(y):
+        cov = np.mean(y[:, None] * draws, axis=0) - y.mean() * draw_means
+        return y.mean() - cov @ (draw_means - 1.0)
 
     power = sig.rho_u * sig.eta
     a = np.sqrt(power[k]) * np.sum(gain_k, axis=1)
     interference = np.zeros(n_users)
     for j in range(n_users):
         if j != k:
-            interference[j] = np.mean(power[j] * np.sum(gain_k * beta[:, j], axis=1)
-                                      * next(x))
-    noise_var = np.mean(np.sum(gain_k * (sig.delta_sq + D), axis=1) * next(x))
-    ds_sq = np.mean(a) ** 2
-    return ds_sq, np.mean(a ** 2) - ds_sq, interference, noise_var
+            interference[j] = mean(power[j] * np.sum(gain_k * beta[:, j], axis=1)
+                                   * next(x))
+    noise_var = mean(np.sum(gain_k * (sig.delta_sq + D), axis=1) * next(x))
+    ds_sq = mean(a) ** 2
+    return ds_sq, mean(a ** 2) - ds_sq, interference, noise_var
 
 
 @pytest.mark.parametrize("m, n_users, k", [(4, 2, 0), (10, 3, 2), (20, 4, 1)])
