@@ -109,16 +109,13 @@ def test_csv_bytes_unchanged(name, seed, tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[(name, seed)]
 
 
-# argv -> (exit code, stdout sha256). The validate run fails its 2% gate at
-# 5000 trials; the pinned report includes the FAIL line and exit code 1.
-# Its digest was recorded again when each trial came to be drawn in law,
-# from M + K standard exponentials instead of 2M(K + 1) standard normals:
-# every term keeps its distribution, but every draw moves. The worst term
-# went from interference_var[0] at 3.947% to interference_var[0] at
-# 4.383%, still a FAIL.
+# argv -> (exit code, stdout sha256). The validate run at 5000 trials failed
+# its 2% gate (interference_var[0] at 4.383%, exit 1) until each term came
+# to be estimated with the draws as control variates; with the same draws
+# the worst term is now interference_var[2] at 0.703%, a PASS, exit 0.
 STDOUT_DIGESTS = {
     ("validate", "--m", "8", "--k", "3", "--trials", "5000", "--seed", "5"):
-        (1, "013709a0d7608411b6544ff77888cf5275c5d38e7bcd6f37b7f8ff3fa3249643"),
+        (0, "983d12307afa770d6e01060a398c45e5300a413ea448b5e7215a2ae84e8c7950"),
     ("optimize", "--seed", "0"):
         (0, "252033712cd954d4a1b56874ae4f50bdf6e87bbe527e28a25eed0ce2b1a2f701"),
 }
@@ -134,13 +131,14 @@ def test_stdout_bytes_unchanged(argv, tmp_path, capsys):
 def test_validate_within_one_trial_block_keeps_its_stdout(tmp_path, capsys):
     # block 0 is the stream's index-0 generator, so a run of at most
     # MC_BLOCK trials draws what one generator gives. Recorded again when
-    # the trials came to be drawn in law, from exponentials: the worst term
-    # went from noise_var at 10.091% to interference_var[0] at 21.763%
+    # the terms came to be estimated with the draws as control variates:
+    # the worst term went from interference_var[0] at 21.763% to
+    # interference_var[0] at 6.291%, still a FAIL
     argv = ["validate", "--m", "8", "--k", "3", "--trials", "256", "--seed", "5"]
     code = main(argv + ["--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
-        1, "810f67fef7f5fd1ea6f2d4cbc6cd0e574f9cd96aca0823591d044b98ccda72e5")
+        1, "0b557636d7049c727d14f108f5194a5ad782902645605c562823178616447bb2")
 
 
 # seed -> float.hex() of the geometric_mean gain of the reference network

@@ -364,31 +364,32 @@ def test_monte_carlo_workers_call_no_public_function(monkeypatch):
 
 # (M, K, trials) -> float.hex() of ds_sq, bu_var, each interference entry
 # and noise_var for the last user of _pinned_drop(M, K) at seed M + trials.
-# Recorded again when each trial came to be drawn in law, from M + K
-# standard exponentials of the "mc_channel" stream instead of 2M(K + 1)
-# standard normals: every term keeps its distribution, but every draw of
-# block 0 moved. A run of at most MC_BLOCK trials is block 0 alone.
+# Recorded again when each term came to be estimated with the draws as
+# control variates: the draws are the same, but every estimate moved. A
+# run of at most MC_BLOCK trials is block 0 alone.
 MC_BITS = {
-    (4, 2, 100): ['0x1.7750c51f35509p-78', '0x1.72dc79b34ab96p-79', '0x1.edc14d7d0ba06p-80',
-                  '0x0.0p+0', '0x1.d7b40bda2ba61p-79'],
-    (4, 2, 256): ['0x1.6fa4086ed87fep-78', '0x1.25a177459cb4cp-79', '0x1.8e57ebdcae5c2p-80',
-                  '0x0.0p+0', '0x1.86fb819b2f11cp-79'],
-    (20, 4, 100): ['0x1.d3a8582166961p-75', '0x1.55fef89a0bbc8p-78', '0x1.c935c4e0a206fp-78',
-                   '0x1.cad7aff4be096p-80', '0x1.80065d2d07264p-79', '0x0.0p+0',
-                   '0x1.6b659921326a1p-76'],
-    (20, 4, 256): ['0x1.1a09540ef2c7bp-74', '0x1.e3d9bbc9d6450p-78', '0x1.abd2b9568d53ep-78',
-                   '0x1.1c572b3cf45c2p-79', '0x1.85134e01500f8p-79', '0x0.0p+0',
-                   '0x1.e25a4e0c4a00cp-76'],
-    (100, 10, 100): ['0x1.3e0e63a4a6ed6p-69', '0x1.9e6fd92eebd00p-75', '0x1.3b1ec74c69da6p-75',
-                     '0x1.ddc7100e4da48p-76', '0x1.2804db6412300p-76', '0x1.125739a4a4576p-76',
-                     '0x1.f537739f206f4p-77', '0x1.837230c4065b8p-75', '0x1.a8fee231f5fc0p-75',
-                     '0x1.db262cf999374p-76', '0x1.048ab8fb8b1d8p-75', '0x0.0p+0',
-                     '0x1.2373ada00d221p-73'],
-    (100, 10, 256): ['0x1.38d35d72e863bp-69', '0x1.d2d95e0951800p-75', '0x1.0b47f4222fa98p-75',
-                     '0x1.a74a2e9ce5adap-76', '0x1.19d95ded008bep-76', '0x1.080431adf2226p-76',
-                     '0x1.019199772a85ap-76', '0x1.c3632b7939c82p-75', '0x1.a06c0dfe13363p-75',
-                     '0x1.a421b85684e11p-76', '0x1.01ec05db383b6p-75', '0x0.0p+0',
-                     '0x1.25bfb8e2b4630p-73'],
+    (4, 2, 100): ['0x1.68377765c0532p-78', '0x1.6dcb716c9f208p-79',
+                  '0x1.7ce6297c71d62p-80', '0x0.0p+0', '0x1.8f9e6b054218ap-79'],
+    (4, 2, 256): ['0x1.75fc3d3031235p-78', '0x1.215872741333ep-79',
+                  '0x1.c0b35ad66fe10p-80', '0x0.0p+0', '0x1.772fc46584a2bp-79'],
+    (20, 4, 100): ['0x1.e306c7591d8dap-75', '0x1.78e3bd3529c00p-78',
+                   '0x1.a01d1c8092237p-78', '0x1.e90db7dcec78dp-80',
+                   '0x1.751d4cc3b6debp-79', '0x0.0p+0', '0x1.6e03df3b7fbcdp-76'],
+    (20, 4, 256): ['0x1.f36ce662a3111p-75', '0x1.9f80fe8744b48p-78',
+                   '0x1.ac68ad43d145dp-78', '0x1.fe1fec69d246fp-80',
+                   '0x1.8acbc3eaab773p-79', '0x0.0p+0', '0x1.6aae2055a6225p-76'],
+    (100, 10, 100): ['0x1.29b07f05f42e3p-69', '0x1.aa5e902fcfc80p-75',
+                     '0x1.17df7172346a2p-75', '0x1.c1836588b45e9p-76',
+                     '0x1.00bdff56d56dap-76', '0x1.85f69c537f838p-77',
+                     '0x1.1d995cd12d3eap-76', '0x1.7bf635599c9fap-75',
+                     '0x1.9b91d1e5597cdp-75', '0x1.0be1d9b14f412p-76',
+                     '0x1.121671cf9dc31p-75', '0x0.0p+0', '0x1.369f4613db759p-73'],
+    (100, 10, 256): ['0x1.33642a3fc0dfcp-69', '0x1.e9cc44f645980p-75',
+                     '0x1.04396a38cb335p-75', '0x1.a1c48aaa904b6p-76',
+                     '0x1.e648797c944dep-77', '0x1.14dfd15619656p-76',
+                     '0x1.1305884a7de69p-76', '0x1.c9fd8bb0ffa81p-75',
+                     '0x1.bb2cd948258ebp-75', '0x1.8b944f3ddcf14p-76',
+                     '0x1.1d9743dee51cap-75', '0x0.0p+0', '0x1.25a477cbbab84p-73'],
 }
 
 
