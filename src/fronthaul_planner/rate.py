@@ -10,7 +10,9 @@ against simulation. The simulation draws each trial's terms in law: they
 depend on user k's fading only through |g_mk|^2 = beta_mk E_m, and given
 those, each cross term and the combined noise are independent circular
 Gaussians whose squared magnitudes are their variances times standard
-exponentials. So a trial draws M + K standard exponentials.
+exponentials. So a trial draws M + K standard exponentials, and each term
+is estimated with those draws, of known mean and variance, as control
+variates.
 """
 
 from collections import deque
@@ -25,7 +27,7 @@ from .seeds import _jump, derive_rng
 # shared evenly by the MC_WORKERS workers. Per trial a worker peaks at 8
 # bytes an AP (its exponential E_m) and 32 a term row (the row, a user's X
 # draw, its variance c_j and the gathered X): fitted with tracemalloc, the
-# default chunk then peaks at 0.56-0.97 of the budget over M in 1-100, K in
+# default chunk then peaks at 0.55-0.97 of the budget over M in 1-100, K in
 # 1-20. It stays below 1 because a worker draws whole blocks at once when
 # it can, and a share that holds less than two blocks holds one.
 MC_CHUNK_BYTES = 2 ** 23
@@ -293,7 +295,8 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     # every draw has mean 1 and variance 1, and the draws are independent:
     # each row's mean less its covariance with each draw times that draw's
     # mean error (draws as control variates) has the row's expectation
-    means -= (cross.reshape(rows, n_draws) - np.outer(means, draw_means)) @ (draw_means - 1.0)
+    cov = cross.reshape(rows, n_draws) - np.outer(means, draw_means)
+    means -= cov @ (draw_means - 1.0)
     ds_sq = float(means[0]) ** 2
     bu_var = max(0.0, float(means[1]) - ds_sq)
     interference = means[2:-1]
