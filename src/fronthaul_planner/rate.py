@@ -24,15 +24,14 @@ import numpy as np
 from .seeds import _jump, derive_rng
 
 # Memory budget of the Monte-Carlo draws when no chunk size is given,
-# shared evenly by the MC_WORKERS workers. Per trial a worker peaks at 8
-# bytes an AP (its exponential E_m) and 32 a term row (the row, a user's X
-# draw, its variance c_j and the gathered X): fitted with tracemalloc, the
-# default chunk then peaks at 0.55-0.97 of the budget over M in 1-100, K in
-# 1-20. It stays below 1 because a worker draws whole blocks at once when
-# it can, and a share that holds less than two blocks holds one.
+# shared evenly by the MC_WORKERS workers. A worker holds 8 bytes a trial
+# for each of its M + K draws and K + 3 rows, and the calling thread each
+# block's sums: fitted with tracemalloc as 10 bytes an AP and 20 a term row,
+# the default chunk peaks at 0.58-0.92 of the budget over M in 1-100, K in
+# 1-20. A share that holds less than two blocks holds one.
 MC_CHUNK_BYTES = 2 ** 23
-MC_AP_BYTES = 8
-MC_ROW_BYTES = 32
+MC_AP_BYTES = 10
+MC_ROW_BYTES = 20
 
 # Trials per block. Block b is trials [b MC_BLOCK, (b + 1) MC_BLOCK), drawn
 # from index b of the "mc_channel" stream and summed on its own, so every
@@ -129,29 +128,26 @@ def achievable_rates(beta, sig, distortions):
     return rate_from_sinr(per_user_sinrs(beta, sig, distortions))
 
 
-def _mc_trial_terms(draws, weights, power, k, out):
-    """The terms of t trials, one column per trial, written into out.
+def _mc_block_sums(draws, rows, weights, out):
+    """Sums of a stack of blocks of t trials each into out, a row a block.
 
-    draws holds the trials' standard exponentials (t, M + K): E_m of each
-    AP, then X_j of each user j != k in user order, then X_v of the noise.
-    weights (M, K + 1) maps E to the variances c: column j != k is
-    beta_mk beta_mj, column k is beta_mk and column K is
-    beta_mk (delta_sq + D_m). power is rho_u eta with a 1 appended. Rows of
-    out (K + 3, t): a = amp_k c_k (amp_k sum_m |g_mk|^2), a^2,
-    |amp_j cross_j|^2 = p_j c_j X_j for each user j (a^2 at j = k) and
-    |v|^2 = c_K X_v. c takes one product per trial, so its bits do not
-    depend on how many trials a call holds.
+    draws (blocks, t, M + K) holds each trial's standard exponentials: E_m
+    of each AP, X_j of each user j != k in user order, X_v of the noise.
+    weights (M, K + 1) maps E to amp_k c_k, p_j c_j of each user j != k and
+    c_K (mc_validate_terms). rows (blocks, K + 3, t) is scratch whose row 0
+    holds ones; then come each trial's a^2, a = amp_k c_k
+    (amp_k sum_m |g_mk|^2), |amp_j cross_j|^2 = p_j c_j X_j of each user
+    j != k and |v|^2 = c_K X_v. A block's sums: its term rows', then its
+    draws' and each term row times each draw, from one product of its rows
+    and draws. Each block takes its own products, so its bits depend on t,
+    not on how many blocks the stack holds.
     """
-    m = len(weights)
-    c = (draws[:, None, :m] @ weights)[:, 0]
-    out[0] = np.sqrt(power[k]) * c[:, k]
-    out[1] = out[0] ** 2
-    c *= power
-    # user j's X is column m + j, less one past k; v's (j = K) is the last
-    j = np.arange(len(power))
-    c *= draws[:, m + j - (j > k)]
-    out[2:] = c.T
-    out[2 + k] = out[1]
+    m, n_rows = len(weights), rows.shape[1]
+    np.matmul(weights.T, draws[..., :m].transpose(0, 2, 1), out=rows[:, 2:])
+    np.square(rows[:, 2], out=rows[:, 1])
+    rows[:, 3:] *= draws[..., m:].transpose(0, 2, 1)
+    np.sum(rows[:, 1:], axis=2, out=out[:, :n_rows - 1])
+    np.matmul(rows, draws, out=out[:, n_rows - 1:].reshape(len(rows), n_rows, -1))
 
 
 class _McWorker:
@@ -162,9 +158,10 @@ class _McWorker:
         self.rng = derive_rng(seed, "mc_channel")
         self.start = self.rng.bit_generator.state
         self.draws = np.empty((span, m + n_users))
-        self.terms = np.empty((n_users + 3, span))
+        # each block's term rows after a row of ones, a block a slice
+        self.rows = np.ones((-(-span // MC_BLOCK), n_users + 3, MC_BLOCK))
 
-    def block_sums(self, start, stop, kernel_args):
+    def block_sums(self, start, stop, weights):
         """Sums of the blocks of trials [start, stop), start the first trial
         of a block: one row per block, in block order, holding the sums of
         the term rows, of the draws and of each term row times each draw.
@@ -173,20 +170,21 @@ class _McWorker:
         sums are taken from that block's trials alone.
         """
         n = stop - start
-        draws, terms = self.draws[:n], self.terms[:, :n]
+        draws = self.draws[:n]
         for lo in range(0, n, MC_BLOCK):
             _jump(self.rng.bit_generator, self.start, (start + lo) // MC_BLOCK)
             self.rng.standard_exponential(out=draws[lo:lo + MC_BLOCK])
-        _mc_trial_terms(draws, *kernel_args, out=terms)
-        full = n - n % MC_BLOCK
+        whole, short = divmod(n, MC_BLOCK)
+        n_rows, n_draws = self.rows.shape[1], draws.shape[1]
+        sums = np.empty((whole + (short > 0), n_rows - 1 + n_rows * n_draws))
         # the whole blocks, then the short one, each a stack of blocks
-        parts = [(terms[:, :full].reshape(len(terms), full // MC_BLOCK, MC_BLOCK)
-                  .transpose(1, 0, 2),
-                  draws[:full].reshape(full // MC_BLOCK, MC_BLOCK, draws.shape[1])),
-                 (terms[None, :, full:], draws[None, full:])]
-        return np.vstack([np.hstack((rows.sum(axis=2), block.sum(axis=1),
-                                     (rows @ block).reshape(len(rows), -1)))
-                          for rows, block in parts if rows.size])
+        if whole:
+            _mc_block_sums(draws[:n - short].reshape(whole, MC_BLOCK, n_draws),
+                           self.rows[:whole], weights, sums[:whole])
+        if short:
+            _mc_block_sums(draws[None, n - short:],
+                           self.rows[whole:whole + 1, :, :short], weights, sums[whole:])
+        return sums
 
 
 def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
@@ -256,10 +254,12 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
         raise ValueError("chunk must be at least 1")
     # a run: span trials of whole blocks (the last run may be shorter)
     span = min(max(1, chunk // MC_BLOCK) * MC_BLOCK, trials)
-    col = beta[:, k:k + 1]
-    weights = col * np.column_stack((beta, np.broadcast_to(sig.delta_sq + D, m)))
-    weights[:, k] = col[:, 0]
-    kernel_args = (weights, np.append(sig.rho_u * sig.eta, 1.0), k)
+    # c's columns times their powers: user k, the others in order, the noise
+    power = sig.rho_u * sig.eta
+    others = np.arange(n_users) != k
+    weights = beta[:, k:k + 1] * np.column_stack(
+        (np.full(m, np.sqrt(power[k])), beta[:, others] * power[others],
+         np.broadcast_to(sig.delta_sq + D, m)))
 
     idle = SimpleQueue()
     for _ in range(min(MC_WORKERS, -(-trials // span))):
@@ -270,12 +270,12 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
         # tracers that wrap those functions keep one span stack
         worker = idle.get()
         try:
-            return worker.block_sums(start, min(start + span, trials), kernel_args)
+            return worker.block_sums(start, min(start + span, trials), weights)
         finally:
             idle.put(worker)
 
     starts = iter(range(0, trials, span))
-    rows, n_draws = n_users + 3, m + n_users
+    rows, n_draws = n_users + 2, m + n_users
     totals = np.zeros(rows + n_draws + rows * n_draws)
     pool = ThreadPoolExecutor(MC_WORKERS)
     try:
@@ -297,9 +297,8 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     # mean error (draws as control variates) has the row's expectation
     cov = cross.reshape(rows, n_draws) - np.outer(means, draw_means)
     means -= cov @ (draw_means - 1.0)
-    ds_sq = float(means[0]) ** 2
-    bu_var = max(0.0, float(means[1]) - ds_sq)
-    interference = means[2:-1]
-    interference[k] = 0.0
+    ds_sq = float(means[1]) ** 2
+    bu_var = max(0.0, float(means[0]) - ds_sq)
+    interference = np.insert(means[2:-1], k, 0.0)
     noise_var = float(means[-1])
     return SinrBreakdown(ds_sq, bu_var, interference, noise_var)

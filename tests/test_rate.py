@@ -3,10 +3,13 @@
 import functools
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,7 +287,7 @@ def test_monte_carlo_failure_in_a_late_block_reaches_the_caller(monkeypatch,
     before = threading.active_count()
     started = set()
     block_of = {}  # worker thread -> the block it draws
-    jump, kernel = rate._jump, rate._mc_trial_terms
+    jump, kernel = rate._jump, rate._mc_block_sums
 
     def jumping(bit_generator, state, index):
         started.add(index)
@@ -299,7 +302,7 @@ def test_monte_carlo_failure_in_a_late_block_reaches_the_caller(monkeypatch,
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(rate, "_jump", jumping)
-    monkeypatch.setattr(rate, "_mc_trial_terms", computing)
+    monkeypatch.setattr(rate, "_mc_block_sums", computing)
     assert _call_within(run) == (f"{failing} failed", before + 1)
     assert bad in started and max(started) < bad + 2 * MC_WORKERS
 
@@ -345,13 +348,13 @@ def test_monte_carlo_workers_call_no_public_function(monkeypatch):
             if inspect.isfunction(obj) and obj in wrapped:
                 monkeypatch.setattr(mod, attr, wrapped[obj])
     kernel_threads = set()
-    kernel = rate._mc_trial_terms
+    kernel = rate._mc_block_sums
 
     def computing(*args, **kwargs):
         kernel_threads.add(threading.get_ident())
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(rate, "_mc_trial_terms", computing)
+    monkeypatch.setattr(rate, "_mc_block_sums", computing)
     beta, sig, dist = _small_drop(14, 4, 2)
     # eight runs of one block each, on two workers
     rate.mc_validate_terms(beta, sig, dist, 0, trials=8 * MC_BLOCK, seed=1,
@@ -409,6 +412,27 @@ def test_monte_carlo_bits_of_the_first_block_are_pinned(m, k, trials):
     assert [float(v).hex() for v in terms] == MC_BITS[(m, k, trials)]
 
 
+@pytest.mark.parametrize("m, k", [(20, 4), (100, 10)])
+def test_monte_carlo_bits_do_not_depend_on_blas_threads(m, k):
+    # the benchmark pins one BLAS thread and the suite runs with the
+    # default: each block's products must give the same bits under both
+    tests = Path(__file__).resolve().parent
+    source = ("from test_rate import _pinned_drop, mc_validate_terms\n"
+              f"beta, sig, dist = _pinned_drop({m}, {k})\n"
+              f"e = mc_validate_terms(beta, sig, dist, {k - 1}, 30_000, seed=7)\n"
+              "print([float(v).hex() for v in (e.ds_sq, e.bu_var,"
+              " *e.interference_var, e.noise_var)])")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join((str(tests.parent / "src"), str(tests))))
+        proc = subprocess.run([sys.executable, "-c", source], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and outputs[0].count("0x") == k + 3
+
+
 def test_monte_carlo_rejects_a_generator_seed():
     # each block is drawn from a jumped stream of the seed, on whichever
     # worker takes it; one generator would be drawn in a worker-dependent
@@ -440,13 +464,14 @@ def test_monte_carlo_memory_is_bounded():
 
 @pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (4, 2), (20, 4), (100, 10)])
 def test_monte_carlo_chunk_holds_its_budget(m, k):
-    # at few APs and users the per-AP noise arrays and the term rows
-    # outweigh the fading draws; the default chunk must count them too
+    # at few APs the term rows and the users' draws outweigh the APs'
+    # draws; the default chunk must count them too
     rng = np.random.default_rng(4)
     beta = 10.0 ** rng.uniform(-13, -11, size=(m, k))
     sig = UplinkSignalParams(0.1, np.full(k, 0.5), np.full(m, 6.36e-13))
-    # the draws alone of all trials at once would take twice the budget
-    trials = 2 * MC_CHUNK_BYTES // (16 * m * k + 48 * m)
+    # by the byte model all trials at once would take three budgets, so
+    # each worker runs about three default chunks
+    trials = 3 * MC_CHUNK_BYTES // (MC_AP_BYTES * m + MC_ROW_BYTES * (k + 3))
     tracemalloc.start()
     try:
         mc_validate_terms(beta, sig, np.full(m, 1e-13), 0, trials, seed=2)
@@ -561,13 +586,17 @@ def test_monte_carlo_trial_terms_follow_complex_combining_in_law(monkeypatch, m,
     dist = 10.0 ** rng.uniform(-14, -12, m)
     trials = 40_000
     pieces = []
-    kernel = rate._mc_trial_terms
+    kernel = rate._mc_block_sums
 
-    def keeping(*args, out):
-        kernel(*args, out=out)
-        pieces.append(out.copy())
+    def keeping(draws, rows, *args):
+        sums = kernel(draws, rows, *args)
+        # a block's rows: ones, a^2, a, then each user's but k's and |v|^2;
+        # put back in the reference's order, a^2 at user k
+        for _, a_sq, a, *others in rows:
+            pieces.append(np.vstack((a, a_sq, np.insert(others, k, a_sq, axis=0))))
+        return sums
 
-    monkeypatch.setattr(rate, "_mc_trial_terms", keeping)
+    monkeypatch.setattr(rate, "_mc_block_sums", keeping)
     mc_validate_terms(beta, sig, dist, k, trials, seed=11)
     drawn = np.hstack(pieces)
     parts = np.random.default_rng(12).standard_normal((trials, m, n_users + 1, 2))
