@@ -368,9 +368,10 @@ def test_monte_carlo_workers_call_no_public_function(monkeypatch):
 # (M, K, trials) -> float.hex() of ds_sq, bu_var, each interference entry
 # and noise_var for the last user of _pinned_drop(M, K) at seed M + trials.
 # Recorded again when the kernel came to take one product per block: the
-# draws are the same, and only the order of the sums over the M APs moved
-# (within 2e-14 relative, on bu_var's difference). A run of at most
-# MC_BLOCK trials is block 0 alone.
+# draws are the same, and only rounding moved, as the sums over the M APs
+# run in another order with the powers inside the weights (within 2e-14
+# relative, on bu_var's difference). A run of at most MC_BLOCK trials is
+# block 0 alone.
 MC_BITS = {
     (4, 2, 100): ['0x1.68377765c0532p-78', '0x1.6dcb716c9f204p-79',
                   '0x1.7ce6297c71d64p-80', '0x0.0p+0', '0x1.8f9e6b054218ap-79'],
