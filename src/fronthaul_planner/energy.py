@@ -127,7 +127,10 @@ def symmetric_terms(n, m_of, agg):
     Vectorized over n and m_of (broadcasting); returns (ee, sum_rate). m_of = 0
     makes both independent of n; n = 0 with m_of > 0 is rejected (a
     zero-capacity fiber has unbounded distortion), and so is any cell whose
-    power plus cost is not positive.
+    power plus cost is not positive. The checks on n and on m_of, and the
+    per-n part 2^(n c_fso) - 1, run on each argument's own shape, so an
+    (R, 1) column of n and a (1, C) row of m_of pay them once per row or
+    column, not once per cell; every cell has the bits of its scalar call.
     """
     n_arr = np.asarray(n, dtype=float)
     m_arr = np.asarray(m_of, dtype=float)
@@ -135,18 +138,27 @@ def symmetric_terms(n, m_of, agg):
         raise ValueError("n must be nonnegative")
     if np.any((m_arr < 0) | (m_arr > agg.m)):
         raise ValueError("m_of must lie in [0, m]")
-    if np.any((n_arr == 0) & (m_arr > 0)):
-        raise ValueError("n = 0 with fiber links deployed is out of model")
-    n_b, m_b = np.broadcast_arrays(n_arr, m_arr)
-    # n is immaterial without fiber links; substitute 1 there so the fiber
-    # term, 0 at m_of = 0, sees a positive capacity.
-    n_safe = np.where(m_b > 0, n_b, 1.0)
-    fiber_gain = quantization_noise_var(m_b * agg.alpha_of, n_safe * agg.c_fso)
-    sinr = agg.l1 / (agg.l2 + (agg.m - m_b) * agg.alpha_fso + fiber_gain)
-    power = agg.gamma_ep + (agg.m - m_b) * agg.gamma_fso + n_b * m_b * agg.gamma_of
+    fiber = m_arr > 0
+    cap = n_arr * agg.c_fso
+    with np.errstate(over="ignore"):
+        # the ufunc on scalars too: a scalar's own power may differ in the
+        # last bit from the array loop's
+        den = np.power(2.0, cap) - 1.0
+    if not np.all(den > 0):
+        # n is 0, NaN or too small for 2^C - 1: rejected, as by
+        # quantization_noise_var, only where a fiber link exists
+        fiber_b, n_b, cap_b = np.broadcast_arrays(fiber, n_arr, cap)
+        if np.any(fiber_b & (n_b == 0)):
+            raise ValueError("n = 0 with fiber links deployed is out of model")
+        quantization_noise_var(0.0, cap_b[fiber_b])
+    # no fiber, no fiber term: 0 where m_of = 0, whatever n's den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fiber_gain = np.where(fiber, m_arr * agg.alpha_of / den, 0.0)
+    sinr = agg.l1 / (agg.l2 + (agg.m - m_arr) * agg.alpha_fso + fiber_gain)
+    power = agg.gamma_ep + (agg.m - m_arr) * agg.gamma_fso + n_arr * m_arr * agg.gamma_of
     if np.any(power <= 0):
         raise ValueError("power plus cost must be positive")
-    del n_safe, fiber_gain  # grid-sized temporaries, freed before the rate arrays
+    del fiber_gain  # a grid-sized temporary, freed before the rate arrays
     rate = rate_from_sinr(sinr)
     return agg.k * agg.b_s * rate / power, agg.k * rate
 

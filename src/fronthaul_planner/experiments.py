@@ -116,7 +116,7 @@ def write_table(path, provenance, names, blocks):
 
 
 def _coded_text(buffers, j, name, values, index, rows, sep):
-    """_cell_text of column j's values, rendered in pieces of BLOCK_ROWS (so
+    """_cell_texts of column j's values, rendered in pieces of BLOCK_ROWS (so
     with the temporaries of a piece) and kept as buffers[j] while blocks pass
     the same values object; None for a plain column (values None)."""
     if len(index) != rows:
@@ -130,7 +130,8 @@ def _coded_text(buffers, j, name, values, index, rows, sep):
     if buffers.get(j, (None,))[0] is not values:
         buffers.pop(j, None)  # the old text goes before the new comes
         starts = range(0, len(values), BLOCK_ROWS)
-        pieces = [_cell_text(values[i:i + BLOCK_ROWS], sep, buffers) for i in starts]
+        pieces = [_cell_texts([values[i:i + BLOCK_ROWS]], [sep], buffers)[0]
+                  for i in starts]
         text = np.full((len(values), max((p.shape[1] for p in pieces), default=0)),
                        _PAD, np.uint8)
         for i, p in zip(starts, pieces):
@@ -155,10 +156,14 @@ def _render_block(block, texts, seps, buffers):
     or the index of a coded one into its text in texts. Each column's cells
     become the rows of a byte matrix: text, separator, then padding bytes
     0xFF, which UTF-8 text never holds. The matrices side by side, with the
-    padding dropped, are the piece's rows.
+    padding dropped, are the piece's rows. The plain columns are rendered
+    together (_cell_texts), so their numbers take one _float_text call.
     """
-    texts = [_cell_text(col, sep, buffers) if text is None else text.take(col, axis=0)
-             for col, text, sep in zip(block, texts, seps)]
+    plain = [j for j, text in enumerate(texts) if text is None]
+    made = iter(_cell_texts([block[j] for j in plain], [seps[j] for j in plain],
+                            buffers))
+    texts = [next(made) if text is None else text.take(col, axis=0)
+             for col, text in zip(block, texts)]
     # the rows, filled column by column in the gather index's memory, are
     # read in row order, and translate drops the padding in one pass
     width = sum(t.shape[1] for t in texts)
@@ -167,143 +172,226 @@ def _render_block(block, texts, seps, buffers):
     return rows.tobytes().translate(None, b"\xff")
 
 
-def _cell_text(values, sep, buffers):
-    """Rows of a byte matrix: each value's text, then sep, then _PAD bytes.
+def _cell_texts(columns, seps, buffers):
+    """For each column, the rows of a byte matrix: each value's text, then
+    the column's sep, then _PAD bytes.
 
-    Floats, and integers below 1e9 in magnitude (whose '%s' is their '%.9g'),
-    go through _float_text, if more than _FEW_VALUES. Python formats what it
-    leaves undecided and every other value, as the row loop does.
+    The floats, and integers below 1e9 in magnitude (whose '%s' is their
+    '%.9g'), of all the columns go through one _float_text call, if there
+    are more than _FEW_VALUES. _python_cells formats what it leaves
+    undecided and every other value, as the row loop does.
     """
-    kind = values.dtype.kind
-    if len(values) > _FEW_VALUES and kind in "iuf" and values.itemsize <= 8:
-        x = values.astype(np.float64)
-        text, ok = _float_text(x, sep, buffers)
-        if kind != "f":
-            ok &= np.abs(x) < 1e9
-        rest = np.flatnonzero(~ok)
-    else:
-        text = np.empty((len(values), 0), np.uint8)
-        rest = np.arange(len(values))
-    if rest.size:
-        fmt = _F if kind == "f" else "%s"
-        cells = [(fmt % (v,)).encode() + sep for v in values[rest].tolist()]
+    numeric = [j for j, c in enumerate(columns)
+               if c.dtype.kind in "iuf" and c.itemsize <= 8]
+    lengths = [len(columns[j]) for j in numeric]
+    if sum(lengths) <= _FEW_VALUES:
+        numeric = lengths = []
+    texts = [np.empty((len(c), 0), np.uint8) for c in columns]
+    rests = [slice(None)] * len(columns)
+    if numeric:
+        x = _work(buffers, "values", (sum(lengths),), np.float64)
+        np.concatenate([columns[j] for j in numeric], out=x)
+        made, ok = _float_text(x, [seps[j] for j in numeric], lengths, buffers)
+        for j, text, start in zip(numeric, made, np.cumsum([0] + lengths)):
+            decided = ok[start:start + len(text)]
+            if columns[j].dtype.kind != "f":
+                decided &= np.abs(x[start:start + len(text)]) < 1e9
+            texts[j], rests[j] = text, np.flatnonzero(~decided)
+    for j, (column, rest) in enumerate(zip(columns, rests)):
+        values = column[rest]
+        if not len(values):
+            continue
+        cells = _python_cells(values, _F if values.dtype.kind == "f" else "%s", seps[j])
         width = max(map(len, cells))
-        if width > text.shape[1]:
-            pad = np.full((len(text), width - text.shape[1]), _PAD, np.uint8)
-            text = np.concatenate((text, pad), axis=1)
-        text[rest] = np.frombuffer(b"".join(c.ljust(text.shape[1], b"\xff") for c in cells),
-                                   np.uint8).reshape(len(cells), -1)
-    return text
+        if width > texts[j].shape[1]:
+            pad = np.full((len(column), width - texts[j].shape[1]), _PAD, np.uint8)
+            texts[j] = np.concatenate((texts[j], pad), axis=1)
+        width = texts[j].shape[1]
+        texts[j][rest] = np.frombuffer(b"".join(c.ljust(width, b"\xff") for c in cells),
+                                       np.uint8).reshape(len(cells), width)
+    return texts
 
 
-def _float_text(x, sep, buffers):
-    """'%.9g' text of float64 values, followed by sep and _PAD bytes, where
-    numpy can decide it.
+def _python_cells(values, fmt, sep):
+    """fmt % value, then sep, of each value as bytes: the row loop's cells."""
+    return [(fmt % (v,)).encode() + sep for v in values.tolist()]
 
-    With e = floor(log10|x|), corrected by one where needed, the scaled
-    s = |x| 10^(8 - e) lies in [1e8, 1e9) within about 1e-6, so rint(s) is
-    the correctly rounded 9-digit mantissa unless s is within 1e-4 of a tie.
-    The text is laid out from the digits by the class of its value (see
-    _text_layouts). Returns the byte matrix and the mask of the values
-    decided: not those near a tie, zero, non-finite or of magnitude outside
-    (1e-280, 1e280). The rows of the others hold other text.
+
+def _float_text(x, seps, lengths, buffers):
+    """'%.9g' text of float64 values where numpy can decide it: for each
+    segment of x (of the given lengths), a byte matrix whose rows hold each
+    value's text, then the segment's sep, then _PAD bytes; and the mask of
+    the values decided.
+
+    The sign and binary exponent of a value name its decimal exponent e
+    within one (_SCALE, _E_KEY): s = |x| 10^(8 - e), divided by ten where
+    it reaches 1e9, lies in [1e8, 1e9) within about 1e-6. So rint(s) is the
+    correctly rounded 9-digit mantissa unless s is within 1e-4 of a tie,
+    and a mantissa that rounds to 1e9 carries into e. Undecided are the
+    values near a tie, zero, subnormal or non-finite, and those whose
+    binary exponent spans a decimal exponent beyond +-290; the rows of
+    these hold other text.
+
+    A value's class is the layout of its sign and e (_text_layouts),
+    whatever its digits. A segment takes the text of its most common class
+    in one gather and its other values by index; trailing zeros of the
+    mantissa after the decimal point, and a point left without digits,
+    then become _PAD.
     """
-    a = np.abs(x)
-    ok = (a > 1e-280) & (a < 1e280)
-    a[~ok] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)
-    s = a * _POW10.take(_POW10_ZERO + 8 - e)
-    off = (s >= 1e9).astype(np.intp) - (s < 1e8)
-    if off.any():
-        e += off
-        s = a * _POW10.take(_POW10_ZERO + 8 - e)
-    r = np.rint(s)
-    ok &= (np.abs(s - r) < 0.4999) & (r >= 1e8) & (r <= 1e9)
-    r[~ok] = 1e8
-    carry = r == 1e9
-    r[carry] = 1e8
-    e += carry
-    # three groups of three digits, and the trailing zeros of all nine
-    lo = r.astype(np.intp)
-    mid = lo // 1000
+    with np.errstate(invalid="ignore"):  # undecided values make NaN
+        key = x.view(np.int64) >> 52  # the sign and biased exponent bits
+        e_key = _E_KEY.take(key)
+        s = x * _SCALE.take(key)
+        del key
+        up = s >= 1e9
+        np.divide(s, 10.0, out=s, where=up)
+        e_key += up
+        del up
+        r = np.rint(s)
+        ok = np.abs(s - r) < 0.4999
+        del s
+        np.fmax(r, 1e8, out=r)  # NaN of undecided values: 1e8, one digit
+        carry = r == 1e9
+        np.copyto(r, 1e8, where=carry)
+        e_key += carry
+        mid = r.astype(np.intp)
+    del r, carry
+    # the mantissa's three groups of three digits
+    lo = mid.copy()
+    mid //= 1000
     hi = mid // 1000
-    lo -= mid * 1000
-    mid -= hi * 1000
-    zeros = _ZEROS3.take(lo) + (lo == 0) * (
-        _ZEROS3.take(mid) + (mid == 0) * _ZEROS3.take(hi))
-    cls = _EXP_CLASS.take(e + _POW10_ZERO) - 2 * zeros + (x < 0)
-    src = _work(buffers, "source", (len(x), 6), np.uint32)
-    for word, group in enumerate((hi, mid, lo, np.abs(e))):
-        src[:, word] = _DIGITS4.take(group)
-    src[:, 4] = _SYMBOLS
-    src[:, 5] = np.frombuffer(sep + b"\xff" * 3, np.uint32)[0]
-    # byte b of word k of value i is source byte 24 * i + 4 * k + b; values of
-    # the most common class take their text by column, the rest by index
-    src = src.view(np.uint8)
-    layout = _LAYOUT[:, :_LENGTH.take(cls).max() + 1]
-    common = np.bincount(cls).argmax()
-    text = src[:, layout[common]]
+    lo -= 1000 * mid
+    mid -= 1000 * hi
+    zeros = _ZEROS3.take(lo, mode="clip") + (lo == 0) * (
+        _ZEROS3.take(mid, mode="clip") + (mid == 0) * _ZEROS3.take(hi, mode="clip"))
+    cls = _CLASS.take(e_key)
+    # six source words a value, word by word: the three groups, the
+    # exponent, then '.', 'e', '-' and the segment's sep, then _PAD
+    src = _work(buffers, "source", (6, len(x)), np.uint32)
+    for word, (table, index) in enumerate(((_DIGITS4, hi), (_DIGITS4, mid),
+                                           (_DIGITS4, lo), (_EXP_WORDS, e_key))):
+        table.take(index, out=src[word], mode="clip")
+    src[5] = _PADS
+    del hi, mid, lo, e_key
+    texts = []
+    for sep, start, n in zip(seps, np.cumsum([0] + lengths), lengths):
+        part = slice(start, start + n)
+        src[4, part] = np.frombuffer(b".e-" + sep, np.uint32)[0]
+        texts.append(_segment_text(src[:, part].view(np.uint8).reshape(6, n, 4),
+                                   cls[part], zeros[part]))
+    return texts, ok
+
+
+def _segment_text(src, cls, zeros):
+    """A segment's byte matrix in _float_text, from its source bytes (word,
+    value, byte), classes and the trailing zeros of its mantissas. It is
+    built character by character, so its columns are contiguous, and it
+    drops the characters that every row strips."""
+    counts = np.bincount(cls)
+    common = counts.argmax()
+    width = _LENGTH.take(np.flatnonzero(counts)).max() + 1
+    words, places, strip = (t[:, :width] for t in (_WORD, _PLACE, _STRIP))
+    text = src[words[common], :, places[common]]
+    first = np.argmax(strip[common] < _KEEP)  # the decimal point, if any
+    if strip[common, first] < _KEEP:
+        np.copyto(text[first:], _PAD, where=strip[common, first:, None] <= zeros)
+    kept = strip[common] > zeros.min()
     rest = np.flatnonzero(cls != common)
     if rest.size:
-        # indices are in range, and "clip" lets take write to out unbuffered
-        idx = _work(buffers, "index", (len(rest), layout.shape[1]), np.intp)
-        layout.take(cls[rest], axis=0, mode="clip", out=idx)
-        idx += 24 * rest[:, None]
-        text[rest] = src.ravel().take(idx, mode="clip")
-    return text, ok
+        rows = cls[rest]
+        part = src[words.take(rows, axis=0).T, rest, places.take(rows, axis=0).T]
+        part[strip.take(rows, axis=0).T <= zeros[rest]] = _PAD
+        text[:, rest] = part
+        kept |= (part != _PAD).any(axis=1)
+    return (text if kept.all() else text[kept]).T
 
 
 def _text_layouts():
-    """Source byte of each character of each '%.9g' text class, and the text
-    length of each class.
+    """Source byte of each character of each '%.9g' text class at nine
+    digits; the trailing-zero count from which each character becomes
+    _PAD (_KEEP: never); and the text length of each class.
 
-    Class (layout * 9 + digits - 1) * 2 + negative. Layouts 0-12 are fixed
-    notation at decimal exponents -4..8; 13-16 exponent notation with an
-    exponent of +XX, +XXX, -XX or -XXX. The six source words of a value in
-    _float_text hold the nine mantissa digits in three groups of three, each
-    followed by a '0', the exponent's three digits and a '0', '.e+-', then
-    the separator and three _PAD bytes. Each layout row ends with the
-    separator, then _PAD.
+    Class layout * 2 + negative. Layouts 0-12 are fixed notation at decimal
+    exponents -4..8; 13 and 14 exponent notation with two and three
+    exponent digits. Class 30 is empty, all _PAD. The six source words of a value in _float_text hold
+    the nine mantissa digits in three groups of three, each followed by a
+    '0'; the exponent's sign and '%03d' of its magnitude; '.', 'e', '-' and
+    the separator; then _PAD. Mantissa digit k after the decimal point
+    becomes _PAD where the mantissa has 9 - k trailing zeros or more, and
+    so does the point before the first of them. Each layout row ends with
+    the separator, then _PAD.
     """
-    zero, dot, e, plus, minus, sep, pad = 3, 16, 17, 18, 19, 20, 21
+    zero, dot, e, minus, sep = 3, 16, 17, 18, 19
     digit = [0, 1, 2, 4, 5, 6, 8, 9, 10]
-    texts = []
-    for layout in range(17):
+    fraction = [9 - k for k in range(9)]
+    texts, strips = [], []
+    for layout in range(15):
         exp = layout - 4
-        for digits in range(1, 10):
-            if layout < 13 and exp < 0:
-                text = [zero, dot] + [zero] * (-exp - 1) + digit[:digits]
-            elif layout < 13:
-                text = digit[:exp + 1]
-                text += [dot] + digit[exp + 1:digits] if digits > exp + 1 else []
-            else:
-                text = digit[:1] + ([dot] + digit[1:digits] if digits > 1 else [])
-                text += [e, minus if layout > 14 else plus]
-                text += [12, 13, 14] if layout % 2 == 0 else [13, 14]
-            texts += [text + [sep], [minus] + text + [sep]]
-    layouts = np.full((len(texts), 17), pad)
-    for row, text in zip(layouts, texts):
-        row[:len(text)] = text
-    return layouts, np.array([len(t) - 1 for t in texts])
+        if layout >= 13:
+            text = digit[:1] + [dot] + digit[1:] + [e, 12] + [13, 14, 15][14 - layout:]
+            strip = [_KEEP, fraction[1]] + fraction[1:] + [_KEEP] * (layout - 9)
+        elif exp < 0:
+            text = [zero, dot] + [zero] * (-exp - 1) + digit
+            strip = [_KEEP] * (1 - exp) + fraction
+        else:
+            point = [dot] if exp < 8 else []
+            text = digit[:exp + 1] + point + digit[exp + 1:]
+            strip = [_KEEP] * (exp + 1) + fraction[exp + 1:exp + 2] * len(point) + fraction[exp + 1:]
+        for negative in (0, 1):
+            texts.append([minus] * negative + text + [sep])
+            strips.append([_KEEP] * negative + strip + [_KEEP])
+    texts.append([])  # the empty class, of undecided values
+    strips.append([])
+    layouts = np.full((len(texts), max(map(len, texts))), _PAD_SOURCE)
+    stops = np.full(layouts.shape, _KEEP, np.uint8)
+    for row, stop, text, strip in zip(layouts, stops, texts, strips):
+        row[:len(text)], stop[:len(strip)] = text, strip
+    return layouts, stops, np.array([max(len(t) - 1, 0) for t in texts])
+
+
+def _exponent_tables():
+    """_float_text's tables over the 4096 keys of sign and biased binary
+    exponent (a float64's top twelve bits as int64: negative for a negative
+    value, so the negative keys take the table's last half), and over the
+    1203 keys of sign and decimal exponent e: e + 300, plus 601 if
+    negative, and 1202 for undecided values.
+
+    _SCALE: 10^(8 - e), signed as the key's values, where e is the decimal
+    exponent of the smallest magnitude of the key; NaN where the values are
+    undecided. _E_KEY: that e's key. _CLASS: the text class of each
+    exponent key, the empty class 30 for undecided values; _EXP_WORDS: its
+    source word, the exponent's sign and '%03d' of its magnitude.
+    """
+    key = np.arange(4096)
+    biased, negative = key % 2048, key >= 2048
+    e = np.floor((biased - 1023) * np.log10(2.0)).astype(np.intp)
+    decided = (biased > 0) & (biased < 2047) & (np.abs(e) <= 290)
+    e[~decided] = 0
+    scale = np.where(negative, -1.0, 1.0) * np.power(10.0, 8 - e)
+    scale[~decided] = np.nan
+    e_key = np.where(decided, e + 300 + 601 * negative, 1202)
+    exps = np.arange(1202) % 601 - 300
+    layout = np.where(np.abs(exps - 2) <= 6, exps + 4, 13 + (np.abs(exps) >= 100))
+    classes = np.append(2 * layout + (np.arange(1202) >= 601), 30)
+    words = b"".join(b"%c%03d" % (b"+-"[x < 0], abs(x)) for x in exps.tolist())
+    return scale, e_key, classes, np.frombuffer(words + b"\xff" * 4, np.uint32)
 
 
 _PAD = 0xFF
 # Python formats this many values faster than _float_text's fixed cost
 _FEW_VALUES = 64
-_LAYOUT, _LENGTH = _text_layouts()
+# the source byte of _PAD, and the trailing-zero count that strips nothing
+_PAD_SOURCE, _KEEP = 20, 10
+_LAYOUT, _STRIP, _LENGTH = _text_layouts()
+_WORD, _PLACE = np.divmod(_LAYOUT, 4)
 _GROUPS = np.arange(1000)
 # '%03d0' of each three-digit group as one uint32, and its trailing zeros
 _DIGITS4 = np.stack([_GROUPS // 100, _GROUPS // 10 % 10, _GROUPS % 10, 0 * _GROUPS],
                     axis=1).astype(np.uint8) + np.uint8(ord("0"))
 _DIGITS4 = _DIGITS4.view(np.uint32).ravel()
-_ZEROS3 = sum((_GROUPS % p == 0).astype(np.intp) for p in (10, 100, 1000))
-_SYMBOLS = np.frombuffer(b".e+-", np.uint32)[0]
-_POW10_ZERO = 300
-_EXPONENTS = np.arange(-_POW10_ZERO, _POW10_ZERO + 1)
-_POW10 = np.power(10.0, _EXPONENTS)
-# class of each decimal exponent at nine digits and positive sign
-_EXP_CLASS = 18 * np.where((_EXPONENTS >= -4) & (_EXPONENTS <= 8), _EXPONENTS + 4,
-                           13 + 2 * (_EXPONENTS < 0) + (abs(_EXPONENTS) >= 100)) + 16
+_ZEROS3 = sum((_GROUPS % p == 0).astype(np.uint8) for p in (10, 100, 1000))
+_PADS = np.frombuffer(b"\xff" * 4, np.uint32)[0]
+_SCALE, _E_KEY, _CLASS, _EXP_WORDS = _exponent_tables()
 
 
 def symmetric_setup(cfg, seed):

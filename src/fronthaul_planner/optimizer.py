@@ -175,17 +175,20 @@ def grid_cells(agg, n_range):
     """Exhaustive objective evaluation over {0..m} x n_range.
 
     Returns (n_grid, m_of_grid, ee, sum_rate) with shape
-    (len(n_range), m + 1) each.
+    (len(n_range), m + 1) each. The objective sees n as a column and m_of
+    as a row, so its per-n part runs once per n; n_grid and m_of_grid are
+    read-only broadcast views of them.
     """
-    ns = np.asarray(n_range, dtype=float)
-    nn, mm = np.meshgrid(ns, np.arange(0, agg.m + 1), indexing="ij")
-    return (nn, mm) + symmetric_terms(nn, mm, agg)
+    ns = np.asarray(n_range, dtype=float)[:, None]
+    mofs = np.arange(0, agg.m + 1)[None, :]
+    ee, sum_rate = symmetric_terms(ns, mofs, agg)
+    return (*np.broadcast_arrays(ns, mofs), ee, sum_rate)
 
 
 def _best_cell(n, m_of, agg):
     """grid_search's pick among the cells (n, m_of), broadcast together."""
-    nn, mm = np.broadcast_arrays(np.asarray(n, dtype=float), m_of)
-    return grid_search((nn, mm, symmetric_terms(nn, mm, agg)[0]))
+    n = np.asarray(n, dtype=float)
+    return grid_search(np.broadcast_arrays(n, m_of, symmetric_terms(n, m_of, agg)[0]))
 
 
 def grid_search(cells):
@@ -193,16 +196,18 @@ def grid_search(cells):
 
     The largest EE wins, NaN cells rank last, and ties resolve to the
     smallest n, then the smallest m_of, independent of evaluation order.
-    No sort: one max over the cells, then the tie-break among the cells at
-    that max only. The sum rate is not read, so cells may be (n, m_of, ee)
-    arrays alone, which is how best_of ranks optima.
+    No sort and no copy of the cells: one max over them, then the
+    tie-break among the cells at that max only. The sum rate is not read,
+    so cells may be (n, m_of, ee) arrays alone, which is how best_of ranks
+    optima.
     """
-    nn, mm, ee = (np.ravel(c) for c in cells[:3])
-    best = np.fmax.reduce(ee)  # NaN only when every cell is NaN
-    tied = np.flatnonzero(ee == best if best == best else np.isnan(ee))
-    tied = tied[nn[tied] == nn[tied].min()]
-    idx = tied[mm[tied].argmin()]
-    return PlanOptimum(float(nn[idx]), int(mm[idx]), float(ee[idx]), "grid")
+    nn, mm, ee = cells[:3]
+    best = np.fmax.reduce(ee, axis=None)  # NaN only when every cell is NaN
+    tied = np.nonzero(ee == best if best == best else np.isnan(ee))
+    n_tied, m_tied = nn[tied], mm[tied]
+    first = np.flatnonzero(n_tied == n_tied.min())
+    idx = first[m_tied[first].argmin()]
+    return PlanOptimum(float(n_tied[idx]), int(m_tied[idx]), float(ee[tied][idx]), "grid")
 
 
 def best_of(optima):

@@ -397,3 +397,27 @@ def test_grid_and_surface_memory_does_not_grow_with_the_grid(tmp_path, monkeypat
         capsys.readouterr()
         assert peaks[1] <= 1.1 * peaks[0], (command, peaks)
         assert peaks[1] < 3e6, (command, peaks)
+
+
+def test_reference_grid_and_surface_floats_reach_python_only_where_pinned(
+        tmp_path, monkeypatch, capsys):
+    # numpy renders the floats of the reference grid --n 1:10:0.01 (91,001
+    # rows) and surface (27,573 rows) tables. Python formats only the short
+    # coded value sets, at most _FEW_VALUES a call (each block's n values:
+    # 901 and 273; the surface's six cost values), and the values within
+    # 1e-4 of a rounding tie in the ninth digit (26 and 8). A change that
+    # sends the grid's EE or sum-rate columns back to Python fails here.
+    from fronthaul_planner.cli import main
+    counts = {}
+    python_cells = experiments._python_cells
+
+    def counted(values, fmt, sep):
+        if fmt == "%.9g":
+            counts[command] = counts.get(command, 0) + len(values)
+        return python_cells(values, fmt, sep)
+
+    monkeypatch.setattr(experiments, "_python_cells", counted)
+    for command, argv in (("grid", ["grid", "--n", "1:10:0.01"]), ("surface", ["surface"])):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert counts == {"grid": 901 + 26, "surface": 273 + 6 + 8}

@@ -6,6 +6,7 @@ the acceptance check A6: every power, cost and signal parameter within
 bits/s/Hz and a symmetric gain between 3e-13 and 3e-12.
 """
 
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -179,6 +180,51 @@ def test_symmetric_terms_on_a_stack_equal_each_pair(agg, data):
     ee, sum_rate = symmetric_terms(ns, mofs, agg)
     for i, (n, m_of) in enumerate(pairs):
         assert (ee[i], sum_rate[i]) == symmetric_terms(n, m_of, agg)
+
+
+@SETTINGS
+@given(st.one_of(neighbourhood(), st.just(ONE_AP)), st.data())
+def test_symmetric_terms_on_a_column_and_a_row_equal_each_cell(agg, data):
+    # grid_cells passes n as an (R, 1) column and m_of as a (1, C) row, so
+    # the objective's per-n part runs once per row: each cell must have the
+    # bits of its scalar call, also where 2^(n c_fso) overflows to inf, and
+    # n = 0 or an n whose 2^(n c_fso) - 1 rounds to 0 is rejected only
+    # where a fiber link exists, with the message of the scalar rejection
+    ns = np.array(data.draw(st.lists(st.one_of(
+        st.floats(1.0, 10.0), st.floats(1100.0, 1e300), st.sampled_from([0.0, 1e-300])),
+        min_size=1, max_size=5)))
+    mofs = np.array(data.draw(st.lists(st.integers(0, agg.m), min_size=1, max_size=5)))
+    column, row = ns[:, None], mofs[None, :]
+    zero, tiny = ((column == n) & (row > 0) for n in (0.0, 1e-300))
+    if zero.any() or tiny.any():
+        message = ("n = 0 with fiber links deployed is out of model" if zero.any() else
+                   f"capacity {1e-300 * agg.c_fso:g} is too small: 2^C - 1 rounds to 0")
+        i, j = np.argwhere(zero if zero.any() else tiny)[0]
+        for args in ((column, row), (ns[i], mofs[j])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                symmetric_terms(*args, agg)
+    else:
+        ee, sum_rate = symmetric_terms(column, row, agg)
+        assert ee.shape == sum_rate.shape == (len(ns), len(mofs))
+        for (i, j), n in np.ndenumerate(np.broadcast_to(column, ee.shape)):
+            one = [float(t).hex() for t in symmetric_terms(n, mofs[j], agg)]
+            assert [ee[i, j].hex(), sum_rate[i, j].hex()] == one
+            if mofs[j] == 0:  # n is immaterial without fiber links
+                assert one == [float(t).hex() for t in symmetric_terms(1.0, 0, agg)]
+    # each rejection of a bad n, m_of or cell keeps its message, on the
+    # drawn n that a fiber link can take
+    ns = np.append(ns[ns >= 1.0], 2.0)
+    column = ns[:, None]
+    free = replace(agg, gamma_ep=0.0, gamma_fso=0.0)  # all-FSO cells cost nothing
+    for args, message in [
+            ((np.append(ns, -1.0)[:, None], row, agg), "n must be nonnegative"),
+            ((column, np.append(mofs, -1)[None, :], agg), "m_of must lie in [0, m]"),
+            ((column, np.append(mofs, agg.m + 1)[None, :], agg), "m_of must lie in [0, m]"),
+            ((np.append(ns, 0.0)[:, None], np.append(mofs, 1)[None, :], agg),
+             "n = 0 with fiber links deployed is out of model"),
+            ((column, np.append(mofs, 0)[None, :], free), "power plus cost must be positive")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            symmetric_terms(*args)
 
 
 @SETTINGS
@@ -408,6 +454,35 @@ def test_numbers_print_as_the_row_loop_prints_them(tmp_path_factory, values):
         assert _write(path, [values]) == _row_loop_csv([values])
 
 
+def _every_text_class():
+    """Values of every '%.9g' text class, both signs: one to nine significant
+    digits at each decimal exponent from -300 to 300, and at each exponent
+    the neighbours of a carry (9.999999995e+XX rounds up to 1e+(XX+1)) and
+    of a tie in the ninth digit, a float or two either side."""
+    values = [float(f"1.{'23456789'[:d - 1]}e{e}") for e in range(-300, 301)
+              for d in range(1, 10)]
+    for e in range(-300, 301):
+        for edge in (f"9.999999995e{e}", f"1.234567885e{e}", f"5.000000005e{e}"):
+            edge = float(edge)
+            below, above = (np.nextafter(edge, to) for to in (0.0, np.inf))
+            values += [edge, below, above, np.nextafter(below, 0.0),
+                       np.nextafter(above, np.inf)]
+    values = np.array(values)
+    return np.concatenate((values, -values))
+
+
+def test_every_text_class_prints_as_the_row_loop(tmp_path):
+    # one table of three float columns, rendered a piece at a time in one
+    # _float_text call for all three: the first holds the classes in runs,
+    # the second in the reverse order and ends in a comma too, the last
+    # shuffled and ends the row; each column takes its own common layout
+    values = _every_text_class()
+    assert len(np.unique(np.floor(np.log10(np.abs(values))))) >= 601
+    shuffled = np.random.default_rng(30).permutation(values)
+    columns = [values, values[::-1].copy(), shuffled]
+    assert _write(tmp_path / "t.csv", columns) == _row_loop_csv(columns)
+
+
 @pytest.mark.parametrize("column", [
     np.resize(np.array([-128, 127, 0, 5], np.int8), 600),
     np.resize(np.array([-100, 100, 0], np.int8), 600),
@@ -493,9 +568,11 @@ def test_coded_values_render_once_while_blocks_pass_them(tmp_path):
     values, new = np.array([0.5, 1e-7, 3.0]), np.array([2.5, 4.0])
     blocks = [((values, np.arange(n) % 3),) for n in (5, BLOCK_ROWS + 1, 2)]
     blocks.append(((new, np.array([1, 0, 1])),))
-    with mock.patch.object(experiments, "_cell_text", wraps=experiments._cell_text) as text:
+    with mock.patch.object(experiments, "_cell_texts", wraps=experiments._cell_texts) as text:
         write_table(tmp_path / "t.csv", [], ("v",), blocks)
-    assert [len(call.args[0]) for call in text.call_args_list] == [3, 2]
+    # (the pieces' calls for their plain columns have none)
+    assert [[len(c) for c in call.args[0]] for call in text.call_args_list
+            if call.args[0]] == [[3], [2]]
     cells = [np.resize(values, n) for n in (5, BLOCK_ROWS + 1, 2)] + [new[[1, 0, 1]]]
     assert (tmp_path / "t.csv").read_bytes() == b"v\n" + _row_loop_csv([np.concatenate(cells)])
 
