@@ -34,9 +34,10 @@ SWEEP_RHO_ETA_W = (0.001, 0.1, 100)
 
 _F = "%.9g"
 
-# Rows rendered per piece by write_table. Four float columns peak at about
-# 350 bytes per row (1.4 MB here, by tracemalloc, while the first piece makes
-# the table's work memory), whatever the table's length.
+# Rows rendered per piece by write_table. Four float columns of mixed
+# exponents peak at about 610 bytes per row (2.5 MB here, by tracemalloc,
+# while the first piece makes the table's work memory), whatever the
+# table's length.
 BLOCK_ROWS = 4096
 
 # Gain entries (drops x M x K) per block of drops in run_rate_cdf; a block
@@ -313,39 +314,35 @@ def _text_layouts():
 
     Class layout * 2 + negative. Layouts 0-12 are fixed notation at decimal
     exponents -4..8; 13 and 14 exponent notation with two and three
-    exponent digits. Class 30 is empty, all _PAD. The six source words of a value in _float_text hold
-    the nine mantissa digits in three groups of three, each followed by a
-    '0'; the exponent's sign and '%03d' of its magnitude; '.', 'e', '-' and
-    the separator; then _PAD. Mantissa digit k after the decimal point
-    becomes _PAD where the mantissa has 9 - k trailing zeros or more, and
-    so does the point before the first of them. Each layout row ends with
-    the separator, then _PAD.
+    exponent digits. Class 30 is empty, all _PAD. The six source words of a
+    value in _float_text hold the nine mantissa digits in three groups of
+    three, each followed by a '0'; the exponent's sign and '%03d' of its
+    magnitude; '.', 'e', '-' and the separator; then _PAD. Mantissa digit k
+    after the decimal point becomes _PAD where the mantissa has 9 - k
+    trailing zeros or more, and so does the point before the first of them.
+    Each layout row ends with the separator, then _PAD.
     """
     zero, dot, e, minus, sep = 3, 16, 17, 18, 19
     digit = [0, 1, 2, 4, 5, 6, 8, 9, 10]
-    fraction = [9 - k for k in range(9)]
-    texts, strips = [], []
+    texts = []
     for layout in range(15):
         exp = layout - 4
         if layout >= 13:
             text = digit[:1] + [dot] + digit[1:] + [e, 12] + [13, 14, 15][14 - layout:]
-            strip = [_KEEP, fraction[1]] + fraction[1:] + [_KEEP] * (layout - 9)
         elif exp < 0:
             text = [zero, dot] + [zero] * (-exp - 1) + digit
-            strip = [_KEEP] * (1 - exp) + fraction
         else:
-            point = [dot] if exp < 8 else []
-            text = digit[:exp + 1] + point + digit[exp + 1:]
-            strip = [_KEEP] * (exp + 1) + fraction[exp + 1:exp + 2] * len(point) + fraction[exp + 1:]
-        for negative in (0, 1):
-            texts.append([minus] * negative + text + [sep])
-            strips.append([_KEEP] * negative + strip + [_KEEP])
+            text = digit[:exp + 1] + [dot] * (exp < 8) + digit[exp + 1:]
+        texts += [text + [sep], [minus] + text + [sep]]
     texts.append([])  # the empty class, of undecided values
-    strips.append([])
     layouts = np.full((len(texts), max(map(len, texts))), _PAD_SOURCE)
     stops = np.full(layouts.shape, _KEEP, np.uint8)
-    for row, stop, text, strip in zip(layouts, stops, texts, strips):
-        row[:len(text)], stop[:len(strip)] = text, strip
+    for row, stop, text in zip(layouts, stops, texts):
+        row[:len(text)] = text
+        point = text.index(dot) if dot in text else len(text)
+        for i in range(point + 1, len(text)):
+            stop[i] = 9 - digit.index(text[i]) if text[i] in digit else _KEEP
+        stop[point] = stop[point + 1] if point < len(text) else _KEEP
     return layouts, stops, np.array([max(len(t) - 1, 0) for t in texts])
 
 
@@ -384,12 +381,9 @@ _FEW_VALUES = 64
 _PAD_SOURCE, _KEEP = 20, 10
 _LAYOUT, _STRIP, _LENGTH = _text_layouts()
 _WORD, _PLACE = np.divmod(_LAYOUT, 4)
-_GROUPS = np.arange(1000)
 # '%03d0' of each three-digit group as one uint32, and its trailing zeros
-_DIGITS4 = np.stack([_GROUPS // 100, _GROUPS // 10 % 10, _GROUPS % 10, 0 * _GROUPS],
-                    axis=1).astype(np.uint8) + np.uint8(ord("0"))
-_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
-_ZEROS3 = sum((_GROUPS % p == 0).astype(np.uint8) for p in (10, 100, 1000))
+_DIGITS4 = np.frombuffer(b"".join(b"%03d0" % g for g in range(1000)), np.uint32)
+_ZEROS3 = sum((np.arange(1000) % p == 0).astype(np.uint8) for p in (10, 100, 1000))
 _PADS = np.frombuffer(b"\xff" * 4, np.uint32)[0]
 _SCALE, _E_KEY, _CLASS, _EXP_WORDS = _exponent_tables()
 

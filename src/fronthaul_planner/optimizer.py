@@ -203,7 +203,8 @@ def grid_search(cells):
     """
     nn, mm, ee = cells[:3]
     best = np.fmax.reduce(ee, axis=None)  # NaN only when every cell is NaN
-    tied = np.nonzero(ee == best if best == best else np.isnan(ee))
+    tied = np.unravel_index(np.flatnonzero(ee == best if best == best else np.isnan(ee)),
+                            np.shape(ee))
     n_tied, m_tied = nn[tied], mm[tied]
     first = np.flatnonzero(n_tied == n_tied.min())
     idx = first[m_tied[first].argmin()]
