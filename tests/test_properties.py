@@ -474,8 +474,8 @@ def _every_text_class():
 def test_every_text_class_prints_as_the_row_loop(tmp_path):
     # one table of three float columns, rendered a piece at a time in one
     # _float_text call for all three: the first holds the classes in runs,
-    # the second in the reverse order and ends in a comma too, the last
-    # shuffled and ends the row; each column takes its own common layout
+    # the second in the reverse order, both ending in a comma, and the last
+    # shuffled, ending the row; each column takes its own common layout
     values = _every_text_class()
     assert len(np.unique(np.floor(np.log10(np.abs(values))))) >= 601
     shuffled = np.random.default_rng(30).permutation(values)
