@@ -165,10 +165,10 @@ def _render_block(block, texts, seps, buffers):
                             buffers))
     texts = [next(made) if text is None else text.take(col, axis=0)
              for col, text in zip(block, texts)]
-    # the rows, filled column by column in the gather index's memory, are
-    # read in row order, and translate drops the padding in one pass
+    # the rows, filled column by column in work memory, are read in row
+    # order, and translate drops the padding in one pass
     width = sum(t.shape[1] for t in texts)
-    rows = _work(buffers, "index", (width, len(texts[0])), np.uint8).T
+    rows = _work(buffers, "rows", (width, len(texts[0])), np.uint8).T
     np.concatenate(texts, axis=1, out=rows)
     return rows.tobytes().translate(None, b"\xff")
 
