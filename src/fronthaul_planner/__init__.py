@@ -16,8 +16,8 @@ from .experiments import (ExperimentSpec, run_ee_surface, run_ee_vs_sumrate,
                           run_rate_cdf)
 from .fronthaul import (FronthaulPlan, UplinkSignalParams, per_ap_distortions,
                         quantization_noise_var, received_signal_power)
-from .optimizer import (PlanOptimum, alternating_optimize, grid_search,
-                        optimal_m_of_closed_form, optimal_n_closed_form)
+from .optimizer import (PlanOptimum, grid_search, optimal_m_of_closed_form,
+                        optimal_n_closed_form)
 from .rate import (SinrBreakdown, achievable_rates, mc_validate_terms,
                    rate_from_sinr, sinr_closed_form)
 
@@ -27,10 +27,10 @@ __all__ = [
     "AggregateParams", "ExperimentSpec", "FronthaulPlan", "LargeScaleFading",
     "PathLossModel", "PlanOptimum", "PowerCostParams", "ShadowingModel",
     "SinrBreakdown", "SystemConfig", "UplinkSignalParams",
-    "achievable_rates", "aggregate_params", "alternating_optimize",
-    "ee_symmetric", "grid_search", "load_config", "mc_validate_terms",
-    "optimal_m_of_closed_form", "optimal_n_closed_form", "path_loss_db",
-    "per_ap_distortions", "quantization_noise_var", "rate_from_sinr",
-    "received_signal_power", "run_ee_surface", "run_ee_vs_sumrate",
-    "run_rate_cdf", "sinr_closed_form", "symmetric_beta",
+    "achievable_rates", "aggregate_params", "ee_symmetric", "grid_search",
+    "load_config", "mc_validate_terms", "optimal_m_of_closed_form",
+    "optimal_n_closed_form", "path_loss_db", "per_ap_distortions",
+    "quantization_noise_var", "rate_from_sinr", "received_signal_power",
+    "run_ee_surface", "run_ee_vs_sumrate", "run_rate_cdf", "sinr_closed_form",
+    "symmetric_beta",
 ]

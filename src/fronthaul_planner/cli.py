@@ -24,7 +24,8 @@ from .experiments import (_F, ExperimentSpec, beta_line, grid_blocks,
                           grid_columns, run_ee_surface, run_ee_vs_sumrate,
                           run_rate_cdf, stamp, symmetric_setup, write_table)
 from .fronthaul import FronthaulPlan, per_ap_distortions
-from .optimizer import alternating_optimize, best_of, grid_search, parse_range
+from .optimizer import (N_MAX, N_MIN, N_STEP, best_of, grid_search,
+                        optimal_m_of_closed_form, parse_range)
 from .rate import mc_validate_terms, sinr_closed_form
 from .seeds import derive_rng
 
@@ -89,10 +90,10 @@ def cmd_optimize(args):
     _echo_config(cfg, args.seed)
     beta, agg = symmetric_setup(cfg, args.seed)
     print(f"symmetric gain beta = {_F % beta} ({cfg.beta_policy})")
-    opt = alternating_optimize(agg, init_n=2.0, init_m_of=cfg.m // 2)
-    status = "converged" if opt.converged else "stopped at best seen"
-    print(f"method = {opt.method} ({status})")
-    _print_optimum(opt)
+    # at fixed n the best fiber count is 0 or m, so these cells hold grid's optimum
+    print(f"method = endpoints (m_of = 0 or {agg.m}, "
+          f"n = {N_MIN:g}:{N_MAX:g}:{N_STEP:g})")
+    _print_optimum(optimal_m_of_closed_form(parse_range(N_MIN, N_MAX, N_STEP), agg))
     return 0
 
 
@@ -205,7 +206,7 @@ def build_parser():
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUTDIR_ENV} or .)")
 
-    p = sub.add_parser("optimize", help="closed-form + alternating optimum")
+    p = sub.add_parser("optimize", help="joint optimum over the two endpoint fiber counts")
     common(p)
 
     p = sub.add_parser("grid", help="brute-force grid search oracle")

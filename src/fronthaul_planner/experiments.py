@@ -16,7 +16,7 @@ from .config import (SystemConfig, fading_blocks, power_cost_params,
 from .energy import symmetric_terms
 from .fronthaul import (FronthaulPlan, quantization_noise_var,
                         received_signal_power)
-from .optimizer import best_of, grid_cells, grid_search, parse_range
+from .optimizer import grid_cells, optimal_m_of_closed_form, parse_range
 from .rate import achievable_rates
 
 # Fiber/FSO cost scenarios compared by the surface study: cheap fiber,
@@ -416,16 +416,17 @@ def run_ee_surface(spec):
 
     Returns {(mu_of, mu_fso): PlanOptimum} with the per-set argmax; the CSV
     holds one row per grid cell for all three sets. The argmaxes head the
-    CSV, so a first pass over the grid blocks finds them and a second one
-    writes the rows; neither holds a whole grid.
+    CSV: each is the endpoint step over the n grid, which evaluates the
+    m_of = 0 and m columns alone (the best fiber count is one of them), and
+    a pass over the grid blocks then writes the rows without holding a
+    whole grid.
     """
     cfg = spec.config
     beta = symmetric_beta(cfg, spec.seed)
     ns = parse_range(*SURFACE_N)
     aggs = {(mu_of, mu_fso): symmetric_aggregates(cfg, beta, power_cost_params(
         replace(cfg, mu_of=mu_of, mu_fso=mu_fso))) for mu_of, mu_fso in SURFACE_COST_SETS}
-    optima = {costs: best_of([grid_search(cells) for cells in grid_blocks(agg, ns)])
-              for costs, agg in aggs.items()}
+    optima = {costs: optimal_m_of_closed_form(ns, agg) for costs, agg in aggs.items()}
 
     mu_ofs, mu_fsos = np.array(SURFACE_COST_SETS).T
     mofs = np.arange(cfg.m + 1)

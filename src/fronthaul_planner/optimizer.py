@@ -2,16 +2,17 @@
 
 The symmetric-network objective is maximized over the fiber capacity
 coefficient n and the fiber count m_of. A grid search serves as the
-independent oracle and an alternating loop refines the joint pair. Every
-step evaluates its candidate cells in one symmetric_terms call and returns
-the PlanOptimum grid_search picks among them, so one rule decides
-throughout: the largest EE, then the smallest n, then the smallest m_of,
-NaN cells last.
+independent oracle. Every step evaluates its candidate cells in one
+symmetric_terms call and returns the PlanOptimum grid_search picks among
+them, so one rule decides throughout: the largest EE, then the smallest n,
+then the smallest m_of, NaN cells last.
 
 The planner's steps are exact: optimal_n_closed_form maximizes the
 symmetric objective itself on an N_STEP grid over [N_MIN, N_MAX], with no
 log-linearization, and optimal_m_of_closed_form compares the endpoints 0
-and m alone, since at fixed n the objective is quasi-convex in m_of. The
+and m alone, since at fixed n the objective is quasi-convex in m_of. Given
+the whole n grid, the endpoint step is the joint optimum: grid's pick over
+the two endpoint columns, which is grid's pick over every column. The
 paper's closed forms are reported next to these steps, not used by them:
 capacity_coeff_quadratic, the stationarity condition of a log-linearized
 objective written as a quadratic in chi = 2^(-n c_fso), and
@@ -31,10 +32,8 @@ from .fronthaul import quantization_noise_var
 LN2 = math.log(2.0)
 
 # Bracket and grid step of the capacity coefficient searched by the
-# planner's n-step and by the quadratic's fallback.
+# planner's steps and by the quadratic's fallback.
 N_MIN, N_MAX, N_STEP = 1.0, 10.0, 0.01
-# Most rounds of the alternating loop, which stops at a stationary (n, m_of).
-MAX_ITERS = 100
 NO_FIBER = "capacity coefficient is immaterial without fiber links"
 
 
@@ -78,13 +77,11 @@ class FiberCountIntermediates:
 
 @dataclass(frozen=True)
 class PlanOptimum:
-    """Optimization outcome; method is "grid" or "alternating"."""
+    """Optimization outcome: the best cell and its EE."""
 
     n_star: float
     m_of_star: int
     ee_star: float
-    method: str
-    converged: bool = True
 
 
 def capacity_coeff_quadratic(m_of, agg):
@@ -153,14 +150,18 @@ def fiber_count_intermediates(n, agg):
 
 
 def optimal_m_of_closed_form(n, agg):
-    """Best fiber count at fixed n >= 1, as a PlanOptimum.
+    """Best fiber count at a fixed n >= 1, or over a 1-D array of them, as
+    a PlanOptimum.
 
-    grid_search's pick between the endpoints 0 and m in one call, ties to
-    the smaller count. EE, quasi-convex in m_of, peaks at no interior count.
+    grid_search's pick among the cells (n_i, 0) and (n_i, m) in one call,
+    ties to the smaller n, then the smaller count. EE, quasi-convex in
+    m_of, peaks at no interior count, so over grid's n grid this is grid's
+    optimum: N_MIN without fiber, where every n ties.
     """
-    if n < 1:
+    n = np.asarray(n, dtype=float)
+    if np.any(n < 1):
         raise ValueError("n must be at least 1")
-    return _best_cell(float(n), [0, agg.m], agg)
+    return _best_cell(n[..., None], [0, agg.m], agg)
 
 
 def parse_range(lo, hi, step):
@@ -208,7 +209,7 @@ def grid_search(cells):
     n_tied, m_tied = nn[tied], mm[tied]
     first = np.flatnonzero(n_tied == n_tied.min())
     idx = first[m_tied[first].argmin()]
-    return PlanOptimum(float(n_tied[idx]), int(m_tied[idx]), float(ee[tied][idx]), "grid")
+    return PlanOptimum(float(n_tied[idx]), int(m_tied[idx]), float(ee[tied][idx]))
 
 
 def best_of(optima):
@@ -216,37 +217,3 @@ def best_of(optima):
     return grid_search([np.array(v) for v in
                         zip(*((o.n_star, o.m_of_star, o.ee_star) for o in optima))])
 
-
-def alternating_optimize(agg, init_n, init_m_of):
-    """Joint optimum by alternating the two closed forms.
-
-    Each half-step's PlanOptimum, EE included, is accepted only if it does
-    not decrease the objective, which is evaluated here only at the start;
-    a decreasing step stops the loop at the best point seen. Runs until the
-    pair is stationary or MAX_ITERS rounds. At m_of = 0, where EE ignores n,
-    the n-step takes all-fiber's n, the fiber-count step's only other pick,
-    and an accepted m_of = 0 holds n = N_MIN, as in grid.
-    """
-    if not 0 <= init_m_of <= agg.m:
-        raise ValueError("init_m_of must lie in [0, m]")
-    if init_n < 1:
-        raise ValueError("init_n must be at least 1")
-    n, m_of = float(init_n), int(init_m_of)
-    ee = float(symmetric_terms(n, m_of, agg)[0])
-    for _ in range(MAX_ITERS):
-        n_prev, m_prev = n, m_of
-        if m_of > 0:
-            step = optimal_n_closed_form(m_of, agg)
-            if step.ee_star < ee:
-                break
-            n, ee = step.n_star, step.ee_star
-        else:
-            n = optimal_n_closed_form(agg.m, agg).n_star
-        step = optimal_m_of_closed_form(n, agg)
-        if step.ee_star < ee:
-            break
-        m_of, ee = step.m_of_star, step.ee_star
-        n = n if m_of else N_MIN
-        if (n, m_of) == (n_prev, m_prev):
-            return PlanOptimum(n, m_of, ee, "alternating")
-    return PlanOptimum(n, m_of, ee, "alternating", converged=False)

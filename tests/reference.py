@@ -6,14 +6,10 @@ score a plan with any per-AP link mix. No command reaches them: the tests
 keep them as an oracle independent of the symmetric objective
 energy.symmetric_terms.
 
-argmax_n_step, loop_m_of_step and reevaluating_alternation are the
-optimizer's two steps and alternating loop as they were before each step
-returned the PlanOptimum grid_search picks: the n-step by np.argmax, the
-fiber-count step by a strict comparison, and a loop that evaluated
-each step's cell again. They follow the optimizer's rules: the n grid of
-grid, a fiber-count step between the endpoints 0 and m alone, a stop on an
-exact repeat of (n, m_of), n = N_MIN held at an accepted m_of = 0, and an
-n-step at m_of = 0 that takes argmax_n_step(m, agg), all-fiber's n.
+argmax_n_step and loop_m_of_step are the optimizer's two steps as they
+were before each step returned the PlanOptimum grid_search picks: the
+n-step by np.argmax over the n grid of grid, and the fiber-count step by a
+strict comparison of the endpoints 0 and m alone.
 
 combining_trial_terms is the Monte-Carlo check's trial written out in full:
 complex fading and noise, combined with maximum-ratio weights. The check
@@ -26,8 +22,7 @@ import numpy as np
 from fronthaul_planner.channel import PathLossModel, ShadowingModel
 from fronthaul_planner.config import SystemConfig, power_cost_params
 from fronthaul_planner.energy import GBPS_PER_BPS, symmetric_terms
-from fronthaul_planner.optimizer import (MAX_ITERS, N_MAX, N_MIN, N_STEP,
-                                         PlanOptimum, parse_range)
+from fronthaul_planner.optimizer import N_MAX, N_MIN, N_STEP, parse_range
 
 CFG = SystemConfig()
 NOISE_W = CFG.noise_power_w
@@ -88,38 +83,6 @@ def loop_m_of_step(n, agg):
     strict comparison; a tie goes to 0."""
     ee_0, ee_m = (symmetric_terms(float(n), c, agg)[0] for c in (0, agg.m))
     return int(agg.m) if ee_m > ee_0 else 0
-
-
-def reevaluating_alternation(agg, init_n, init_m_of):
-    """The alternating loop over argmax_n_step and loop_m_of_step, each
-    accepted step's cell evaluated again."""
-    n, m_of = float(init_n), int(init_m_of)
-    ee = float(symmetric_terms(n, m_of, agg)[0])
-    converged = False
-    for _ in range(MAX_ITERS):
-        n_prev, m_prev = n, m_of
-
-        if m_of > 0:
-            n_cand = argmax_n_step(m_of, agg)
-            ee_cand = float(symmetric_terms(n_cand, m_of, agg)[0])
-            if ee_cand < ee:
-                break
-            n, ee = n_cand, ee_cand
-        else:
-            n = argmax_n_step(agg.m, agg)
-
-        m_cand = loop_m_of_step(n, agg)
-        ee_cand = float(symmetric_terms(n, m_cand, agg)[0])
-        if ee_cand < ee:
-            break
-        m_of, ee = m_cand, ee_cand
-        if m_of == 0:
-            n = N_MIN
-
-        if n == n_prev and m_of == m_prev:
-            converged = True
-            break
-    return PlanOptimum(n, m_of, ee, "alternating", converged)
 
 
 def combining_trial_terms(beta, sig, D, k, parts):

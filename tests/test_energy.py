@@ -130,6 +130,16 @@ def test_aggregate_rejects_a_gain_out_of_scale(beta, eta):
         aggregate_params(beta, sig, pc, 100, 10, 2.0, eta=eta)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_aggregate_rejects_a_gain_or_fso_capacity_not_positive(value):
+    # rejected at the argument check, not later with the out-of-scale message
+    sig, pc, _ = default_setup()
+    with pytest.raises(ValueError, match="beta_scalar must be positive"):
+        aggregate_params(value * 1.1e-12, sig, pc, 100, 10, 2.0)
+    with pytest.raises(ValueError, match="c_fso must be positive"):
+        aggregate_params(1.1e-12, sig, pc, 100, 10, value * 2.0)
+
+
 @pytest.mark.parametrize("m, k", [(50, 10), (100, 5)])
 def test_aggregate_rejects_network_other_than_sig(m, k):
     sig = UplinkSignalParams.symmetric(0.1, 0.5, NOISE_W, 100, 10)

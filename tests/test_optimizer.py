@@ -1,4 +1,4 @@
-"""Tests for the closed-form optima, grid oracle and alternating loop."""
+"""Tests for the closed-form optima, the endpoint step and the grid oracle."""
 
 import math
 from dataclasses import replace
@@ -13,8 +13,7 @@ from fronthaul_planner.cli import main
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       symmetric_terms)
 from fronthaul_planner.fronthaul import UplinkSignalParams
-from fronthaul_planner.optimizer import (alternating_optimize, best_of,
-                                         capacity_coeff_quadratic,
+from fronthaul_planner.optimizer import (best_of, capacity_coeff_quadratic,
                                          fiber_count_intermediates,
                                          grid_cells, grid_search,
                                          optimal_m_of_closed_form,
@@ -187,33 +186,8 @@ def test_grid_deterministic():
     assert (a.n_star, a.m_of_star, a.ee_star) == (b.n_star, b.m_of_star, b.ee_star)
 
 
-def test_alternating_reaches_grid_neighborhood():
-    agg = default_agg()
-    grid = grid_optimum(agg, 1.0, 10.0, 0.1)
-    alt = alternating_optimize(agg, init_n=5.0, init_m_of=10)
-    assert abs(alt.n_star - grid.n_star) <= 1.0
-    assert abs(alt.m_of_star - grid.m_of_star) <= 1
-    assert alt.method == "alternating"
-
-
-def test_alternating_fixed_point_and_monotonicity():
-    from fronthaul_planner.energy import ee_symmetric
-
-    agg = default_agg()
-    first = alternating_optimize(agg, init_n=5.0, init_m_of=10)
-    ee_init = ee_symmetric(5.0, 10, agg, M, K, BS, C)
-    assert first.ee_star >= ee_init
-    # restarting at the result terminates immediately at the same point
-    again = alternating_optimize(agg, init_n=first.n_star,
-                                 init_m_of=first.m_of_star)
-    assert again.ee_star >= first.ee_star - 1e-12
-    assert abs(again.n_star - first.n_star) <= 1e-6 or again.ee_star > first.ee_star
-
-
-def test_optimize_evaluates_the_objective_at_most_seven_times(monkeypatch,
-                                                             tmp_path, capsys):
-    # the start point once, then one call per half-step; the default run
-    # converges in three rounds
+def test_optimize_evaluates_the_objective_once(monkeypatch, tmp_path, capsys):
+    # both endpoint columns over the whole n grid in one call
     calls = []
 
     def counted(*args):
@@ -223,12 +197,12 @@ def test_optimize_evaluates_the_objective_at_most_seven_times(monkeypatch,
     monkeypatch.setattr(optimizer, "symmetric_terms", counted)
     assert main(["optimize", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert 1 <= len(calls) <= 7
+    assert len(calls) == 1
 
 
 def test_optimize_prints_grids_optimum_on_one_ap(tmp_path, capsys):
-    # optimize starts at m_of = 0 on one AP; it must still find the fiber
-    # grid finds, (1.45, 1), not stay at all-FSO (1, 0)
+    # on one AP the best fiber cell (1.45, 1) is 0.5% above all-FSO (1, 0);
+    # optimize must find it as grid does
     cfg = tmp_path / "one_ap.cfg"
     cfg.write_text("m = 1\nk = 9\nc_fso = 3.8\np_fh_fso_w_per_gbps = 0.67\n"
                    "p_fh_of_w_per_gbps = 0.12\nmu_of = 0.022\n")

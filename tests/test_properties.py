@@ -20,20 +20,20 @@ from fronthaul_planner.channel import DropBlocks, ShadowingModel, db_to_linear
 from fronthaul_planner.config import SystemConfig
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       symmetric_terms)
-from fronthaul_planner.experiments import (BLOCK_ROWS, symmetric_setup,
+from fronthaul_planner.experiments import (BLOCK_ROWS, SURFACE_COST_SETS,
+                                           SURFACE_N, symmetric_setup,
                                            write_table)
 from fronthaul_planner.fronthaul import (UplinkSignalParams,
                                          quantization_noise_var,
                                          received_signal_power)
 from fronthaul_planner.optimizer import (N_MAX, N_MIN, N_STEP,
-                                         alternating_optimize,
                                          fiber_count_intermediates, grid_cells,
                                          grid_search, optimal_m_of_closed_form,
                                          optimal_n_closed_form, parse_range)
 from fronthaul_planner.rate import MC_BLOCK, mc_validate_terms, per_user_sinrs
 from fronthaul_planner.seeds import STREAMS, derive_rng
 from reference import (NOISE_W, PATH_LOSS, SHADOWING, argmax_n_step,
-                       distances, loop_m_of_step, reevaluating_alternation)
+                       distances, loop_m_of_step)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -110,9 +110,9 @@ def test_n_step_beats_the_fine_grid(agg, data):
     assert symmetric_terms(n, m_of, agg)[0] >= grid.max() * (1.0 - 1e-12)
 
 
-# The network of the 'stopped at best seen' optimize pin: from the start
-# (2, 50) an n-step on an np.arange grid picked 2.000000000000001, which
-# scores below 2.0, and stopped the loop at once.
+# The network of the 'np.arange n-step' optimize pin: from the start
+# (2, 50) the former alternating loop's n-step, on an np.arange grid,
+# picked 2.000000000000001, which scores below 2.0, and stopped at once.
 STOPS_AT_BEST_SEEN = symmetric_setup(replace(
     SystemConfig(), beta_scalar=9.9e-13, mu_fso=0.0031, eta=0.11,
     p_fh_of_w_per_gbps=0.051), 0)[1]
@@ -122,9 +122,8 @@ STOPS_AT_BEST_SEEN = symmetric_setup(replace(
 @given(neighbourhood(), st.floats(1.0, 10.0), st.floats(0.0, 1.0))
 @example(STOPS_AT_BEST_SEEN, 2.0, 0.5)
 def test_optimizer_keeps_the_former_cells_and_bits(agg, n, share):
-    # each step's PlanOptimum against the former argmax and comparison-loop
-    # steps with their cell evaluated again, and the loop against the
-    # former one that re-evaluated each step: the same bits and flags
+    # each step's PlanOptimum against the former argmax and comparison
+    # steps with their cell evaluated again: the same bits
     m_of = round(share * agg.m)
     bits = lambda o: (o.n_star.hex(), o.m_of_star, o.ee_star.hex())
     ee = lambda n, m_of: float(symmetric_terms(n, m_of, agg)[0]).hex()
@@ -134,37 +133,43 @@ def test_optimizer_keeps_the_former_cells_and_bits(agg, n, share):
                                                           ee(old_n, m_of))
     old_m = loop_m_of_step(n, agg)
     assert bits(optimal_m_of_closed_form(n, agg)) == (n.hex(), old_m, ee(n, old_m))
-    new = alternating_optimize(agg, n, m_of)
-    old = reevaluating_alternation(agg, n, m_of)
-    assert bits(new) + (new.converged,) == bits(old) + (old.converged,)
 
 
-# A one-AP network, where optimize starts at m_of = 0: only an n-step taken
-# without fiber reaches grid's (1.45, 1), 0.5% above all-FSO's EE.
+# A one-AP network whose best cell, grid's (1.45, 1), is only 0.5% above
+# all-FSO's EE.
 ONE_AP = symmetric_setup(replace(
     SystemConfig(), m=1, k=9, c_fso=3.8, p_fh_fso_w_per_gbps=0.67,
     p_fh_of_w_per_gbps=0.12, mu_of=0.022), 0)[1]
 
+# The reference network under each cost set of the surface study.
+SURFACE_AGGS = [symmetric_setup(replace(SystemConfig(), mu_of=mu_of, mu_fso=mu_fso), 0)[1]
+                for mu_of, mu_fso in SURFACE_COST_SETS]
+OPTIMIZE_N = (N_MIN, N_MAX, N_STEP)
+
 
 @SETTINGS
-@given(neighbourhood())
-@example(STOPS_AT_BEST_SEEN)
-@example(ONE_AP)
-def test_optimize_reports_a_cell_of_the_grid_of_grid(agg):
-    # the loop's n-step searches grid's own n grid and its fiber-count step
-    # both endpoints, the only counts that can win, so from optimize's
-    # start it reports grid's optimum bit for bit: N_MIN without fiber,
-    # where every n ties and grid_search picks the smallest
-    ns = parse_range(N_MIN, N_MAX, N_STEP)
-    opt = alternating_optimize(agg, 2.0, agg.m // 2)
+@given(neighbourhood(), st.sampled_from([OPTIMIZE_N, SURFACE_N]))
+@example(STOPS_AT_BEST_SEEN, OPTIMIZE_N)
+@example(ONE_AP, OPTIMIZE_N)
+@example(SURFACE_AGGS[0], SURFACE_N)
+@example(SURFACE_AGGS[1], SURFACE_N)
+@example(SURFACE_AGGS[2], SURFACE_N)
+def test_optimize_reports_a_cell_of_the_grid_of_grid(agg, n_range):
+    # the endpoint step over an n grid reads the m_of = 0 and m columns
+    # alone, the only counts that can win, so optimize (on grid's 0.01
+    # grid) and the surface's argmaxes (on SURFACE_N) report grid's optimum
+    # bit for bit: N_MIN without fiber, where every n ties and grid_search
+    # picks the smallest
+    ns = parse_range(*n_range)
+    opt = optimal_m_of_closed_form(ns, agg)
     best = grid_search(grid_cells(agg, ns))
-    bits = lambda o: (o.n_star, o.m_of_star, o.ee_star.hex())
+    bits = lambda o: (o.n_star.hex(), o.m_of_star, o.ee_star.hex())
     assert bits(opt) == bits(best)
     if agg is ONE_AP:
         assert (best.n_star, best.m_of_star) == (1.45, 1)
     if agg is STOPS_AT_BEST_SEEN:
-        # on an np.arange grid, n = 2.000000000000001 stopped the loop
-        # 3.3% below this optimum
+        # on an np.arange grid, n = 2.000000000000001 stopped the former
+        # loop 3.3% below this optimum
         assert (best.n_star, best.m_of_star) == (2.1, 100)
 
 
