@@ -51,10 +51,18 @@ were recorded again when the loop's n-step took grid's n grid
 2.000000000000001) and n became N_MIN at m_of = 0, where grid_search
 picks it: the three all-FSO pins (beta_scalar=1.1e-12*10**0.3, m=1000,
 mu_of=0.05) print n_star = 1 where they printed 1.67, 1.34 and 1.47, with
-ee_star unchanged, and 'stopped at best seen', whose n-step at (2, 50)
-picked 2.000000000000001 at 2.3e-10 bits/J below the start, now converges
-at grid's optimum (2.1, 100), 2165618.93 bits/J where it stopped at
-(2, 50), 2094688.46 bits/J. No other digest moved.
+ee_star unchanged, and 'np.arange n-step' (then named 'stopped at best
+seen'), whose n-step at (2, 50) picked 2.000000000000001 at 2.3e-10
+bits/J below the start, now converges at grid's optimum (2.1, 100),
+2165618.93 bits/J where it stopped at (2, 50), 2094688.46 bits/J. No
+other digest moved.
+
+All seven optimize stdout pins (the default run and the six configured
+ones) were recorded again when the alternating loop was deleted and
+optimize became the endpoint step over grid's n grid. Only the method
+line moved, from the loop's name and status to 'method = endpoints
+(m_of = 0 or M, n = 1:10:0.01)'; the n_star, m_of_star and ee_star
+lines, and every other line, are byte-identical.
 """
 
 import hashlib
@@ -117,7 +125,7 @@ STDOUT_DIGESTS = {
     ("validate", "--m", "8", "--k", "3", "--trials", "5000", "--seed", "5"):
         (0, "983d12307afa770d6e01060a398c45e5300a413ea448b5e7215a2ae84e8c7950"),
     ("optimize", "--seed", "0"):
-        (0, "252033712cd954d4a1b56874ae4f50bdf6e87bbe527e28a25eed0ce2b1a2f701"),
+        (0, "8a9a88442dd8e3d47e08f9c0d0efd817e8c11ced13075706761d546e46156af0"),
 }
 
 
@@ -206,27 +214,27 @@ def test_configured_study_bytes_unchanged(name, seed, tmp_path, capsys):
     assert (csv, hashlib.sha256(stdout.encode()).hexdigest()) == CONFIGURED_DIGESTS[(name, seed)]
 
 
-# pin name -> (config file text, seed) of an optimize run; the last one's
-# alternating loop stopped at the best point seen while its n-step searched
-# an np.arange grid, and converges at grid's optimum on grid's n grid.
+# pin name -> (config file text, seed) of an optimize run; on the last
+# one's network an n-step on an np.arange grid once stopped the former
+# alternating loop below grid's optimum.
 OPTIMIZE = {
     "beta_scalar=1.1e-12*10**-0.3": ("beta_scalar = 5.513059569899995e-13\n", 0),
     "beta_scalar=1.1e-12*10**0.3": ("beta_scalar = 2.194788546465767e-12\n", 0),
     "m=1000": ("m = 1000\n", 0),
     "mu_of=0.05": ("mu_of = 0.05\n", 0),
     "beta_policy=geometric_mean": ("beta_policy = geometric_mean\n", 1),
-    "stopped at best seen": ("beta_scalar = 9.9e-13\nmu_fso = 0.0031\neta = 0.11\n"
-                             "p_fh_of_w_per_gbps = 0.051\n", 0),
+    "np.arange n-step": ("beta_scalar = 9.9e-13\nmu_fso = 0.0031\neta = 0.11\n"
+                         "p_fh_of_w_per_gbps = 0.051\n", 0),
 }
 
 # pin name -> stdout sha256
 OPTIMIZE_DIGESTS = {
-    "beta_scalar=1.1e-12*10**-0.3": "40f8373c260005173caae0460be4fa8bde8246ac77a234da7ba35308fc5cb986",
-    "beta_scalar=1.1e-12*10**0.3": "9d7e356b9e2a04d09906817631aec52789f04728eefb0dfa669e4a9c1034d0fb",
-    "m=1000": "550c753e5be18f0384253eb0790f462fa767707b267dedee1586f3535c200d3b",
-    "mu_of=0.05": "16f173b77e8a6a9bca67c1d3c67cd7a2df8f9089ba268f2db68b0750b1890c27",
-    "beta_policy=geometric_mean": "89cbbc4bb07b9fc1536f4ce61b16f0013c285480d0b6655e1f4b4e6ebfd4903a",
-    "stopped at best seen": "bc5c73c47038e7f2f7579b3b07ef52433c495592757b65d78fd8b056623a7a39",
+    "beta_scalar=1.1e-12*10**-0.3": "cc2177fcb6d67c3299ec90f3d573703d701da292cf22ed5bd38def290cdcd683",
+    "beta_scalar=1.1e-12*10**0.3": "2f01ce9178053b65a5d6ca79e76a187e6f71ecf834579ed59eb45672555a6ffd",
+    "m=1000": "0eff641a579e84fdce4dae230d40a2e3d023a21a84af23eb50aa958056aaf540",
+    "mu_of=0.05": "0d8cb0e8aa048bb6a39c3310c2190711df4be87f8fc656bc4659b933cc437843",
+    "beta_policy=geometric_mean": "1afbde4801fdd8d200b0b9301a42dcb6a50bea7dd398f86293fe6f4ed1844746",
+    "np.arange n-step": "5131771a02cb07b9f1da6e68fa37867f393585b970ac20ba7f40d4403a21ea6b",
 }
 
 
