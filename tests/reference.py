@@ -71,9 +71,7 @@ def energy_efficiency(sum_rate, p_net, omega, b_s):
 
 
 def argmax_n_step(m_of, agg):
-    """Best fiber capacity coefficient at fixed m_of; nan when m_of = 0."""
-    if m_of == 0:
-        return float("nan")
+    """Best fiber capacity coefficient at a fixed m_of >= 1."""
     ns = parse_range(N_MIN, N_MAX, N_STEP)
     return float(ns[np.argmax(symmetric_terms(ns, m_of, agg)[0])])
 
