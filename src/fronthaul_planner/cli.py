@@ -206,7 +206,7 @@ def build_parser():
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUTDIR_ENV} or .)")
 
-    p = sub.add_parser("optimize", help="joint optimum over the two endpoint fiber counts")
+    p = sub.add_parser("optimize", help="optimum among the all-FSO and all-fiber cells")
     common(p)
 
     p = sub.add_parser("grid", help="brute-force grid search oracle")
