@@ -108,36 +108,23 @@ class SystemConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
-# File key -> (config field, type, num, den): field = type(value) * num / den.
-# Keys carry the units people write (GHz, MHz, mWatt), fields the units the
-# code computes with. Integer scales round both directions exactly once.
-_KEYS = {
-    "f_ghz": ("f_mhz", float, 1000, 1),
-    "bandwidth_mhz": ("b_s_hz", float, 10 ** 6, 1),
-    "h_ap_m": ("h_ap_m", float, 1, 1),
-    "h_ue_m": ("h_ue_m", float, 1, 1),
-    "d0_m": ("d0_m", float, 1, 1),
-    "d1_m": ("d1_m", float, 1, 1),
-    "sigma_sh_db": ("sigma_sh_db", float, 1, 1),
-    "theta": ("theta", float, 1, 1),
-    "rho_u_mw": ("rho_u_w", float, 1, 1000),
-    "eta": ("eta", float, 1, 1),
-    "c_fso": ("c_fso", float, 1, 1),
-    "p_circuit_w": ("p_circuit_w", float, 1, 1),
-    "p_fronthaul_const_w": ("p0_w", float, 1, 1),
-    "p_fh_fso_w_per_gbps": ("p_fh_fso_w_per_gbps", float, 1, 1),
-    "p_fh_of_w_per_gbps": ("p_fh_of_w_per_gbps", float, 1, 1),
-    "mu_fso": ("mu_fso", float, 1, 1),
-    "mu_of": ("mu_of", float, 1, 1),
-    "boltzmann": ("k_boltzmann", float, 1, 1),
-    "noise_temp_k": ("t0_kelvin", float, 1, 1),
-    "noise_figure_db": ("nf_db", float, 1, 1),
-    "m": ("m", int, 1, 1),
-    "k": ("k", int, 1, 1),
-    "area_m": ("area_m", float, 1, 1),
-    "beta_policy": ("beta_policy", str, 1, 1),
-    "beta_scalar": ("beta_scalar", float, 1, 1),
+# Config field -> (file key, num, den) of the fields whose file key is not
+# their own name at scale 1. Keys carry the units people write (GHz, MHz,
+# mWatt), fields the units the code computes with.
+_RENAMED = {
+    "f_mhz": ("f_ghz", 1000, 1),
+    "b_s_hz": ("bandwidth_mhz", 10 ** 6, 1),
+    "rho_u_w": ("rho_u_mw", 1, 1000),
+    "p0_w": ("p_fronthaul_const_w", 1, 1),
+    "k_boltzmann": ("boltzmann", 1, 1),
+    "t0_kelvin": ("noise_temp_k", 1, 1),
+    "nf_db": ("noise_figure_db", 1, 1),
 }
+
+# File key -> (config field, type, num, den): field = type(value) * num / den,
+# in field order. Integer scales round both directions exactly once.
+_KEYS = {key: (f.name, f.type, num, den) for f in fields(SystemConfig)
+         for key, num, den in [_RENAMED.get(f.name, (f.name, 1, 1))]}
 
 
 def _scaled(value, num, den):
@@ -206,15 +193,14 @@ def power_cost_params(config):
                            config.mu_fso, config.mu_of, config.b_s_hz)
 
 
-def _loss_models(config):
-    return (PathLossModel(config.f_mhz, config.h_ap_m, config.h_ue_m,
-                          config.d0_m, config.d1_m),
-            ShadowingModel(config.sigma_sh_db, config.theta))
-
-
 # Config fields that set a drop's path loss, as PathLossModel takes them,
 # then the side of the area
 _LOSS_FIELDS = ("f_mhz", "h_ap_m", "h_ue_m", "d0_m", "d1_m", "area_m")
+
+
+def _loss_models(config):
+    return (PathLossModel(*(getattr(config, f) for f in _LOSS_FIELDS[:-1])),
+            ShadowingModel(config.sigma_sh_db, config.theta))
 
 
 def _loss_in_range(values):
@@ -299,16 +285,16 @@ def symmetric_beta(config, seed):
     return float(np.exp(np.mean(np.log(fading.beta))))
 
 
-def symmetric_aggregates(config, beta, pc, *, eta=None):
-    """aggregate_params of this config's network at gain beta and costs pc.
+def symmetric_aggregates(config, beta, *, eta=None):
+    """aggregate_params of this config's network and costs at gain beta.
 
     A drawn gain (beta_policy = geometric_mean) that the aggregates reject
     is named with its policy and the path-loss keys off their reference
     values, since the config sets no beta_scalar.
     """
     try:
-        return aggregate_params(beta, signal_params(config), pc, config.m,
-                                config.k, config.c_fso, eta=eta)
+        return aggregate_params(beta, signal_params(config), power_cost_params(config),
+                                config.m, config.k, config.c_fso, eta=eta)
     except ValueError:
         if config.beta_policy == "fixed":
             raise

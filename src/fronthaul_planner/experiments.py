@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (SystemConfig, fading_blocks, power_cost_params,
-                     signal_params, symmetric_aggregates, symmetric_beta)
+from .config import (SystemConfig, fading_blocks, signal_params,
+                     symmetric_aggregates, symmetric_beta)
 from .energy import symmetric_terms
 from .fronthaul import (FronthaulPlan, quantization_noise_var,
                         received_signal_power)
@@ -391,7 +391,7 @@ _SCALE, _E_KEY, _CLASS, _EXP_WORDS = _exponent_tables()
 def symmetric_setup(cfg, seed):
     """Gain scalar and aggregate objective parameters of a symmetric study."""
     beta = symmetric_beta(cfg, seed)
-    return beta, symmetric_aggregates(cfg, beta, power_cost_params(cfg))
+    return beta, symmetric_aggregates(cfg, beta)
 
 
 def grid_blocks(agg, n_range):
@@ -424,8 +424,8 @@ def run_ee_surface(spec):
     cfg = spec.config
     beta = symmetric_beta(cfg, spec.seed)
     ns = parse_range(*SURFACE_N)
-    aggs = {(mu_of, mu_fso): symmetric_aggregates(cfg, beta, power_cost_params(
-        replace(cfg, mu_of=mu_of, mu_fso=mu_fso))) for mu_of, mu_fso in SURFACE_COST_SETS}
+    aggs = {(mu_of, mu_fso): symmetric_aggregates(
+        replace(cfg, mu_of=mu_of, mu_fso=mu_fso), beta) for mu_of, mu_fso in SURFACE_COST_SETS}
     optima = {costs: optimal_m_of_closed_form(ns, agg) for costs, agg in aggs.items()}
 
     mu_ofs, mu_fsos = np.array(SURFACE_COST_SETS).T
@@ -515,7 +515,6 @@ def run_ee_vs_sumrate(spec):
     """
     cfg = spec.config
     beta = symmetric_beta(cfg, spec.seed)
-    pc = power_cost_params(cfg)
     lo, hi, count = SWEEP_RHO_ETA_W
     if cfg.rho_u_w <= lo:
         raise ValueError("config value 'rho_u_mw' must exceed "
@@ -525,7 +524,7 @@ def run_ee_vs_sumrate(spec):
     sweep = np.linspace(lo, hi, count)
     splits = compared_splits_for(cfg.m)
     ns, mofs = (np.array(c) for c in zip(*splits))
-    agg = symmetric_aggregates(cfg, beta, pc, eta=sweep[:, None] / cfg.rho_u_w)
+    agg = symmetric_aggregates(cfg, beta, eta=sweep[:, None] / cfg.rho_u_w)
     # (point, split) from the objective, (split, point) in the table
     ee, sum_rate = (t.T for t in symmetric_terms(ns, mofs, agg))
     curves = {c: np.column_stack((sweep, sum_rate[i], ee[i]))

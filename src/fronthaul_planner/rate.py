@@ -65,7 +65,7 @@ class SinrBreakdown:
     @property
     def sinr(self):
         den = self.bu_var + float(np.sum(self.interference_var)) + self.noise_var
-        return self.ds_sq / den
+        return self.ds_sq / den if den else np.inf
 
     @property
     def rate(self):
@@ -225,6 +225,8 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     row's spread that is linear in the draws. That removes about two
     thirds or more of the variance of each interference and noise term,
     and nearly all of ds_sq's; bu_var, a variance, keeps most of its own.
+    With few trials the correction can take a variance term below 0; it is
+    then reported as 0.
 
     chunk sets the trials a worker draws and holds at once: a worker takes
     runs of chunk // MC_BLOCK whole blocks, and one block when
@@ -299,6 +301,7 @@ def mc_validate_terms(beta, sig, distortions, k, trials, seed, chunk=None):
     means -= cov @ (draw_means - 1.0)
     ds_sq = float(means[1]) ** 2
     bu_var = max(0.0, float(means[0]) - ds_sq)
+    np.maximum(means[2:], 0.0, out=means[2:])
     interference = np.insert(means[2:-1], k, 0.0)
     noise_var = float(means[-1])
     return SinrBreakdown(ds_sq, bu_var, interference, noise_var)

@@ -1,5 +1,6 @@
 """Tests for config parsing, defaults and the command-line surface."""
 
+import itertools
 import os
 import re
 import subprocess
@@ -445,6 +446,18 @@ def test_cli_validate_small_run(tmp_path, capsys):
     assert rc == 0
     assert "max relative term error" in out
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("m, k", [(8, 3), (2, 2)])
+def test_cli_validate_few_trials_report_their_failure(m, k, tmp_path, capsys):
+    # a few trials' estimates may fall below 0; validate still reports
+    # every term and fails its gate, with no error
+    for trials, seed in itertools.product([1, 2, 3, 5, 10, 20], range(6)):
+        rc = main(["validate", "--trials", str(trials), "--m", str(m), "--k", str(k),
+                   "--seed", str(seed), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (1, ""), (trials, seed, err)
+        assert "\nFAIL: relative error at or above 2%\n" in out
 
 
 def test_cli_outdir_env(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,8 @@
 """Every name a module imports is used, every private function or class of
-the package is referenced in it, and every seed stream is drawn from: a
-stale import, helper or stream fails the suite. Importing the CLI stays
-cheap: numpy.random loads only when a command draws."""
+the package is referenced in it, every seed stream is drawn from, and every
+package name the benchmark harness imports resolves: a stale import, helper
+or stream, or a dangling benchmark import, fails the suite. Importing the
+CLI stays cheap: numpy.random loads only when a command draws."""
 
 import ast
 import os
@@ -114,6 +115,38 @@ def test_every_stream_is_drawn_and_tags_are_unique():
 def test_every_exported_name_resolves():
     assert [name for name in fronthaul_planner.__all__
             if not hasattr(fronthaul_planner, name)] == []
+
+
+def package_imports(sources):
+    """(module, name) of every name imported from the package in the
+    sources: 'from fronthaul_planner[.module] import name', at any depth."""
+    return [(node.module, alias.name)
+            for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "fronthaul_planner"
+            for alias in node.names]
+
+
+def test_package_imports_are_found():
+    source = ("from fronthaul_planner.config import a, b as c\nimport os\n"
+              "def f():\n    from fronthaul_planner import d\n"
+              "from fronthaul_planner_x import e\n")
+    assert package_imports([source]) == [("fronthaul_planner.config", "a"),
+                                         ("fronthaul_planner.config", "b"),
+                                         ("fronthaul_planner", "d")]
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # a name or a submodule: a deletion in src/ that the benchmark harness
+    # still imports fails here, not first in a benchmark run
+    missing = []
+    for module, name in package_imports(
+            [p.read_text() for p in sorted(ROOT.glob("bench/*.py"))]):
+        try:
+            exec(f"from {module} import {name}", {})
+        except ImportError:
+            missing.append(f"{module}.{name}")
+    assert missing == []
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():

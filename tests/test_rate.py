@@ -149,6 +149,19 @@ def test_monte_carlo_zero_noise_limit():
     assert emp.noise_var == 0.0
 
 
+def test_monte_carlo_reports_a_negative_variance_estimate_as_zero():
+    # two trials: the control-variate correction takes the raw bu_var,
+    # interference and noise estimates below 0, and each is reported as 0
+    beta = np.full((1, 2), 1e-3)
+    sig = UplinkSignalParams.symmetric(0.1, 0.5, 1e-3, 1, 2)
+    dist = np.full(1, 1e-4)
+    _, bu_var, interference, noise_var = _plain_mc_terms(beta, sig, dist, 0, 2, 11)
+    assert max(bu_var, interference[1], noise_var) < 0
+    emp = mc_validate_terms(beta, sig, dist, 0, trials=2, seed=11)
+    assert (emp.bu_var, emp.interference_var[1], emp.noise_var) == (0.0, 0.0, 0.0)
+    assert emp.ds_sq > 0 and emp.sinr == np.inf
+
+
 @pytest.mark.parametrize("keep", ["delta_sq", "D"])
 def test_monte_carlo_noise_column_carries_both_variances(keep):
     # each AP's one noise column has variance delta_sq + D: with either
