@@ -132,14 +132,7 @@ def path_loss_db(d, model, out=None):
     return out if out.ndim else float(out)
 
 
-def _check_network(m, k, area_side):
-    if not 0 < area_side < np.inf:
-        raise ValueError("area_side must be positive and finite")
-    if m < 1 or k < 1:
-        raise ValueError("need at least one AP and one UE")
-
-
-def _drops(m, k, area_side, pl, sh, xy, z, gains, scratch, sinr=True):
+def _drops(m, k, area_side, pl, sh, xy, z, gains, scratch, sinr):
     """Positions and gains of drops from their draws, any leading batch shape.
 
     xy (..., 2m + 2k) holds uniforms on [0, 1), AP then UE coordinates, and
@@ -180,25 +173,12 @@ def _drops(m, k, area_side, pl, sh, xy, z, gains, scratch, sinr=True):
                      "large: link gains leave the float range")
 
 
-def draw_drop(m, k, area_side, pl, sh, seed, sinr=True):
-    """Positions and link gains of one drop of m APs and k UEs, in arrays of
-    its own, the gains in the range of gains_in_range(..., sinr).
-
-    The coordinates come from the topology stream of the seed, then the
-    normals from its shadowing stream (a Generator seed serves both).
-    """
-    _check_network(m, k, area_side)
-    xy = derive_rng(seed, "topology").random(2 * (m + k))
-    z = derive_rng(seed, "shadowing").standard_normal(m + k)
-    return _drops(m, k, area_side, pl, sh, xy, z, np.empty((m, k)), np.empty((m, k)),
-                  sinr)
-
-
 class DropBlocks:
     """Blocks of up to size drops of a seed, each drawn into the same buffers.
 
     draw(start, stop) gives drops start to stop - 1 of the seed's "drop"
-    stream, stacked on a leading axis, in views of buffers made once: one
+    stream (of a Generator seed, drop i is that Generator jumped i times),
+    stacked on a leading axis, in views of buffers made once: one
     Generator, the block's uniforms and normals, its gains and one scratch
     array of their size. A shorter block uses the first rows. The next draw
     overwrites the arrays of the last, so a block's positions and gains hold
@@ -206,7 +186,10 @@ class DropBlocks:
     """
 
     def __init__(self, m, k, area_side, pl, sh, size, seed):
-        _check_network(m, k, area_side)
+        if not 0 < area_side < np.inf:
+            raise ValueError("area_side must be positive and finite")
+        if m < 1 or k < 1:
+            raise ValueError("need at least one AP and one UE")
         self._network = (m, k, area_side, pl, sh)
         self._rng = derive_rng(seed, "drop")
         self._state = self._rng.bit_generator.state
@@ -215,13 +198,13 @@ class DropBlocks:
         self._gains = np.empty((size, m, k))
         self._scratch = np.empty((size, m, k))
 
-    def draw(self, start, stop):
-        """Drop i is draw_drop on derive_rng(seed, "drop", i): the one
-        Generator jumped to index i."""
+    def draw(self, start, stop, sinr=True):
+        """Drops start to stop - 1, drop i from the one Generator jumped to
+        index i, their gains in the range of gains_in_range(..., sinr)."""
         n = stop - start
         xy, z = self._xy[:n], self._z[:n]
         for j in range(n):
             _jump(self._rng.bit_generator, self._state, start + j)
             self._rng.random(out=xy[j])
             self._rng.standard_normal(out=z[j])
-        return _drops(*self._network, xy, z, self._gains[:n], self._scratch[:n])
+        return _drops(*self._network, xy, z, self._gains[:n], self._scratch[:n], sinr)

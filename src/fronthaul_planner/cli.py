@@ -24,7 +24,7 @@ from .experiments import (_F, ExperimentSpec, beta_line, grid_blocks,
                           grid_columns, run_ee_surface, run_ee_vs_sumrate,
                           run_rate_cdf, stamp, symmetric_setup, write_table)
 from .fronthaul import FronthaulPlan, per_ap_distortions
-from .optimizer import (N_MAX, N_MIN, N_STEP, best_of, grid_search,
+from .optimizer import (N_MAX, N_MIN, N_STEP, _range_count, best_of, grid_search,
                         optimal_m_of_closed_form, parse_range)
 from .rate import mc_validate_terms, sinr_closed_form
 from .seeds import derive_rng
@@ -59,9 +59,10 @@ def _range(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected lo:hi:step, got {text!r}") from None
-    if not (lo <= hi and step > 0):
-        raise argparse.ArgumentTypeError(
-            f"range must satisfy lo <= hi and step > 0, got {text!r}")
+    try:
+        _range_count(lo, hi, step)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{e}, got {text!r}") from None
     return lo, hi, step
 
 
@@ -157,7 +158,7 @@ def cmd_validate(args):
                          "at eta = 0 every signal term it checks is 0")
     _echo_config(cfg, args.seed)
     m, k = args.m, args.k
-    rng = derive_rng(args.seed, "validate_user", index=None)
+    rng = derive_rng(args.seed, "validate_user")
     _, fading = draw_fading(cfg, args.seed)
     beta = fading.beta[:m, :k]
     if beta.shape != (m, k):

@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import (DropBlocks, PathLossModel, ShadowingModel, db_to_linear,
-                      draw_drop, gains_in_range, path_loss_db)
+from .channel import (DropBlocks, LargeScaleFading, PathLossModel, ShadowingModel,
+                      db_to_linear, gains_in_range, path_loss_db)
 from .energy import PowerCostParams, aggregate_params
 from .fronthaul import UplinkSignalParams
 
@@ -250,25 +250,26 @@ def _drawn(config, draw, *args):
                      "link gains leave the float range")
 
 
-def draw_fading(config, seed, sinr=True):
-    """Random drop of positions and link gains under this config, the gains
-    in the range of channel.gains_in_range(..., sinr)."""
-    return _drawn(config, draw_drop, config.m, config.k, config.area_m,
-                  *_loss_models(config), seed, sinr)
-
-
 def fading_blocks(config, size, seed):
     """Drawer of blocks of at most size drops of a seed under this config,
     stacked on a leading axis.
 
-    draw(start, stop)[1].beta[j] is draw_fading(config, derive_rng(seed,
-    "drop", start + j)), bit for bit. Every block is drawn into the same
-    buffers (channel.DropBlocks): a block's arrays hold until the next is
-    drawn.
+    draw(start, stop, sinr=True) gives drops start to stop - 1 of the
+    seed's "drop" stream (channel.DropBlocks.draw). Every block is drawn
+    into the same buffers: a block's arrays hold until the next is drawn.
     """
     blocks = DropBlocks(config.m, config.k, config.area_m, *_loss_models(config),
                         size, seed)
-    return lambda start, stop: _drawn(config, blocks.draw, start, stop)
+    return lambda *span: _drawn(config, blocks.draw, *span)
+
+
+def draw_fading(config, seed, sinr=True):
+    """Drop 0 of fading_blocks(config, 1, seed), in arrays of its own: drop 0
+    of the seed's "drop" stream, and drop i for the Generator
+    derive_rng(seed, "drop", i). Its gains lie in the range of
+    channel.gains_in_range(..., sinr)."""
+    (ap, ue), fading = fading_blocks(config, 1, seed)(0, 1, sinr)
+    return (ap[0], ue[0]), LargeScaleFading(fading.beta[0], sinr)
 
 
 def symmetric_beta(config, seed):

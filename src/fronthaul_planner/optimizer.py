@@ -164,12 +164,17 @@ def optimal_m_of_closed_form(n, agg):
     return _best_cell(n[..., None], [0, agg.m], agg)
 
 
+def _range_count(lo, hi, step):
+    """The length of parse_range(lo, hi, step). Infinite or NaN parts, and
+    spans too long for a float count, are rejected."""
+    if not (lo <= hi and 0 < step < math.inf and math.isfinite((hi - lo) / step)):
+        raise ValueError("range must be finite and satisfy lo <= hi and step > 0")
+    return int(math.floor((hi - lo) / step + 1e-9)) + 1
+
+
 def parse_range(lo, hi, step):
     """Inclusive arithmetic range with float-tolerant endpoint."""
-    if step <= 0 or hi < lo:
-        raise ValueError("range must satisfy lo <= hi and step > 0")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    return lo + step * np.arange(_range_count(lo, hi, step))
 
 
 def grid_cells(agg, n_range):

@@ -12,10 +12,8 @@ every index of a stream by setting a state and advancing it.
 import numpy as np
 
 # Fixed stream tags. Changing them invalidates reproducibility of stored runs.
-# Tags 3, 5 and 6 belonged to retired streams and stay unused.
+# Tags 1, 2, 3, 5 and 6 belonged to retired streams and stay unused.
 STREAMS = {
-    "topology": 1,
-    "shadowing": 2,
     "mc_channel": 4,
     "drop": 7,
     "validate_user": 99,
@@ -41,15 +39,13 @@ def derive_rng(seed, stream, index=0):
 
     seed may already be a Generator, in which case it is returned as-is
     (callers that pre-derive a stream pass it straight through). Index i is
-    i jumps of the stream's index-0 generator, keyed (tag, 0); index None
-    keys the stream by its tag alone, as the validate user pick is keyed.
+    i jumps of the stream's index-0 generator, keyed (tag, 0).
     """
     if isinstance(seed, np.random.Generator):
         return seed
     if stream not in STREAMS:
         raise ValueError(f"unknown seed stream '{stream}'")
-    tag = STREAMS[stream]
-    key = (tag,) if index is None else (tag, 0)
+    key = (STREAMS[stream], 0)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
     if index:
         _jump(rng.bit_generator, rng.bit_generator.state, int(index))

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from fronthaul_planner.channel import (SINR_GAINS, DropBlocks, LargeScaleFading,
-                                       ShadowingModel, db_to_linear, draw_drop,
-                                       path_loss_db)
+                                       ShadowingModel, db_to_linear, path_loss_db)
 from fronthaul_planner.config import SystemConfig
 from fronthaul_planner.seeds import derive_rng
 from reference import PATH_LOSS, SHADOWING, distances
@@ -21,13 +20,20 @@ from reference import PATH_LOSS, SHADOWING, distances
 L_REFERENCE_DB = 140.71508370390842
 
 
+def _drop(m, k, side, pl, sh, seed, sinr=True):
+    """The one drop of a one-drop DropBlocks, unstacked: drop 0 of an
+    integer seed's "drop" stream, or the next drop of a Generator seed."""
+    (ap, ue), fading = DropBlocks(m, k, side, pl, sh, 1, seed).draw(0, 1, sinr)
+    return (ap[0], ue[0]), fading.beta[0]
+
+
 def test_drop_rejects_bad_arguments():
     # no AP, no UE or no area: rejected by the drop and by the config
     for m, k, side, text in ((0, 1, 1000.0, "at least one AP"),
                              (1, 0, 1000.0, "at least one AP"),
                              (1, 1, 0.0, "area_side")):
         with pytest.raises(ValueError, match=text):
-            draw_drop(m, k, side, PATH_LOSS, SHADOWING, seed=0)
+            DropBlocks(m, k, side, PATH_LOSS, SHADOWING, 1, 0)
     for fields, text in (({"m": 0}, "'m' and 'k'"), ({"k": 0}, "'m' and 'k'"),
                          ({"area_m": 0.0}, "'area_m'")):
         with pytest.raises(ValueError, match=text):
@@ -35,7 +41,7 @@ def test_drop_rejects_bad_arguments():
 
 
 def test_drop_positions_uniform_mean():
-    (ap, ue), _ = draw_drop(100, 10, 1000.0, PATH_LOSS, SHADOWING, seed=42)
+    (ap, ue), _ = _drop(100, 10, 1000.0, PATH_LOSS, SHADOWING, seed=42)
     # mean of 100 uniform draws on [0, 1000]: sd = (1000/sqrt(12))/10
     three_sigma = 3.0 * (1000.0 / np.sqrt(12.0)) / np.sqrt(100.0)
     assert abs(np.mean(ap[:, 0]) - 500.0) < three_sigma
@@ -45,10 +51,8 @@ def test_drop_positions_uniform_mean():
 
 
 def test_topology_validation():
-    # an area side outside (0, inf), NaN included, fails one drop and a block
+    # an area side outside (0, inf), NaN included, fails before any draw
     for side in (-1.0, float("nan"), np.inf):
-        with pytest.raises(ValueError, match="area_side"):
-            draw_drop(2, 2, side, PATH_LOSS, SHADOWING, seed=0)
         with pytest.raises(ValueError, match="area_side"):
             DropBlocks(2, 2, side, PATH_LOSS, SHADOWING, 2, 0)
     with pytest.raises(ValueError, match="at least one AP"):
@@ -116,11 +120,11 @@ def test_path_loss_rejects_nonpositive_distance():
 
 def test_fading_without_shadowing_is_pure_path_loss():
     pl = PATH_LOSS
-    (ap, ue), fading = draw_drop(20, 5, 1000.0, pl,
-                                 replace(SHADOWING, sigma_sh_db=0.0), seed=1)
+    (ap, ue), beta = _drop(20, 5, 1000.0, pl, replace(SHADOWING, sigma_sh_db=0.0),
+                           seed=1)
     pl_db = path_loss_db(distances(ap, ue), pl)
-    assert np.array_equal(fading.beta, db_to_linear(pl_db))
-    np.testing.assert_allclose(fading.beta, 10.0 ** (pl_db / 10.0), rtol=1e-13, atol=0.0)
+    assert np.array_equal(beta, db_to_linear(pl_db))
+    np.testing.assert_allclose(beta, 10.0 ** (pl_db / 10.0), rtol=1e-13, atol=0.0)
 
 
 def _recover_z(sh, drops=300, m=4, k=3):
@@ -150,8 +154,8 @@ def test_shadowing_spread_over_seeds():
 
 
 def test_drop_positions_deterministic():
-    (t1, _), (t2, _), (t3, _) = (draw_drop(10, 4, 500.0, PATH_LOSS, SHADOWING,
-                                           seed) for seed in (9, 9, 10))
+    (t1, _), (t2, _), (t3, _) = (_drop(10, 4, 500.0, PATH_LOSS, SHADOWING, seed)
+                                 for seed in (9, 9, 10))
     for side in range(2):  # AP, then UE positions
         assert np.array_equal(t1[side], t2[side])
         assert not np.array_equal(t1[side], t3[side])
@@ -159,51 +163,51 @@ def test_drop_positions_deterministic():
 
 def test_fading_deterministic():
     pl, sh = PATH_LOSS, SHADOWING
-    (t1, f1), (t2, f2), (t3, f3) = (draw_drop(10, 4, 500.0, pl, sh, seed)
+    (t1, f1), (t2, f2), (t3, f3) = (_drop(10, 4, 500.0, pl, sh, seed)
                                     for seed in (9, 9, 10))
-    for a, b in ((t1[0], t2[0]), (t1[1], t2[1]), (f1.beta, f2.beta)):
+    for a, b in ((t1[0], t2[0]), (t1[1], t2[1]), (f1, f2)):
         assert np.array_equal(a, b)
     assert not np.array_equal(t1[0], t3[0])
-    assert not np.array_equal(f1.beta, f3.beta)
+    assert not np.array_equal(f1, f3)
 
 
 def test_one_drop_equals_its_split_draws():
-    # one draw of 2m + 2k uniforms and one of m + k normals give the values
-    # of uniform(0, side) positions per AP and per UE and of normals a then b
+    # drop i's one draw of 2m + 2k uniforms and one of m + k normals give
+    # the values of uniform(0, side) positions per AP and per UE, then of
+    # normals a then b, from derive_rng(seed, "drop", i)
     m, k, side, pl, sh = 7, 3, 900.0, PATH_LOSS, SHADOWING
     for seed in range(5):
-        (ap, ue), fading = draw_drop(m, k, side, pl, sh, seed)
-        rng = derive_rng(seed, "topology")
-        assert np.array_equal(ap, rng.uniform(0.0, side, (m, 2)))
-        assert np.array_equal(ue, rng.uniform(0.0, side, (k, 2)))
-        rng = derive_rng(seed, "shadowing")
-        a, b = rng.standard_normal(m), rng.standard_normal(k)
-        shadow = (sh.sigma_sh_db * np.sqrt(sh.theta) * a[:, None]
-                  + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * b[None, :])
-        x = path_loss_db(distances(ap, ue), pl) + shadow
-        assert np.array_equal(fading.beta, db_to_linear(x))
-        np.testing.assert_allclose(fading.beta, 10.0 ** (x / 10.0), rtol=1e-13, atol=0.0)
+        (aps, ues), fading = DropBlocks(m, k, side, pl, sh, 2, seed).draw(3, 5)
+        for j, (ap, ue, beta) in enumerate(zip(aps, ues, fading.beta)):
+            rng = derive_rng(seed, "drop", 3 + j)
+            assert np.array_equal(ap, rng.uniform(0.0, side, (m, 2)))
+            assert np.array_equal(ue, rng.uniform(0.0, side, (k, 2)))
+            a, b = rng.standard_normal(m), rng.standard_normal(k)
+            shadow = (sh.sigma_sh_db * np.sqrt(sh.theta) * a[:, None]
+                      + sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * b[None, :])
+            x = path_loss_db(distances(ap, ue), pl) + shadow
+            assert np.array_equal(beta, db_to_linear(x))
+            np.testing.assert_allclose(beta, 10.0 ** (x / 10.0), rtol=1e-13, atol=0.0)
 
 
 def test_drop_stack_equals_single_drops():
-    # the block drawer against the one-drop draw on each drop's Generator,
-    # bit for bit
+    # the block drawer does not depend on its block size: a block of three
+    # drops against a one-drop drawer on each drop's Generator, bit for bit
     pl, sh = PATH_LOSS, SHADOWING
     (ap, ue), fading = DropBlocks(6, 2, 800.0, pl, sh, 3, 3).draw(4, 7)
     assert fading.beta.shape == (3, 6, 2)
     assert ap.shape == (3, 6, 2) and ue.shape == (3, 2, 2)
     for j in range(3):
-        rng = derive_rng(3, "drop", 4 + j)
-        (ap_j, ue_j), gains = draw_drop(6, 2, 800.0, pl, sh, rng)
+        (ap_j, ue_j), beta = _drop(6, 2, 800.0, pl, sh, derive_rng(3, "drop", 4 + j))
         assert np.array_equal(ap[j], ap_j)
         assert np.array_equal(ue[j], ue_j)
-        assert np.array_equal(fading.beta[j], gains.beta)
+        assert np.array_equal(fading.beta[j], beta)
 
 
 def test_drop_blocks_reuse_their_buffers():
     # at M=1000, K=100 no block allocates half a drop's gains, and each
-    # block's gains, the short last one included, are those of draw_drop
-    # on that drop's Generator, bit for bit
+    # block's gains, the short last one included, are those of a one-drop
+    # drawer on that drop's Generator, bit for bit
     m, k, size, drops = 1000, 100, 2, 5
     blocks = DropBlocks(m, k, 1000.0, PATH_LOSS, SHADOWING, size, 4)
     tracemalloc.start()
@@ -215,24 +219,22 @@ def test_drop_blocks_reuse_their_buffers():
             assert tracemalloc.get_traced_memory()[1] - base < m * k * 8 // 2
             assert fading.beta.shape == (min(size, drops - start), m, k)
             for j, beta in enumerate(fading.beta):
-                (ap_j, ue_j), one = draw_drop(m, k, 1000.0, PATH_LOSS, SHADOWING,
-                                              derive_rng(4, "drop", start + j))
-                assert np.array_equal(beta, one.beta)
+                (ap_j, ue_j), one = _drop(m, k, 1000.0, PATH_LOSS, SHADOWING,
+                                          derive_rng(4, "drop", start + j))
+                assert np.array_equal(beta, one)
                 assert np.array_equal(ap[j], ap_j) and np.array_equal(ue[j], ue_j)
     finally:
         tracemalloc.stop()
 
 
 def test_separate_draws_do_not_alias():
-    # a block reuses its own buffers only: two blocks of the same drops and
-    # two one-drop draws each hold arrays of their own
-    args = (6, 3, 100.0, PATH_LOSS, SHADOWING)
-    pairs = [[DropBlocks(*args, 2, 1).draw(0, 2) for _ in range(2)],
-             [draw_drop(*args, seed) for seed in (1, 2)]]
-    for ((ap1, ue1), f1), ((ap2, ue2), f2) in pairs:
-        for a, b in ((ap1, ap2), (ue1, ue2), (f1.beta, f2.beta)):
-            assert not np.shares_memory(a, b)
-    assert np.array_equal(pairs[0][0][1].beta, pairs[0][1][1].beta)
+    # a drawer reuses its own buffers only: two drawers of the same drops
+    # each hold arrays of their own
+    blocks = [DropBlocks(6, 3, 100.0, PATH_LOSS, SHADOWING, 2, 1) for _ in range(2)]
+    ((ap1, ue1), f1), ((ap2, ue2), f2) = (b.draw(0, 2) for b in blocks)
+    for a, b in ((ap1, ap2), (ue1, ue2), (f1.beta, f2.beta)):
+        assert not np.shares_memory(a, b)
+    assert np.array_equal(f1.beta, f2.beta)
 
 
 def test_gains_outside_the_float_range_are_rejected():
@@ -240,9 +242,9 @@ def test_gains_outside_the_float_range_are_rejected():
     # loss out of scale keeps the plain gain check; neither warns
     wide, tall = ShadowingModel(2000.0, 0.5), replace(PATH_LOSS, h_ue=1e10)
     with pytest.raises(ValueError, match="'sigma_sh_db' = 2000 dB is too"):
-        draw_drop(20, 4, 1000.0, PATH_LOSS, wide, seed=0)
+        _drop(20, 4, 1000.0, PATH_LOSS, wide, seed=0)
     with pytest.raises(ValueError, match="gains must be positive and finite"):
-        draw_drop(4, 3, 1000.0, tall, SHADOWING, seed=0)
+        _drop(4, 3, 1000.0, tall, SHADOWING, seed=0)
 
 
 def test_validation_of_models():
@@ -266,8 +268,8 @@ def test_gains_for_an_sinr_lie_in_one_range():
         with pytest.raises(ValueError, match="gains must be positive and finite"):
             LargeScaleFading(np.array([[1e-10, bad]]))
         LargeScaleFading(np.array([[1e-10, bad]]), sinr=False)
-    _, tall = draw_drop(4, 3, 1000.0, replace(PATH_LOSS, h_ue=1000.0),
-                        SHADOWING, 0, sinr=False)
-    assert tall.beta.min() > hi
+    _, tall = _drop(4, 3, 1000.0, replace(PATH_LOSS, h_ue=1000.0), SHADOWING, 0,
+                    sinr=False)
+    assert tall.min() > hi
     with pytest.raises(ValueError, match="gains must be positive and finite"):
-        draw_drop(4, 3, 1000.0, replace(PATH_LOSS, h_ue=1000.0), SHADOWING, 0)
+        _drop(4, 3, 1000.0, replace(PATH_LOSS, h_ue=1000.0), SHADOWING, 0)

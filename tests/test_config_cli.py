@@ -8,14 +8,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fronthaul_planner.cli import build_parser, main
-from fronthaul_planner.config import (_KEYS, SystemConfig,
-                                      effective_config_lines, load_config,
-                                      symmetric_beta)
+from fronthaul_planner.config import (_KEYS, SystemConfig, draw_fading,
+                                      effective_config_lines, fading_blocks,
+                                      load_config, symmetric_beta)
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -121,6 +122,25 @@ def test_symmetric_beta_policies():
     assert gm1 > 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+def test_one_drop_is_drop_zero_of_the_drop_stream(seed):
+    # the one drop of validate and the geometric_mean policy is the first
+    # drop cdf writes, bit for bit
+    cfg = SystemConfig(m=20, k=4)
+    (ap, ue), fading = draw_fading(cfg, seed)
+    (aps, ues), block = fading_blocks(cfg, 3, seed)(0, 3)
+    assert fading.beta.shape == (20, 4)
+    for one, stacked in ((ap, aps), (ue, ues), (fading.beta, block.beta)):
+        assert np.array_equal(one, stacked[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+def test_geometric_mean_gain_is_that_of_drop_zero(seed):
+    cfg = SystemConfig(beta_policy="geometric_mean", m=20, k=4)
+    _, block = fading_blocks(cfg, 1, seed)(0, 1)
+    assert symmetric_beta(cfg, seed) == float(np.exp(np.mean(np.log(block.beta[0]))))
+
+
 def test_cli_optimize_prints_summary(capsys):
     rc = main(["optimize", "--config", "default", "--seed", "0"])
     out = capsys.readouterr().out
@@ -146,8 +166,10 @@ def test_cli_grid_deterministic(tmp_path, capsys):
 
 
 def test_cli_bad_range_is_usage_error(tmp_path, capsys):
-    # malformed text, lo > hi, a zero and a negative step
-    for text in ("nonsense", "5:1:0.1", "1:2:0", "1:2:-0.1"):
+    # malformed text, lo > hi, a zero and a negative step, an infinite
+    # bound and step, and a bound that overflows to infinity
+    for text in ("nonsense", "5:1:0.1", "1:2:0", "1:2:-0.1",
+                 "1:inf:1", "1:10:inf", "1:1e400:1"):
         with pytest.raises(SystemExit) as exc:
             main(["grid", "--n", text, "--out", str(tmp_path)])
         assert exc.value.code == 2

@@ -145,6 +145,11 @@ def test_parse_range():
         parse_range(1.0, 0.5, 0.1)
     with pytest.raises(ValueError):
         parse_range(1.0, 2.0, 0.0)
+    # infinite or NaN parts, and a span too long for a float count
+    for bad in ((1.0, np.inf, 1.0), (-np.inf, 1.0, 1.0), (1.0, 10.0, np.inf),
+                (np.nan, 1.0, 1.0), (0.0, 1e308, 1e-10)):
+        with pytest.raises(ValueError, match="range must be finite"):
+            parse_range(*bad)
 
 
 def test_grid_single_point():

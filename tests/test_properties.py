@@ -350,14 +350,12 @@ def test_stream_index_is_jumps_of_index_zero(seed, index):
 @SETTINGS
 @given(st.integers(0, 2 ** 130))
 def test_stream_index_zero_keeps_its_generator(seed):
-    # index 0 is the generator keyed (tag, 0) and index None the one keyed
-    # (tag,), as before streams were jumped
+    # index 0 is the generator keyed (tag, 0), as before streams were jumped
     for stream, tag in STREAMS.items():
-        for index, key in ((0, (tag, 0)), (None, (tag,))):
-            old = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-            rng = derive_rng(seed, stream, index)
-            assert rng.bit_generator.state == old.bit_generator.state
-            assert np.array_equal(rng.random(3), old.random(3))
+        old = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, 0)))
+        rng = derive_rng(seed, stream)
+        assert rng.bit_generator.state == old.bit_generator.state
+        assert np.array_equal(rng.random(3), old.random(3))
 
 
 @pytest.mark.parametrize("seed, stream, index, error", [
