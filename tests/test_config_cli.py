@@ -362,7 +362,7 @@ def test_cli_drawn_gain_out_of_scale_names_its_policy(command, tmp_path, capsys)
     rc = main([command, "--config", str(cfg), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: drawn gain 1.6842e+195 (beta_policy = geometric_mean) at path "
+        "error: drawn gain 8.61649e+194 (beta_policy = geometric_mean) at path "
         "loss 'h_ue_m' = 753 is out of scale: the symmetric aggregates leave "
         "the float range\n")
     assert not list(out.glob("*.csv"))

@@ -21,14 +21,14 @@ digests (`cdf --drops 20` at seeds 0-2, `--drops 400` and both M = 1000,
 K = 100 pins) were recorded again after it; no other digest moved, and
 the M = 1000 stdout digests held.
 
-The geometric_mean gains were recorded before the one-drop draw and the
-cdf drop blocks were given one gain kernel; they pin a whole drop of the
-reference network, where the validate stdout reads only an 8 x 3 slice.
-The gains of seeds 0 and 2 were recorded again when the kernel's
-10^(x / 10) became exp(x ln10 / 10) (channel.db_to_linear): that moves a
-gain by up to a few ulp, and their geometric means by 33 and 36 ulp.
-Seed 1's mean held, and so did every CSV digest (printed to 9
-significant digits) and the validate stdout.
+The geometric_mean gains pin a whole drop of the reference network,
+where the validate stdout reads only an 8 x 3 slice. They, both validate
+stdouts and the geometric_mean optimize stdout were recorded again when
+the one drop of validate and the geometric_mean policy became drop 0 of
+the "drop" stream (it had been drawn from two streams of its own) and
+the validate user pick came to be keyed (tag, 0) like every stream: the
+gains of seeds 0-2 went from 6.868e-24, 3.951e-24 and 3.718e-24 to
+3.514e-24, 3.483e-24 and 9.593e-24. Every CSV digest held.
 
 The configured pins were recorded before the symmetric studies were
 streamed in blocks of n rows and the trade-off sweep became one objective
@@ -119,11 +119,15 @@ def test_csv_bytes_unchanged(name, seed, tmp_path, capsys):
 
 # argv -> (exit code, stdout sha256). The validate run at 5000 trials failed
 # its 2% gate (interference_var[0] at 4.383%, exit 1) until each term came
-# to be estimated with the draws as control variates; with the same draws
-# the worst term is now interference_var[2] at 0.703%, a PASS, exit 0.
+# to be estimated with the draws as control variates, then passed with
+# interference_var[2] at 0.703%. On drop 0 of the "drop" stream, with the
+# user picked from the (tag, 0) key, it checks user 0 and fails again at
+# noise_var 2.825%, exit 1: on this drop, at 5000 trials, the bu_var
+# estimate's error has a standard deviation of 2.4-3.0% and noise_var's of
+# 0.7-1.3% (each user, 200 Monte-Carlo seeds).
 STDOUT_DIGESTS = {
     ("validate", "--m", "8", "--k", "3", "--trials", "5000", "--seed", "5"):
-        (0, "983d12307afa770d6e01060a398c45e5300a413ea448b5e7215a2ae84e8c7950"),
+        (1, "7849d01d2bee4d79a7c8f00fa34e0b90a75ab20a3ba04eb32c835aaff1b6b1a7"),
     ("optimize", "--seed", "0"):
         (0, "8a9a88442dd8e3d47e08f9c0d0efd817e8c11ced13075706761d546e46156af0"),
 }
@@ -141,19 +145,21 @@ def test_validate_within_one_trial_block_keeps_its_stdout(tmp_path, capsys):
     # MC_BLOCK trials draws what one generator gives. Recorded again when
     # the terms came to be estimated with the draws as control variates:
     # the worst term went from interference_var[0] at 21.763% to
-    # interference_var[0] at 6.291%, still a FAIL
+    # interference_var[0] at 6.291%, still a FAIL. Recorded again for drop
+    # 0 of the "drop" stream and the (tag, 0) user key: user 0,
+    # interference_var[1] at 9.139%, a FAIL
     argv = ["validate", "--m", "8", "--k", "3", "--trials", "256", "--seed", "5"]
     code = main(argv + ["--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
-        1, "0b557636d7049c727d14f108f5194a5ad782902645605c562823178616447bb2")
+        1, "8946a4da4cd352ebd110f22a8459df676a7459b565c54659078eb736de3d27e5")
 
 
 # seed -> float.hex() of the geometric_mean gain of the reference network
 GEOMETRIC_MEAN_BETA = {
-    0: "0x1.09b0af098bf08p-77",
-    1: "0x1.31b561651bcafp-78",
-    2: "0x1.1fa98ab627988p-78",
+    0: "0x1.0fdbd328436f9p-78",
+    1: "0x1.0d8207800e816p-78",
+    2: "0x1.731dbc2a026fcp-77",
 }
 
 
@@ -233,7 +239,7 @@ OPTIMIZE_DIGESTS = {
     "beta_scalar=1.1e-12*10**0.3": "2f01ce9178053b65a5d6ca79e76a187e6f71ecf834579ed59eb45672555a6ffd",
     "m=1000": "0eff641a579e84fdce4dae230d40a2e3d023a21a84af23eb50aa958056aaf540",
     "mu_of=0.05": "0d8cb0e8aa048bb6a39c3310c2190711df4be87f8fc656bc4659b933cc437843",
-    "beta_policy=geometric_mean": "1afbde4801fdd8d200b0b9301a42dcb6a50bea7dd398f86293fe6f4ed1844746",
+    "beta_policy=geometric_mean": "8f72bc3c7a7a521de9dc3a238cb4e57e98f331dc8b3bd4e40bb8f5f0f5d66e8d",
     "np.arange n-step": "5131771a02cb07b9f1da6e68fa37867f393585b970ac20ba7f40d4403a21ea6b",
 }
 
