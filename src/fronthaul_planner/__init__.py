@@ -7,8 +7,7 @@ closed forms cross-validated against grid search and Monte-Carlo
 simulation.
 """
 
-from .channel import (LargeScaleFading, PathLossModel, ShadowingModel,
-                      path_loss_db)
+from .channel import LargeScaleFading, path_loss_db
 from .config import SystemConfig, load_config, symmetric_beta
 from .energy import (AggregateParams, PowerCostParams, aggregate_params,
                      ee_symmetric)
@@ -25,8 +24,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateParams", "ExperimentSpec", "FronthaulPlan", "LargeScaleFading",
-    "PathLossModel", "PlanOptimum", "PowerCostParams", "ShadowingModel",
-    "SinrBreakdown", "SystemConfig", "UplinkSignalParams",
+    "PlanOptimum", "PowerCostParams", "SinrBreakdown", "SystemConfig",
+    "UplinkSignalParams",
     "achievable_rates", "aggregate_params", "ee_symmetric", "grid_search",
     "load_config", "mc_validate_terms", "optimal_m_of_closed_form",
     "optimal_n_closed_form", "path_loss_db", "per_ap_distortions",

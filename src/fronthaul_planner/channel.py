@@ -4,6 +4,8 @@ Access points and users are dropped uniformly over a square area. The link
 gain between an AP and a user combines a three-slope distance loss with
 correlated log-normal shadowing, both from one kernel over a drop's raw
 draws. Fast fading is drawn only by the Monte-Carlo check in rate.py.
+Each function reads the model's parameters from a config.SystemConfig,
+which checks them; this module imports nothing from config.
 """
 
 from dataclasses import dataclass
@@ -11,58 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeds import _jump, derive_rng
-
-
-@dataclass(frozen=True)
-class PathLossModel:
-    """Three-slope distance loss model.
-
-    f_mhz is the access carrier frequency in MHz; heights are in meters.
-    d0 and d1 are the slope breakpoints in meters: the loss is flat up to
-    d0, falls with exponent 2 between d0 and d1, and with exponent 3.5
-    beyond d1.
-    """
-
-    f_mhz: float
-    h_ap: float
-    h_ue: float
-    d0: float
-    d1: float
-
-    def __post_init__(self):
-        if self.f_mhz <= 0:
-            raise ValueError("f_mhz must be positive")
-        if self.h_ap <= 0 or self.h_ue <= 0:
-            raise ValueError("antenna heights must be positive")
-        if not 0 < self.d0 < self.d1:
-            raise ValueError("breakpoints must satisfy 0 < d0 < d1")
-
-    @property
-    def fixed_loss_db(self):
-        """Height- and frequency-dependent constant of the loss model (dB)."""
-        lf = np.log10(self.f_mhz)
-        return (46.3 + 33.9 * lf - 13.82 * np.log10(self.h_ap)
-                - (1.1 * lf - 0.7) * self.h_ue + (1.56 * lf - 0.8))
-
-
-@dataclass(frozen=True)
-class ShadowingModel:
-    """Correlated log-normal shadowing.
-
-    sigma_sh_db is the shadowing standard deviation in dB. theta in [0, 1]
-    splits the variance between an AP-side and a user-side component:
-    theta = 0 makes shadowing per-user (equal at all APs), theta = 1 makes
-    it per-AP (equal for all users).
-    """
-
-    sigma_sh_db: float
-    theta: float
-
-    def __post_init__(self):
-        if self.sigma_sh_db < 0:
-            raise ValueError("sigma_sh_db must be nonnegative")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
 
 
 _LN10_OVER_10 = np.log(10.0) / 10.0
@@ -107,8 +57,18 @@ class LargeScaleFading:
                              + (", within [2^-511, 2^479]" if self.sinr else ""))
 
 
-def path_loss_db(d, model, out=None):
-    """Three-slope loss in dB (negative) at distance d meters.
+def fixed_loss_db(config):
+    """Height- and frequency-dependent constant of the three-slope loss (dB),
+    from config's carrier f_mhz (MHz) and antenna heights h_ap_m and h_ue_m
+    (meters)."""
+    lf = np.log10(config.f_mhz)
+    return (46.3 + 33.9 * lf - 13.82 * np.log10(config.h_ap_m)
+            - (1.1 * lf - 0.7) * config.h_ue_m + (1.56 * lf - 0.8))
+
+
+def path_loss_db(d, config, out=None):
+    """Three-slope loss in dB (negative) at distance d meters: config's
+    fixed_loss_db, flat up to d0_m, with exponent 2 up to d1_m and 3.5 beyond.
 
     Vectorized over d, one log10 per entry. The loss is continuous and falls
     with d, so each branch is the smallest of the three where it applies.
@@ -120,9 +80,9 @@ def path_loss_db(d, model, out=None):
     # the smallest non-NaN distance, without a boolean temporary
     if np.fmin.reduce(d, axis=None, initial=np.inf) <= 0:
         raise ValueError("distance must be positive")
-    L = model.fixed_loss_db
-    mid_const = L + 15.0 * np.log10(model.d1)
-    flat = -mid_const - 20.0 * np.log10(model.d0)
+    L = fixed_loss_db(config)
+    mid_const = L + 15.0 * np.log10(config.d1_m)
+    flat = -mid_const - 20.0 * np.log10(config.d0_m)
     lg = np.log10(d, out=np.empty_like(d) if out is None else out)
     far = np.multiply(lg, -35.0, out=None if out is None else d)
     far -= L
@@ -132,20 +92,22 @@ def path_loss_db(d, model, out=None):
     return out if out.ndim else float(out)
 
 
-def _drops(m, k, area_side, pl, sh, xy, z, gains, scratch, sinr):
-    """Positions and gains of drops from their draws, any leading batch shape.
+def _drops(config, xy, z, gains, scratch, sinr):
+    """Positions and gains of drops from their draws, any leading batch shape,
+    under config's m, k, area_m, sigma_sh_db, theta and path loss.
 
     xy (..., 2m + 2k) holds uniforms on [0, 1), AP then UE coordinates, and
     is scaled in place (uniform(0, a) is a * random(), bit for bit), so
-    every position lies in the square [0, area_side]^2. ap and ue are its
+    every position lies in the square [0, area_m]^2. ap and ue are its
     (..., m, 2) and (..., k, 2) views. z holds m + k normals, a_m per AP
     then b_k per UE; link (m, k) is shadowed by
-    sigma_sh * (sqrt(theta) a_m + sqrt(1 - theta) b_k). The gains are
+    sigma_sh_db * (sqrt(theta) a_m + sqrt(1 - theta) b_k). The gains are
     computed in gains (..., m, k), with scratch of the same shape, and every
     step writes into one of the two. They must lie in the range that
     gains_in_range(..., sinr) admits.
     """
-    xy *= area_side
+    m, k, sigma = config.m, config.k, config.sigma_sh_db
+    xy *= config.area_m
     ap = xy[..., :2 * m].reshape(xy.shape[:-1] + (m, 2))
     ue = xy[..., 2 * m:].reshape(xy.shape[:-1] + (k, 2))
     # Overflows (of distances in a huge area, too) end in gains that
@@ -157,9 +119,9 @@ def _drops(m, k, area_side, pl, sh, xy, z, gains, scratch, sinr):
         dy = np.subtract(ap[..., :, None, 1], ue[..., None, :, 1], out=gains)
         d += np.square(dy, out=dy)
         # One exp per gain: shadowing is added to the loss in dB.
-        x = path_loss_db(np.sqrt(d, out=d), pl, out=gains)
-        shadow = np.add(sh.sigma_sh_db * np.sqrt(sh.theta) * z[..., :m, None],
-                        sh.sigma_sh_db * np.sqrt(1.0 - sh.theta) * z[..., None, m:],
+        x = path_loss_db(np.sqrt(d, out=d), config, out=gains)
+        shadow = np.add(sigma * np.sqrt(config.theta) * z[..., :m, None],
+                        sigma * np.sqrt(1.0 - config.theta) * z[..., None, m:],
                         out=scratch)
         x += shadow
         try:
@@ -169,12 +131,13 @@ def _drops(m, k, area_side, pl, sh, xy, z, gains, scratch, sinr):
             s = np.abs(shadow).max(initial=0.0)
             if gains_in_range(*db_to_linear(np.array([-s, s])), sinr):
                 raise
-    raise ValueError(f"shadowing 'sigma_sh_db' = {sh.sigma_sh_db:g} dB is too "
+    raise ValueError(f"shadowing 'sigma_sh_db' = {sigma:g} dB is too "
                      "large: link gains leave the float range")
 
 
 class DropBlocks:
-    """Blocks of up to size drops of a seed, each drawn into the same buffers.
+    """Blocks of up to size drops of a seed under config (_drops), each drawn
+    into the same buffers.
 
     draw(start, stop) gives drops start to stop - 1 of the seed's "drop"
     stream (of a Generator seed, drop i is that Generator jumped i times),
@@ -185,12 +148,9 @@ class DropBlocks:
     only until then.
     """
 
-    def __init__(self, m, k, area_side, pl, sh, size, seed):
-        if not 0 < area_side < np.inf:
-            raise ValueError("area_side must be positive and finite")
-        if m < 1 or k < 1:
-            raise ValueError("need at least one AP and one UE")
-        self._network = (m, k, area_side, pl, sh)
+    def __init__(self, config, size, seed):
+        m, k = config.m, config.k
+        self._config = config
         self._rng = derive_rng(seed, "drop")
         self._state = self._rng.bit_generator.state
         self._xy = np.empty((size, 2 * (m + k)))
@@ -207,4 +167,4 @@ class DropBlocks:
             _jump(self._rng.bit_generator, self._state, start + j)
             self._rng.random(out=xy[j])
             self._rng.standard_normal(out=z[j])
-        return _drops(*self._network, xy, z, self._gains[:n], self._scratch[:n], sinr)
+        return _drops(self._config, xy, z, self._gains[:n], self._scratch[:n], sinr)

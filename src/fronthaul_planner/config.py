@@ -8,12 +8,12 @@ noise temperature, bandwidth, noise figure) and never entered directly.
 
 import hashlib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import (DropBlocks, LargeScaleFading, PathLossModel, ShadowingModel,
-                      db_to_linear, gains_in_range, path_loss_db)
+from .channel import (DropBlocks, LargeScaleFading, db_to_linear, gains_in_range,
+                      path_loss_db)
 from .energy import PowerCostParams, aggregate_params
 from .fronthaul import UplinkSignalParams
 
@@ -193,28 +193,23 @@ def power_cost_params(config):
                            config.mu_fso, config.mu_of, config.b_s_hz)
 
 
-# Config fields that set a drop's path loss, as PathLossModel takes them,
-# then the side of the area
+# Config fields that set a drop's path loss, the side of the area included
 _LOSS_FIELDS = ("f_mhz", "h_ap_m", "h_ue_m", "d0_m", "d1_m", "area_m")
 
 
-def _loss_models(config):
-    return (PathLossModel(*(getattr(config, f) for f in _LOSS_FIELDS[:-1])),
-            ShadowingModel(config.sigma_sh_db, config.theta))
-
-
-def _loss_in_range(values):
-    """True when for these _LOSS_FIELDS values every link gain before
-    shadowing, extreme at d0 and at the area's diagonal (the loss falls with
-    distance), lies in channel.SINR_GAINS, and distinct positions, side *
-    2^-53 apart at least, square to normal floats (no distance underflows)."""
-    *model, side = values
+def _loss_in_range(config, **values):
+    """True when config with these field values is valid, every link gain
+    before shadowing, extreme at d0_m and at the area's diagonal (the loss
+    falls with distance), lies in channel.SINR_GAINS, and distinct positions,
+    area_m * 2^-53 apart at least, square to normal floats."""
     try:
-        pl = PathLossModel(*model)
+        config = replace(config, **values)
     except ValueError:
         return False
+    side = config.area_m
     with np.errstate(over="ignore"):
-        far, near = db_to_linear(path_loss_db(np.array([side * np.sqrt(2.0), pl.d0]), pl))
+        far, near = db_to_linear(path_loss_db(np.array([side * np.sqrt(2.0),
+                                                        config.d0_m]), config))
     return gains_in_range(far, near) and side * side * 2.0 ** -106 >= np.finfo(float).tiny
 
 
@@ -239,12 +234,11 @@ def _drawn(config, draw, *args):
     try:
         return draw(*args)
     except ValueError:
-        values = [getattr(config, f) for f in _LOSS_FIELDS]
-        if _loss_in_range(values):
+        if _loss_in_range(config):
             raise
     ref = SystemConfig()
-    at_fault = ({f for i, f in enumerate(_LOSS_FIELDS)
-                 if _loss_in_range(values[:i] + [getattr(ref, f)] + values[i + 1:])}
+    at_fault = ({f for f in _LOSS_FIELDS
+                 if _loss_in_range(config, **{f: getattr(ref, f)})}
                 or _loss_off_reference(config))
     raise ValueError(f"path loss at {_named(config, at_fault)} is out of scale: "
                      "link gains leave the float range")
@@ -258,8 +252,7 @@ def fading_blocks(config, size, seed):
     seed's "drop" stream (channel.DropBlocks.draw). Every block is drawn
     into the same buffers: a block's arrays hold until the next is drawn.
     """
-    blocks = DropBlocks(config.m, config.k, config.area_m, *_loss_models(config),
-                        size, seed)
+    blocks = DropBlocks(config, size, seed)
     return lambda *span: _drawn(config, blocks.draw, *span)
 
 

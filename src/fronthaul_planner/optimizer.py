@@ -165,11 +165,15 @@ def optimal_m_of_closed_form(n, agg):
 
 
 def _range_count(lo, hi, step):
-    """The length of parse_range(lo, hi, step). Infinite or NaN parts, and
-    spans too long for a float count, are rejected."""
+    """The length of parse_range(lo, hi, step). Infinite or NaN parts, spans
+    too long for a float count, and counts no float64 array can hold (its
+    size in bytes must be an intp) are rejected."""
     if not (lo <= hi and 0 < step < math.inf and math.isfinite((hi - lo) / step)):
         raise ValueError("range must be finite and satisfy lo <= hi and step > 0")
-    return int(math.floor((hi - lo) / step + 1e-9)) + 1
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    if count > np.iinfo(np.intp).max // 8:
+        raise ValueError("range has more values than a float array can hold")
+    return count
 
 
 def parse_range(lo, hi, step):

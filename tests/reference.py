@@ -1,10 +1,12 @@
-"""Reference model objects and the general-gain oracle shared by the tests.
+"""Reference parameters and the general-gain oracle shared by the tests.
 
-The reference parameter set lives in SystemConfig alone; the model objects
-here are built from it. network_power, fronthaul_cost and energy_efficiency
-score a plan with any per-AP link mix. No command reaches them: the tests
-keep them as an oracle independent of the symmetric objective
-energy.symmetric_terms.
+The reference parameter set lives in SystemConfig alone: CFG holds its
+defaults, and the drop model (channel.DropBlocks, path_loss_db) reads a
+SystemConfig directly. NOISE_W and POWER_COST are derived from CFG.
+
+network_power, fronthaul_cost and energy_efficiency score a plan with any
+per-AP link mix. No command reaches them: the tests keep them as an oracle
+independent of the symmetric objective energy.symmetric_terms.
 
 argmax_n_step and loop_m_of_step are the optimizer's two steps as they
 were before each step returned the PlanOptimum grid_search picks: the
@@ -19,15 +21,12 @@ it must keep.
 
 import numpy as np
 
-from fronthaul_planner.channel import PathLossModel, ShadowingModel
 from fronthaul_planner.config import SystemConfig, power_cost_params
 from fronthaul_planner.energy import GBPS_PER_BPS, symmetric_terms
 from fronthaul_planner.optimizer import N_MAX, N_MIN, N_STEP, parse_range
 
 CFG = SystemConfig()
 NOISE_W = CFG.noise_power_w
-PATH_LOSS = PathLossModel(CFG.f_mhz, CFG.h_ap_m, CFG.h_ue_m, CFG.d0_m, CFG.d1_m)
-SHADOWING = ShadowingModel(CFG.sigma_sh_db, CFG.theta)
 POWER_COST = power_cost_params(CFG)
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fronthaul_planner import cli
 from fronthaul_planner.cli import build_parser, main
 from fronthaul_planner.config import (_KEYS, SystemConfig, draw_fading,
                                       effective_config_lines, fading_blocks,
@@ -167,14 +168,30 @@ def test_cli_grid_deterministic(tmp_path, capsys):
 
 def test_cli_bad_range_is_usage_error(tmp_path, capsys):
     # malformed text, lo > hi, a zero and a negative step, an infinite
-    # bound and step, and a bound that overflows to infinity
+    # bound and step, a bound that overflows to infinity, and a count no
+    # float array can hold
     for text in ("nonsense", "5:1:0.1", "1:2:0", "1:2:-0.1",
-                 "1:inf:1", "1:10:inf", "1:1e400:1"):
+                 "1:inf:1", "1:10:inf", "1:1e400:1", "1:1e300:1"):
         with pytest.raises(SystemExit) as exc:
             main(["grid", "--n", text, "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert text in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 8.00 EiB"),
+     "error: out of memory: Unable to allocate 8.00 EiB\n")], ids=["bare", "numpy"])
+def test_cli_memory_error_is_one_error_line(exc, line, monkeypatch, capsys):
+    # a command that runs out of memory ends in one 'error:' line and exit 1,
+    # with numpy's text when the error carries one
+    def run_out_of_memory(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_optimize", run_out_of_memory)
+    assert main(["optimize"]) == 1
+    assert capsys.readouterr().err == line
 
 
 def test_cli_unknown_command_is_usage_error():
@@ -314,13 +331,15 @@ def test_cli_huge_shadowing_names_the_key(command, text, tmp_path, capsys):
     ("h_ue_m = 1e10\n", "'h_ue_m' = 1e+10"),
     ("area_m = 1e200\n", "'area_m' = 1e+200"),
     ("f_ghz = 1e-300\n", "'f_ghz' = 1e-300"),
+    ("h_ue_m = 1e10\nd0_m = 20\n", "'h_ue_m' = 1e+10"),
 ])
 @pytest.mark.parametrize("command", ["cdf", "validate"])
 def test_cli_path_loss_out_of_scale_names_the_key(command, text, named,
                                                    tmp_path, capsys):
     # the loss constant (h_ue_m, f_ghz) or the distances (area_m) put every
-    # gain outside the float range: the key named on one line, no overflow
-    # warning from the distances and no CSV
+    # gain outside the float range: the key named on one line, and not a key
+    # off its reference value (d0_m) whose reference value alone does not
+    # bring the gains back, no overflow warning from the distances and no CSV
     cfg = tmp_path / "far.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
@@ -385,6 +404,10 @@ def test_cli_path_loss_faults_named_together(tmp_path, capsys):
     ("h_ue_m = 1000\n", "validate", "path loss at 'h_ue_m' = 1000 is out of scale"),
     ("h_ap_m = 1e-100\n", "validate", "path loss at 'h_ap_m' = 1e-100 is out of scale"),
     ("d1_m = 1e100\n", "validate", "path loss at 'd1_m' = 1e+100 is out of scale"),
+    # the reference d1_m = 50 is no valid config with d0_m = 60, so d1_m
+    # alone cannot bring the gains back and both keys off reference are named
+    ("d0_m = 60\nd1_m = 1e100\n", "validate",
+     "path loss at 'd0_m' = 60, 'd1_m' = 1e+100 is out of scale"),
 ])
 def test_cli_rejects_gains_the_sinr_cannot_use(text, command, error, tmp_path,
                                                capsys):

@@ -13,7 +13,8 @@ from fronthaul_planner.cli import main
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       symmetric_terms)
 from fronthaul_planner.fronthaul import UplinkSignalParams
-from fronthaul_planner.optimizer import (best_of, capacity_coeff_quadratic,
+from fronthaul_planner.optimizer import (_range_count, best_of,
+                                         capacity_coeff_quadratic,
                                          fiber_count_intermediates,
                                          grid_cells, grid_search,
                                          optimal_m_of_closed_form,
@@ -150,6 +151,13 @@ def test_parse_range():
                 (np.nan, 1.0, 1.0), (0.0, 1e308, 1e-10)):
         with pytest.raises(ValueError, match="range must be finite"):
             parse_range(*bad)
+    # a count no float64 array can hold is rejected before any allocation;
+    # the bound is 2^60 - 1 values, and floats near 2^60 are 256 apart
+    with pytest.raises(ValueError, match="more values than a float array can hold"):
+        parse_range(1.0, 1e300, 1.0)
+    assert _range_count(0.0, 2.0 ** 60 - 256, 1.0) == 2 ** 60 - 255
+    with pytest.raises(ValueError, match="more values than a float array can hold"):
+        _range_count(0.0, 2.0 ** 60, 1.0)
 
 
 def test_grid_single_point():

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fronthaul_planner import experiments
-from fronthaul_planner.channel import DropBlocks, ShadowingModel, db_to_linear
+from fronthaul_planner.channel import DropBlocks, db_to_linear, fixed_loss_db
 from fronthaul_planner.config import SystemConfig
 from fronthaul_planner.energy import (PowerCostParams, aggregate_params,
                                       symmetric_terms)
@@ -32,8 +32,7 @@ from fronthaul_planner.optimizer import (N_MAX, N_MIN, N_STEP,
                                          optimal_n_closed_form, parse_range)
 from fronthaul_planner.rate import MC_BLOCK, mc_validate_terms, per_user_sinrs
 from fronthaul_planner.seeds import STREAMS, derive_rng
-from reference import (NOISE_W, PATH_LOSS, SHADOWING, argmax_n_step,
-                       distances, loop_m_of_step)
+from reference import CFG, NOISE_W, argmax_n_step, distances, loop_m_of_step
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -274,25 +273,27 @@ def test_monte_carlo_terms_do_not_depend_on_the_chunk(m, n_users, seed, data):
     assert np.array_equal(a.interference_var, b.interference_var)
 
 
-def _plain_gains(ap, ue, pl, sh, seed):
-    """The drop gains composed term by term: norm, nested where, two powers."""
+def _plain_gains(ap, ue, config, seed):
+    """The drop gains under config composed term by term: norm, nested
+    where, two powers."""
     m, k = ap.shape[-2], ue.shape[-2]
     diff = ap[..., :, None, :] - ue[..., None, :, :]
     d = np.linalg.norm(diff, axis=-1)
-    L = pl.fixed_loss_db
-    mid_const = 15.0 * np.log10(pl.d1)
+    L = fixed_loss_db(config)
+    mid_const = 15.0 * np.log10(config.d1_m)
     far = -L - 35.0 * np.log10(d)
     mid = -L - mid_const - 20.0 * np.log10(d)
-    flat = -L - mid_const - 20.0 * np.log10(pl.d0)
-    pl_db = np.where(d > pl.d1, far, np.where(d > pl.d0, mid, flat))
+    flat = -L - mid_const - 20.0 * np.log10(config.d0_m)
+    pl_db = np.where(d > config.d1_m, far, np.where(d > config.d0_m, mid, flat))
     # each drop's normals follow its 2m + 2k uniform coordinates
     draws = [derive_rng(seed, "drop", j) for j in range(len(ap))]
     for rng in draws:
         rng.uniform(size=2 * (m + k))
     a = np.stack([rng.standard_normal(m) for rng in draws])
     b = np.stack([rng.standard_normal(k) for rng in draws])
-    z = np.sqrt(sh.theta) * a[:, :, None] + np.sqrt(1.0 - sh.theta) * b[:, None, :]
-    return 10.0 ** (pl_db / 10.0) * 10.0 ** (sh.sigma_sh_db * z / 10.0)
+    z = (np.sqrt(config.theta) * a[:, :, None]
+         + np.sqrt(1.0 - config.theta) * b[:, None, :])
+    return 10.0 ** (pl_db / 10.0) * 10.0 ** (config.sigma_sh_db * z / 10.0)
 
 
 @SETTINGS
@@ -303,13 +304,13 @@ def test_gain_kernel_matches_the_plain_formula(m, k, seed, drops, area, d0,
                                                ratio, theta, sigma):
     # the one-log10, one-power kernel against the plain composition on the
     # same drops and draws; the kernel's distances against np.hypot
-    pl = replace(PATH_LOSS, d0=d0, d1=d0 * ratio)
-    sh = ShadowingModel(sigma, theta)
-    (ap, ue), fading = DropBlocks(m, k, area, pl, sh, drops, seed).draw(0, drops)
+    cfg = replace(CFG, m=m, k=k, area_m=area, d0_m=d0, d1_m=d0 * ratio,
+                  sigma_sh_db=sigma, theta=theta)
+    (ap, ue), fading = DropBlocks(cfg, drops, seed).draw(0, drops)
     d = distances(ap, ue)
     dx, dy = np.moveaxis(ap[:, :, None, :] - ue[:, None, :, :], -1, 0)
     assert np.all(np.abs(d - np.hypot(dx, dy)) <= np.spacing(np.hypot(dx, dy)))
-    np.testing.assert_allclose(fading.beta, _plain_gains(ap, ue, pl, sh, seed),
+    np.testing.assert_allclose(fading.beta, _plain_gains(ap, ue, cfg, seed),
                                rtol=1e-13, atol=0.0)
 
 
@@ -370,7 +371,7 @@ def test_drop_blocks_reject_a_negative_drop_index():
     # PCG64.advance takes a negative delta without an error; drop blocks
     # jump by the same rule as derive_rng, which rejects it
     assert np.random.PCG64(1).advance(-5) is not None
-    blocks = DropBlocks(2, 2, 100.0, PATH_LOSS, SHADOWING, 2, 0)
+    blocks = DropBlocks(replace(CFG, m=2, k=2, area_m=100.0), 2, 0)
     with pytest.raises(ValueError, match="non-negative"):
         blocks.draw(-1, 1)
 
