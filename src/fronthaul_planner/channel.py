@@ -92,6 +92,13 @@ def path_loss_db(d, config, out=None):
     return out if out.ndim else float(out)
 
 
+def _outer(op, col, row, out):
+    """op(col, row, out=out), the same bits, as a copy of col and op in place
+    with row: two broadcast operands took 4x a flat pass (95 us / 100k gains)."""
+    np.copyto(out, col)
+    return op(out, row, out=out)
+
+
 def _drops(config, xy, z, gains, scratch, sinr):
     """Positions and gains of drops from their draws, any leading batch shape,
     under config's m, k, area_m, sigma_sh_db, theta and path loss.
@@ -114,15 +121,15 @@ def _drops(config, xy, z, gains, scratch, sinr):
     # LargeScaleFading rejects, without a numpy warning.
     with np.errstate(over="ignore"):
         # AP-to-UE distances sqrt(dx^2 + dy^2)
-        d = np.subtract(ap[..., :, None, 0], ue[..., None, :, 0], out=scratch)
+        d = _outer(np.subtract, ap[..., :, None, 0], ue[..., None, :, 0], scratch)
         d *= d
-        dy = np.subtract(ap[..., :, None, 1], ue[..., None, :, 1], out=gains)
+        dy = _outer(np.subtract, ap[..., :, None, 1], ue[..., None, :, 1], gains)
         d += np.square(dy, out=dy)
         # One exp per gain: shadowing is added to the loss in dB.
         x = path_loss_db(np.sqrt(d, out=d), config, out=gains)
-        shadow = np.add(sigma * np.sqrt(config.theta) * z[..., :m, None],
+        shadow = _outer(np.add, sigma * np.sqrt(config.theta) * z[..., :m, None],
                         sigma * np.sqrt(1.0 - config.theta) * z[..., None, m:],
-                        out=scratch)
+                        scratch)
         x += shadow
         try:
             return (ap, ue), LargeScaleFading(db_to_linear(x, out=x), sinr)
@@ -149,6 +156,8 @@ class DropBlocks:
     """
 
     def __init__(self, config, size, seed):
+        if size < 1:
+            raise ValueError(f"drop block size {size} must be at least 1")
         m, k = config.m, config.k
         self._config = config
         self._rng = derive_rng(seed, "drop")
@@ -162,6 +171,9 @@ class DropBlocks:
         """Drops start to stop - 1, drop i from the one Generator jumped to
         index i, their gains in the range of gains_in_range(..., sinr)."""
         n = stop - start
+        if start < 0 or not 0 <= n <= len(self._xy):
+            raise ValueError(f"drop span {start}:{stop} must start at a non-negative "
+                             f"index and hold 0 to {len(self._xy)} drops")
         xy, z = self._xy[:n], self._z[:n]
         for j in range(n):
             _jump(self._rng.bit_generator, self._state, start + j)

@@ -14,8 +14,7 @@ import numpy as np
 from .config import (SystemConfig, fading_blocks, signal_params,
                      symmetric_aggregates, symmetric_beta)
 from .energy import symmetric_terms
-from .fronthaul import (FronthaulPlan, quantization_noise_var,
-                        received_signal_power)
+from .fronthaul import FronthaulPlan, quantizer, received_signal_power
 from .optimizer import grid_cells, optimal_m_of_closed_form, parse_range
 from .rate import achievable_rates
 
@@ -466,16 +465,16 @@ def run_rate_cdf(spec):
     cfg = spec.config
     sig = signal_params(cfg)
     splits = compared_splits_for(cfg.m)
-    # split x 1 x M capacities, broadcast over the drops of a block
-    caps = np.stack([FronthaulPlan.fso_first(cfg.m, m_of, cfg.c_fso, n).capacities()
-                     for n, m_of in splits])[:, None, :]
+    # the law of split x 1 x M capacities, broadcast over the drops of a block
+    distortion = quantizer(np.stack([
+        FronthaulPlan.fso_first(cfg.m, m_of, cfg.c_fso, n).capacities()
+        for n, m_of in splits])[:, None, :])
     per_block = min(spec.drops, max(1, BLOCK_GAINS // (cfg.m * cfg.k)))
     draw_block = fading_blocks(cfg, per_block, spec.seed)
     sums, users = [], []
     for start in range(0, spec.drops, per_block):
         _, fading = draw_block(start, min(start + per_block, spec.drops))
-        dist = quantization_noise_var(
-            received_signal_power(fading.beta, sig), caps)
+        dist = distortion(received_signal_power(fading.beta, sig))
         rates = achievable_rates(fading.beta, sig, dist)
         sums.append(rates.sum(axis=-1))
         users.append(rates.reshape(len(splits), -1))

@@ -106,19 +106,16 @@ def received_signal_power(beta, sig):
     return sig.rho_u * beta @ sig.eta + sig.delta_sq
 
 
-def quantization_noise_var(signal_power, capacity):
-    """Distortion of compressing a signal of the given power to fit a link.
+def quantizer(capacity):
+    """Distortion function power -> D of links of the given capacity.
 
     The forward Gaussian test channel (quantizer noise added to the source)
-    gives D = power / (2^C - 1). This is the one place the law is written.
-    A capacity so large that 2^C overflows to inf gives the limit D = 0,
-    without a warning. A capacity so small that 2^C - 1 rounds to 0
-    (below about 1.6e-16) is rejected.
+    gives D = power / (2^C - 1), 2^C - 1 taken once: the one place the law
+    is written. A capacity so large that 2^C overflows to inf gives the limit
+    D = 0, without a warning. A capacity so small that 2^C - 1 rounds to 0
+    (below about 1.6e-16) is rejected, and so is a negative power.
     """
-    power = np.asarray(signal_power, dtype=float)
     cap = np.asarray(capacity, dtype=float)
-    if np.any(power < 0):
-        raise ValueError("signal_power must be nonnegative")
     if np.any(cap <= 0):
         raise ValueError("capacity must be positive")
     with np.errstate(over="ignore"):
@@ -126,8 +123,19 @@ def quantization_noise_var(signal_power, capacity):
     if np.any(den == 0):
         raise ValueError(f"capacity {float(np.max(cap[den == 0])):g} is too small: "
                          "2^C - 1 rounds to 0")
-    out = power / den
-    return out if out.ndim else float(out)
+
+    def distortion(signal_power):
+        power = np.asarray(signal_power, dtype=float)
+        if np.any(power < 0):
+            raise ValueError("signal_power must be nonnegative")
+        out = power / den
+        return out if out.ndim else float(out)
+    return distortion
+
+
+def quantization_noise_var(signal_power, capacity):
+    """Distortion of compressing a signal of the given power to fit a link."""
+    return quantizer(capacity)(signal_power)
 
 
 def per_ap_distortions(beta, sig, plan):

@@ -4,6 +4,9 @@ The reference parameter set lives in SystemConfig alone: CFG holds its
 defaults, and the drop model (channel.DropBlocks, path_loss_db) reads a
 SystemConfig directly. NOISE_W and POWER_COST are derived from CFG.
 
+distances and kernel_drops are the drop-gain kernel in plain broadcast
+form, which the kernel must match bit for bit.
+
 network_power, fronthaul_cost and energy_efficiency score a plan with any
 per-AP link mix. No command reaches them: the tests keep them as an oracle
 independent of the symmetric objective energy.symmetric_terms.
@@ -21,9 +24,11 @@ it must keep.
 
 import numpy as np
 
+from fronthaul_planner.channel import db_to_linear, path_loss_db
 from fronthaul_planner.config import SystemConfig, power_cost_params
 from fronthaul_planner.energy import GBPS_PER_BPS, symmetric_terms
 from fronthaul_planner.optimizer import N_MAX, N_MIN, N_STEP, parse_range
+from fronthaul_planner.seeds import derive_rng
 
 CFG = SystemConfig()
 NOISE_W = CFG.noise_power_w
@@ -36,6 +41,25 @@ def distances(ap, ue):
     dx = ap[..., :, None, 0] - ue[..., None, :, 0]
     dy = ap[..., :, None, 1] - ue[..., None, :, 1]
     return np.sqrt(dx * dx + dy * dy)
+
+
+def kernel_drops(config, seed, start, stop):
+    """Positions and gains of drops start to stop - 1 of a seed, each
+    AP-by-UE step (the differences and the shadowing sum) one ufunc of two
+    broadcast operands. Drop i reads 2m + 2k uniforms scaled by area_m, then
+    m + k normals, from derive_rng(seed, "drop", i)."""
+    m, k, sigma = config.m, config.k, config.sigma_sh_db
+    ap, ue, z = [], [], []
+    for i in range(start, stop):
+        rng = derive_rng(seed, "drop", i)
+        xy = rng.random(2 * (m + k)) * config.area_m
+        ap.append(xy[:2 * m].reshape(m, 2))
+        ue.append(xy[2 * m:].reshape(k, 2))
+        z.append(rng.standard_normal(m + k))
+    ap, ue, z = np.array(ap), np.array(ue), np.array(z)
+    shadow = (sigma * np.sqrt(config.theta) * z[:, :m, None]
+              + sigma * np.sqrt(1.0 - config.theta) * z[:, None, m:])
+    return (ap, ue), db_to_linear(path_loss_db(distances(ap, ue), config) + shadow)
 
 
 def network_power(sig, pc, plan):

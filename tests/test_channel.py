@@ -42,6 +42,31 @@ def test_drop_rejects_bad_arguments():
             SystemConfig(**fields)
 
 
+@pytest.mark.parametrize("first, span", [
+    ((0, 4), (5, 3)),  # after a full block: no drops built from its buffers
+    (None, (5, 3)),  # on a fresh drawer: not a shadowing error
+    (None, (0, 6)),  # more drops than the block holds
+    (None, (-2, 1)),
+])
+def test_drop_blocks_reject_a_span_outside_the_block(first, span):
+    # a span must satisfy 0 <= start <= stop <= start + size
+    blocks = DropBlocks(CFG, 4, 0)
+    if first:
+        blocks.draw(*first)
+    start, stop = span
+    with pytest.raises(ValueError, match=f"drop span {start}:{stop} must start at "
+                       "a non-negative index and hold 0 to 4 drops"):
+        blocks.draw(*span)
+    (ap, _), fading = blocks.draw(3, 7)
+    assert fading.beta.shape == (4, 100, 10) and ap.max() <= CFG.area_m
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_drop_blocks_reject_a_block_without_a_drop(size):
+    with pytest.raises(ValueError, match=f"drop block size {size} must be at least 1"):
+        DropBlocks(CFG, size, 0)
+
+
 def test_drop_positions_uniform_mean():
     (ap, ue), _ = _drop(CFG, seed=42)
     # mean of 100 uniform draws on [0, 1000]: sd = (1000/sqrt(12))/10

@@ -1,5 +1,6 @@
 """Tests for the scenario runners and their CSV outputs."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from fronthaul_planner.experiments import (BLOCK_GAINS, BLOCK_ROWS,
                                            run_ee_surface, run_ee_vs_sumrate,
                                            run_rate_cdf, write_table)
 from fronthaul_planner.fronthaul import (FronthaulPlan, UplinkSignalParams,
-                                         per_ap_distortions)
+                                         per_ap_distortions, quantizer)
 from fronthaul_planner.rate import achievable_rates
 from fronthaul_planner.seeds import derive_rng
 
@@ -118,6 +119,32 @@ def test_rate_cdf_blocks_equal_per_drop_evaluation(cfg, drops, tmp_path):
             users.extend(rates.tolist())
         assert np.array_equal(res[(n, m_of)][0], np.sort(sums))
         assert np.array_equal(res[(n, m_of)][1], np.sort(users))
+
+
+def test_rate_cdf_reports_a_capacity_error_before_a_drop_error(tmp_path):
+    # run_rate_cdf takes the law of its capacities before it draws a drop.
+    # Each capacity is c_fso or n * c_fso with n >= 1, and 2^C - 1 rises with
+    # C, so only the smallest c_fso the config admits can fail the law: it
+    # does where numpy's 2^C rounds to 1 below Python's (a window of about
+    # 100 floats near 1.6e-16 with numpy 2.4). There the capacity error wins
+    # over a shadowing error; elsewhere the drop error is the one reported
+    lo, hi = 0.0, 1e-15
+    while np.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2
+        try:
+            replace(SMALL, c_fso=mid)
+            hi = mid
+        except ValueError:
+            lo = mid
+    assert all(n >= 1 for n, _ in COMPARED_SPLITS)
+    try:
+        quantizer(hi)
+        text = "'sigma_sh_db' = 2000 dB is too large"
+    except ValueError as error:
+        text = re.escape(str(error))
+    with pytest.raises(ValueError, match=text):
+        run_rate_cdf(ExperimentSpec(replace(SMALL, c_fso=hi, sigma_sh_db=2000.0),
+                                    drops=2, output_path=str(tmp_path / "cdf.csv")))
 
 
 def test_rate_cdf_csv_schema(tmp_path):

@@ -1,11 +1,13 @@
 """Tests for link plans, received power and quantization distortion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fronthaul_planner.fronthaul import (FronthaulPlan, UplinkSignalParams,
                                          per_ap_distortions,
-                                         quantization_noise_var,
+                                         quantization_noise_var, quantizer,
                                          received_signal_power)
 
 
@@ -98,6 +100,37 @@ def test_quantization_noise_rejects_capacity_below_resolution(capacity):
     with pytest.raises(ValueError, match="1e-17 is too small"):
         quantization_noise_var(1.0, capacity)
     assert quantization_noise_var(1.0, 1e-15) > 0
+
+
+def test_quantizer_taken_once_gives_the_law_on_every_block():
+    # one quantizer of (S, 1, M) capacities against the law written out, on
+    # (S, B, M) powers of several blocks, bit for bit; a 2^C that overflows
+    # gives D = 0 without a warning
+    rng = np.random.default_rng(5)
+    caps = rng.uniform(0.1, 30.0, (5, 1, 7))
+    caps[0, 0, 0] = 2000.0
+    distortion = quantizer(caps)
+    for b in (1, 4, 3):
+        power = 10.0 ** rng.uniform(-14, 2, (5, b, 7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = distortion(power)
+            assert np.array_equal(d, quantization_noise_var(power, caps))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(d, power / (2.0 ** caps - 1.0))
+        assert np.all(d[0, :, 0] == 0.0)
+
+
+def test_quantizer_rejects_a_capacity_then_a_negative_power():
+    # 2^C - 1 rounds to 0: rejected when the quantizer is taken, with the
+    # law's message; a negative power is rejected on each block, and the
+    # quantizer serves the next block after it
+    with pytest.raises(ValueError, match="capacity 1e-17 is too small: 2\\^C - 1 rounds to 0"):
+        quantizer(np.array([[2.0, 1e-17]]))
+    distortion = quantizer(np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="signal_power must be nonnegative"):
+        distortion(np.array([[1.0, -1e-300]]))
+    assert np.array_equal(distortion(np.array([[1.0, 3.0]])), [[1.0, 1.0]])
 
 
 def test_quantization_noise_decreasing_in_capacity():

@@ -32,7 +32,8 @@ from fronthaul_planner.optimizer import (N_MAX, N_MIN, N_STEP,
                                          optimal_n_closed_form, parse_range)
 from fronthaul_planner.rate import MC_BLOCK, mc_validate_terms, per_user_sinrs
 from fronthaul_planner.seeds import STREAMS, derive_rng
-from reference import CFG, NOISE_W, argmax_n_step, distances, loop_m_of_step
+from reference import (CFG, NOISE_W, argmax_n_step, distances, kernel_drops,
+                       loop_m_of_step)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -312,6 +313,22 @@ def test_gain_kernel_matches_the_plain_formula(m, k, seed, drops, area, d0,
     assert np.all(np.abs(d - np.hypot(dx, dy)) <= np.spacing(np.hypot(dx, dy)))
     np.testing.assert_allclose(fading.beta, _plain_gains(ap, ue, cfg, seed),
                                rtol=1e-13, atol=0.0)
+
+
+@SETTINGS
+@given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 4), st.integers(0, 50), st.floats(1.0, 5000.0),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.one_of(st.just(0.0), st.floats(0.0, 16.0)))
+def test_gain_kernel_keeps_the_bits_of_the_broadcast_form(m, k, seed, drops, start,
+                                                          area, theta, sigma):
+    # the kernel's copy-then-in-place steps against one ufunc of two
+    # broadcast operands per step: the same positions and gains, bit for bit
+    cfg = replace(CFG, m=m, k=k, area_m=area, sigma_sh_db=sigma, theta=theta)
+    (ap, ue), fading = DropBlocks(cfg, drops, seed).draw(start, start + drops)
+    (ap_ref, ue_ref), beta = kernel_drops(cfg, seed, start, start + drops)
+    assert np.array_equal(ap, ap_ref) and np.array_equal(ue, ue_ref)
+    assert np.array_equal(fading.beta, beta)
 
 
 @SETTINGS
